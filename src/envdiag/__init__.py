@@ -55,7 +55,6 @@ from .sigmodel import (
     SeedSpec,
     Signal,
     gaussian_pulse,
-    simulate_batch,
     simulate_signal,
 )
 from .stats import (
@@ -124,7 +123,6 @@ __all__ = [
     "scott_bandwidth",
     "shape_distance",
     "simulate_and_classify",
-    "simulate_batch",
     "simulate_signal",
     "snr",
     "uniform_cdf",

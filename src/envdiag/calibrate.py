@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -45,8 +45,10 @@ def config_digest(spec_cfg: SpectrumConfig, est_cfg: EstimatorConfig) -> str:
         "window": spec_cfg.window,
         "zero_pad_factor": spec_cfg.zero_pad_factor,
         "piece_len_s": spec_cfg.piece_len_s,
-        "welch_segments": spec_cfg.welch_segments,
-        "welch_overlap": spec_cfg.welch_overlap,
+        # no longer settable; kept at their only remaining values so that
+        # tables saved with these fields in the digest still load
+        "welch_segments": 1,
+        "welch_overlap": 0.0,
         "n_harmonics": est_cfg.n_harmonics,
         "search_frac": est_cfg.search_frac,
         "peak_excl_bins": est_cfg.peak_excl_bins,
@@ -178,7 +180,10 @@ class ThresholdTable:
     @classmethod
     def load(cls, path) -> "ThresholdTable":
         with open(path, encoding="utf-8") as fh:
-            return cls.from_json_dict(json.load(fh))
+            try:
+                return cls.from_json_dict(json.load(fh))
+            except (KeyError, TypeError, ValueError) as exc:
+                raise ParameterError(f"{path}: not a valid threshold table ({exc!r})") from None
 
     def to_csv_matrix(self) -> str:
         """Threshold matrix with ACI rows and segment-length columns."""
@@ -190,18 +195,29 @@ class ThresholdTable:
         return "\n".join(lines) + "\n"
 
 
-def _estimate_task(args):
-    """Simulate one constant-frequency signal and estimate it (worker-safe)."""
-    (entry_seed, index, seg_len, fs, f_simul, pulse, spec_cfg, est_cfg, noise_std) = args
-    seq = SeedSpec(entry_seed).sequence(index)
-    signal, _ = simulate_signal(
-        seg_len, fs, DistributionSpec.constant(f_simul), pulse, seq, noise_std
-    )
+def estimate_or_error(signal, spec_cfg: SpectrumConfig, est_cfg: EstimatorConfig):
+    """``(f_hat, snr)`` of one segment, or the EstimationError that stopped it.
+
+    Worker-safe; each caller applies its own failure policy to the errors.
+    """
     try:
         est = estimate_fault_frequency(envelope_spectrum(signal, spec_cfg), est_cfg)
-    except EstimationError:
-        return None
+    except EstimationError as exc:
+        return exc
     return est.f_hat, est.snr
+
+
+def simulate_and_estimate(args):
+    """Simulate signal ``index`` of a seeded batch and estimate it (worker-safe).
+
+    ``args`` is ``(seed, index, seg_len, fs, dist, pulse, noise_std, spec_cfg,
+    est_cfg)``; the signal comes from ``SeedSpec(seed).sequence(index)``.
+    """
+    seed, index, seg_len, fs, dist, pulse, noise_std, spec_cfg, est_cfg = args
+    signal, _ = simulate_signal(
+        seg_len, fs, dist, pulse, SeedSpec(seed).sequence(index), noise_std
+    )
+    return estimate_or_error(signal, spec_cfg, est_cfg)
 
 
 def calibrate_entry(
@@ -227,16 +243,15 @@ def calibrate_entry(
         raise ParameterError("calibration needs at least 2 signals per cell")
     spec_cfg = spec_cfg or SpectrumConfig()
     est_cfg = est_cfg or EstimatorConfig(f_theoretical=f_simul)
-    pulse = pulse or PulseParams(aci=aci)
-    if abs(pulse.aci - aci) > 1e-12:
-        pulse = PulseParams(aci=aci, fc=pulse.fc, bw_lo=pulse.bw_lo, bw_hi=pulse.bw_hi, bwr=pulse.bwr)
+    pulse = replace(pulse, aci=aci) if pulse else PulseParams(aci=aci)
+    dist = DistributionSpec.constant(f_simul)
 
     tasks = [
-        (master_seed, i, seg_len, fs, f_simul, pulse, spec_cfg, est_cfg, noise_std)
+        (master_seed, i, seg_len, fs, dist, pulse, noise_std, spec_cfg, est_cfg)
         for i in range(n)
     ]
-    results = parallel_map(_estimate_task, tasks)
-    good = [r for r in results if r is not None]
+    results = parallel_map(simulate_and_estimate, tasks)
+    good = [r for r in results if not isinstance(r, EstimationError)]
     failures = n - len(good)
     if failures > MAX_FAILURE_FRAC * n:
         raise CalibrationError(
@@ -294,9 +309,6 @@ def build_table(
     for seg_idx, seg_len in enumerate(seg_len_list):
         col_seed = _column_seed(master_seed, seg_idx)
         for aci in aci_list:
-            cell_pulse = PulseParams(
-                aci=aci, fc=base.fc, bw_lo=base.bw_lo, bw_hi=base.bw_hi, bwr=base.bwr
-            )
             entries.append(
                 calibrate_entry(
                     aci,
@@ -306,7 +318,7 @@ def build_table(
                     col_seed,
                     spec_cfg=spec_cfg,
                     est_cfg=est_cfg,
-                    pulse=cell_pulse,
+                    pulse=base,
                     f_simul=f_simul,
                     noise_std=noise_std,
                 )

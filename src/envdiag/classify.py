@@ -12,27 +12,30 @@ estimates.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import stats
 from ._parallel import parallel_map
-from .calibrate import ThresholdEntry, ThresholdTable, config_digest
-from .envspec import SpectrumConfig, envelope_spectrum
+from .calibrate import (
+    ThresholdEntry,
+    ThresholdTable,
+    config_digest,
+    estimate_or_error,
+    simulate_and_estimate,
+)
+from .envspec import SpectrumConfig
 from .errors import (
     DegenerateSampleError,
     EstimationError,
     ParameterError,
     TableMismatchError,
 )
-from .faultfreq import (
-    EstimatorConfig,
-    estimate_fault_frequency,
-    iter_segments,
-)
-from .sigmodel import DistributionSpec, PulseParams, SeedSpec, Signal, simulate_signal
+from .faultfreq import EstimatorConfig, iter_segments
+from .sigmodel import DistributionSpec, Signal
 
 VERDICT_CONSTANT = "constant"
 VERDICT_UNIFORM = "uniform"
@@ -50,13 +53,10 @@ MAX_SEGMENT_FAILURE_FRAC = 0.20
 class ClassifyConfig:
     """Settings for one classification run."""
 
-    f_theoretical: float
+    estimator: EstimatorConfig
     seg_len: float
     alpha: float = 0.05
     spectrum: SpectrumConfig = field(default_factory=SpectrumConfig)
-    n_harmonics: int = 3
-    search_frac: float = 0.18
-    peak_excl_bins: int = 2
     paper_rescale: bool = False
 
     def __post_init__(self):
@@ -64,16 +64,6 @@ class ClassifyConfig:
             raise ParameterError("alpha must lie in (0, 1)")
         if not self.seg_len > 0:
             raise ParameterError("segment length must be positive")
-        # delegate the remaining validation
-        self.estimator()
-
-    def estimator(self) -> EstimatorConfig:
-        return EstimatorConfig(
-            f_theoretical=self.f_theoretical,
-            n_harmonics=self.n_harmonics,
-            search_frac=self.search_frac,
-            peak_excl_bins=self.peak_excl_bins,
-        )
 
 
 @dataclass(frozen=True)
@@ -277,7 +267,7 @@ def _decide(
 
 
 def _check_digest(cfg: ClassifyConfig, table: ThresholdTable) -> None:
-    expected = config_digest(cfg.spectrum, cfg.estimator())
+    expected = config_digest(cfg.spectrum, cfg.estimator)
     if expected != table.config_digest:
         raise TableMismatchError(
             "threshold table was calibrated under a different spectral/estimator "
@@ -286,23 +276,18 @@ def _check_digest(cfg: ClassifyConfig, table: ThresholdTable) -> None:
         )
 
 
-def _segment_task(args):
-    """Estimate one prepared segment (worker-safe)."""
-    segment, spec_cfg, est_cfg = args
-    try:
-        est = estimate_fault_frequency(envelope_spectrum(segment, spec_cfg), est_cfg)
-    except EstimationError:
-        return None
-    return est.f_hat, est.snr
-
-
-def _simulated_segment_task(args):
-    """Simulate and estimate one segment from its seed (worker-safe)."""
-    seed_entropy, index, seg_len, fs, dist, pulse, noise_std, spec_cfg, est_cfg = args
-    seq = SeedSpec(seed_entropy).sequence(index)
-    signal, _ = simulate_signal(seg_len, fs, dist, pulse, seq, noise_std)
-    est = estimate_fault_frequency(envelope_spectrum(signal, spec_cfg), est_cfg)
-    return est.f_hat, est.snr
+def _provenance(cfg: ClassifyConfig, table: ThresholdTable, **extra) -> dict:
+    """Settings and table identity a report was made under."""
+    return {
+        "table_digest": table.config_digest,
+        "table_seed": table.master_seed,
+        "alpha": cfg.alpha,
+        "f_theoretical": cfg.estimator.f_theoretical,
+        "rescale_direction": "paper" if cfg.paper_rescale else "normalized",
+        "search_frac": cfg.estimator.search_frac,
+        "n_harmonics": cfg.estimator.n_harmonics,
+        **extra,
+    }
 
 
 def classify_signal(
@@ -314,13 +299,13 @@ def classify_signal(
         raise EstimationError(
             f"signal of {x.duration:g} s yields fewer than 2 segments of {cfg.seg_len:g} s"
         )
-    est_cfg = cfg.estimator()
-    tasks = [(seg, cfg.spectrum, est_cfg) for seg in iter_segments(x, cfg.seg_len)]
-    results = parallel_map(_segment_task, tasks)
+    estimate = functools.partial(estimate_or_error, spec_cfg=cfg.spectrum, est_cfg=cfg.estimator)
+    results = parallel_map(estimate, iter_segments(x, cfg.seg_len))
+    good = [r for r in results if not isinstance(r, EstimationError)]
     total = len(results)
-    estimates = [r[0] for r in results if r is not None]
-    snrs = [r[1] for r in results if r is not None]
-    failures = total - len(estimates)
+    estimates = [r[0] for r in good]
+    snrs = [r[1] for r in good]
+    failures = total - len(good)
     if failures > MAX_SEGMENT_FAILURE_FRAC * total:
         raise EstimationError(
             f"{failures}/{total} segment estimates failed; check the frequency band "
@@ -329,16 +314,9 @@ def classify_signal(
     warnings = []
     if failures:
         warnings.append(f"{failures}/{total} segment estimates failed and were skipped")
-    provenance = {
-        "table_digest": table.config_digest,
-        "table_seed": table.master_seed,
-        "alpha": cfg.alpha,
-        "f_theoretical": cfg.f_theoretical,
-        "rescale_direction": "paper" if cfg.paper_rescale else "normalized",
-        "bandpass": list(cfg.spectrum.bandpass) if cfg.spectrum.bandpass else None,
-        "search_frac": cfg.search_frac,
-        "n_harmonics": cfg.n_harmonics,
-    }
+    provenance = _provenance(
+        cfg, table, bandpass=list(cfg.spectrum.bandpass) if cfg.spectrum.bandpass else None
+    )
     return _decide(
         estimates, snrs, table, cfg.seg_len, cfg.alpha, cfg.paper_rescale, warnings, provenance
     )
@@ -357,40 +335,30 @@ def simulate_and_classify(
     """Simulate ``n_segments`` independent segments under ``dist`` and classify.
 
     Each segment draws its own fault frequency, mirroring the simulation
-    protocol used to grade the procedure's misclassification rates.
+    protocol used to grade the procedure's misclassification rates.  A
+    failed estimate on any segment fails the whole call with its error.
     """
     if n_segments < 2:
         raise ParameterError("need at least 2 segments")
-    cfg = cfg or ClassifyConfig(f_theoretical=table.f_simul, seg_len=seg_len)
+    cfg = cfg or ClassifyConfig(EstimatorConfig(f_theoretical=table.f_simul), seg_len)
     if abs(cfg.seg_len - seg_len) > 1e-12:
         raise ParameterError("cfg.seg_len disagrees with seg_len")
     _check_digest(cfg, table)
     noise = table.noise_std if noise_std is None else noise_std
-    pulse = PulseParams(
-        aci=aci,
-        fc=table.pulse_base.fc,
-        bw_lo=table.pulse_base.bw_lo,
-        bw_hi=table.pulse_base.bw_hi,
-        bwr=table.pulse_base.bwr,
-    )
-    est_cfg = cfg.estimator()
+    pulse = replace(table.pulse_base, aci=aci)
     tasks = [
-        (seed, i, seg_len, table.fs, dist, pulse, noise, cfg.spectrum, est_cfg)
+        (seed, i, seg_len, table.fs, dist, pulse, noise, cfg.spectrum, cfg.estimator)
         for i in range(n_segments)
     ]
-    results = parallel_map(_simulated_segment_task, tasks)
+    results = parallel_map(simulate_and_estimate, tasks)
+    for r in results:
+        if isinstance(r, EstimationError):
+            raise r
     estimates = [r[0] for r in results]
     snrs = [r[1] for r in results]
-    provenance = {
-        "table_digest": table.config_digest,
-        "table_seed": table.master_seed,
-        "alpha": cfg.alpha,
-        "f_theoretical": cfg.f_theoretical,
-        "rescale_direction": "paper" if cfg.paper_rescale else "normalized",
-        "simulated": {"dist": dist.spec_string(), "aci": aci, "seed": seed},
-        "search_frac": cfg.search_frac,
-        "n_harmonics": cfg.n_harmonics,
-    }
+    provenance = _provenance(
+        cfg, table, simulated={"dist": dist.spec_string(), "aci": aci, "seed": seed}
+    )
     return _decide(
         estimates, snrs, table, seg_len, cfg.alpha, cfg.paper_rescale, [], provenance
     )

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import functools
 import json
+import os
 import sys
 
 import click
@@ -29,7 +30,7 @@ from .errors import (
     ParameterError,
     SignalFormatError,
 )
-from .faultfreq import EstimatorConfig, estimate_per_segment
+from .faultfreq import EstimatorConfig, estimate_per_segment, iter_segments
 from .sigio import (
     FORMATS,
     read_signal,
@@ -39,6 +40,7 @@ from .sigio import (
     write_spectrum_csv,
 )
 from .sigmodel import (
+    DEFAULT_FAULT_FREQ,
     DEFAULT_FS,
     DistributionSpec,
     PulseParams,
@@ -90,40 +92,54 @@ def _parse_grid(text: str):
         raise ParameterError(f"malformed list {text!r}") from None
 
 
-def _spectrum_config(band, window, zero_pad, piece_len, welch_segments, welch_overlap):
-    return SpectrumConfig(
-        bandpass=band,
-        window=window,
-        zero_pad_factor=zero_pad,
-        piece_len_s=piece_len,
-        welch_segments=welch_segments,
-        welch_overlap=welch_overlap,
-    )
+# The two option groups below hand the command one built config in place of
+# their raw values.  Their configs are built outside the command function, so
+# each command puts handle_errors directly under @main.command: a bad value
+# then still exits 2.
 
 
 def spectrum_options(fn):
-    fn = click.option("--band", default=None,
-                      help="Bandpass LO,HI in Hz before demodulation, or 'none'.")(fn)
-    fn = click.option("--window", default="hann", show_default=True,
-                      help="Taper for the Welch pieces.")(fn)
-    fn = click.option("--zero-pad", default=4, show_default=True, type=int,
-                      help="Zero-padding factor of the PSD pieces.")(fn)
-    fn = click.option("--piece-len", default=0.5, show_default=True, type=float,
-                      help="Welch piece duration in seconds.")(fn)
-    fn = click.option("--welch-segments", default=1, show_default=True, type=int,
-                      help="Piece count used only when --piece-len is 0 (full split).")(fn)
-    fn = click.option("--welch-overlap", default=0.0, show_default=True, type=float,
-                      help="Fractional overlap of the Welch pieces.")(fn)
-    return fn
+    """Add the envelope-spectrum options; the command receives ``spec_cfg``."""
+
+    @functools.wraps(fn)
+    def wrapper(*args, band, window, zero_pad, piece_len, **kwargs):
+        spec_cfg = SpectrumConfig(bandpass=_parse_band(band), window=window,
+                                  zero_pad_factor=zero_pad, piece_len_s=piece_len)
+        return fn(*args, spec_cfg=spec_cfg, **kwargs)
+
+    wrapper = click.option("--band", default=None,
+                           help="Bandpass LO,HI in Hz before demodulation, or 'none'.")(wrapper)
+    wrapper = click.option("--window", default="hann", show_default=True,
+                           help="Taper for the Welch pieces.")(wrapper)
+    wrapper = click.option("--zero-pad", default=4, show_default=True, type=int,
+                           help="Zero-padding factor of the PSD pieces.")(wrapper)
+    wrapper = click.option("--piece-len", default=0.5, show_default=True, type=float,
+                           help="Welch piece duration in seconds; fixed across segment "
+                                "lengths so that calibrated thresholds stay comparable.")(wrapper)
+    return wrapper
 
 
 def estimator_options(fn):
-    fn = click.option("--n-harmonics", default=3, show_default=True, type=int)(fn)
-    fn = click.option("--search-frac", default=0.18, show_default=True, type=float,
-                      help="Half-width of the harmonic search window, relative.")(fn)
-    fn = click.option("--peak-excl-bins", default=2, show_default=True, type=int,
-                      help="Bins excluded around each peak in the SNR noise average.")(fn)
-    return fn
+    """Add the peak-search options; the command receives ``est_cfg``.
+
+    The search centres on the command's ``--f-theoretical`` when it has
+    one, and on the simulated fault frequency otherwise.
+    """
+
+    @functools.wraps(fn)
+    def wrapper(*args, n_harmonics, search_frac, peak_excl_bins,
+                f_theoretical=DEFAULT_FAULT_FREQ, **kwargs):
+        est_cfg = EstimatorConfig(f_theoretical=f_theoretical, n_harmonics=n_harmonics,
+                                  search_frac=search_frac, peak_excl_bins=peak_excl_bins)
+        return fn(*args, est_cfg=est_cfg, **kwargs)
+
+    wrapper = click.option("--n-harmonics", default=3, show_default=True, type=int)(wrapper)
+    wrapper = click.option("--search-frac", default=0.18, show_default=True, type=float,
+                           help="Half-width of the harmonic search window, relative.")(wrapper)
+    wrapper = click.option("--peak-excl-bins", default=2, show_default=True, type=int,
+                           help="Bins excluded around each peak in the SNR noise "
+                                "average.")(wrapper)
+    return wrapper
 
 
 @click.group()
@@ -132,6 +148,7 @@ def main():
 
 
 @main.command("simulate")
+@handle_errors
 @click.option("--dist", "dist_text", required=True,
               help="Fault-frequency law, e.g. constant:30, uniform:29,31 or normal:30,0.33.")
 @click.option("--aci", required=True, type=float, help="Amplitude of the cyclic impulses.")
@@ -145,7 +162,6 @@ def main():
 @click.option("--format", "fmt", default="raw-f64le", show_default=True,
               type=click.Choice(FORMATS))
 @click.option("-o", "--out", required=True, type=click.Path())
-@handle_errors
 def cmd_simulate(dist_text, aci, seg_len, n_segments, fs, fc, noise_std, seed, fmt, out):
     """Synthesize a segmented test signal with a ground-truth sidecar."""
     dist = DistributionSpec.parse(dist_text)
@@ -175,6 +191,7 @@ def cmd_simulate(dist_text, aci, seg_len, n_segments, fs, fc, noise_std, seed, f
 
 
 @main.command("calibrate")
+@handle_errors
 @click.option("--aci-grid", default=",".join(str(a) for a in DEFAULT_ACI_GRID),
               show_default=True, help="Comma-separated impulse amplitudes.")
 @click.option("--seg-grid", default=",".join(str(s) for s in DEFAULT_SEG_GRID),
@@ -191,16 +208,9 @@ def cmd_simulate(dist_text, aci, seg_len, n_segments, fs, fc, noise_std, seed, f
               help="Threshold table JSON output.")
 @click.option("--csv", "csv_out", default=None, type=click.Path(),
               help="Also write the threshold matrix as CSV.")
-@handle_errors
-def cmd_calibrate(aci_grid, seg_grid, n, fs, fc, noise_std, seed, band, window, zero_pad,
-                  piece_len, welch_segments, welch_overlap, n_harmonics, search_frac,
-                  peak_excl_bins, out, csv_out):
+def cmd_calibrate(aci_grid, seg_grid, n, fs, fc, noise_std, seed, spec_cfg, est_cfg, out,
+                  csv_out):
     """Build the Monte-Carlo threshold table."""
-    spec_cfg = _spectrum_config(_parse_band(band), window, zero_pad,
-                                piece_len if piece_len > 0 else None,
-                                welch_segments, welch_overlap)
-    est_cfg = EstimatorConfig(f_theoretical=30.0, n_harmonics=n_harmonics,
-                              search_frac=search_frac, peak_excl_bins=peak_excl_bins)
     table = build_table(
         aci_list=_parse_grid(aci_grid),
         seg_len_list=_parse_grid(seg_grid),
@@ -237,6 +247,7 @@ def _report_text(reports: list[ClassificationReport]) -> str:
 
 
 @main.command("classify")
+@handle_errors
 @click.option("-i", "--input", "in_path", required=True, type=click.Path())
 @click.option("--table", "table_path", required=True, type=click.Path(),
               help="Threshold table JSON from 'envdiag calibrate'.")
@@ -261,29 +272,15 @@ def _report_text(reports: list[ClassificationReport]) -> str:
               help="CSV with the KDE of the estimates (first length only).")
 @click.option("--emit-estimates", default=None, type=click.Path(),
               help="CSV with per-segment estimates (first length only).")
-@handle_errors
-def cmd_classify(in_path, table_path, f_theoretical, seg_lens, alpha, fs, fmt, paper_rescale,
-                 band, window, zero_pad, piece_len, welch_segments, welch_overlap,
-                 n_harmonics, search_frac, peak_excl_bins, out, text_out,
-                 emit_spectra, emit_kde, emit_estimates):
+def cmd_classify(in_path, table_path, seg_lens, alpha, fs, fmt, paper_rescale, spec_cfg,
+                 est_cfg, out, text_out, emit_spectra, emit_kde, emit_estimates):
     """Classify the fault-frequency behaviour of a recorded signal."""
     table = ThresholdTable.load(table_path)
     signal, _ = _load_input_signal(in_path, fmt, fs)
-    spec_cfg = _spectrum_config(_parse_band(band), window, zero_pad,
-                                piece_len if piece_len > 0 else None,
-                                welch_segments, welch_overlap)
     reports = []
     for seg_len in _parse_grid(seg_lens):
-        cfg = ClassifyConfig(
-            f_theoretical=f_theoretical,
-            seg_len=seg_len,
-            alpha=alpha,
-            spectrum=spec_cfg,
-            n_harmonics=n_harmonics,
-            search_frac=search_frac,
-            peak_excl_bins=peak_excl_bins,
-            paper_rescale=paper_rescale,
-        )
+        cfg = ClassifyConfig(estimator=est_cfg, seg_len=seg_len, alpha=alpha,
+                             spectrum=spec_cfg, paper_rescale=paper_rescale)
         reports.append(classify_signal(signal, cfg, table))
     with open(out, "w", encoding="utf-8") as fh:
         json.dump([r.to_json_dict() for r in reports], fh, indent=2, sort_keys=True)
@@ -295,8 +292,6 @@ def cmd_classify(in_path, table_path, f_theoretical, seg_lens, alpha, fs, fmt, p
     click.echo(text, nl=False)
 
     first_len = reports[0].seg_len
-    est_cfg = EstimatorConfig(f_theoretical=f_theoretical, n_harmonics=n_harmonics,
-                              search_frac=search_frac, peak_excl_bins=peak_excl_bins)
     if emit_estimates or emit_kde or emit_spectra:
         estimates = estimate_per_segment(signal, first_len, spec_cfg, est_cfg)
         if emit_estimates:
@@ -310,10 +305,6 @@ def cmd_classify(in_path, table_path, f_theoretical, seg_lens, alpha, fs, fmt, p
             else:
                 write_kde_csv(emit_kde, curve, f_hats)
         if emit_spectra:
-            import os
-
-            from .faultfreq import iter_segments
-
             os.makedirs(emit_spectra, exist_ok=True)
             for idx, seg in enumerate(iter_segments(signal, first_len)):
                 spec = envelope_spectrum(seg, spec_cfg)
@@ -321,24 +312,21 @@ def cmd_classify(in_path, table_path, f_theoretical, seg_lens, alpha, fs, fmt, p
 
 
 @main.command("spectrum")
+@handle_errors
 @click.option("-i", "--input", "in_path", required=True, type=click.Path())
 @click.option("--fs", default=None, type=float)
 @click.option("--format", "fmt", default=None, type=click.Choice(FORMATS))
 @spectrum_options
 @click.option("-o", "--out", required=True, type=click.Path())
-@handle_errors
-def cmd_spectrum(in_path, fs, fmt, band, window, zero_pad, piece_len, welch_segments,
-                 welch_overlap, out):
+def cmd_spectrum(in_path, fs, fmt, spec_cfg, out):
     """Write the envelope spectrum of a whole recording as CSV."""
     signal, _ = _load_input_signal(in_path, fmt, fs)
-    spec_cfg = _spectrum_config(_parse_band(band), window, zero_pad,
-                                piece_len if piece_len > 0 else None,
-                                welch_segments, welch_overlap)
     write_spectrum_csv(out, envelope_spectrum(signal, spec_cfg))
     click.echo(f"wrote envelope spectrum -> {out}")
 
 
 @main.command("kde")
+@handle_errors
 @click.option("-i", "--input", "in_path", required=True, type=click.Path())
 @click.option("--f-theoretical", required=True, type=float)
 @click.option("--seg-len", required=True, type=float)
@@ -347,16 +335,9 @@ def cmd_spectrum(in_path, fs, fmt, band, window, zero_pad, piece_len, welch_segm
 @spectrum_options
 @estimator_options
 @click.option("-o", "--out", required=True, type=click.Path())
-@handle_errors
-def cmd_kde(in_path, f_theoretical, seg_len, fs, fmt, band, window, zero_pad, piece_len,
-            welch_segments, welch_overlap, n_harmonics, search_frac, peak_excl_bins, out):
+def cmd_kde(in_path, seg_len, fs, fmt, spec_cfg, est_cfg, out):
     """Estimate per segment and write the KDE of the estimates as CSV."""
     signal, _ = _load_input_signal(in_path, fmt, fs)
-    spec_cfg = _spectrum_config(_parse_band(band), window, zero_pad,
-                                piece_len if piece_len > 0 else None,
-                                welch_segments, welch_overlap)
-    est_cfg = EstimatorConfig(f_theoretical=f_theoretical, n_harmonics=n_harmonics,
-                              search_frac=search_frac, peak_excl_bins=peak_excl_bins)
     estimates = estimate_per_segment(signal, seg_len, spec_cfg, est_cfg)
     f_hats = [e.f_hat for e in estimates]
     try:

@@ -19,21 +19,18 @@ BANDPASS_TRANSITION_BINS = 8
 class SpectrumConfig:
     """Envelope-spectrum settings.
 
-    The PSD is averaged over Hann-tapered pieces of fixed duration
-    ``piece_len_s`` (clipped to the segment length), zero padded by
-    ``zero_pad_factor``.  A fixed piece duration keeps the frequency grid
-    and the per-piece detectability identical across segment lengths, so
-    calibrated thresholds remain comparable between 0.5 s and 10 s
-    segments.  Setting ``piece_len_s=None`` falls back to splitting the
-    segment into ``welch_segments`` pieces.
+    The PSD is averaged over non-overlapping pieces of fixed duration
+    ``piece_len_s`` (clipped to the segment length), tapered by ``window``
+    and zero padded by ``zero_pad_factor``.  A fixed piece duration keeps
+    the frequency grid and the per-piece detectability identical across
+    segment lengths, so calibrated thresholds remain comparable between
+    0.5 s and 10 s segments.
     """
 
     bandpass: tuple[float, float] | None = None
     window: str = "hann"
     zero_pad_factor: int = 4
-    piece_len_s: float | None = 0.5
-    welch_segments: int = 1
-    welch_overlap: float = 0.0
+    piece_len_s: float = 0.5
 
     def __post_init__(self):
         if self.bandpass is not None:
@@ -43,12 +40,12 @@ class SpectrumConfig:
             object.__setattr__(self, "bandpass", (float(lo), float(hi)))
         if int(self.zero_pad_factor) != self.zero_pad_factor or self.zero_pad_factor < 1:
             raise ParameterError("zero_pad_factor must be an integer >= 1")
-        if self.piece_len_s is not None and not self.piece_len_s > 0:
+        if not self.piece_len_s > 0:
             raise ParameterError("piece_len_s must be positive")
-        if int(self.welch_segments) != self.welch_segments or self.welch_segments < 1:
-            raise ParameterError("welch_segments must be an integer >= 1")
-        if not 0 <= self.welch_overlap < 1:
-            raise ParameterError("welch_overlap must lie in [0, 1)")
+        try:
+            sps.get_window(self.window, 8)
+        except (ValueError, TypeError):
+            raise ParameterError(f"unknown window {self.window!r}") from None
 
 
 @dataclass(frozen=True)
@@ -134,15 +131,6 @@ def envelope(x) -> np.ndarray:
     return np.abs(analytic_signal(x))
 
 
-def _piece_length(n: int, fs: float, cfg: SpectrumConfig) -> int:
-    if cfg.piece_len_s is not None:
-        return min(int(round(cfg.piece_len_s * fs)), n)
-    if cfg.welch_segments == 1:
-        return n
-    denom = 1.0 + (cfg.welch_segments - 1) * (1.0 - cfg.welch_overlap)
-    return int(n / denom)
-
-
 def welch_psd(x, fs: float, cfg: SpectrumConfig = SpectrumConfig()) -> EnvelopeSpectrum:
     """One-sided Welch PSD with zero-padded pieces.
 
@@ -151,12 +139,11 @@ def welch_psd(x, fs: float, cfg: SpectrumConfig = SpectrumConfig()) -> EnvelopeS
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 1:
         raise ParameterError("welch_psd expects a 1-D vector")
-    piece = _piece_length(x.size, fs, cfg)
+    piece = min(int(round(cfg.piece_len_s * fs)), x.size)
     if piece < 8:
         raise ParameterError(
             f"input of {x.size} samples is too short for the requested segmentation"
         )
-    noverlap = int(piece * cfg.welch_overlap) if x.size > piece else 0
     nfft = piece * cfg.zero_pad_factor
     window = sps.get_window(cfg.window, piece)
     freqs, psd = sps.welch(
@@ -164,7 +151,7 @@ def welch_psd(x, fs: float, cfg: SpectrumConfig = SpectrumConfig()) -> EnvelopeS
         fs=fs,
         window=window,
         nperseg=piece,
-        noverlap=noverlap,
+        noverlap=0,
         nfft=nfft,
         detrend="constant",
         return_onesided=True,

@@ -283,21 +283,3 @@ def simulate_signal(
 
     return Signal(x, fs), f_true
 
-
-def simulate_batch(
-    n: int,
-    duration: float,
-    fs: float,
-    dist: DistributionSpec,
-    pulse: PulseParams,
-    master_seed: int,
-    noise_std: float = 1.0,
-) -> list[tuple[Signal, float]]:
-    """Generate ``n`` independent signals with per-index derived seeds."""
-    if n < 1:
-        raise ParameterError("batch size must be at least 1")
-    seeds = SeedSpec(master_seed)
-    return [
-        simulate_signal(duration, fs, dist, pulse, seeds.sequence(i), noise_std)
-        for i in range(n)
-    ]

@@ -1,0 +1,121 @@
+"""Decision-procedure tests: the shared segment estimate and its failure policies."""
+
+import numpy as np
+import pytest
+
+from envdiag import (
+    ClassifyConfig,
+    DistributionSpec,
+    EstimationError,
+    EstimatorConfig,
+    ParameterError,
+    PulseParams,
+    SeedSpec,
+    Signal,
+    SpectrumConfig,
+    TableMismatchError,
+    build_table,
+    classify_signal,
+    estimate_per_segment,
+    simulate_and_classify,
+    simulate_signal,
+)
+from envdiag.classify import VERDICT_CONSTANT, VERDICT_INCONCLUSIVE, VERDICT_NORMAL, VERDICT_UNIFORM
+
+FS = 25_000.0
+SEG = 0.5
+VERDICTS = {VERDICT_CONSTANT, VERDICT_UNIFORM, VERDICT_NORMAL, VERDICT_INCONCLUSIVE}
+COMMON_PROVENANCE = {"table_digest", "table_seed", "alpha", "f_theoretical",
+                     "rescale_direction", "search_frac", "n_harmonics"}
+# harmonic 3 of 6 kHz lies wholly above fs/2, so every estimate fails on it
+UNREACHABLE = EstimatorConfig(f_theoretical=6000.0)
+
+
+@pytest.fixture(scope="module")
+def table():
+    return build_table((2.0, 3.0), (SEG,), n=4, master_seed=1)
+
+
+@pytest.fixture(scope="module")
+def recording():
+    """Four 0.5 s segments at a constant 30 Hz."""
+    segments = [
+        simulate_signal(SEG, FS, DistributionSpec.constant(30.0), PulseParams(aci=2.5),
+                        SeedSpec(3).sequence(i))[0].samples
+        for i in range(4)
+    ]
+    return Signal(np.concatenate(segments), FS)
+
+
+def config(estimator=EstimatorConfig(f_theoretical=30.0), **kwargs):
+    return ClassifyConfig(estimator, SEG, **kwargs)
+
+
+class TestClassifyConfig:
+    @pytest.mark.parametrize("kwargs", [{"alpha": 0.0}, {"alpha": 1.0}])
+    def test_invalid_alpha(self, kwargs):
+        with pytest.raises(ParameterError):
+            config(**kwargs)
+
+    def test_invalid_segment_length(self):
+        with pytest.raises(ParameterError):
+            ClassifyConfig(EstimatorConfig(f_theoretical=30.0), 0.0)
+
+
+class TestClassifySignal:
+    def test_estimates_match_per_segment_loop(self, recording, table):
+        report = classify_signal(recording, config(), table)
+        plain = estimate_per_segment(recording, SEG, SpectrumConfig(),
+                                     EstimatorConfig(f_theoretical=30.0))
+        assert report.estimates == tuple(e.f_hat for e in plain)
+        assert report.snrs == tuple(e.snr for e in plain)
+        assert report.n_segments == 4
+        assert report.verdict in VERDICTS
+
+    def test_provenance_keys(self, recording, table):
+        report = classify_signal(recording, config(), table)
+        assert set(report.provenance) == COMMON_PROVENANCE | {"bandpass"}
+        assert report.provenance["f_theoretical"] == 30.0
+        assert report.provenance["bandpass"] is None
+
+    def test_all_segments_failing_is_an_estimation_error(self, recording, table):
+        with pytest.raises(EstimationError, match="4/4 segment estimates failed"):
+            classify_signal(recording, config(UNREACHABLE), table)
+
+    def test_other_configuration_rejected(self, recording, table):
+        cfg = config(spectrum=SpectrumConfig(piece_len_s=0.25))
+        with pytest.raises(TableMismatchError):
+            classify_signal(recording, cfg, table)
+
+    def test_too_short_signal_rejected(self, recording, table):
+        short = Signal(recording.samples[: int(1.5 * SEG * FS)], FS)
+        with pytest.raises(EstimationError, match="fewer than 2 segments"):
+            classify_signal(short, config(), table)
+
+
+class TestSimulateAndClassify:
+    def test_report(self, table):
+        report = simulate_and_classify(DistributionSpec.constant(30.0), 2.0, SEG, 4, table, 5)
+        assert report.n_segments == 4
+        assert report.verdict in VERDICTS
+        assert set(report.provenance) == COMMON_PROVENANCE | {"simulated"}
+        assert report.provenance["simulated"] == {"dist": "constant:30", "aci": 2.0, "seed": 5}
+
+    def test_reproducible(self, table):
+        dist = DistributionSpec.normal(30.0, 0.33)
+        first = simulate_and_classify(dist, 3.0, SEG, 4, table, 11)
+        assert simulate_and_classify(dist, 3.0, SEG, 4, table, 11) == first
+
+    def test_failed_segment_raises_its_error(self, table):
+        with pytest.raises(EstimationError, match=r"^harmonic 3:"):
+            simulate_and_classify(DistributionSpec.constant(30.0), 2.0, SEG, 4, table, 5,
+                                  cfg=config(UNREACHABLE))
+
+    def test_segment_length_mismatch_rejected(self, table):
+        with pytest.raises(ParameterError):
+            simulate_and_classify(DistributionSpec.constant(30.0), 2.0, 1.0, 4, table, 5,
+                                  cfg=config())
+
+    def test_needs_two_segments(self, table):
+        with pytest.raises(ParameterError):
+            simulate_and_classify(DistributionSpec.constant(30.0), 2.0, SEG, 1, table, 5)

@@ -126,11 +126,22 @@ class TestEnvelope:
         np.testing.assert_allclose(np.diff(centres), 1.0 / f, atol=2.0 / FS)
 
 
+class TestSpectrumConfig:
+    def test_unknown_window_rejected(self):
+        with pytest.raises(ParameterError, match="nosuch"):
+            SpectrumConfig(window="nosuch")
+
+    @pytest.mark.parametrize("piece_len_s", [0.0, -0.5])
+    def test_nonpositive_piece_length_rejected(self, piece_len_s):
+        with pytest.raises(ParameterError):
+            SpectrumConfig(piece_len_s=piece_len_s)
+
+
 class TestWelchPsd:
     def test_flat_for_white_noise(self):
         rng = np.random.default_rng(9)
         x = rng.standard_normal(int(2 * FS))
-        cfg = SpectrumConfig(piece_len_s=None, welch_segments=8, welch_overlap=0.5)
+        cfg = SpectrumConfig(piece_len_s=0.25)
         spec = welch_psd(x, FS, cfg)
         band = spec.amps[(spec.freqs > 0) & (spec.freqs < FS / 4)]
         assert band.max() / np.median(band) < 10.0
@@ -156,7 +167,7 @@ class TestWelchPsd:
         # no zero padding, one full-length piece: PSD integrates to the variance
         rng = np.random.default_rng(10)
         x = rng.standard_normal(int(FS)) + 0.5
-        cfg = SpectrumConfig(piece_len_s=None, welch_segments=1, zero_pad_factor=1)
+        cfg = SpectrumConfig(piece_len_s=1.0, zero_pad_factor=1)
         spec = welch_psd(x, FS, cfg)
         assert np.sum(spec.amps) * spec.df == pytest.approx(np.var(x), rel=0.05)
 

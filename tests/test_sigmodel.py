@@ -14,7 +14,6 @@ from envdiag import (
     SimulationError,
     envelope,
     gaussian_pulse,
-    simulate_batch,
     simulate_signal,
 )
 
@@ -164,35 +163,6 @@ class TestSimulateSignal:
         with pytest.raises(ParameterError):
             simulate_signal(1.0, FS, DistributionSpec.constant(30), PulseParams(aci=1.0),
                             0, noise_std=-1.0)
-
-
-class TestSimulateBatch:
-    def test_batch_determinism(self):
-        kwargs = dict(n=4, duration=0.5, fs=FS, dist=DistributionSpec.uniform(29, 31),
-                      pulse=PulseParams(aci=2.0), master_seed=11)
-        first = simulate_batch(**kwargs)
-        second = simulate_batch(**kwargs)
-        for (sig_a, f_a), (sig_b, f_b) in zip(first, second):
-            assert f_a == f_b
-            np.testing.assert_array_equal(sig_a.samples, sig_b.samples)
-
-    def test_batch_signals_differ_across_indices(self):
-        batch = simulate_batch(3, 0.5, FS, DistributionSpec.uniform(29, 31),
-                               PulseParams(aci=2.0), master_seed=11)
-        freqs = {f for _, f in batch}
-        assert len(freqs) == 3
-
-    def test_index_seeds_match_direct_simulation(self):
-        # batch item i is bit-identical to a direct run with the derived seed
-        batch = simulate_batch(3, 0.5, FS, DistributionSpec.constant(30),
-                               PulseParams(aci=1.5), master_seed=21)
-        direct, _ = simulate_signal(0.5, FS, DistributionSpec.constant(30),
-                                    PulseParams(aci=1.5), SeedSpec(21).sequence(2))
-        np.testing.assert_array_equal(batch[2][0].samples, direct.samples)
-
-    def test_empty_batch_rejected(self):
-        with pytest.raises(ParameterError):
-            simulate_batch(0, 1.0, FS, DistributionSpec.constant(30), PulseParams(aci=1.0), 0)
 
 
 class TestSeedSpec:
