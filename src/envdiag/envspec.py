@@ -1,10 +1,16 @@
-"""Envelope spectrum pipeline: bandpass, Hilbert demodulation, Welch PSD."""
+"""Envelope spectrum pipeline: bandpass, Hilbert demodulation, Welch PSD.
+
+Every transform is a real FFT from ``scipy.fft``; the Welch PSD is computed
+directly rather than through ``scipy.signal.welch``.
+"""
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.fft as sfft
 from scipy import signal as sps
 
 from .errors import ParameterError
@@ -86,7 +92,7 @@ def bandpass(x: Signal, f_lo: float, f_hi: float) -> Signal:
             f"band [{f_lo:g}, {f_hi:g}] Hz must satisfy 0 <= f_lo < f_hi <= fs/2"
         )
     n = len(x)
-    spec = np.fft.rfft(x.samples)
+    spec = sfft.rfft(x.samples)
     freqs = np.fft.rfftfreq(n, 1.0 / fs)
     width = BANDPASS_TRANSITION_BINS * fs / n
     mask = np.ones_like(freqs)
@@ -100,40 +106,62 @@ def bandpass(x: Signal, f_lo: float, f_hi: float) -> Signal:
         mask[freqs > b] = 0.0
         ramp = (freqs > a) & (freqs <= b)
         mask[ramp] = 0.5 * (1.0 + np.cos(np.pi * (freqs[ramp] - a) / width))
-    filtered = np.fft.irfft(spec * mask, n=n)
+    filtered = sfft.irfft(spec * mask, n=n)
     return Signal(filtered, fs)
+
+
+def _hilbert(x) -> tuple[np.ndarray, np.ndarray]:
+    """The input as a float vector, and its Hilbert transform.
+
+    ``-j sign(f)`` is applied to the rfft; DC and (for even length) Nyquist
+    carry no quadrature part and are zeroed.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 1 or x.size < 2:
+        raise ParameterError("analytic signal needs a 1-D input of length >= 2")
+    spec = sfft.rfft(x)
+    spec *= -1j
+    spec[0] = 0.0
+    if x.size % 2 == 0:
+        spec[-1] = 0.0
+    return x, sfft.irfft(spec, n=x.size)
 
 
 def analytic_signal(x) -> np.ndarray:
     """Analytic signal ``x + j H{x}`` via the frequency-domain method.
 
-    Negative frequencies are zeroed, positive ones doubled, DC and Nyquist
-    kept; the real part of the result equals the input exactly.
+    The real part of the result equals the input exactly.
     """
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1 or x.size < 2:
-        raise ParameterError("analytic signal needs a 1-D input of length >= 2")
-    n = x.size
-    spec = np.fft.fft(x)
-    gain = np.zeros(n)
-    gain[0] = 1.0
-    if n % 2 == 0:
-        gain[n // 2] = 1.0
-        gain[1 : n // 2] = 2.0
-    else:
-        gain[1 : (n + 1) // 2] = 2.0
-    hilbert_part = np.fft.ifft(spec * gain).imag
-    return x + 1j * hilbert_part
+    x, h = _hilbert(x)
+    return x + 1j * h
 
 
 def envelope(x) -> np.ndarray:
     """Magnitude of the analytic signal, ``sqrt(x^2 + H{x}^2)``."""
-    return np.abs(analytic_signal(x))
+    return np.hypot(*_hilbert(x))
+
+
+@functools.lru_cache(maxsize=32)
+def _taper(window: str, piece: int) -> tuple[np.ndarray, float]:
+    """Periodic window of ``piece`` samples and its energy ``sum(w**2)``.
+
+    The array is cached and shared, so it is made read-only.  The energy is
+    an elementwise sum, not ``np.dot``: a BLAS call would initialise BLAS in
+    every freshly forked pool worker.
+    """
+    w = sps.get_window(window, piece)
+    w.setflags(write=False)
+    return w, float((w * w).sum())
 
 
 def welch_psd(x, fs: float, cfg: SpectrumConfig = SpectrumConfig()) -> EnvelopeSpectrum:
     """One-sided Welch PSD with zero-padded pieces.
 
+    Non-overlapping pieces of ``piece_len_s`` (clipped to the input; a
+    remainder shorter than a piece is dropped) each have their mean removed,
+    are tapered and zero padded to ``piece * zero_pad_factor`` points; the
+    density is the mean of their squared rfft magnitudes, as with
+    ``scipy.signal.welch(noverlap=0, detrend="constant", scaling="density")``.
     The grid spacing is exactly ``fs / (piece_len * zero_pad_factor)``.
     """
     x = np.asarray(x, dtype=np.float64)
@@ -145,21 +173,18 @@ def welch_psd(x, fs: float, cfg: SpectrumConfig = SpectrumConfig()) -> EnvelopeS
             f"input of {x.size} samples is too short for the requested segmentation"
         )
     nfft = piece * cfg.zero_pad_factor
-    window = sps.get_window(cfg.window, piece)
-    freqs, psd = sps.welch(
-        x,
-        fs=fs,
-        window=window,
-        nperseg=piece,
-        noverlap=0,
-        nfft=nfft,
-        detrend="constant",
-        return_onesided=True,
-        scaling="density",
-    )
-    # tiny negative values can appear from rounding; PSD is non-negative
-    np.maximum(psd, 0.0, out=psd)
-    return EnvelopeSpectrum(freqs, psd, fs / nfft)
+    taper, energy = _taper(cfg.window, piece)
+    k = x.size // piece
+    pieces = x[: k * piece].reshape(k, piece)
+    pieces = pieces - pieces.mean(axis=1, keepdims=True)
+    pieces *= taper
+    spec = sfft.rfft(pieces, n=nfft, axis=1)
+    re, im = spec.real, spec.imag
+    # sum of |X|^2 over the pieces, with no temporary the size of the spectrum
+    psd = np.einsum("ij,ij->j", re, re) + np.einsum("ij,ij->j", im, im)
+    psd *= 1.0 / (k * fs * energy)
+    psd[1 : -1 if nfft % 2 == 0 else None] *= 2.0
+    return EnvelopeSpectrum(np.fft.rfftfreq(nfft, 1.0 / fs), psd, fs / nfft)
 
 
 def envelope_spectrum(x: Signal, cfg: SpectrumConfig = SpectrumConfig()) -> EnvelopeSpectrum:

@@ -81,12 +81,12 @@ def detect_harmonic_peak(
     target = k * f_theoretical
     lo = target * (1.0 - search_frac)
     hi = target * (1.0 + search_frac)
-    i0 = int(np.searchsorted(spec.freqs, lo, side="left"))
-    i1 = int(np.searchsorted(spec.freqs, hi, side="right")) - 1
-    if i1 >= len(spec):
+    if hi > spec.freqs[-1]:
         raise EstimationError(
             f"harmonic {k}: window [{lo:g}, {hi:g}] Hz exceeds the spectrum range"
         )
+    i0 = int(np.searchsorted(spec.freqs, lo, side="left"))
+    i1 = int(np.searchsorted(spec.freqs, hi, side="right")) - 1
     if i1 - i0 + 1 < 3:
         raise EstimationError(
             f"harmonic {k}: window [{lo:g}, {hi:g}] Hz covers fewer than 3 bins"

@@ -51,9 +51,9 @@ class TestCalibrateEntry:
             calibrate_entry(2.0, 0.5, 1, FS, 0)
 
     def test_failed_estimates_abort_the_cell(self):
-        # harmonic 3 of 6 kHz lies wholly above fs/2, so every estimate fails
+        # harmonic 3's window around 15 kHz crosses fs/2, so every estimate fails
         with pytest.raises(CalibrationError, match="3/3 estimates failed"):
-            calibrate_entry(2.0, 0.5, 3, FS, 0, est_cfg=EstimatorConfig(f_theoretical=6000.0))
+            calibrate_entry(2.0, 0.5, 3, FS, 0, est_cfg=EstimatorConfig(f_theoretical=5000.0))
 
 
 class TestBuildTable:

@@ -27,8 +27,8 @@ SEG = 0.5
 VERDICTS = {VERDICT_CONSTANT, VERDICT_UNIFORM, VERDICT_NORMAL, VERDICT_INCONCLUSIVE}
 COMMON_PROVENANCE = {"table_digest", "table_seed", "alpha", "f_theoretical",
                      "rescale_direction", "search_frac", "n_harmonics"}
-# harmonic 3 of 6 kHz lies wholly above fs/2, so every estimate fails on it
-UNREACHABLE = EstimatorConfig(f_theoretical=6000.0)
+# harmonic 3's window around 15 kHz crosses fs/2, so every estimate fails on it
+UNREACHABLE = EstimatorConfig(f_theoretical=5000.0)
 
 
 @pytest.fixture(scope="module")

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 from scipy.signal import hilbert as scipy_hilbert
+from scipy.signal import welch as scipy_welch
 
 from envdiag import (
     DistributionSpec,
@@ -82,7 +83,7 @@ class TestAnalyticSignal:
 
     def test_matches_scipy_reference(self):
         rng = np.random.default_rng(6)
-        for n in (255, 256):  # odd and even lengths
+        for n in (255, 256, 12500, 12501):  # odd and even lengths
             x = rng.standard_normal(n)
             np.testing.assert_allclose(analytic_signal(x), scipy_hilbert(x), atol=1e-9)
 
@@ -174,6 +175,28 @@ class TestWelchPsd:
     def test_too_short_input_rejected(self):
         with pytest.raises(ParameterError):
             welch_psd(np.ones(4), FS, SpectrumConfig())
+
+    @pytest.mark.parametrize("duration,cfg", [
+        (0.5, SpectrumConfig()),  # one piece
+        (10.0, SpectrumConfig()),  # 20 pieces
+        (1.3, SpectrumConfig()),  # 0.3 s remainder dropped
+        (0.3, SpectrumConfig()),  # piece clipped to the input
+        (0.5, SpectrumConfig(piece_len_s=2501 / FS, zero_pad_factor=1)),  # odd nfft
+        (1.0, SpectrumConfig(window="hamming")),
+        (1.0, SpectrumConfig(window="boxcar")),
+    ])
+    def test_matches_scipy_reference(self, duration, cfg):
+        rng = np.random.default_rng(11)
+        n = int(round(duration * FS))
+        t = np.arange(n) / FS
+        x = rng.standard_normal(n) + 0.7 + 2.0 * np.cos(2 * np.pi * 30.0 * t)
+        piece = min(int(round(cfg.piece_len_s * FS)), n)
+        freqs, psd = scipy_welch(x, fs=FS, window=cfg.window, nperseg=piece, noverlap=0,
+                                 nfft=piece * cfg.zero_pad_factor, detrend="constant",
+                                 scaling="density")
+        spec = welch_psd(x, FS, cfg)
+        np.testing.assert_array_equal(spec.freqs, freqs)
+        assert np.max(np.abs(spec.amps - psd)) <= 1e-12 * psd.max()
 
 
 class TestEnvelopeSpectrum:

@@ -55,6 +55,15 @@ class TestDetectHarmonicPeak:
         with pytest.raises(EstimationError, match="harmonic 3"):
             detect_harmonic_peak(spec, 30.0, k=3)
 
+    def test_window_crossing_nyquist_rejected(self):
+        # harmonic 3 of 5 kHz searches [12300, 17700] Hz; fs/2 is 12500 Hz
+        sig, _ = simulate_signal(0.5, FS, DistributionSpec.constant(30),
+                                 PulseParams(aci=2.0), seed=29)
+        cfg = EstimatorConfig(f_theoretical=5000.0)
+        with pytest.raises(EstimationError,
+                           match=r"^harmonic 3: .* exceeds the spectrum range$"):
+            estimate_fault_frequency(envelope_spectrum(sig), cfg)
+
     def test_synthetic_signal_second_harmonic(self):
         sig, _ = simulate_signal(10.0, FS, DistributionSpec.constant(30),
                                  PulseParams(aci=3.0), seed=31)
@@ -82,7 +91,8 @@ class TestEstimateFaultFrequency:
         assert len(est.peaks) == 1
 
     def test_error_names_failing_order(self, make_spectrum):
-        spec = make_spectrum({}, f_max=70.0, floor=1.0)
+        # harmonic 2's window ends at 70.8 Hz, inside; harmonic 3's does not
+        spec = make_spectrum({}, f_max=71.0, floor=1.0)
         with pytest.raises(EstimationError, match="harmonic 3"):
             estimate_fault_frequency(spec, EstimatorConfig(f_theoretical=30.0))
 
@@ -106,6 +116,19 @@ class TestEstimateFaultFrequency:
         scaled = estimate_fault_frequency(EnvelopeSpectrum(freqs, scale * amps, 0.5), cfg)
         assert scaled.f_hat == base.f_hat
         assert scaled.snr == pytest.approx(base.snr, rel=1e-9)
+
+    @settings(max_examples=20, deadline=None)
+    @given(k=st.integers(min_value=-20, max_value=20))
+    def test_signal_scaling_by_power_of_two_invariance(self, k):
+        # a power-of-two gain is exact through every FFT step of the front end
+        sig, _ = simulate_signal(0.5, FS, DistributionSpec.constant(30),
+                                 PulseParams(aci=2.0), seed=43)
+        cfg = EstimatorConfig(f_theoretical=30.0)
+        base = estimate_fault_frequency(envelope_spectrum(sig), cfg)
+        scaled = estimate_fault_frequency(
+            envelope_spectrum(Signal(2.0**k * sig.samples, FS)), cfg)
+        assert scaled.f_hat == base.f_hat
+        assert scaled.snr == pytest.approx(base.snr, rel=1e-12)
 
     def test_noiseless_estimate_within_one_bin(self):
         sig, _ = simulate_signal(5.0, FS, DistributionSpec.constant(30),

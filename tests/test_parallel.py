@@ -1,0 +1,42 @@
+"""Process-pool map helper: order, serial fallback and the worker cap."""
+
+import operator
+import os
+
+import pytest
+
+from envdiag import DistributionSpec, ParameterError, build_table, simulate_and_classify
+from envdiag._parallel import ENV_THREADS, parallel_map, worker_count
+
+
+def test_order_is_preserved(monkeypatch):
+    monkeypatch.setenv(ENV_THREADS, "2")
+    assert parallel_map(operator.neg, range(50)) == [-i for i in range(50)]
+
+
+@pytest.mark.parametrize("threads,items", [("2", [0]), ("1", [0, 1, 2])])
+def test_serial_path_runs_in_process(monkeypatch, threads, items):
+    # a lambda cannot be pickled, so it only runs if no pool is started
+    monkeypatch.setenv(ENV_THREADS, threads)
+    assert parallel_map(lambda _: os.getpid(), items) == [os.getpid()] * len(items)
+
+
+def test_non_integer_thread_count_rejected(monkeypatch):
+    monkeypatch.setenv(ENV_THREADS, "abc")
+    with pytest.raises(ParameterError, match="abc"):
+        parallel_map(operator.neg, [1, 2])
+
+
+def test_zero_threads_means_one_worker(monkeypatch):
+    monkeypatch.setenv(ENV_THREADS, "0")
+    assert worker_count() == 1
+
+
+def test_simulate_and_classify_independent_of_worker_count(monkeypatch):
+    table = build_table((2.0, 3.0), (0.5,), n=4, master_seed=7)
+    reports = []
+    for threads in ("1", "2"):
+        monkeypatch.setenv(ENV_THREADS, threads)
+        reports.append(simulate_and_classify(DistributionSpec.normal(30.0, 0.33), 2.0, 0.5,
+                                             6, table, 13))
+    assert reports[0] == reports[1]
