@@ -8,6 +8,7 @@ stored next to the batch's mean estimate and mean SNR.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 from dataclasses import dataclass, replace
@@ -207,17 +208,35 @@ def estimate_or_error(signal, spec_cfg: SpectrumConfig, est_cfg: EstimatorConfig
     return est.f_hat, est.snr
 
 
-def simulate_and_estimate(args):
+def simulate_and_estimate(index, seed, seg_len, fs, dist, pulse, noise_std, spec_cfg, est_cfg):
     """Simulate signal ``index`` of a seeded batch and estimate it (worker-safe).
 
-    ``args`` is ``(seed, index, seg_len, fs, dist, pulse, noise_std, spec_cfg,
-    est_cfg)``; the signal comes from ``SeedSpec(seed).sequence(index)``.
+    The signal comes from ``SeedSpec(seed).sequence(index)``; callers bind
+    every argument but ``index`` with ``functools.partial``.
     """
-    seed, index, seg_len, fs, dist, pulse, noise_std, spec_cfg, est_cfg = args
     signal, _ = simulate_signal(
         seg_len, fs, dist, pulse, SeedSpec(seed).sequence(index), noise_std
     )
     return estimate_or_error(signal, spec_cfg, est_cfg)
+
+
+def estimate_batch(fn, items):
+    """Map the per-item estimate ``fn`` over ``items`` with one ``parallel_map``.
+
+    ``fn`` returns ``(f_hat, snr)`` or an EstimationError, as
+    ``estimate_or_error`` does.  Returns ``(f_hats, snrs, errors)``: arrays of
+    the estimates that succeeded and a list of the errors, each in item
+    order.  Callers apply their own failure policy to ``errors``.
+    """
+    good, errors = [], []
+    for r in parallel_map(fn, items):
+        if isinstance(r, EstimationError):
+            errors.append(r)
+        else:
+            good.append(r)
+    f_hats = np.array([g[0] for g in good], dtype=np.float64)
+    snrs = np.array([g[1] for g in good], dtype=np.float64)
+    return f_hats, snrs, errors
 
 
 def calibrate_entry(
@@ -229,7 +248,6 @@ def calibrate_entry(
     spec_cfg: SpectrumConfig | None = None,
     est_cfg: EstimatorConfig | None = None,
     pulse: PulseParams | None = None,
-    f_simul: float = DEFAULT_FAULT_FREQ,
     noise_std: float = 1.0,
 ) -> ThresholdEntry:
     """Calibrate one cell from ``n`` constant-frequency simulations.
@@ -242,30 +260,25 @@ def calibrate_entry(
     if n < 2:
         raise ParameterError("calibration needs at least 2 signals per cell")
     spec_cfg = spec_cfg or SpectrumConfig()
-    est_cfg = est_cfg or EstimatorConfig(f_theoretical=f_simul)
-    pulse = replace(pulse, aci=aci) if pulse else PulseParams(aci=aci)
-    dist = DistributionSpec.constant(f_simul)
-
-    tasks = [
-        (master_seed, i, seg_len, fs, dist, pulse, noise_std, spec_cfg, est_cfg)
-        for i in range(n)
-    ]
-    results = parallel_map(simulate_and_estimate, tasks)
-    good = [r for r in results if not isinstance(r, EstimationError)]
-    failures = n - len(good)
-    if failures > MAX_FAILURE_FRAC * n:
+    est_cfg = est_cfg or EstimatorConfig(f_theoretical=DEFAULT_FAULT_FREQ)
+    simulate = functools.partial(
+        simulate_and_estimate, seed=master_seed, seg_len=seg_len, fs=fs,
+        dist=DistributionSpec.constant(DEFAULT_FAULT_FREQ),
+        pulse=replace(pulse, aci=aci) if pulse else PulseParams(aci=aci),
+        noise_std=noise_std, spec_cfg=spec_cfg, est_cfg=est_cfg,
+    )
+    f_hats, snrs, errors = estimate_batch(simulate, range(n))
+    if len(errors) > MAX_FAILURE_FRAC * n:
         raise CalibrationError(
-            f"{failures}/{n} estimates failed at aci={aci}, seg_len={seg_len}"
+            f"{len(errors)}/{n} estimates failed at aci={aci}, seg_len={seg_len}"
         )
-    f_hats = np.array([g[0] for g in good])
-    snrs = np.array([g[1] for g in good])
     return ThresholdEntry(
         aci=float(aci),
         seg_len=float(seg_len),
         threshold=float(np.var(f_hats, ddof=1)),
         mean_f_hat=float(f_hats.mean()),
         mean_snr=float(snrs.mean()),
-        n_signals=len(good),
+        n_signals=len(f_hats),
         master_seed=int(master_seed),
         config_digest=config_digest(spec_cfg, est_cfg),
     )
@@ -285,7 +298,6 @@ def build_table(
     spec_cfg: SpectrumConfig | None = None,
     est_cfg: EstimatorConfig | None = None,
     pulse: PulseParams | None = None,
-    f_simul: float = DEFAULT_FAULT_FREQ,
     noise_std: float = 1.0,
 ) -> ThresholdTable:
     """Calibrate the full ACI x segment-length grid.
@@ -302,7 +314,7 @@ def build_table(
     if not aci_list or not seg_len_list:
         raise ParameterError("calibration grids must be non-empty")
     spec_cfg = spec_cfg or SpectrumConfig()
-    est_cfg = est_cfg or EstimatorConfig(f_theoretical=f_simul)
+    est_cfg = est_cfg or EstimatorConfig(f_theoretical=DEFAULT_FAULT_FREQ)
     base = pulse or PulseParams(aci=1.0)
 
     entries = []
@@ -319,13 +331,12 @@ def build_table(
                     spec_cfg=spec_cfg,
                     est_cfg=est_cfg,
                     pulse=base,
-                    f_simul=f_simul,
                     noise_std=noise_std,
                 )
             )
     return ThresholdTable(
         fs=float(fs),
-        f_simul=float(f_simul),
+        f_simul=DEFAULT_FAULT_FREQ,
         n_signals=int(n),
         master_seed=int(master_seed),
         noise_std=float(noise_std),

@@ -14,16 +14,16 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
 from . import stats
-from ._parallel import parallel_map
 from .calibrate import (
     ThresholdEntry,
     ThresholdTable,
     config_digest,
+    estimate_batch,
     estimate_or_error,
     simulate_and_estimate,
 )
@@ -93,37 +93,11 @@ class ClassificationReport:
 
     def to_json_dict(self) -> dict:
         out = {
-            "seg_len_s": self.seg_len,
-            "n_segments": self.n_segments,
-            "estimates_hz": list(self.estimates),
-            "snrs": list(self.snrs),
-            "mean_f_hat_real": self.mean_f_hat_real,
-            "avg_snr_real": self.avg_snr_real,
-            "matched_aci": self.matched_aci,
-            "threshold": self.threshold,
-            "variance_raw": self.variance_raw,
-            "rescaled_variance": self.rescaled_variance,
-            "gate": self.gate,
-            "test": None,
-            "verdict": self.verdict,
-            "shape": None,
-            "warnings": list(self.warnings),
-            "provenance": self.provenance,
+            key: list(value) if isinstance(value, tuple) else value
+            for key, value in asdict(self).items()
         }
-        if self.test is not None:
-            out["test"] = {
-                "statistic": self.test.statistic,
-                "dof": self.test.dof,
-                "critical": self.test.critical,
-                "alpha": self.test.alpha,
-                "decision": self.test.decision,
-            }
-        if self.shape is not None:
-            out["shape"] = {
-                "dist_uniform": self.shape.dist_uniform,
-                "dist_normal": self.shape.dist_normal,
-                "verdict": self.shape.verdict,
-            }
+        out["seg_len_s"] = out.pop("seg_len")
+        out["estimates_hz"] = out.pop("estimates")
         return out
 
     def summary_line(self) -> str:
@@ -177,8 +151,8 @@ def rescale_variance(
 
 
 def _decide(
-    estimates: list[float],
-    snrs: list[float],
+    f_hats: np.ndarray,
+    snrs: np.ndarray,
     table: ThresholdTable,
     seg_len: float,
     alpha: float,
@@ -187,7 +161,7 @@ def _decide(
     provenance: dict,
 ) -> ClassificationReport:
     """Decision chain on an estimates vector; pure given its inputs."""
-    n = len(estimates)
+    n = len(f_hats)
     if n < 2:
         raise EstimationError("need at least 2 segment estimates to test variance")
     if n < MIN_SEGMENTS_FOR_TEST:
@@ -195,7 +169,6 @@ def _decide(
             f"only {n} segments; the chi-squared test has low power below "
             f"{MIN_SEGMENTS_FOR_TEST}"
         )
-    f_hats = np.asarray(estimates)
     avg_snr = float(np.mean(snrs))
     mean_f = float(f_hats.mean())
     var_raw = float(np.var(f_hats, ddof=1))
@@ -249,8 +222,8 @@ def _decide(
     return ClassificationReport(
         seg_len=float(seg_len),
         n_segments=n,
-        estimates=tuple(float(f) for f in estimates),
-        snrs=tuple(float(s) for s in snrs),
+        estimates=tuple(f_hats.tolist()),
+        snrs=tuple(snrs.tolist()),
         mean_f_hat_real=mean_f,
         avg_snr_real=avg_snr,
         matched_aci=float(matched),
@@ -300,12 +273,8 @@ def classify_signal(
             f"signal of {x.duration:g} s yields fewer than 2 segments of {cfg.seg_len:g} s"
         )
     estimate = functools.partial(estimate_or_error, spec_cfg=cfg.spectrum, est_cfg=cfg.estimator)
-    results = parallel_map(estimate, iter_segments(x, cfg.seg_len))
-    good = [r for r in results if not isinstance(r, EstimationError)]
-    total = len(results)
-    estimates = [r[0] for r in good]
-    snrs = [r[1] for r in good]
-    failures = total - len(good)
+    f_hats, snrs, errors = estimate_batch(estimate, iter_segments(x, cfg.seg_len))
+    failures, total = len(errors), len(f_hats) + len(errors)
     if failures > MAX_SEGMENT_FAILURE_FRAC * total:
         raise EstimationError(
             f"{failures}/{total} segment estimates failed; check the frequency band "
@@ -318,7 +287,7 @@ def classify_signal(
         cfg, table, bandpass=list(cfg.spectrum.bandpass) if cfg.spectrum.bandpass else None
     )
     return _decide(
-        estimates, snrs, table, cfg.seg_len, cfg.alpha, cfg.paper_rescale, warnings, provenance
+        f_hats, snrs, table, cfg.seg_len, cfg.alpha, cfg.paper_rescale, warnings, provenance
     )
 
 
@@ -330,7 +299,6 @@ def simulate_and_classify(
     table: ThresholdTable,
     seed: int,
     cfg: ClassifyConfig | None = None,
-    noise_std: float | None = None,
 ) -> ClassificationReport:
     """Simulate ``n_segments`` independent segments under ``dist`` and classify.
 
@@ -344,21 +312,17 @@ def simulate_and_classify(
     if abs(cfg.seg_len - seg_len) > 1e-12:
         raise ParameterError("cfg.seg_len disagrees with seg_len")
     _check_digest(cfg, table)
-    noise = table.noise_std if noise_std is None else noise_std
-    pulse = replace(table.pulse_base, aci=aci)
-    tasks = [
-        (seed, i, seg_len, table.fs, dist, pulse, noise, cfg.spectrum, cfg.estimator)
-        for i in range(n_segments)
-    ]
-    results = parallel_map(simulate_and_estimate, tasks)
-    for r in results:
-        if isinstance(r, EstimationError):
-            raise r
-    estimates = [r[0] for r in results]
-    snrs = [r[1] for r in results]
+    simulate = functools.partial(
+        simulate_and_estimate, seed=seed, seg_len=seg_len, fs=table.fs, dist=dist,
+        pulse=replace(table.pulse_base, aci=aci), noise_std=table.noise_std,
+        spec_cfg=cfg.spectrum, est_cfg=cfg.estimator,
+    )
+    f_hats, snrs, errors = estimate_batch(simulate, range(n_segments))
+    if errors:
+        raise errors[0]
     provenance = _provenance(
         cfg, table, simulated={"dist": dist.spec_string(), "aci": aci, "seed": seed}
     )
     return _decide(
-        estimates, snrs, table, seg_len, cfg.alpha, cfg.paper_rescale, [], provenance
+        f_hats, snrs, table, seg_len, cfg.alpha, cfg.paper_rescale, [], provenance
     )

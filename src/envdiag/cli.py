@@ -30,7 +30,8 @@ from .errors import (
     ParameterError,
     SignalFormatError,
 )
-from .faultfreq import EstimatorConfig, estimate_per_segment, iter_segments
+from .faultfreq import (EstimatorConfig, estimate_fault_frequency, estimate_per_segment,
+                        iter_segments)
 from .sigio import (
     FORMATS,
     read_signal,
@@ -293,7 +294,16 @@ def cmd_classify(in_path, table_path, seg_lens, alpha, fs, fmt, paper_rescale, s
 
     first_len = reports[0].seg_len
     if emit_estimates or emit_kde or emit_spectra:
-        estimates = estimate_per_segment(signal, first_len, spec_cfg, est_cfg)
+        if emit_spectra:
+            os.makedirs(emit_spectra, exist_ok=True)
+        # each spectrum is dropped once written and estimated: kept, they would
+        # cost ~400 KB of memory per segment
+        estimates = []
+        for idx, seg in enumerate(iter_segments(signal, first_len)):
+            spec = envelope_spectrum(seg, spec_cfg)
+            if emit_spectra:
+                write_spectrum_csv(os.path.join(emit_spectra, f"segment_{idx:04d}.csv"), spec)
+            estimates.append(estimate_fault_frequency(spec, est_cfg))
         if emit_estimates:
             write_estimates_csv(emit_estimates, estimates, first_len)
         if emit_kde:
@@ -304,11 +314,6 @@ def cmd_classify(in_path, table_path, seg_lens, alpha, fs, fmt, paper_rescale, s
                 click.echo("estimates are a point mass; writing no KDE curve", err=True)
             else:
                 write_kde_csv(emit_kde, curve, f_hats)
-        if emit_spectra:
-            os.makedirs(emit_spectra, exist_ok=True)
-            for idx, seg in enumerate(iter_segments(signal, first_len)):
-                spec = envelope_spectrum(seg, spec_cfg)
-                write_spectrum_csv(os.path.join(emit_spectra, f"segment_{idx:04d}.csv"), spec)
 
 
 @main.command("spectrum")

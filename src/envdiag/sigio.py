@@ -9,6 +9,7 @@ ground-truth frequency of every segment.
 from __future__ import annotations
 
 import json
+import math
 import os
 
 import numpy as np
@@ -40,8 +41,7 @@ def write_signal(path, signal: Signal, fmt: str | None = None, sidecar: dict | N
     fmt = fmt or infer_format(path)
     if fmt == FORMAT_CSV:
         # 17 significant digits round-trip any float64
-        with open(path, "w", encoding="ascii") as fh:
-            fh.writelines(f"{float(v):.17g}\n" for v in signal.samples)
+        np.savetxt(path, signal.samples, fmt="%.17g")
     elif fmt == FORMAT_RAW:
         signal.samples.astype("<f8").tofile(path)
     else:
@@ -86,8 +86,16 @@ def read_signal(path, fmt: str | None = None, fs: float | None = None) -> tuple[
         with open(sc, encoding="utf-8") as fh:
             try:
                 meta = json.load(fh)
-            except json.JSONDecodeError as exc:
+            except ValueError as exc:  # bad JSON or bad UTF-8
                 raise SignalFormatError(f"{sc}: malformed sidecar: {exc}") from None
+        if not isinstance(meta, dict):
+            raise SignalFormatError(f"{sc}: sidecar is not a JSON object")
+        side_fs = meta.get("fs")
+        # checked even when the caller passes fs, since callers print this value
+        if side_fs is not None and (
+            type(side_fs) not in (int, float) or not math.isfinite(side_fs)
+        ):
+            raise SignalFormatError(f"{sc}: fs is not a finite number: {side_fs!r}")
     if fs is None:
         fs = meta.get("fs")
     if fs is None:
@@ -103,11 +111,13 @@ def read_signal(path, fmt: str | None = None, fs: float | None = None) -> tuple[
     return Signal(samples, float(fs)), meta
 
 
+def _write_columns(path, header: str, columns) -> None:
+    np.savetxt(path, np.column_stack(columns), fmt="%.10g", delimiter=",", header=header,
+               comments="")
+
+
 def write_spectrum_csv(path, spec: EnvelopeSpectrum) -> None:
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("freq_hz,amplitude\n")
-        for f, a in zip(spec.freqs, spec.amps):
-            fh.write(f"{f:.10g},{a:.10g}\n")
+    _write_columns(path, "freq_hz,amplitude", (spec.freqs, spec.amps))
 
 
 def write_estimates_csv(path, estimates: list[FaultFrequencyEstimate], seg_len: float) -> None:
@@ -127,11 +137,7 @@ def write_estimates_csv(path, estimates: list[FaultFrequencyEstimate], seg_len: 
 def write_kde_csv(path, curve: KdeCurve, samples) -> None:
     """KDE curve plus fitted uniform/normal overlays for plotting."""
     samples = np.asarray(samples, dtype=np.float64)
-    a, b = samples.min(), samples.max()
-    mu, sd = samples.mean(), np.std(samples, ddof=1)
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("grid,density,uniform_pdf,normal_pdf\n")
-        for g, d in zip(curve.grid, curve.density):
-            fh.write(
-                f"{g:.10g},{d:.10g},{uniform_pdf(g, a, b):.10g},{normal_pdf(g, mu, sd):.10g}\n"
-            )
+    uniform = uniform_pdf(curve.grid, samples.min(), samples.max())
+    normal = normal_pdf(curve.grid, samples.mean(), np.std(samples, ddof=1))
+    _write_columns(path, "grid,density,uniform_pdf,normal_pdf",
+                   (curve.grid, curve.density, uniform, normal))

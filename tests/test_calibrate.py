@@ -6,6 +6,7 @@ import pytest
 from envdiag import (
     CalibrationError,
     DistributionSpec,
+    EstimationError,
     EstimatorConfig,
     ParameterError,
     PulseParams,
@@ -19,8 +20,29 @@ from envdiag import (
     estimate_fault_frequency,
     simulate_signal,
 )
+from envdiag.calibrate import estimate_batch
 
 FS = 25_000.0
+
+
+def fake_estimate(i):
+    """``(f_hat, snr)`` of item ``i``, or an EstimationError for every third item."""
+    return EstimationError(f"item {i}") if i % 3 == 1 else (30.0 + i, 0.5 * i)
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_estimate_batch_splits_estimates_from_errors_in_item_order(monkeypatch, threads):
+    monkeypatch.setenv("ENVDIAG_THREADS", threads)
+    f_hats, snrs, errors = estimate_batch(fake_estimate, range(8))
+    np.testing.assert_array_equal(f_hats, [30.0, 32.0, 33.0, 35.0, 36.0])
+    np.testing.assert_array_equal(snrs, [0.0, 1.0, 1.5, 2.5, 3.0])
+    assert [str(e) for e in errors] == ["item 1", "item 4", "item 7"]
+
+
+def test_estimate_batch_of_only_errors_gives_empty_arrays():
+    f_hats, snrs, errors = estimate_batch(fake_estimate, [1, 4])
+    assert f_hats.shape == snrs.shape == (0,)
+    assert len(errors) == 2
 
 
 class TestCalibrateEntry:

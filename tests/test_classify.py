@@ -1,7 +1,11 @@
 """Decision-procedure tests: the shared segment estimate and its failure policies."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from envdiag import (
     ClassifyConfig,
@@ -12,11 +16,16 @@ from envdiag import (
     PulseParams,
     SeedSpec,
     Signal,
+    ShapeDistanceResult,
     SpectrumConfig,
     TableMismatchError,
+    ThresholdEntry,
+    ThresholdTable,
+    VarianceTestResult,
     build_table,
     classify_signal,
     estimate_per_segment,
+    match_aci,
     simulate_and_classify,
     simulate_signal,
 )
@@ -119,3 +128,78 @@ class TestSimulateAndClassify:
     def test_needs_two_segments(self, table):
         with pytest.raises(ParameterError):
             simulate_and_classify(DistributionSpec.constant(30.0), 2.0, SEG, 1, table, 5)
+
+    def test_paper_rescale_uses_the_literal_factor(self, table):
+        dist = DistributionSpec.normal(30.0, 0.33)
+        report = simulate_and_classify(dist, 2.0, SEG, 4, table, 5, cfg=config(paper_rescale=True))
+        assert report.provenance["rescale_direction"] == "paper"
+        entry = table.get(report.matched_aci, SEG)
+        ratio = report.mean_f_hat_real / entry.mean_f_hat
+        assert report.rescaled_variance == pytest.approx(report.variance_raw * ratio**2,
+                                                         rel=1e-12)
+        # same estimates as the default direction, which divides by the ratio instead
+        default = simulate_and_classify(dist, 2.0, SEG, 4, table, 5)
+        assert default.provenance["rescale_direction"] == "normalized"
+        assert default.estimates == report.estimates
+        assert default.rescaled_variance == pytest.approx(report.variance_raw / ratio**2,
+                                                          rel=1e-12)
+
+
+REPORT_KEYS = {"seg_len_s", "n_segments", "estimates_hz", "snrs", "mean_f_hat_real",
+               "avg_snr_real", "matched_aci", "threshold", "variance_raw", "rescaled_variance",
+               "gate", "test", "verdict", "shape", "warnings", "provenance"}
+
+
+class TestReportJson:
+    @pytest.fixture(scope="class")
+    def report(self, table):
+        report = simulate_and_classify(DistributionSpec.constant(30.0), 2.0, SEG, 4, table, 5)
+        return replace(report, test=None, shape=None, warnings=("w1", "w2"))
+
+    def test_keys_without_test_and_shape(self, report):
+        out = report.to_json_dict()
+        assert set(out) == REPORT_KEYS
+        assert out["test"] is None and out["shape"] is None
+        assert out["seg_len_s"] == SEG
+        assert out["estimates_hz"] == list(report.estimates)
+        for key in ("estimates_hz", "snrs", "warnings"):
+            assert type(out[key]) is list
+        assert out["warnings"] == ["w1", "w2"]
+        assert out["provenance"] == report.provenance
+
+    def test_test_and_shape_blocks(self, report):
+        test = VarianceTestResult(statistic=12.5, dof=3, critical=7.8, alpha=0.05,
+                                  decision="reject")
+        shape = ShapeDistanceResult(dist_uniform=0.1, dist_normal=0.2, verdict="uniform")
+        out = replace(report, test=test, shape=shape).to_json_dict()
+        assert set(out) == REPORT_KEYS
+        assert out["test"] == {"statistic": 12.5, "dof": 3, "critical": 7.8, "alpha": 0.05,
+                               "decision": "reject"}
+        assert out["shape"] == {"dist_uniform": 0.1, "dist_normal": 0.2, "verdict": "uniform"}
+
+
+def _table_at(cells):
+    """One-length table with an entry per ``(aci, mean_snr)`` pair."""
+    entries = tuple(
+        ThresholdEntry(aci=aci, seg_len=SEG, threshold=0.1, mean_f_hat=30.0, mean_snr=snr,
+                       n_signals=2, master_seed=0, config_digest="d")
+        for aci, snr in cells
+    )
+    return ThresholdTable(fs=FS, f_simul=30.0, n_signals=2, master_seed=0, noise_std=1.0,
+                          pulse_base=PulseParams(aci=1.0), config_digest="d", entries=entries)
+
+
+# quarter steps keep every SNR distance exact, so ties are real ties
+_QUARTERS = st.integers(min_value=0, max_value=40).map(lambda k: k / 4)
+
+
+@settings(max_examples=200, deadline=None)
+@given(cells=st.lists(st.tuples(st.integers(min_value=1, max_value=20).map(lambda k: k / 4),
+                                _QUARTERS),
+                      min_size=1, max_size=8, unique_by=lambda cell: cell[0]),
+       avg=_QUARTERS)
+def test_match_aci_takes_the_closest_snr_and_the_larger_aci_on_ties(cells, avg):
+    aci, entry = match_aci(avg, _table_at(cells), SEG)
+    best = min(abs(snr - avg) for _, snr in cells)
+    assert abs(entry.mean_snr - avg) == best
+    assert aci == entry.aci == max(a for a, snr in cells if abs(snr - avg) == best)

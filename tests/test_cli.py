@@ -1,11 +1,13 @@
 """Command-line round trip and the documented exit codes."""
 
 import json
+import shutil
 
 import pytest
 from click.testing import CliRunner
 
 from envdiag.cli import EXIT_USAGE_IO, main
+from envdiag.stats import KDE_GRID_POINTS
 
 
 def invoke(*args):
@@ -71,3 +73,65 @@ def test_malformed_table_is_a_usage_error(files, content):
                     "--seg-lens", 0.5, "-o", root / "r.json")
     assert_usage_error(result)
     assert "bad_table.json" in result.output
+
+
+def csv_rows(path):
+    header, *lines = path.read_text(encoding="ascii").splitlines()
+    return header, [line.split(",") for line in lines]
+
+
+def test_classify_emits_estimates_kde_and_spectra(files):
+    root, rec, table = files
+    report, est, kde, spectra = (root / "emit.json", root / "est.csv", root / "kde.csv",
+                                 root / "spectra")
+    result = invoke("classify", "-i", rec, "--table", table, "--f-theoretical", 30,
+                    "--seg-lens", 0.5, "-o", report, "--emit-estimates", est,
+                    "--emit-kde", kde, "--emit-spectra", spectra)
+    assert result.exit_code == 0, result.output
+    first = json.loads(report.read_text(encoding="utf-8"))[0]
+    header, rows = csv_rows(est)
+    assert header.startswith("segment_index,t_start_s,f_hat_hz,snr")
+    # the emitted estimates are the first length's, written to 10 digits
+    assert [row[2] for row in rows] == [f"{f:.10g}" for f in first["estimates_hz"]]
+    header, rows = csv_rows(kde)
+    assert header == "grid,density,uniform_pdf,normal_pdf"
+    assert len(rows) == KDE_GRID_POINTS
+    names = sorted(p.name for p in spectra.iterdir())
+    assert names == [f"segment_{i:04d}.csv" for i in range(first["n_segments"])]
+    header, rows = csv_rows(spectra / names[0])
+    assert header == "freq_hz,amplitude"
+    assert rows[0][0] == "0" and rows[1][0] == "0.5"
+
+
+def test_spectrum_writes_the_whole_recording(files):
+    root, rec, _ = files
+    out = root / "spectrum.csv"
+    result = invoke("spectrum", "-i", rec, "-o", out)
+    assert result.exit_code == 0, result.output
+    header, rows = csv_rows(out)
+    assert header == "freq_hz,amplitude"
+    # 0.5 s pieces zero-padded 4x: 0.5 Hz bins from 0 to fs/2 = 12.5 kHz
+    assert len(rows) == 25_001
+    assert rows[1][0] == "0.5" and rows[-1][0] == "12500"
+
+
+def test_kde_writes_the_curve_of_the_estimates(files):
+    root, rec, _ = files
+    out = root / "kde_cmd.csv"
+    result = invoke("kde", "-i", rec, "--f-theoretical", 30, "--seg-len", 0.5, "-o", out)
+    assert result.exit_code == 0, result.output
+    header, rows = csv_rows(out)
+    assert header == "grid,density,uniform_pdf,normal_pdf"
+    assert len(rows) == KDE_GRID_POINTS
+    assert all(len(row) == 4 for row in rows)
+    assert "KDE of 6 estimates" in result.output
+
+
+def test_sidecar_with_a_text_sample_rate_is_a_usage_error(files):
+    root, rec, _ = files
+    bad = root / "bad_sidecar.f64"
+    shutil.copyfile(rec, bad)
+    (root / "bad_sidecar.f64.json").write_text('{"fs": "25000"}', encoding="utf-8")
+    result = invoke("spectrum", "-i", bad, "--fs", 25000, "-o", root / "s.csv")
+    assert_usage_error(result)
+    assert "bad_sidecar.f64.json" in result.output

@@ -1,14 +1,18 @@
-"""Signal file I/O: round trips, sidecars, malformed input and the estimates CSV."""
+"""Signal file I/O: round trips, sidecars, malformed input and the result CSVs."""
 
 import numpy as np
 import pytest
 
 from envdiag import (
+    EnvelopeSpectrum,
     FaultFrequencyEstimate,
     HarmonicPeak,
     ParameterError,
     Signal,
     SignalFormatError,
+    kde,
+    normal_pdf,
+    uniform_pdf,
 )
 from envdiag.sigio import (
     FORMAT_CSV,
@@ -16,7 +20,9 @@ from envdiag.sigio import (
     read_signal,
     sidecar_path,
     write_estimates_csv,
+    write_kde_csv,
     write_signal,
+    write_spectrum_csv,
 )
 
 FS = 25_000.0
@@ -62,6 +68,24 @@ def test_malformed_sidecar_rejected(tmp_path, signal):
         read_signal(path)
 
 
+@pytest.mark.parametrize("content,fs,match", [
+    (b'[25000.0]', None, "not a JSON object"),
+    (b'{"fs": "abc"}', None, "fs is not a finite number: 'abc'"),
+    # checked even when the caller passes its own fs
+    (b'{"fs": "25000"}', FS, "fs is not a finite number: '25000'"),
+    (b'{"fs": NaN}', None, "fs is not a finite number: nan"),
+    (b'{"fs": \xff}', None, "malformed sidecar"),
+], ids=["list", "text-fs", "text-fs-and-explicit-fs", "nan-fs", "bad-utf8"])
+def test_sidecar_of_wrong_shape_rejected(tmp_path, signal, content, fs, match):
+    path = tmp_path / "x.f64"
+    write_signal(path, signal)
+    with open(sidecar_path(path), "wb") as fh:
+        fh.write(content)
+    with pytest.raises(SignalFormatError, match=match) as info:
+        read_signal(path, fs=fs)
+    assert "x.f64.json" in str(info.value)
+
+
 def test_csv_line_that_is_not_a_number_is_named(tmp_path):
     path = tmp_path / "x.csv"
     path.write_text("1.0\n2.5\n\nabc\n")
@@ -95,3 +119,36 @@ def test_estimates_csv_columns(tmp_path):
         "0,0,30.12345679,1.714285714,30.5,,90.12345679",
         "1,0.5,30.12345679,1.714285714,30.5,,90.12345679",
     ]
+
+
+def rows(path):
+    header, *lines = path.read_text(encoding="ascii").splitlines()
+    return header, [line.split(",") for line in lines]
+
+
+def test_spectrum_csv_columns(tmp_path):
+    freqs = np.arange(5) * 0.5
+    amps = np.array([0.0, 1.0 / 3.0, 2.0e-7, 123456.789012345, 1.0])
+    path = tmp_path / "spec.csv"
+    write_spectrum_csv(path, EnvelopeSpectrum(freqs, amps, 0.5))
+    header, body = rows(path)
+    assert header == "freq_hz,amplitude"
+    assert body == [[f"{f:.10g}", f"{a:.10g}"] for f, a in zip(freqs, amps)]
+    assert body[1] == ["0.5", "0.3333333333"]
+    assert body[3] == ["1.5", "123456.789"]
+
+
+def test_kde_csv_columns_and_overlays(tmp_path):
+    samples = np.array([29.5, 30.0, 30.0, 30.5, 31.0, 29.0, 30.25])
+    curve = kde(samples)
+    path = tmp_path / "kde.csv"
+    write_kde_csv(path, curve, samples)
+    header, body = rows(path)
+    assert header == "grid,density,uniform_pdf,normal_pdf"
+    assert len(body) == curve.grid.size
+    assert all(len(row) == 4 for row in body)
+    # the overlays are the uniform and normal laws fitted to the samples
+    uniform = uniform_pdf(curve.grid, samples.min(), samples.max())
+    normal = normal_pdf(curve.grid, samples.mean(), np.std(samples, ddof=1))
+    want = np.column_stack([curve.grid, curve.density, uniform, normal])
+    assert body == [[f"{v:.10g}" for v in row] for row in want]
