@@ -209,7 +209,7 @@ def _decide(
         else:
             try:
                 shape = stats.shape_distance(f_hats)
-            except (ParameterError, DegenerateSampleError) as exc:  # pragma: no cover
+            except (ParameterError, DegenerateSampleError) as exc:
                 warnings.append(f"shape comparison unavailable: {exc}")
                 verdict = VERDICT_INCONCLUSIVE
             else:

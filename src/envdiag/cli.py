@@ -27,6 +27,7 @@ from .classify import ClassificationReport, ClassifyConfig, classify_signal
 from .envspec import SpectrumConfig, envelope_spectrum
 from .errors import (
     EnvDiagError,
+    EstimationError,
     ParameterError,
     SignalFormatError,
 )
@@ -298,14 +299,18 @@ def cmd_classify(in_path, table_path, seg_lens, alpha, fs, fmt, paper_rescale, s
             os.makedirs(emit_spectra, exist_ok=True)
         # each spectrum is dropped once written and estimated: kept, they would
         # cost ~400 KB of memory per segment
-        estimates = []
+        estimates, indices = [], []
         for idx, seg in enumerate(iter_segments(signal, first_len)):
             spec = envelope_spectrum(seg, spec_cfg)
             if emit_spectra:
                 write_spectrum_csv(os.path.join(emit_spectra, f"segment_{idx:04d}.csv"), spec)
-            estimates.append(estimate_fault_frequency(spec, est_cfg))
+            try:
+                estimates.append(estimate_fault_frequency(spec, est_cfg))
+            except EstimationError:
+                continue  # classify_signal skipped this segment too
+            indices.append(idx)
         if emit_estimates:
-            write_estimates_csv(emit_estimates, estimates, first_len)
+            write_estimates_csv(emit_estimates, estimates, first_len, indices)
         if emit_kde:
             f_hats = [e.f_hat for e in estimates]
             try:

@@ -9,6 +9,7 @@ the surrounding spectrum up to the third harmonic.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -124,8 +125,11 @@ def snr(
     noise = spec.amps[i0 : i1 + 1][keep]
     if noise.size == 0:
         raise EstimationError("no noise bins remain after excluding the peaks")
-    numerator = float(np.mean([p.amp**2 for p in peaks]))
-    denominator = float(np.mean(noise**2))
+    # amplitudes are divided by a power of two near the largest peak before
+    # squaring, which is exact and keeps a loud recording's squares finite
+    scale = math.ldexp(1.0, math.frexp(max(p.amp for p in peaks))[1])
+    numerator = float(np.mean([(p.amp / scale) ** 2 for p in peaks]))
+    denominator = float(np.mean((noise / scale) ** 2))
     if denominator == 0.0:
         raise EstimationError("noise bins are identically zero; SNR undefined")
     return numerator / denominator

@@ -120,10 +120,12 @@ def write_spectrum_csv(path, spec: EnvelopeSpectrum) -> None:
     _write_columns(path, "freq_hz,amplitude", (spec.freqs, spec.amps))
 
 
-def write_estimates_csv(path, estimates: list[FaultFrequencyEstimate], seg_len: float) -> None:
+def write_estimates_csv(path, estimates: list[FaultFrequencyEstimate], seg_len: float,
+                        indices: list[int]) -> None:
+    """One row per estimate; ``indices`` are their segment numbers."""
     with open(path, "w", encoding="ascii") as fh:
         fh.write("segment_index,t_start_s,f_hat_hz,snr,peak1_hz,peak2_hz,peak3_hz\n")
-        for i, est in enumerate(estimates):
+        for i, est in zip(indices, estimates, strict=True):
             peaks = {p.order: p.freq for p in est.peaks}
             cols = [
                 str(i),

@@ -129,6 +129,16 @@ class TestSimulateAndClassify:
         with pytest.raises(ParameterError):
             simulate_and_classify(DistributionSpec.constant(30.0), 2.0, SEG, 1, table, 5)
 
+    def test_rejected_test_on_few_segments_leaves_the_shape_unknown(self, table):
+        # the shape comparison needs 10 estimates; 6 spread over 25-35 Hz
+        # reject the chi-squared test, and the verdict falls back
+        report = simulate_and_classify(DistributionSpec.uniform(25.0, 35.0), 3.0, SEG, 6,
+                                       table, 0)
+        assert report.test.rejected
+        assert report.verdict == VERDICT_INCONCLUSIVE
+        assert report.shape is None
+        assert report.warnings[-1].startswith("shape comparison unavailable")
+
     def test_paper_rescale_uses_the_literal_factor(self, table):
         dist = DistributionSpec.normal(30.0, 0.33)
         report = simulate_and_classify(dist, 2.0, SEG, 4, table, 5, cfg=config(paper_rescale=True))

@@ -3,9 +3,12 @@
 import json
 import shutil
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from envdiag import Signal
+from envdiag.sigio import read_signal, write_signal
 from envdiag.cli import EXIT_USAGE_IO, main
 from envdiag.stats import KDE_GRID_POINTS
 
@@ -101,6 +104,46 @@ def test_classify_emits_estimates_kde_and_spectra(files):
     header, rows = csv_rows(spectra / names[0])
     assert header == "freq_hz,amplitude"
     assert rows[0][0] == "0" and rows[1][0] == "0.5"
+
+
+def classify_reports(rec, table, out, *extra):
+    result = invoke("classify", "-i", rec, "--table", table, "--f-theoretical", 30,
+                    "--seg-lens", 0.5, "-o", out, *extra)
+    assert result.exit_code == 0, result.output
+    return json.loads(out.read_text(encoding="utf-8"))
+
+
+def test_loud_recording_classifies_like_the_quiet_one(files):
+    # PSD peaks near 1e240: squaring them as they are would overflow
+    root, rec, table = files
+    signal, _ = read_signal(rec)
+    loud = root / "loud.f64"
+    write_signal(loud, Signal(2.0**400 * signal.samples, signal.fs))
+    (quiet_rep,) = classify_reports(rec, table, root / "quiet.json")
+    (loud_rep,) = classify_reports(loud, table, root / "loud.json")
+    assert loud_rep["estimates_hz"] == quiet_rep["estimates_hz"]
+    assert loud_rep["verdict"] == quiet_rep["verdict"]
+
+
+@pytest.mark.parametrize("gap_segment", [10, 5])
+def test_emitted_estimates_skip_the_segments_classify_skips(tmp_path, files, gap_segment):
+    # 5 s at 30 Hz with 0.5 s of zeros put in as segment `gap_segment`: that
+    # segment's SNR is undefined and classify skips it
+    _, _, table = files
+    rec = tmp_path / "rec.f64"
+    result = invoke("simulate", "--dist", "constant:30", "--aci", 2, "--seg-len", 0.5,
+                    "--n-segments", 10, "--seed", 4, "-o", rec)
+    assert result.exit_code == 0, result.output
+    signal, _ = read_signal(rec)
+    cut = gap_segment * 12_500
+    samples = np.concatenate([signal.samples[:cut], np.zeros(12_500), signal.samples[cut:]])
+    write_signal(rec, Signal(samples, signal.fs))
+    est = tmp_path / "est.csv"
+    (rep,) = classify_reports(rec, table, tmp_path / "rep.json", "--emit-estimates", est)
+    assert rep["warnings"][0] == "1/11 segment estimates failed and were skipped"
+    _, rows = csv_rows(est)
+    assert [row[2] for row in rows] == [f"{f:.10g}" for f in rep["estimates_hz"]]
+    assert [int(row[0]) for row in rows] == [i for i in range(11) if i != gap_segment]
 
 
 def test_spectrum_writes_the_whole_recording(files):

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.fft as sfft
 from scipy.signal import hilbert as scipy_hilbert
 from scipy.signal import welch as scipy_welch
 
@@ -18,6 +19,7 @@ from envdiag import (
     simulate_signal,
     welch_psd,
 )
+from envdiag.envspec import BANDPASS_TRANSITION_BINS, _hilbert
 
 FS = 25_000.0
 
@@ -27,7 +29,35 @@ def tone(freq, duration=1.0, amp=1.0, fs=FS):
     return Signal(amp * np.cos(2 * np.pi * freq * t), fs)
 
 
+def bandpass_by_mask(x, f_lo, f_hi):
+    """The full-length mask formula ``bandpass`` replaced; its bit-exact oracle."""
+    fs, n = x.fs, len(x)
+    freqs = np.fft.rfftfreq(n, 1.0 / fs)
+    width = BANDPASS_TRANSITION_BINS * fs / n
+    mask = np.ones_like(freqs)
+    if f_lo > 0:
+        a, b = f_lo - width / 2, f_lo + width / 2
+        mask[freqs < a] = 0.0
+        ramp = (freqs >= a) & (freqs < b)
+        mask[ramp] = 0.5 * (1.0 - np.cos(np.pi * (freqs[ramp] - a) / width))
+    if f_hi < fs / 2:
+        a, b = f_hi - width / 2, f_hi + width / 2
+        mask[freqs > b] = 0.0
+        ramp = (freqs > a) & (freqs <= b)
+        mask[ramp] = 0.5 * (1.0 + np.cos(np.pi * (freqs[ramp] - a) / width))
+    return sfft.irfft(sfft.rfft(x.samples) * mask, n=n)
+
+
 class TestBandpass:
+    # ramps span 8 bins, 16 Hz at 0.5 s: the last two bands are narrower, so
+    # their ramps overlap and the upper one overrides the lower
+    @pytest.mark.parametrize("lo,hi", [(1500.0, 3500.0), (0.0, 3500.0), (1500.0, FS / 2),
+                                       (0.0, FS / 2), (2000.0, 2010.0), (2000.0, 2000.5)])
+    @pytest.mark.parametrize("n", [12500, 12501])
+    def test_matches_full_mask_formula(self, lo, hi, n):
+        x = Signal(np.random.default_rng(n).standard_normal(n), FS)
+        np.testing.assert_array_equal(bandpass(x, lo, hi).samples, bandpass_by_mask(x, lo, hi))
+
     def test_in_band_tone_preserved(self):
         x = tone(2500.0)
         y = bandpass(x, 2000.0, 3000.0)
@@ -115,6 +145,12 @@ class TestEnvelope:
 
     def test_zero_vector(self):
         np.testing.assert_array_equal(envelope(np.zeros(64)), np.zeros(64))
+
+    @pytest.mark.parametrize("n", [12500, 12501])
+    def test_within_two_ulp_of_hypot(self, n):
+        x = 3.0 * np.random.default_rng(n).standard_normal(n)
+        want = np.hypot(*_hilbert(x))
+        assert np.all(np.abs(envelope(x) - want) <= 2 * np.spacing(want))
 
     def test_peaks_at_impulse_centres(self):
         sig, f = simulate_signal(0.6, FS, DistributionSpec.constant(30),

@@ -118,9 +118,10 @@ class TestEstimateFaultFrequency:
         assert scaled.snr == pytest.approx(base.snr, rel=1e-9)
 
     @settings(max_examples=20, deadline=None)
-    @given(k=st.integers(min_value=-20, max_value=20))
+    @given(k=st.integers(min_value=-20, max_value=480))
     def test_signal_scaling_by_power_of_two_invariance(self, k):
-        # a power-of-two gain is exact through every FFT step of the front end
+        # a power-of-two gain is exact through every FFT step of the front end;
+        # the PSD stays finite up to 2**500, and the SNR must not overflow
         sig, _ = simulate_signal(0.5, FS, DistributionSpec.constant(30),
                                  PulseParams(aci=2.0), seed=43)
         cfg = EstimatorConfig(f_theoretical=30.0)

@@ -1,6 +1,7 @@
 """Signal-model tests: pulse shape, impulse train, noise statistics, seeding."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from envdiag import (
     gaussian_pulse,
     simulate_signal,
 )
+from envdiag.sigmodel import PULSE_SUPPORT_SIGMAS
 
 FS = 25_000.0
 
@@ -163,6 +165,84 @@ class TestSimulateSignal:
         with pytest.raises(ParameterError):
             simulate_signal(1.0, FS, DistributionSpec.constant(30), PulseParams(aci=1.0),
                             0, noise_std=-1.0)
+
+
+def simulate_by_pulse(duration, fs, dist, pulse, seed, noise_std=1.0):
+    """The per-impulse loop ``simulate_signal`` replaced; its bit-exact oracle."""
+    rng = np.random.default_rng(seed)  # a Generator passes through unchanged
+    f_true = dist.sample(rng)
+    n = int(round(duration * fs))
+    x = noise_std * rng.standard_normal(n) if noise_std > 0 else np.zeros(n)
+    period = 1.0 / f_true
+    t0 = rng.uniform(0.0, period)
+    tail = pulse.max_half_support()
+    k_min = math.ceil((-tail - t0) * f_true)
+    k_max = math.floor((duration + tail - t0) * f_true)
+    for k in range(k_min, k_max + 1):
+        centre = t0 + k * period
+        bw = rng.uniform(pulse.bw_lo, pulse.bw_hi)
+        half = PULSE_SUPPORT_SIGMAS * math.sqrt(pulse.time_variance(bw))
+        i0 = max(0, math.ceil((centre - half) * fs))
+        i1 = min(n - 1, math.floor((centre + half) * fs))
+        if i1 < i0:
+            continue
+        t_rel = np.arange(i0, i1 + 1) / fs - centre
+        x[i0 : i1 + 1] += pulse.aci * gaussian_pulse(t_rel, pulse.fc, bw, pulse.bwr)
+    return x, f_true
+
+
+class TestSimulateSignalMatchesPerPulseLoop:
+    # above about 330 Hz neighbouring impulses overlap
+    @pytest.mark.parametrize("f", [30.0, 400.0, 900.0])
+    @pytest.mark.parametrize("noise_std", [1.0, 0.0])
+    @pytest.mark.parametrize("duration", [0.5, 2.0])
+    def test_constant_law(self, f, noise_std, duration):
+        args = (duration, FS, DistributionSpec.constant(f), PulseParams(aci=2.0))
+        for seed in range(4):
+            sig, f_true = simulate_signal(*args, seed=seed, noise_std=noise_std)
+            want, f_want = simulate_by_pulse(*args, seed=seed, noise_std=noise_std)
+            assert f_true == f_want
+            np.testing.assert_array_equal(sig.samples, want)
+
+    @pytest.mark.parametrize("dist", [DistributionSpec.uniform(29, 31),
+                                      DistributionSpec.normal(30, 0.33)])
+    def test_random_laws_and_other_pulses(self, dist):
+        pulse = PulseParams(aci=1.5, fc=4000.0, bw_lo=0.2, bw_hi=0.9, bwr=-3.0)
+        for seed in range(4):
+            sig, f_true = simulate_signal(1.0, FS, dist, pulse, seed=seed)
+            want, f_want = simulate_by_pulse(1.0, FS, dist, pulse, seed=seed)
+            assert f_true == f_want
+            np.testing.assert_array_equal(sig.samples, want)
+
+    def test_generator_seed(self):
+        args = (1.0, FS, DistributionSpec.constant(30), PulseParams(aci=2.0))
+        sig, _ = simulate_signal(*args, seed=np.random.default_rng(SeedSpec(8).sequence(3)))
+        want, _ = simulate_by_pulse(*args, seed=np.random.default_rng(SeedSpec(8).sequence(3)))
+        np.testing.assert_array_equal(sig.samples, want)
+
+    def test_impulses_cut_at_both_record_edges(self):
+        # at 900 Hz an impulse's half-support (>= 1.2 ms) exceeds the period
+        # (1.1 ms), so impulses reach past both edges of the record
+        args = (0.5, FS, DistributionSpec.constant(900), PulseParams(aci=2.0))
+        sig, _ = simulate_signal(*args, seed=11, noise_std=0.0)
+        want, _ = simulate_by_pulse(*args, seed=11, noise_std=0.0)
+        assert sig.samples[0] != 0.0 and sig.samples[-1] != 0.0
+        np.testing.assert_array_equal(sig.samples, want)
+
+    def test_wide_pulses_in_blocks_of_bounded_memory(self):
+        # a 250 Hz carrier widens every pulse to ~750 samples, so 900 Hz
+        # impulses overlap ~27 deep and fill the grid in many blocks; a single
+        # grid would hold ~27 record lengths per temporary
+        args = (0.5, FS, DistributionSpec.constant(900), PulseParams(aci=2.0, fc=250.0))
+        tracemalloc.start()
+        try:
+            sig, _ = simulate_signal(*args, seed=5, noise_std=0.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        want, _ = simulate_by_pulse(*args, seed=5, noise_std=0.0)
+        np.testing.assert_array_equal(sig.samples, want)
+        assert peak < 10 * sig.samples.nbytes
 
 
 class TestSeedSpec:
