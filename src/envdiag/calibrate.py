@@ -202,7 +202,8 @@ def estimate_or_error(signal, spec_cfg: SpectrumConfig, est_cfg: EstimatorConfig
     Worker-safe; each caller applies its own failure policy to the errors.
     """
     try:
-        est = estimate_fault_frequency(envelope_spectrum(signal, spec_cfg), est_cfg)
+        spec = envelope_spectrum(signal, spec_cfg, est_cfg.max_freq)
+        est = estimate_fault_frequency(spec, est_cfg)
     except EstimationError as exc:
         return exc
     return est.f_hat, est.snr

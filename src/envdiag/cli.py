@@ -298,10 +298,11 @@ def cmd_classify(in_path, table_path, seg_lens, alpha, fs, fmt, paper_rescale, s
         if emit_spectra:
             os.makedirs(emit_spectra, exist_ok=True)
         # each spectrum is dropped once written and estimated: kept, they would
-        # cost ~400 KB of memory per segment
+        # cost ~400 KB of memory per segment; only written ones are computed whole
+        f_max = None if emit_spectra else est_cfg.max_freq
         estimates, indices = [], []
         for idx, seg in enumerate(iter_segments(signal, first_len)):
-            spec = envelope_spectrum(seg, spec_cfg)
+            spec = envelope_spectrum(seg, spec_cfg, f_max)
             if emit_spectra:
                 write_spectrum_csv(os.path.join(emit_spectra, f"segment_{idx:04d}.csv"), spec)
             try:

@@ -7,6 +7,7 @@ directly rather than through ``scipy.signal.welch``.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -146,8 +147,8 @@ def envelope(x) -> np.ndarray:
 
     Computed as written, in the Hilbert output's buffer: SIMD loops where
     ``np.hypot`` calls libm one element at a time; within about 1 ulp of it.
-    ``x * x`` overflows only above about 1e154, where the Welch PSD of the
-    envelope has already overflowed.
+    ``x * x`` overflows above about 1e154, a few times below the input level
+    at which the envelope's Welch PSD itself passes the float range.
     """
     x, h = _hilbert(x)
     h *= h
@@ -168,7 +169,81 @@ def _taper(window: str, piece: int) -> tuple[np.ndarray, float]:
     return w, float((w * w).sum())
 
 
-def welch_psd(x, fs: float, cfg: SpectrumConfig = SpectrumConfig()) -> EnvelopeSpectrum:
+# shortest sub-transform of the polyphase split; below it the per-transform
+# overhead outweighs what the shorter FFTs save
+MIN_POLYPHASE_LEN = 2000
+
+
+@functools.lru_cache(maxsize=32)
+def _polyphase_split(nfft: int, n_bins: int) -> tuple[int, np.ndarray | None]:
+    """Phase count ``D`` for the first ``n_bins`` bins of an ``nfft``-point rfft.
+
+    ``D`` is the largest divisor of ``nfft`` whose sub-transform length
+    ``L = nfft / D`` is at least ``max(2 * n_bins, 2000)``, so that every
+    output bin is a non-aliased bin of the length-``L`` rfft; ``D = 1``
+    (the plain rfft) when there is none.  The second value is the read-only
+    ``(n_bins, D)`` phase table ``exp(-2j pi b q / nfft)``, or None for
+    ``D = 1``.
+    """
+    need = max(2 * n_bins, MIN_POLYPHASE_LEN)
+    d = max((d for d in range(1, nfft // need + 1) if nfft % d == 0), default=1)
+    if d == 1:
+        return 1, None
+    # the product b*q is reduced mod nfft before it becomes an angle, so every
+    # phase is as accurate as exp of an argument in [0, 2 pi)
+    bq = np.outer(np.arange(n_bins), np.arange(d)) % nfft
+    table = np.exp((-2j * np.pi / nfft) * bq)
+    table.setflags(write=False)
+    return d, table
+
+
+def _low_bin_rfft(pieces: np.ndarray, nfft: int, n_bins: int) -> np.ndarray:
+    """The first ``n_bins`` bins of ``rfft(pieces, n=nfft, axis=1)``.
+
+    Output pruning of the zero-padded DFT by a polyphase split: sample
+    ``m*D + q`` of a piece goes to phase ``q``, each phase gets a
+    length-``nfft/D`` rfft, and bin ``b`` is the phase-weighted sum
+    ``sum_q exp(-2j pi b q / nfft) Y_q[b]``.  ``pieces`` must already be
+    zero padded to a multiple of ``D`` (see ``_polyphase_split``).
+    """
+    d, table = _polyphase_split(nfft, n_bins)
+    if table is None:
+        return sfft.rfft(pieces, n=nfft, axis=1)[:, :n_bins]
+    k, n = pieces.shape
+    phases = pieces.reshape(k, n // d, d).transpose(0, 2, 1)
+    out = np.empty((k, n_bins), dtype=np.complex128)
+    # one piece at a time, so that its (D, L/2 + 1) sub-spectra stay in cache
+    for i in range(k):
+        sub = sfft.rfft(phases[i], n=nfft // d, axis=1)[:, :n_bins]
+        np.einsum("qb,bq->b", sub, table, out=out[i])
+    return out
+
+
+def _welch_bins(x: np.ndarray, piece: int, nfft: int, n_bins: int, window: str,
+                fs: float) -> np.ndarray:
+    """First ``n_bins`` bins of the one-sided Welch PSD of ``x`` (see ``welch_psd``)."""
+    taper, energy = _taper(window, piece)
+    d = _polyphase_split(nfft, n_bins)[0]
+    k = x.size // piece
+    raw = x[: k * piece].reshape(k, piece)
+    # each piece is written into a buffer zero padded to a multiple of D
+    buf = np.zeros((k, -(-piece // d) * d))
+    pieces = buf[:, :piece]
+    np.subtract(raw, raw.mean(axis=1, keepdims=True), out=pieces)
+    pieces *= taper
+    spec = _low_bin_rfft(buf, nfft, n_bins)
+    re, im = spec.real, spec.imag
+    # sum of |X|^2 over the pieces, with no temporary the size of the spectrum
+    psd = np.einsum("ij,ij->j", re, re) + np.einsum("ij,ij->j", im, im)
+    psd *= 1.0 / (k * fs * energy)
+    # every bin but DC and an even nfft's Nyquist bin stands for two
+    top = n_bins - 1 if nfft % 2 == 0 and n_bins == nfft // 2 + 1 else n_bins
+    psd[1:top] *= 2.0
+    return psd
+
+
+def welch_psd(x, fs: float, cfg: SpectrumConfig = SpectrumConfig(),
+              f_max: float | None = None) -> EnvelopeSpectrum:
     """One-sided Welch PSD with zero-padded pieces.
 
     Non-overlapping pieces of ``piece_len_s`` (clipped to the input; a
@@ -177,6 +252,16 @@ def welch_psd(x, fs: float, cfg: SpectrumConfig = SpectrumConfig()) -> EnvelopeS
     density is the mean of their squared rfft magnitudes, as with
     ``scipy.signal.welch(noverlap=0, detrend="constant", scaling="density")``.
     The grid spacing is exactly ``fs / (piece_len * zero_pad_factor)``.
+
+    ``f_max`` limits the output to the bins a caller reads: with it, the
+    spectrum holds bins ``0 .. b`` only, where bin ``b`` is the first one at
+    least one bin above ``f_max`` (or the Nyquist bin, if that comes first).
+    Those bins equal the leading bins of the full spectrum, which ``None``
+    returns, to within rounding; only they are computed.
+
+    A PSD that overflows the float range is recomputed from the input scaled
+    by a power of two, which is exact, and scaled back; if the true PSD
+    passes the float range a ParameterError says so.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 1:
@@ -187,28 +272,52 @@ def welch_psd(x, fs: float, cfg: SpectrumConfig = SpectrumConfig()) -> EnvelopeS
             f"input of {x.size} samples is too short for the requested segmentation"
         )
     nfft = piece * cfg.zero_pad_factor
-    taper, energy = _taper(cfg.window, piece)
-    k = x.size // piece
-    pieces = x[: k * piece].reshape(k, piece)
-    pieces = pieces - pieces.mean(axis=1, keepdims=True)
-    pieces *= taper
-    spec = sfft.rfft(pieces, n=nfft, axis=1)
-    re, im = spec.real, spec.imag
-    # sum of |X|^2 over the pieces, with no temporary the size of the spectrum
-    psd = np.einsum("ij,ij->j", re, re) + np.einsum("ij,ij->j", im, im)
-    psd *= 1.0 / (k * fs * energy)
-    psd[1 : -1 if nfft % 2 == 0 else None] *= 2.0
-    return EnvelopeSpectrum(np.fft.rfftfreq(nfft, 1.0 / fs), psd, fs / nfft)
+    n_bins = nfft // 2 + 1
+    if f_max is not None:
+        if not f_max > 0:
+            raise ParameterError("f_max must be positive")
+        n_bins = min(int(f_max * nfft / fs) + 3, n_bins)
+    with np.errstate(over="ignore", invalid="ignore"):
+        psd = _welch_bins(x, piece, nfft, n_bins, cfg.window, fs)
+        if not np.isfinite(psd).all():
+            # the squares overflowed: recompute on x / 2**e, with 2**e just above
+            # the largest sample, and scale back; both scalings are exact
+            e = math.frexp(float(np.abs(x).max()))[1]
+            psd = np.ldexp(_welch_bins(np.ldexp(x, -e), piece, nfft, n_bins, cfg.window, fs),
+                           2 * e)
+    if not np.isfinite(psd).all():
+        raise _overflow_error("PSD", x)
+    # the grid as np.fft.rfftfreq(nfft, 1/fs) computes it, bit for bit
+    freqs = np.arange(n_bins) * (1.0 / (nfft * (1.0 / fs)))
+    return EnvelopeSpectrum(freqs, psd, fs / nfft)
 
 
-def envelope_spectrum(x: Signal, cfg: SpectrumConfig = SpectrumConfig()) -> EnvelopeSpectrum:
+def _overflow_error(stage: str, x: np.ndarray) -> ParameterError:
+    """The error for a ``stage`` that overflowed the float range on input ``x``."""
+    amax = float(np.abs(x).max())
+    if not math.isfinite(amax):
+        return ParameterError(f"{stage} input has non-finite samples")
+    return ParameterError(
+        f"{stage} overflows the float range on samples up to {amax:.3g}; "
+        "scale the recording down"
+    )
+
+
+def envelope_spectrum(x: Signal, cfg: SpectrumConfig = SpectrumConfig(),
+                      f_max: float | None = None) -> EnvelopeSpectrum:
     """Full pipeline: optional bandpass, envelope, mean removal, Welch PSD.
 
     The envelope mean (a large DC term) is subtracted before the PSD so it
     cannot leak into the low-frequency bins searched for fault harmonics.
+    ``f_max`` is passed on to ``welch_psd``: the spectrum then ends one bin
+    above it; ``None`` gives the full spectrum up to fs/2.
     """
     if cfg.bandpass is not None:
         x = bandpass(x, cfg.bandpass[0], cfg.bandpass[1])
-    env = envelope(x.samples)
-    env -= env.mean()
-    return welch_psd(env, x.fs, cfg)
+    with np.errstate(over="ignore"):
+        env = envelope(x.samples)
+    mean = env.mean()
+    if not math.isfinite(mean):
+        raise _overflow_error("envelope", x.samples)
+    env -= mean
+    return welch_psd(env, x.fs, cfg, f_max)

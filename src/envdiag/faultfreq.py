@@ -45,6 +45,17 @@ class EstimatorConfig:
         if int(self.peak_excl_bins) != self.peak_excl_bins or self.peak_excl_bins < 0:
             raise ParameterError("peak_excl_bins must be a non-negative integer")
 
+    @property
+    def max_freq(self) -> float:
+        """Highest frequency the peak search and the SNR read, Hz.
+
+        The last harmonic window ends at ``n_harmonics * f_theoretical *
+        (1 + search_frac)`` and the SNR noise band at ``3.5 f_hat``, with
+        ``f_hat <= f_theoretical * (1 + search_frac)``; an envelope spectrum
+        cut just above this frequency gives the same estimate as the full one.
+        """
+        return max(self.n_harmonics, 3.5) * self.f_theoretical * (1.0 + self.search_frac)
+
 
 @dataclass(frozen=True)
 class HarmonicPeak:
@@ -176,6 +187,6 @@ def estimate_per_segment(
 ) -> list[FaultFrequencyEstimate]:
     """One fault-frequency estimate per non-overlapping segment, in time order."""
     return [
-        estimate_fault_frequency(envelope_spectrum(seg, spec_cfg), est_cfg)
+        estimate_fault_frequency(envelope_spectrum(seg, spec_cfg, est_cfg.max_freq), est_cfg)
         for seg in iter_segments(x, seg_len)
     ]

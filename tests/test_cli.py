@@ -9,7 +9,7 @@ from click.testing import CliRunner
 
 from envdiag import Signal
 from envdiag.sigio import read_signal, write_signal
-from envdiag.cli import EXIT_USAGE_IO, main
+from envdiag.cli import EXIT_ANALYSIS, EXIT_USAGE_IO, main
 from envdiag.stats import KDE_GRID_POINTS
 
 
@@ -35,6 +35,12 @@ def assert_usage_error(result):
     assert result.exit_code == EXIT_USAGE_IO, result.output
     # a clean exit, not an escaped exception
     assert isinstance(result.exception, SystemExit)
+
+
+def assert_analysis_error(result):
+    assert result.exit_code == EXIT_ANALYSIS, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert "Traceback" not in result.output
 
 
 def test_simulate_calibrate_classify_round_trip(files):
@@ -178,3 +184,27 @@ def test_sidecar_with_a_text_sample_rate_is_a_usage_error(files):
     result = invoke("spectrum", "-i", bad, "--fs", 25000, "-o", root / "s.csv")
     assert_usage_error(result)
     assert "bad_sidecar.f64.json" in result.output
+
+
+def test_kde_of_a_point_mass_is_an_analysis_error(tmp_path):
+    # a noiseless constant recording gives the same estimate in every segment
+    rec = tmp_path / "rec.f64"
+    result = invoke("simulate", "--dist", "constant:30", "--aci", 2, "--seg-len", 0.5,
+                    "--n-segments", 4, "--noise-std", 0, "-o", rec)
+    assert result.exit_code == 0, result.output
+    result = invoke("kde", "-i", rec, "--f-theoretical", 30, "--seg-len", 0.5,
+                    "-o", tmp_path / "kde.csv")
+    assert_analysis_error(result)
+    assert "point mass" in result.output
+
+
+def test_classify_with_too_many_failed_segments_is_an_analysis_error(tmp_path, files):
+    # 1 s of zeros after the 3 s recording: 2 of 8 segments fail, over the 20 % allowed
+    _, rec, table = files
+    signal, _ = read_signal(rec)
+    padded = tmp_path / "padded.f64"
+    write_signal(padded, Signal(np.concatenate([signal.samples, np.zeros(25_000)]), signal.fs))
+    result = invoke("classify", "-i", padded, "--table", table, "--f-theoretical", 30,
+                    "--seg-lens", 0.5, "-o", tmp_path / "r.json")
+    assert_analysis_error(result)
+    assert "2/8 segment estimates failed" in result.output

@@ -235,6 +235,67 @@ class TestWelchPsd:
         assert np.max(np.abs(spec.amps - psd)) <= 1e-12 * psd.max()
 
 
+class TestBandLimitedWelch:
+    F_MAX = 123.9  # the default estimator's reach at 30 Hz
+
+    @pytest.mark.parametrize("n,cfg", [
+        (12_500, SpectrumConfig()),  # one piece
+        (250_000, SpectrumConfig()),  # 20 pieces
+        (12_500, SpectrumConfig(piece_len_s=2501 / FS, zero_pad_factor=1)),  # odd nfft
+        (25_000, SpectrumConfig(zero_pad_factor=1)),
+        (12_497, SpectrumConfig()),  # piece length not divisible by D
+        (25_000, SpectrumConfig(window="hamming")),
+        (25_000, SpectrumConfig(window="boxcar")),
+    ])
+    def test_leading_bins_of_the_full_spectrum(self, n, cfg):
+        rng = np.random.default_rng(n)
+        t = np.arange(n) / FS
+        x = rng.standard_normal(n) + 0.7 + 2.0 * np.cos(2 * np.pi * 30.0 * t)
+        full = welch_psd(x, FS, cfg)
+        part = welch_psd(x, FS, cfg, f_max=self.F_MAX)
+        b = len(part) - 1
+        assert part.freqs[b] >= self.F_MAX + part.df
+        assert part.df == full.df
+        np.testing.assert_array_equal(part.freqs, full.freqs[: b + 1])
+        assert np.max(np.abs(part.amps - full.amps[: b + 1])) <= 1e-12 * full.amps.max()
+
+    def test_grid_is_rfftfreq_bit_for_bit(self):
+        x = np.random.default_rng(1).standard_normal(12_500)
+        for f_max in (None, self.F_MAX):
+            spec = welch_psd(x, FS, SpectrumConfig(), f_max=f_max)
+            np.testing.assert_array_equal(
+                spec.freqs, np.fft.rfftfreq(50_000, 1.0 / FS)[: len(spec)])
+
+    @pytest.mark.parametrize("nfft", [2500, 2501])
+    def test_nyquist_bin_is_doubled_only_for_odd_nfft(self, nfft):
+        # an f_max past fs/2 clips to the whole spectrum, Nyquist bin included
+        cfg = SpectrumConfig(piece_len_s=nfft / FS, zero_pad_factor=1)
+        x = np.random.default_rng(nfft).standard_normal(nfft)
+        spec = welch_psd(x, FS, cfg, f_max=FS)
+        freqs, psd = scipy_welch(x, fs=FS, window="hann", nperseg=nfft, noverlap=0,
+                                 detrend="constant", scaling="density")
+        np.testing.assert_array_equal(spec.freqs, freqs)
+        assert np.max(np.abs(spec.amps - psd)) <= 1e-12 * psd.max()
+
+    def test_nonpositive_f_max_rejected(self):
+        with pytest.raises(ParameterError, match="f_max"):
+            welch_psd(np.ones(12_500), FS, SpectrumConfig(), f_max=0.0)
+
+    @pytest.mark.parametrize("f_max", [None, F_MAX])
+    def test_overflowing_squares_are_recomputed_exactly(self, f_max):
+        # at 2**510 the rfft's squares pass the float range; the PSD does not
+        x = np.random.default_rng(2).standard_normal(25_000)
+        base = welch_psd(x, FS, SpectrumConfig(), f_max)
+        loud = welch_psd(2.0**510 * x, FS, SpectrumConfig(), f_max)
+        np.testing.assert_array_equal(loud.amps, np.ldexp(base.amps, 1020))
+
+    def test_psd_beyond_the_float_range_names_its_cause(self):
+        x = 1e160 * np.random.default_rng(3).standard_normal(12_500)
+        with pytest.raises(ParameterError,
+                           match=r"^PSD overflows the float range on samples up to "):
+            welch_psd(x, FS, SpectrumConfig())
+
+
 class TestEnvelopeSpectrum:
     def test_harmonic_peaks_dominate_for_strong_impulses(self):
         sig, _ = simulate_signal(10.0, FS, DistributionSpec.constant(30),

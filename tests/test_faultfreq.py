@@ -1,8 +1,10 @@
 """Harmonic peak search, frequency estimation and SNR tests."""
 
+import re
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from envdiag import (
@@ -20,6 +22,7 @@ from envdiag import (
     simulate_signal,
     snr,
 )
+from envdiag.calibrate import estimate_or_error
 from envdiag.envspec import EnvelopeSpectrum
 
 FS = 25_000.0
@@ -118,10 +121,13 @@ class TestEstimateFaultFrequency:
         assert scaled.snr == pytest.approx(base.snr, rel=1e-9)
 
     @settings(max_examples=20, deadline=None)
-    @given(k=st.integers(min_value=-20, max_value=480))
+    @given(k=st.integers(min_value=-20, max_value=509))
+    @example(k=505)
+    @example(k=509)
     def test_signal_scaling_by_power_of_two_invariance(self, k):
         # a power-of-two gain is exact through every FFT step of the front end;
-        # the PSD stays finite up to 2**500, and the SNR must not overflow
+        # above 2**504 the PSD's squares overflow and are recomputed on a
+        # scaled input, and the SNR must not overflow either
         sig, _ = simulate_signal(0.5, FS, DistributionSpec.constant(30),
                                  PulseParams(aci=2.0), seed=43)
         cfg = EstimatorConfig(f_theoretical=30.0)
@@ -130,6 +136,14 @@ class TestEstimateFaultFrequency:
             envelope_spectrum(Signal(2.0**k * sig.samples, FS)), cfg)
         assert scaled.f_hat == base.f_hat
         assert scaled.snr == pytest.approx(base.snr, rel=1e-12)
+
+    def test_envelope_overflow_names_its_cause(self):
+        # at 2**510 the samples pass 1e154 and their squares overflow
+        sig, _ = simulate_signal(0.5, FS, DistributionSpec.constant(30),
+                                 PulseParams(aci=2.0), seed=43)
+        with pytest.raises(ParameterError,
+                           match=r"^envelope overflows the float range on samples up to "):
+            envelope_spectrum(Signal(2.0**510 * sig.samples, FS))
 
     def test_noiseless_estimate_within_one_bin(self):
         sig, _ = simulate_signal(5.0, FS, DistributionSpec.constant(30),
@@ -170,6 +184,37 @@ class TestSnr:
         spec = make_spectrum({}, floor=1.0)
         with pytest.raises(ParameterError):
             snr(spec, [], EstimatorConfig(f_theoretical=30.0))
+
+
+class TestBandLimitedEstimate:
+    @settings(max_examples=15, deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=2**32 - 1),
+           seconds=st.sampled_from([0.5, 1.0, 1.3, 2.0]),
+           aci=st.sampled_from([1.0, 2.0, 3.0]),
+           n_harmonics=st.integers(min_value=1, max_value=3))
+    def test_same_estimate_as_from_the_full_spectrum(self, seed, seconds, aci, n_harmonics):
+        sig, _ = simulate_signal(seconds, FS, DistributionSpec.normal(30, 0.33),
+                                 PulseParams(aci=aci), seed=seed)
+        cfg = EstimatorConfig(f_theoretical=30.0, n_harmonics=n_harmonics)
+        full = estimate_fault_frequency(envelope_spectrum(sig), cfg)
+        part = estimate_fault_frequency(envelope_spectrum(sig, f_max=cfg.max_freq), cfg)
+        assert part.f_hat == full.f_hat
+        assert part.snr == pytest.approx(full.snr, rel=1e-12)
+
+    @pytest.mark.parametrize("kwargs,reach", [
+        ({}, 3.5 * 30.0 * 1.18),  # the SNR band reaches past the third harmonic
+        ({"n_harmonics": 4, "search_frac": 0.1}, 4 * 30.0 * 1.1),
+    ])
+    def test_max_freq(self, kwargs, reach):
+        assert EstimatorConfig(f_theoretical=30.0, **kwargs).max_freq == pytest.approx(reach)
+
+    def test_window_crossing_nyquist_still_fails(self):
+        # harmonic 3 of 5 kHz ends at 17.7 kHz: the cut spectrum ends at fs/2
+        sig, _ = simulate_signal(0.5, FS, DistributionSpec.constant(30),
+                                 PulseParams(aci=2.0), seed=29)
+        err = estimate_or_error(sig, SpectrumConfig(), EstimatorConfig(f_theoretical=5000.0))
+        assert isinstance(err, EstimationError)
+        assert re.match(r"^harmonic 3: .* exceeds the spectrum range$", str(err))
 
 
 class TestEstimatePerSegment:

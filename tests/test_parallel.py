@@ -6,6 +6,7 @@ import os
 import pytest
 
 from envdiag import DistributionSpec, ParameterError, build_table, simulate_and_classify
+from envdiag import _parallel
 from envdiag._parallel import ENV_THREADS, parallel_map, worker_count
 
 
@@ -40,3 +41,37 @@ def test_simulate_and_classify_independent_of_worker_count(monkeypatch):
         reports.append(simulate_and_classify(DistributionSpec.normal(30.0, 0.33), 2.0, 0.5,
                                              6, table, 13))
     assert reports[0] == reports[1]
+
+
+@pytest.mark.parametrize("threads,n_items", [("2", 7), ("3", 7), ("2", 30), ("3", 31)])
+def test_chunked_map_keeps_the_order(monkeypatch, threads, n_items):
+    # chunks of 1; of 4 (last 2); of 3 (last 1)
+    monkeypatch.setenv(ENV_THREADS, threads)
+    assert parallel_map(operator.neg, range(n_items)) == [-i for i in range(n_items)]
+
+
+@pytest.mark.parametrize("threads,n_items,pool_shape",
+                         [("4", 3, (3, 1)), ("2", 7, (2, 1)), ("2", 30, (2, 4)), ("3", 100, (3, 9))])
+def test_a_few_tasks_per_worker_and_no_more_workers_than_items(monkeypatch, threads, n_items,
+                                                               pool_shape):
+    # the fake pool forks nothing; it records its worker count and chunk size
+    seen = []
+
+    class FakePool:
+        def __init__(self, max_workers):
+            self.max_workers = max_workers
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize):
+            seen.append((self.max_workers, chunksize))
+            return map(fn, items)
+
+    monkeypatch.setattr(_parallel, "ProcessPoolExecutor", FakePool)
+    monkeypatch.setenv(ENV_THREADS, threads)
+    assert parallel_map(operator.neg, range(n_items)) == [-i for i in range(n_items)]
+    assert seen == [pool_shape]
