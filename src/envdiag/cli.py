@@ -16,6 +16,7 @@ import click
 import numpy as np
 
 from . import stats
+from ._parallel import keep_heap
 from .calibrate import (
     DEFAULT_ACI_GRID,
     DEFAULT_N_SIGNALS,
@@ -24,7 +25,7 @@ from .calibrate import (
     build_table,
 )
 from .classify import ClassificationReport, ClassifyConfig, classify_signal
-from .envspec import SpectrumConfig, envelope_spectrum
+from .envspec import WINDOWS, SpectrumConfig, envelope_spectrum
 from .errors import (
     EnvDiagError,
     EstimationError,
@@ -112,6 +113,7 @@ def spectrum_options(fn):
     wrapper = click.option("--band", default=None,
                            help="Bandpass LO,HI in Hz before demodulation, or 'none'.")(wrapper)
     wrapper = click.option("--window", default="hann", show_default=True,
+                           type=click.Choice(tuple(WINDOWS)),
                            help="Taper for the Welch pieces.")(wrapper)
     wrapper = click.option("--zero-pad", default=4, show_default=True, type=int,
                            help="Zero-padding factor of the PSD pieces.")(wrapper)
@@ -147,6 +149,7 @@ def estimator_options(fn):
 @click.group()
 def main():
     """Fault-frequency variation diagnosis in envelope spectra."""
+    keep_heap()
 
 
 @main.command("simulate")

@@ -1,7 +1,8 @@
 """Envelope spectrum pipeline: bandpass, Hilbert demodulation, Welch PSD.
 
-Every transform is a real FFT from ``scipy.fft``; the Welch PSD is computed
-directly rather than through ``scipy.signal.welch``.
+Every transform is a real FFT from ``scipy.fft``; the Welch PSD and its
+tapers are computed directly rather than through ``scipy.signal``, whose
+import alone would double a process's resident memory.
 """
 
 from __future__ import annotations
@@ -12,10 +13,22 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.fft as sfft
-from scipy import signal as sps
 
 from .errors import ParameterError
 from .sigmodel import Signal
+
+# Coefficients a_k of the cosine-sum tapers w[n] = sum_k a_k cos(k fac[n]),
+# as scipy.signal.windows writes them; hann and hamming are its
+# general_hamming(alpha), whose second term is computed as 1 - alpha
+WINDOWS = {
+    "boxcar": (1.0,),
+    "hann": (0.5, 1.0 - 0.5),
+    "hamming": (0.54, 1.0 - 0.54),
+    "blackman": (0.42, 0.50, 0.08),
+    "nuttall": (0.3635819, 0.4891775, 0.1365995, 0.0106411),
+    "blackmanharris": (0.35875, 0.48829, 0.14128, 0.01168),
+    "flattop": (0.21557895, 0.41663158, 0.277263158, 0.083578947, 0.006947368),
+}
 
 # Raised-cosine transition of the FFT bandpass mask, in units of the
 # signal's own bin width fs/len(x).
@@ -28,7 +41,9 @@ class SpectrumConfig:
 
     The PSD is averaged over non-overlapping pieces of fixed duration
     ``piece_len_s`` (clipped to the segment length), tapered by ``window``
-    and zero padded by ``zero_pad_factor``.  A fixed piece duration keeps
+    and zero padded by ``zero_pad_factor``.  ``window`` is one of the
+    parameter-free cosine-sum tapers: boxcar, hann, hamming, blackman,
+    nuttall, blackmanharris or flattop.  A fixed piece duration keeps
     the frequency grid and the per-piece detectability identical across
     segment lengths, so calibrated thresholds remain comparable between
     0.5 s and 10 s segments.
@@ -49,10 +64,10 @@ class SpectrumConfig:
             raise ParameterError("zero_pad_factor must be an integer >= 1")
         if not self.piece_len_s > 0:
             raise ParameterError("piece_len_s must be positive")
-        try:
-            sps.get_window(self.window, 8)
-        except (ValueError, TypeError):
-            raise ParameterError(f"unknown window {self.window!r}") from None
+        if self.window not in WINDOWS:
+            raise ParameterError(
+                f"unknown window {self.window!r}; choose one of {', '.join(WINDOWS)}"
+            )
 
 
 @dataclass(frozen=True)
@@ -160,11 +175,20 @@ def envelope(x) -> np.ndarray:
 def _taper(window: str, piece: int) -> tuple[np.ndarray, float]:
     """Periodic window of ``piece`` samples and its energy ``sum(w**2)``.
 
-    The array is cached and shared, so it is made read-only.  The energy is
-    an elementwise sum, not ``np.dot``: a BLAS call would initialise BLAS in
-    every freshly forked pool worker.
+    The cosine sum of ``WINDOWS[window]`` over ``piece + 1`` points from -pi
+    to pi, last point dropped, evaluated as ``scipy.signal.get_window`` does,
+    so the two agree bit for bit.  The array is cached and shared, so it is
+    made read-only.  The energy is an elementwise sum, not ``np.dot``: a BLAS
+    call would initialise BLAS in every freshly forked pool worker.
     """
-    w = sps.get_window(window, piece)
+    if piece <= 1:
+        w = np.ones(piece)
+    else:
+        fac = np.linspace(-np.pi, np.pi, piece + 1)
+        w = np.zeros(piece + 1)
+        for k, a in enumerate(WINDOWS[window]):
+            w += a * np.cos(k * fac)
+        w = w[:-1]
     w.setflags(write=False)
     return w, float((w * w).sum())
 

@@ -173,10 +173,14 @@ def segment_samples(x: Signal, seg_len: float) -> int:
 
 
 def iter_segments(x: Signal, seg_len: float):
-    """Yield consecutive non-overlapping segments; the remainder is dropped."""
+    """Yield consecutive non-overlapping segments; the remainder is dropped.
+
+    Each segment is a view of ``x``, whose samples were checked when ``x`` was
+    built, so they are not scanned again.
+    """
     n_seg = segment_samples(x, seg_len)
     for start in range(0, len(x) - n_seg + 1, n_seg):
-        yield Signal(x.samples[start : start + n_seg], x.fs)
+        yield Signal._from_checked(x.samples[start : start + n_seg], x.fs)
 
 
 def estimate_per_segment(

@@ -42,6 +42,18 @@ class Signal:
         object.__setattr__(self, "samples", samples)
         object.__setattr__(self, "fs", float(self.fs))
 
+    @classmethod
+    def _from_checked(cls, samples: np.ndarray, fs: float) -> "Signal":
+        """A Signal over samples already validated, such as a slice of another.
+
+        ``samples`` must be a non-empty 1-D float64 array of finite values and
+        ``fs`` a positive float; the scan ``__post_init__`` makes is skipped.
+        """
+        sig = object.__new__(cls)
+        object.__setattr__(sig, "samples", samples)
+        object.__setattr__(sig, "fs", fs)
+        return sig
+
     @property
     def duration(self) -> float:
         """Record length in seconds."""

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import os
+import subprocess
+import sys
 
 # let the suite use both cores unless the caller pinned a value
 os.environ.setdefault("ENVDIAG_THREADS", "2")
@@ -10,6 +12,7 @@ os.environ.setdefault("ENVDIAG_THREADS", "2")
 import numpy as np
 import pytest
 
+import envdiag
 from envdiag import EnvelopeSpectrum
 
 _ACCEPTANCE_RESULTS: list[tuple[str, str, bool]] = []
@@ -45,3 +48,17 @@ def make_spectrum():
         return EnvelopeSpectrum(freqs, amps, df)
 
     return _make
+
+
+@pytest.fixture
+def run_python():
+    """Run Python source with arguments in a fresh interpreter that imports this
+    envdiag; return its stdout."""
+    path = [os.path.dirname(os.path.dirname(envdiag.__file__)), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in path if p)}
+
+    def _run(code: str, *args: str) -> str:
+        return subprocess.run([sys.executable, "-c", code, *args], capture_output=True,
+                              text=True, check=True, env=env).stdout
+
+    return _run

@@ -73,6 +73,20 @@ def test_unknown_window_is_a_usage_error(files):
     assert "nosuch" in result.output
 
 
+@pytest.mark.parametrize("window", ["bartlett", "hanning"])
+def test_scipy_window_outside_the_seven_is_a_usage_error(files, window):
+    root, rec, _ = files
+    result = invoke("spectrum", "-i", rec, "--window", window, "-o", root / "s.csv")
+    assert_usage_error(result)
+    assert "blackmanharris" in result.output
+
+
+def test_help_lists_the_windows():
+    result = invoke("spectrum", "--help")
+    assert result.exit_code == 0
+    assert "boxcar|hann|hamming|blackman|nuttall|blackmanharris|flattop" in result.output
+
+
 @pytest.mark.parametrize("content", ['{"meta": {}}', "not json"])
 def test_malformed_table_is_a_usage_error(files, content):
     root, rec, _ = files
@@ -208,3 +222,17 @@ def test_classify_with_too_many_failed_segments_is_an_analysis_error(tmp_path, f
                     "--seg-lens", 0.5, "-o", tmp_path / "r.json")
     assert_analysis_error(result)
     assert "2/8 segment estimates failed" in result.output
+
+
+def test_simulate_shorter_than_a_fault_cycle_is_an_analysis_error(tmp_path):
+    result = invoke("simulate", "--dist", "constant:30", "--aci", 2, "--seg-len", 0.05,
+                    "-o", tmp_path / "rec.f64")
+    assert_analysis_error(result)
+    assert "holds less than one full cycle" in result.output
+
+
+def test_calibrate_shorter_than_a_fault_cycle_is_an_analysis_error(tmp_path):
+    result = invoke("calibrate", "--aci-grid", 2, "--seg-grid", 0.05, "--n", 2,
+                    "-o", tmp_path / "t.json")
+    assert_analysis_error(result)
+    assert "holds less than one full cycle" in result.output

@@ -1,8 +1,9 @@
-"""Envelope-spectrum pipeline tests: bandpass, Hilbert, Welch PSD."""
+"""Envelope-spectrum pipeline tests: bandpass, Hilbert, tapers, Welch PSD."""
 
 import numpy as np
 import pytest
 import scipy.fft as sfft
+from scipy.signal import get_window
 from scipy.signal import hilbert as scipy_hilbert
 from scipy.signal import welch as scipy_welch
 
@@ -19,7 +20,7 @@ from envdiag import (
     simulate_signal,
     welch_psd,
 )
-from envdiag.envspec import BANDPASS_TRANSITION_BINS, _hilbert
+from envdiag.envspec import BANDPASS_TRANSITION_BINS, WINDOWS, _hilbert, _taper
 
 FS = 25_000.0
 
@@ -163,10 +164,33 @@ class TestEnvelope:
         np.testing.assert_allclose(np.diff(centres), 1.0 / f, atol=2.0 / FS)
 
 
+class TestTaper:
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 8, 1000, 12_497, 12_500, 25_000, 250_000])
+    @pytest.mark.parametrize("window", sorted(WINDOWS))
+    def test_bit_identical_to_scipy_get_window(self, window, n):
+        w, energy = _taper.__wrapped__(window, n)  # uncached: 70 arrays up to 2 MB
+        want = get_window(window, n)
+        assert w.dtype == want.dtype and np.array_equal(w, want)
+        assert energy == float((want * want).sum())
+        assert not w.flags.writeable
+
+    def test_envdiag_leaves_scipy_signal_unimported(self, run_python):
+        # scipy.signal pulls in scipy.stats, linalg and sparse: ~50 MB per process
+        out = run_python("import sys, envdiag, envdiag.cli; "
+                         "print(sorted(m for m in ('scipy.signal', 'scipy.stats') "
+                         "if m in sys.modules))")
+        assert out.strip() == "[]"
+
+
 class TestSpectrumConfig:
     def test_unknown_window_rejected(self):
         with pytest.raises(ParameterError, match="nosuch"):
             SpectrumConfig(window="nosuch")
+
+    @pytest.mark.parametrize("window", ["hanning", "bartlett", "kaiser", "hann_periodic"])
+    def test_other_scipy_window_names_rejected(self, window):
+        with pytest.raises(ParameterError, match="choose one of boxcar, hann"):
+            SpectrumConfig(window=window)
 
     @pytest.mark.parametrize("piece_len_s", [0.0, -0.5])
     def test_nonpositive_piece_length_rejected(self, piece_len_s):

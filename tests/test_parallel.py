@@ -2,12 +2,20 @@
 
 import operator
 import os
+import textwrap
 
 import pytest
 
 from envdiag import DistributionSpec, ParameterError, build_table, simulate_and_classify
 from envdiag import _parallel
 from envdiag._parallel import ENV_THREADS, parallel_map, worker_count
+
+
+def on_glibc():
+    try:
+        return bool(os.confstr("CS_GNU_LIBC_VERSION"))
+    except (AttributeError, ValueError, OSError):
+        return False
 
 
 def test_order_is_preserved(monkeypatch):
@@ -54,11 +62,13 @@ def test_chunked_map_keeps_the_order(monkeypatch, threads, n_items):
                          [("4", 3, (3, 1)), ("2", 7, (2, 1)), ("2", 30, (2, 4)), ("3", 100, (3, 9))])
 def test_a_few_tasks_per_worker_and_no_more_workers_than_items(monkeypatch, threads, n_items,
                                                                pool_shape):
-    # the fake pool forks nothing; it records its worker count and chunk size
+    # the fake pool forks nothing; it records its worker count and chunk size,
+    # and checks that every worker would start by keeping its heap mapped
     seen = []
 
     class FakePool:
-        def __init__(self, max_workers):
+        def __init__(self, max_workers, initializer):
+            assert initializer is _parallel.keep_heap
             self.max_workers = max_workers
 
         def __enter__(self):
@@ -75,3 +85,39 @@ def test_a_few_tasks_per_worker_and_no_more_workers_than_items(monkeypatch, thre
     monkeypatch.setenv(ENV_THREADS, threads)
     assert parallel_map(operator.neg, range(n_items)) == [-i for i in range(n_items)]
     assert seen == [pool_shape]
+
+
+# minor page faults of each envelope call on a 10 s signal after the first,
+# in a fresh process that imports the CLI and, if asked, keeps its heap
+FAULTS_PER_ENVELOPE = textwrap.dedent("""
+    import resource, sys
+    import numpy as np
+    import envdiag.cli
+    from envdiag import envelope
+    from envdiag._parallel import keep_heap
+
+    kept = keep_heap() if sys.argv[1] == "keep" else None
+    x = np.random.default_rng(0).standard_normal(250_000)
+    envelope(x)
+    faults = []
+    for _ in range(4):
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        envelope(x)
+        faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+    print(kept, max(faults))
+""")
+
+
+def test_keep_heap_is_a_no_op_off_glibc(monkeypatch):
+    monkeypatch.setattr(_parallel.os, "confstr", lambda name: None)
+    assert _parallel.keep_heap() is False
+
+
+@pytest.mark.skipif(not on_glibc(), reason="keep_heap sets glibc's malloc thresholds")
+def test_keep_heap_keeps_fft_buffers_mapped(run_python):
+    kept, faults = run_python(FAULTS_PER_ENVELOPE, "keep").split()
+    assert kept == "True"  # both mallopt calls returned 1
+    assert int(faults) < 50
+    # importing envdiag leaves the allocator alone: glibc unmaps the buffers
+    kept, faults = run_python(FAULTS_PER_ENVELOPE, "import").split()
+    assert kept == "None" and int(faults) > 500
