@@ -24,7 +24,6 @@ from .classify import (
 from .envspec import (
     EnvelopeSpectrum,
     SpectrumConfig,
-    analytic_signal,
     bandpass,
     envelope,
     envelope_spectrum,
@@ -64,12 +63,9 @@ from .stats import (
     chi2_critical,
     chi_squared_variance_test,
     kde,
-    mse,
-    normal_cdf,
     normal_pdf,
     scott_bandwidth,
     shape_distance,
-    uniform_cdf,
     uniform_pdf,
 )
 
@@ -100,7 +96,6 @@ __all__ = [
     "ThresholdEntry",
     "ThresholdTable",
     "VarianceTestResult",
-    "analytic_signal",
     "bandpass",
     "build_table",
     "calibrate_entry",
@@ -116,8 +111,6 @@ __all__ = [
     "gaussian_pulse",
     "kde",
     "match_aci",
-    "mse",
-    "normal_cdf",
     "normal_pdf",
     "rescale_variance",
     "scott_bandwidth",
@@ -125,7 +118,6 @@ __all__ = [
     "simulate_and_classify",
     "simulate_signal",
     "snr",
-    "uniform_cdf",
     "uniform_pdf",
     "welch_psd",
 ]

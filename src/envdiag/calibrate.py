@@ -16,9 +16,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ._parallel import parallel_map
-from .envspec import SpectrumConfig, envelope_spectrum
+from .envspec import SpectrumConfig
 from .errors import CalibrationError, EstimationError, ParameterError
-from .faultfreq import EstimatorConfig, estimate_fault_frequency
+from .faultfreq import EstimatorConfig, estimate_or_error
 from .sigmodel import (
     DEFAULT_FAULT_FREQ,
     DistributionSpec,
@@ -69,7 +69,6 @@ class ThresholdEntry:
     mean_snr: float
     n_signals: int
     master_seed: int
-    config_digest: str
 
 
 @dataclass(frozen=True)
@@ -89,9 +88,6 @@ class ThresholdTable:
         keys = [(e.aci, e.seg_len) for e in self.entries]
         if len(set(keys)) != len(keys):
             raise ParameterError("threshold table has duplicate (aci, seg_len) keys")
-        for e in self.entries:
-            if e.config_digest != self.config_digest:
-                raise ParameterError("table entries carry mixed config digests")
 
     def get(self, aci: float, seg_len: float) -> ThresholdEntry:
         for e in self.entries:
@@ -141,7 +137,6 @@ class ThresholdTable:
     @classmethod
     def from_json_dict(cls, data: dict) -> "ThresholdTable":
         meta = data["meta"]
-        digest = meta["config_digest"]
         pulse = PulseParams(
             aci=1.0,
             fc=meta["pulse"]["fc"],
@@ -158,7 +153,6 @@ class ThresholdTable:
                 mean_snr=e["mean_snr"],
                 n_signals=e["n_signals"],
                 master_seed=e["master_seed"],
-                config_digest=digest,
             )
             for e in data["entries"]
         )
@@ -169,7 +163,7 @@ class ThresholdTable:
             master_seed=meta["seed"],
             noise_std=meta.get("noise_std", 1.0),
             pulse_base=pulse,
-            config_digest=digest,
+            config_digest=meta["config_digest"],
             entries=entries,
         )
 
@@ -196,19 +190,6 @@ class ThresholdTable:
         return "\n".join(lines) + "\n"
 
 
-def estimate_or_error(signal, spec_cfg: SpectrumConfig, est_cfg: EstimatorConfig):
-    """``(f_hat, snr)`` of one segment, or the EstimationError that stopped it.
-
-    Worker-safe; each caller applies its own failure policy to the errors.
-    """
-    try:
-        spec = envelope_spectrum(signal, spec_cfg, est_cfg.max_freq)
-        est = estimate_fault_frequency(spec, est_cfg)
-    except EstimationError as exc:
-        return exc
-    return est.f_hat, est.snr
-
-
 def simulate_and_estimate(index, seed, seg_len, fs, dist, pulse, noise_std, spec_cfg, est_cfg):
     """Simulate signal ``index`` of a seeded batch and estimate it (worker-safe).
 
@@ -224,7 +205,7 @@ def simulate_and_estimate(index, seed, seg_len, fs, dist, pulse, noise_std, spec
 def estimate_batch(fn, items):
     """Map the per-item estimate ``fn`` over ``items`` with one ``parallel_map``.
 
-    ``fn`` returns ``(f_hat, snr)`` or an EstimationError, as
+    ``fn`` returns an estimate or an EstimationError, as
     ``estimate_or_error`` does.  Returns ``(f_hats, snrs, errors)``: arrays of
     the estimates that succeeded and a list of the errors, each in item
     order.  Callers apply their own failure policy to ``errors``.
@@ -235,8 +216,8 @@ def estimate_batch(fn, items):
             errors.append(r)
         else:
             good.append(r)
-    f_hats = np.array([g[0] for g in good], dtype=np.float64)
-    snrs = np.array([g[1] for g in good], dtype=np.float64)
+    f_hats = np.array([g.f_hat for g in good], dtype=np.float64)
+    snrs = np.array([g.snr for g in good], dtype=np.float64)
     return f_hats, snrs, errors
 
 
@@ -281,7 +262,6 @@ def calibrate_entry(
         mean_snr=float(snrs.mean()),
         n_signals=len(f_hats),
         master_seed=int(master_seed),
-        config_digest=config_digest(spec_cfg, est_cfg),
     )
 
 

@@ -24,7 +24,6 @@ from .calibrate import (
     ThresholdTable,
     config_digest,
     estimate_batch,
-    estimate_or_error,
     simulate_and_estimate,
 )
 from .envspec import SpectrumConfig
@@ -34,7 +33,12 @@ from .errors import (
     ParameterError,
     TableMismatchError,
 )
-from .faultfreq import EstimatorConfig, iter_segments
+from .faultfreq import (
+    EstimatorConfig,
+    check_segment_failures,
+    estimate_or_error,
+    iter_segments,
+)
 from .sigmodel import DistributionSpec, Signal
 
 VERDICT_CONSTANT = "constant"
@@ -46,7 +50,6 @@ GATE_BELOW = "below"
 GATE_ABOVE = "above"
 
 MIN_SEGMENTS_FOR_TEST = 10
-MAX_SEGMENT_FAILURE_FRAC = 0.20
 
 
 @dataclass(frozen=True)
@@ -268,21 +271,9 @@ def classify_signal(
 ) -> ClassificationReport:
     """Run the full decision procedure on a recorded signal."""
     _check_digest(cfg, table)
-    if x.duration < 2 * cfg.seg_len:
-        raise EstimationError(
-            f"signal of {x.duration:g} s yields fewer than 2 segments of {cfg.seg_len:g} s"
-        )
     estimate = functools.partial(estimate_or_error, spec_cfg=cfg.spectrum, est_cfg=cfg.estimator)
     f_hats, snrs, errors = estimate_batch(estimate, iter_segments(x, cfg.seg_len))
-    failures, total = len(errors), len(f_hats) + len(errors)
-    if failures > MAX_SEGMENT_FAILURE_FRAC * total:
-        raise EstimationError(
-            f"{failures}/{total} segment estimates failed; check the frequency band "
-            "and the theoretical fault frequency"
-        )
-    warnings = []
-    if failures:
-        warnings.append(f"{failures}/{total} segment estimates failed and were skipped")
+    warnings = check_segment_failures(x, cfg.seg_len, len(errors), len(f_hats) + len(errors))
     provenance = _provenance(
         cfg, table, bandpass=list(cfg.spectrum.bandpass) if cfg.spectrum.bandpass else None
     )

@@ -26,14 +26,8 @@ from .calibrate import (
 )
 from .classify import ClassificationReport, ClassifyConfig, classify_signal
 from .envspec import WINDOWS, SpectrumConfig, envelope_spectrum
-from .errors import (
-    EnvDiagError,
-    EstimationError,
-    ParameterError,
-    SignalFormatError,
-)
-from .faultfreq import (EstimatorConfig, estimate_fault_frequency, estimate_per_segment,
-                        iter_segments)
+from .errors import EnvDiagError, ParameterError, SignalFormatError
+from .faultfreq import EstimatorConfig, estimate_per_segment, iter_segments
 from .sigio import (
     FORMATS,
     read_signal,
@@ -297,22 +291,9 @@ def cmd_classify(in_path, table_path, seg_lens, alpha, fs, fmt, paper_rescale, s
     click.echo(text, nl=False)
 
     first_len = reports[0].seg_len
-    if emit_estimates or emit_kde or emit_spectra:
-        if emit_spectra:
-            os.makedirs(emit_spectra, exist_ok=True)
-        # each spectrum is dropped once written and estimated: kept, they would
-        # cost ~400 KB of memory per segment; only written ones are computed whole
-        f_max = None if emit_spectra else est_cfg.max_freq
-        estimates, indices = [], []
-        for idx, seg in enumerate(iter_segments(signal, first_len)):
-            spec = envelope_spectrum(seg, spec_cfg, f_max)
-            if emit_spectra:
-                write_spectrum_csv(os.path.join(emit_spectra, f"segment_{idx:04d}.csv"), spec)
-            try:
-                estimates.append(estimate_fault_frequency(spec, est_cfg))
-            except EstimationError:
-                continue  # classify_signal skipped this segment too
-            indices.append(idx)
+    if emit_estimates or emit_kde:
+        # the same segments as the first report, which skipped the same failures
+        indices, estimates, _ = estimate_per_segment(signal, first_len, spec_cfg, est_cfg)
         if emit_estimates:
             write_estimates_csv(emit_estimates, estimates, first_len, indices)
         if emit_kde:
@@ -323,6 +304,11 @@ def cmd_classify(in_path, table_path, seg_lens, alpha, fs, fmt, paper_rescale, s
                 click.echo("estimates are a point mass; writing no KDE curve", err=True)
             else:
                 write_kde_csv(emit_kde, curve, f_hats)
+    if emit_spectra:
+        os.makedirs(emit_spectra, exist_ok=True)
+        for idx, seg in enumerate(iter_segments(signal, first_len)):
+            write_spectrum_csv(os.path.join(emit_spectra, f"segment_{idx:04d}.csv"),
+                               envelope_spectrum(seg, spec_cfg))
 
 
 @main.command("spectrum")
@@ -350,9 +336,15 @@ def cmd_spectrum(in_path, fs, fmt, spec_cfg, out):
 @estimator_options
 @click.option("-o", "--out", required=True, type=click.Path())
 def cmd_kde(in_path, seg_len, fs, fmt, spec_cfg, est_cfg, out):
-    """Estimate per segment and write the KDE of the estimates as CSV."""
+    """Estimate per segment and write the KDE of the estimates as CSV.
+
+    Failed segments are skipped with a warning as in classify, up to 20 % of
+    them; with more, or with fewer than 2 segments, the command exits 1.
+    """
     signal, _ = _load_input_signal(in_path, fmt, fs)
-    estimates = estimate_per_segment(signal, seg_len, spec_cfg, est_cfg)
+    _, estimates, warnings = estimate_per_segment(signal, seg_len, spec_cfg, est_cfg)
+    for warning in warnings:
+        click.echo(f"warning: {warning}", err=True)
     f_hats = [e.f_hat for e in estimates]
     try:
         curve = stats.kde(f_hats)

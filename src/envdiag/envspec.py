@@ -148,15 +148,6 @@ def _hilbert(x) -> tuple[np.ndarray, np.ndarray]:
     return x, sfft.irfft(spec, n=x.size)
 
 
-def analytic_signal(x) -> np.ndarray:
-    """Analytic signal ``x + j H{x}`` via the frequency-domain method.
-
-    The real part of the result equals the input exactly.
-    """
-    x, h = _hilbert(x)
-    return x + 1j * h
-
-
 def envelope(x) -> np.ndarray:
     """Magnitude of the analytic signal, ``sqrt(x^2 + H{x}^2)``.
 

@@ -5,6 +5,11 @@ amplitude maximum, normalizes every detected peak by its harmonic order
 and averages the results.  A spectral signal-to-noise ratio accompanies
 every estimate: mean squared peak amplitude over mean squared amplitude of
 the surrounding spectrum up to the third harmonic.
+
+``estimate_or_error`` is the one place where an EstimationError is caught:
+it returns the error of a failed segment in place of its estimate, and
+``check_segment_failures`` is the skip policy for the segments of a
+recording, shared by ``classify`` and ``kde``.
 """
 
 from __future__ import annotations
@@ -17,6 +22,8 @@ import numpy as np
 from .envspec import EnvelopeSpectrum, SpectrumConfig, envelope_spectrum
 from .errors import EstimationError, ParameterError
 from .sigmodel import Signal
+
+MAX_SEGMENT_FAILURE_FRAC = 0.20
 
 
 @dataclass(frozen=True)
@@ -183,14 +190,52 @@ def iter_segments(x: Signal, seg_len: float):
         yield Signal._from_checked(x.samples[start : start + n_seg], x.fs)
 
 
+def estimate_or_error(
+    signal: Signal, spec_cfg: SpectrumConfig, est_cfg: EstimatorConfig
+) -> FaultFrequencyEstimate | EstimationError:
+    """The estimate of one segment, or the EstimationError that stopped it.
+
+    Worker-safe; callers apply ``check_segment_failures`` or their own
+    failure policy to the errors.
+    """
+    try:
+        spec = envelope_spectrum(signal, spec_cfg, est_cfg.max_freq)
+        return estimate_fault_frequency(spec, est_cfg)
+    except EstimationError as exc:
+        return exc
+
+
+def check_segment_failures(x: Signal, seg_len: float, failures: int, total: int) -> list[str]:
+    """Skip policy for the segments of a recording; returns its warnings.
+
+    A recording needs at least 2 segments, and at most
+    ``MAX_SEGMENT_FAILURE_FRAC`` of their estimates may fail; the failed
+    ones are then skipped with a warning.
+    """
+    if x.duration < 2 * seg_len:
+        raise EstimationError(
+            f"signal of {x.duration:g} s yields fewer than 2 segments of {seg_len:g} s"
+        )
+    if failures > MAX_SEGMENT_FAILURE_FRAC * total:
+        raise EstimationError(
+            f"{failures}/{total} segment estimates failed; check the frequency band "
+            "and the theoretical fault frequency"
+        )
+    return [f"{failures}/{total} segment estimates failed and were skipped"] if failures else []
+
+
 def estimate_per_segment(
     x: Signal,
     seg_len: float,
     spec_cfg: SpectrumConfig,
     est_cfg: EstimatorConfig,
-) -> list[FaultFrequencyEstimate]:
-    """One fault-frequency estimate per non-overlapping segment, in time order."""
-    return [
-        estimate_fault_frequency(envelope_spectrum(seg, spec_cfg, est_cfg.max_freq), est_cfg)
-        for seg in iter_segments(x, seg_len)
-    ]
+) -> tuple[list[int], list[FaultFrequencyEstimate], list[str]]:
+    """Estimate every non-overlapping segment in turn, under the skip policy.
+
+    Returns the indices of the segments kept, their estimates in time order
+    and the policy's warnings; raises as ``check_segment_failures`` does.
+    """
+    results = [estimate_or_error(seg, spec_cfg, est_cfg) for seg in iter_segments(x, seg_len)]
+    kept = [i for i, r in enumerate(results) if not isinstance(r, EstimationError)]
+    warnings = check_segment_failures(x, seg_len, len(results) - len(kept), len(results))
+    return kept, [results[i] for i in kept], warnings

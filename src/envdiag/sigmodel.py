@@ -118,12 +118,6 @@ class DistributionSpec:
             return float(rng.uniform(self.params[0], self.params[1]))
         return float(self.params[0] + self.params[1] * rng.standard_normal())
 
-    def mean(self) -> float:
-        """Expected fault frequency under the law."""
-        if self.kind == "uniform":
-            return 0.5 * (self.params[0] + self.params[1])
-        return self.params[0]
-
     def spec_string(self) -> str:
         return f"{self.kind}:{','.join(format(p, 'g') for p in self.params)}"
 

@@ -1,5 +1,5 @@
-"""Statistical primitives: MSE, kernel density estimate, distribution
-functions, the one-tailed chi-squared variance test and a quantitative
+"""Statistical primitives: kernel density estimate, distribution
+densities, the one-tailed chi-squared variance test and a quantitative
 uniform-vs-normal shape comparison."""
 
 from __future__ import annotations
@@ -71,25 +71,6 @@ class ShapeDistanceResult:
     verdict: str
 
 
-def mse(f_true, f_hat) -> float:
-    """Mean squared error between true and estimated frequencies.
-
-    ``f_true`` may be a scalar target (errors measured against one expected
-    value) or a vector paired index-by-index with ``f_hat``.
-    """
-    f_hat = np.asarray(f_hat, dtype=np.float64)
-    f_true = np.asarray(f_true, dtype=np.float64)
-    if f_hat.size == 0:
-        raise ParameterError("mse needs at least one estimate")
-    if f_true.ndim == 0:
-        f_true = np.full_like(f_hat, float(f_true))
-    if f_true.shape != f_hat.shape:
-        raise ParameterError(
-            f"length mismatch: {f_true.size} true values vs {f_hat.size} estimates"
-        )
-    return float(np.mean((f_true - f_hat) ** 2))
-
-
 def scott_bandwidth(samples) -> float:
     """Kernel bandwidth ``h = 1.06 * std(samples) * n^(-1/5)``.
 
@@ -138,29 +119,12 @@ def uniform_pdf(f, a: float, b: float):
     return out if out.ndim else float(out)
 
 
-def uniform_cdf(f, a: float, b: float):
-    if not a < b:
-        raise ParameterError("uniform law needs a < b")
-    f = np.asarray(f, dtype=np.float64)
-    out = np.clip((f - a) / (b - a), 0.0, 1.0)
-    return out if out.ndim else float(out)
-
-
 def normal_pdf(f, mu: float, sigma: float):
     if not sigma > 0:
         raise ParameterError("sigma must be positive")
     f = np.asarray(f, dtype=np.float64)
     z = (f - mu) / sigma
     out = np.exp(-0.5 * z * z) / (sigma * math.sqrt(2.0 * math.pi))
-    return out if out.ndim else float(out)
-
-
-def normal_cdf(f, mu: float, sigma: float):
-    """Normal CDF via the error function: ``(1 + erf((f-mu)/(sigma sqrt 2)))/2``."""
-    if not sigma > 0:
-        raise ParameterError("sigma must be positive")
-    f = np.asarray(f, dtype=np.float64)
-    out = 0.5 * (1.0 + special.erf((f - mu) / (sigma * math.sqrt(2.0))))
     return out if out.ndim else float(out)
 
 

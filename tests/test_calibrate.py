@@ -8,6 +8,7 @@ from envdiag import (
     DistributionSpec,
     EstimationError,
     EstimatorConfig,
+    FaultFrequencyEstimate,
     ParameterError,
     PulseParams,
     SeedSpec,
@@ -26,8 +27,10 @@ FS = 25_000.0
 
 
 def fake_estimate(i):
-    """``(f_hat, snr)`` of item ``i``, or an EstimationError for every third item."""
-    return EstimationError(f"item {i}") if i % 3 == 1 else (30.0 + i, 0.5 * i)
+    """An estimate for item ``i``, or an EstimationError for every third item."""
+    if i % 3 == 1:
+        return EstimationError(f"item {i}")
+    return FaultFrequencyEstimate(f_hat=30.0 + i, peaks=(), snr=0.5 * i)
 
 
 @pytest.mark.parametrize("threads", ["1", "2"])

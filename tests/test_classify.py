@@ -74,8 +74,8 @@ class TestClassifyConfig:
 class TestClassifySignal:
     def test_estimates_match_per_segment_loop(self, recording, table):
         report = classify_signal(recording, config(), table)
-        plain = estimate_per_segment(recording, SEG, SpectrumConfig(),
-                                     EstimatorConfig(f_theoretical=30.0))
+        _, plain, _ = estimate_per_segment(recording, SEG, SpectrumConfig(),
+                                           EstimatorConfig(f_theoretical=30.0))
         assert report.estimates == tuple(e.f_hat for e in plain)
         assert report.snrs == tuple(e.snr for e in plain)
         assert report.n_segments == 4
@@ -192,7 +192,7 @@ def _table_at(cells):
     """One-length table with an entry per ``(aci, mean_snr)`` pair."""
     entries = tuple(
         ThresholdEntry(aci=aci, seg_len=SEG, threshold=0.1, mean_f_hat=30.0, mean_snr=snr,
-                       n_signals=2, master_seed=0, config_digest="d")
+                       n_signals=2, master_seed=0)
         for aci, snr in cells
     )
     return ThresholdTable(fs=FS, f_simul=30.0, n_signals=2, master_seed=0, noise_std=1.0,

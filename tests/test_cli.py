@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from envdiag import Signal
-from envdiag.sigio import read_signal, write_signal
+from envdiag import Signal, SpectrumConfig, envelope_spectrum
+from envdiag.faultfreq import iter_segments
+from envdiag.sigio import read_signal, write_signal, write_spectrum_csv
 from envdiag.cli import EXIT_ANALYSIS, EXIT_USAGE_IO, main
 from envdiag.stats import KDE_GRID_POINTS
 
@@ -145,25 +146,52 @@ def test_loud_recording_classifies_like_the_quiet_one(files):
     assert loud_rep["verdict"] == quiet_rep["verdict"]
 
 
-@pytest.mark.parametrize("gap_segment", [10, 5])
-def test_emitted_estimates_skip_the_segments_classify_skips(tmp_path, files, gap_segment):
-    # 5 s at 30 Hz with 0.5 s of zeros put in as segment `gap_segment`: that
-    # segment's SNR is undefined and classify skips it
-    _, _, table = files
-    rec = tmp_path / "rec.f64"
+def gap_recording(path, gap_segment):
+    """5 s at 30 Hz with 0.5 s of zeros put in as segment ``gap_segment``.
+
+    That segment's SNR is undefined, so 1 of the 11 segment estimates fails.
+    """
     result = invoke("simulate", "--dist", "constant:30", "--aci", 2, "--seg-len", 0.5,
-                    "--n-segments", 10, "--seed", 4, "-o", rec)
+                    "--n-segments", 10, "--seed", 4, "-o", path)
     assert result.exit_code == 0, result.output
-    signal, _ = read_signal(rec)
+    signal, _ = read_signal(path)
     cut = gap_segment * 12_500
     samples = np.concatenate([signal.samples[:cut], np.zeros(12_500), signal.samples[cut:]])
-    write_signal(rec, Signal(samples, signal.fs))
-    est = tmp_path / "est.csv"
-    (rep,) = classify_reports(rec, table, tmp_path / "rep.json", "--emit-estimates", est)
+    write_signal(path, Signal(samples, signal.fs))
+    return path
+
+
+@pytest.mark.parametrize("gap_segment", [10, 5])
+def test_emitted_estimates_skip_the_segments_classify_skips(tmp_path, files, gap_segment):
+    _, _, table = files
+    rec = gap_recording(tmp_path / "rec.f64", gap_segment)
+    est, spectra = tmp_path / "est.csv", tmp_path / "spectra"
+    (rep,) = classify_reports(rec, table, tmp_path / "rep.json", "--emit-estimates", est,
+                              "--emit-spectra", spectra)
     assert rep["warnings"][0] == "1/11 segment estimates failed and were skipped"
     _, rows = csv_rows(est)
     assert [row[2] for row in rows] == [f"{f:.10g}" for f in rep["estimates_hz"]]
     assert [int(row[0]) for row in rows] == [i for i in range(11) if i != gap_segment]
+    # every segment gets its full spectrum, the skipped one included
+    names = sorted(p.name for p in spectra.iterdir())
+    assert names == [f"segment_{i:04d}.csv" for i in range(11)]
+    signal, _ = read_signal(rec)
+    for name, seg in zip(names, iter_segments(signal, 0.5)):
+        want = tmp_path / "want.csv"
+        write_spectrum_csv(want, envelope_spectrum(seg, SpectrumConfig()))
+        assert (spectra / name).read_bytes() == want.read_bytes(), name
+
+
+def test_kde_skips_a_failed_segment_as_classify_does(tmp_path, files):
+    _, _, table = files
+    rec = gap_recording(tmp_path / "rec.f64", 5)
+    emitted, out = tmp_path / "emitted.csv", tmp_path / "kde.csv"
+    classify_reports(rec, table, tmp_path / "rep.json", "--emit-kde", emitted)
+    result = invoke("kde", "-i", rec, "--f-theoretical", 30, "--seg-len", 0.5, "-o", out)
+    assert result.exit_code == 0, result.output
+    assert "warning: 1/11 segment estimates failed and were skipped" in result.stderr
+    assert "KDE of 10 estimates" in result.output
+    assert out.read_bytes() == emitted.read_bytes()
 
 
 def test_spectrum_writes_the_whole_recording(files):
@@ -222,6 +250,28 @@ def test_classify_with_too_many_failed_segments_is_an_analysis_error(tmp_path, f
                     "--seg-lens", 0.5, "-o", tmp_path / "r.json")
     assert_analysis_error(result)
     assert "2/8 segment estimates failed" in result.output
+
+
+def test_kde_with_too_many_failed_segments_is_an_analysis_error(tmp_path, files):
+    _, rec, _ = files
+    signal, _ = read_signal(rec)
+    padded = tmp_path / "padded.f64"
+    write_signal(padded, Signal(np.concatenate([signal.samples, np.zeros(25_000)]), signal.fs))
+    result = invoke("kde", "-i", padded, "--f-theoretical", 30, "--seg-len", 0.5,
+                    "-o", tmp_path / "kde.csv")
+    assert_analysis_error(result)
+    assert "2/8 segment estimates failed" in result.output
+
+
+def test_kde_of_one_segment_is_an_analysis_error(tmp_path):
+    rec = tmp_path / "rec.f64"
+    result = invoke("simulate", "--dist", "constant:30", "--aci", 2, "--seg-len", 0.5,
+                    "-o", rec)
+    assert result.exit_code == 0, result.output
+    result = invoke("kde", "-i", rec, "--f-theoretical", 30, "--seg-len", 0.5,
+                    "-o", tmp_path / "kde.csv")
+    assert_analysis_error(result)
+    assert "signal of 0.5 s yields fewer than 2 segments of 0.5 s" in result.output
 
 
 def test_simulate_shorter_than_a_fault_cycle_is_an_analysis_error(tmp_path):

@@ -22,7 +22,7 @@ from envdiag import (
     simulate_signal,
     snr,
 )
-from envdiag.calibrate import estimate_or_error
+from envdiag.faultfreq import estimate_or_error
 from envdiag.envspec import EnvelopeSpectrum
 
 FS = 25_000.0
@@ -221,20 +221,22 @@ class TestEstimatePerSegment:
     def test_segment_count(self):
         sig = Signal(np.random.default_rng(0).standard_normal(int(6 * FS)), FS)
         sig = Signal(sig.samples + _impulse_train(6.0), FS)
-        ests = estimate_per_segment(sig, 0.5, SpectrumConfig(),
-                                    EstimatorConfig(f_theoretical=30.0))
+        indices, ests, warnings = estimate_per_segment(sig, 0.5, SpectrumConfig(),
+                                                       EstimatorConfig(f_theoretical=30.0))
+        assert indices == list(range(12))
         assert len(ests) == 12
+        assert warnings == []
 
     def test_trailing_remainder_dropped(self):
         sig = Signal(_impulse_train(2.3), FS)
-        ests = estimate_per_segment(sig, 1.0, SpectrumConfig(),
-                                    EstimatorConfig(f_theoretical=30.0))
+        _, ests, _ = estimate_per_segment(sig, 1.0, SpectrumConfig(),
+                                          EstimatorConfig(f_theoretical=30.0))
         assert len(ests) == 2
 
     def test_constant_signal_gives_identical_estimates(self):
         sig = Signal(_impulse_train(4.0), FS)
-        ests = estimate_per_segment(sig, 1.0, SpectrumConfig(),
-                                    EstimatorConfig(f_theoretical=30.0))
+        _, ests, _ = estimate_per_segment(sig, 1.0, SpectrumConfig(),
+                                          EstimatorConfig(f_theoretical=30.0))
         f_hats = {e.f_hat for e in ests}
         assert len(f_hats) == 1
 
@@ -242,6 +244,31 @@ class TestEstimatePerSegment:
         sig = Signal(np.ones(int(0.25 * FS)), FS)
         with pytest.raises(EstimationError):
             estimate_per_segment(sig, 1.0, SpectrumConfig(),
+                                 EstimatorConfig(f_theoretical=30.0))
+
+    def test_one_segment_rejected(self):
+        sig = Signal(_impulse_train(1.5), FS)
+        with pytest.raises(EstimationError,
+                           match=r"^signal of 1.5 s yields fewer than 2 segments of 1 s$"):
+            estimate_per_segment(sig, 1.0, SpectrumConfig(),
+                                 EstimatorConfig(f_theoretical=30.0))
+
+    def test_silent_segment_is_skipped_with_a_warning(self):
+        # segment 2 of 5 is zeros: its SNR is undefined
+        samples = _impulse_train(5.0)
+        samples[2 * int(FS):3 * int(FS)] = 0.0
+        indices, ests, warnings = estimate_per_segment(Signal(samples, FS), 1.0,
+                                                       SpectrumConfig(),
+                                                       EstimatorConfig(f_theoretical=30.0))
+        assert indices == [0, 1, 3, 4]
+        assert len(ests) == 4
+        assert warnings == ["1/5 segment estimates failed and were skipped"]
+
+    def test_more_than_a_fifth_failing_is_an_estimation_error(self):
+        samples = _impulse_train(5.0)
+        samples[2 * int(FS):4 * int(FS)] = 0.0
+        with pytest.raises(EstimationError, match=r"^2/5 segment estimates failed; check "):
+            estimate_per_segment(Signal(samples, FS), 1.0, SpectrumConfig(),
                                  EstimatorConfig(f_theoretical=30.0))
 
 

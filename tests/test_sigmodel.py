@@ -83,11 +83,6 @@ class TestDistributionSpec:
         assert all(29 <= f <= 31 for f in draws)
         assert DistributionSpec.constant(30).sample(rng) == 30.0
 
-    def test_means(self):
-        assert DistributionSpec.uniform(29, 31).mean() == 30.0
-        assert DistributionSpec.normal(30, 0.33).mean() == 30.0
-        assert DistributionSpec.constant(17.0).mean() == 17.0
-
     @pytest.mark.parametrize("text", [
         "constant:-1", "uniform:31,29", "uniform:0,5", "normal:30,-1",
         "weird:1,2", "uniform:a,b", "constant",
