@@ -11,7 +11,8 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -71,9 +72,47 @@ class ThresholdEntry:
     master_seed: int
 
 
+# Field -> JSON key of each saved record; one map drives both save and load.
+_META_KEYS = {"fs": "fs", "f_simul": "f_simul", "n_signals": "n", "master_seed": "seed",
+              "noise_std": "noise_std", "config_digest": "config_digest"}
+_PULSE_KEYS = {"fc": "fc", "bw_lo": "bw_lo", "bw_hi": "bw_hi", "bwr": "bwr"}
+_ENTRY_KEYS = {"aci": "aci", "seg_len": "seg_len_s", "threshold": "threshold",
+               "mean_f_hat": "mean_f_hat", "mean_snr": "mean_snr", "n_signals": "n_signals",
+               "master_seed": "master_seed"}
+
+# One check per annotated field type; both modules that define the records
+# keep their annotations as strings.
+_VALID = {
+    "float": lambda v: type(v) is int or type(v) is float and math.isfinite(v),
+    "int": lambda v: type(v) is int,
+    "str": lambda v: type(v) is str,
+}
+
+
+def _dump(record, keys: dict) -> dict:
+    return {key: getattr(record, name) for name, key in keys.items()}
+
+
+def _load(cls, data: dict, keys: dict, **extra):
+    """Build ``cls`` from the JSON object ``data``; a value of the wrong kind raises ValueError."""
+    kinds = {f.name: f.type for f in fields(cls)}
+    for name, key in keys.items():
+        if not _VALID[kinds[name]](data[key]):
+            raise ValueError(f"{key} is not a valid {kinds[name]}: {data[key]!r}")
+    return cls(**{name: data[key] for name, key in keys.items()}, **extra)
+
+
 @dataclass(frozen=True)
 class ThresholdTable:
-    """Threshold entries plus the generation metadata they depend on."""
+    """Threshold entries plus the generation metadata they depend on.
+
+    Saved as a JSON object with two members.  ``meta`` holds ``fs``,
+    ``f_simul``, ``n``, ``seed``, ``noise_std``, ``config_digest`` and
+    ``pulse``, the base pulse's ``fc``, ``bw_lo``, ``bw_hi`` and ``bwr``.
+    ``entries`` is a list of cells, each with ``aci``, ``seg_len_s``,
+    ``threshold``, ``mean_f_hat``, ``mean_snr``, ``n_signals`` and
+    ``master_seed``.  Tables saved without ``noise_std`` load with 1.0.
+    """
 
     fs: float
     f_simul: float
@@ -89,82 +128,21 @@ class ThresholdTable:
         if len(set(keys)) != len(keys):
             raise ParameterError("threshold table has duplicate (aci, seg_len) keys")
 
-    def get(self, aci: float, seg_len: float) -> ThresholdEntry:
-        for e in self.entries:
-            if abs(e.aci - aci) < 1e-9 and abs(e.seg_len - seg_len) < 1e-9:
-                return e
-        raise KeyError(f"no threshold entry for aci={aci}, seg_len={seg_len}")
-
     def entries_at(self, seg_len: float) -> list[ThresholdEntry]:
         return [e for e in self.entries if abs(e.seg_len - seg_len) < 1e-9]
 
-    def aci_values(self) -> list[float]:
-        return sorted({e.aci for e in self.entries})
-
-    def seg_lengths(self) -> list[float]:
-        return sorted({e.seg_len for e in self.entries})
-
     def to_json_dict(self) -> dict:
-        return {
-            "meta": {
-                "fs": self.fs,
-                "f_simul": self.f_simul,
-                "n": self.n_signals,
-                "seed": self.master_seed,
-                "noise_std": self.noise_std,
-                "pulse": {
-                    "fc": self.pulse_base.fc,
-                    "bw_lo": self.pulse_base.bw_lo,
-                    "bw_hi": self.pulse_base.bw_hi,
-                    "bwr": self.pulse_base.bwr,
-                },
-                "config_digest": self.config_digest,
-            },
-            "entries": [
-                {
-                    "aci": e.aci,
-                    "seg_len_s": e.seg_len,
-                    "threshold": e.threshold,
-                    "mean_f_hat": e.mean_f_hat,
-                    "mean_snr": e.mean_snr,
-                    "n_signals": e.n_signals,
-                    "master_seed": e.master_seed,
-                }
-                for e in self.entries
-            ],
-        }
+        meta = _dump(self, _META_KEYS)
+        meta["pulse"] = _dump(self.pulse_base, _PULSE_KEYS)
+        return {"meta": meta, "entries": [_dump(e, _ENTRY_KEYS) for e in self.entries]}
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "ThresholdTable":
-        meta = data["meta"]
-        pulse = PulseParams(
-            aci=1.0,
-            fc=meta["pulse"]["fc"],
-            bw_lo=meta["pulse"]["bw_lo"],
-            bw_hi=meta["pulse"]["bw_hi"],
-            bwr=meta["pulse"]["bwr"],
-        )
-        entries = tuple(
-            ThresholdEntry(
-                aci=e["aci"],
-                seg_len=e["seg_len_s"],
-                threshold=e["threshold"],
-                mean_f_hat=e["mean_f_hat"],
-                mean_snr=e["mean_snr"],
-                n_signals=e["n_signals"],
-                master_seed=e["master_seed"],
-            )
-            for e in data["entries"]
-        )
-        return cls(
-            fs=meta["fs"],
-            f_simul=meta["f_simul"],
-            n_signals=meta["n"],
-            master_seed=meta["seed"],
-            noise_std=meta.get("noise_std", 1.0),
-            pulse_base=pulse,
-            config_digest=meta["config_digest"],
-            entries=entries,
+        meta = {"noise_std": 1.0, **data["meta"]}
+        return _load(
+            cls, meta, _META_KEYS,
+            pulse_base=_load(PulseParams, meta["pulse"], _PULSE_KEYS, aci=1.0),
+            entries=tuple(_load(ThresholdEntry, e, _ENTRY_KEYS) for e in data["entries"]),
         )
 
     def save(self, path) -> None:
@@ -182,11 +160,11 @@ class ThresholdTable:
 
     def to_csv_matrix(self) -> str:
         """Threshold matrix with ACI rows and segment-length columns."""
-        segs = self.seg_lengths()
+        cells = {(e.aci, e.seg_len): e.threshold for e in self.entries}
+        segs = sorted({s for _, s in cells})
         lines = ["aci," + ",".join(f"{s:g}s" for s in segs)]
-        for aci in self.aci_values():
-            cells = [f"{self.get(aci, s).threshold:.6g}" for s in segs]
-            lines.append(f"{aci:g}," + ",".join(cells))
+        for aci in sorted({a for a, _ in cells}):
+            lines.append(f"{aci:g}," + ",".join(f"{cells[aci, s]:.6g}" for s in segs))
         return "\n".join(lines) + "\n"
 
 
@@ -227,9 +205,9 @@ def calibrate_entry(
     n: int,
     fs: float,
     master_seed: int,
-    spec_cfg: SpectrumConfig | None = None,
-    est_cfg: EstimatorConfig | None = None,
-    pulse: PulseParams | None = None,
+    spec_cfg: SpectrumConfig = SpectrumConfig(),
+    est_cfg: EstimatorConfig = EstimatorConfig(f_theoretical=DEFAULT_FAULT_FREQ),
+    pulse: PulseParams = PulseParams(aci=1.0),
     noise_std: float = 1.0,
 ) -> ThresholdEntry:
     """Calibrate one cell from ``n`` constant-frequency simulations.
@@ -241,12 +219,10 @@ def calibrate_entry(
     """
     if n < 2:
         raise ParameterError("calibration needs at least 2 signals per cell")
-    spec_cfg = spec_cfg or SpectrumConfig()
-    est_cfg = est_cfg or EstimatorConfig(f_theoretical=DEFAULT_FAULT_FREQ)
     simulate = functools.partial(
         simulate_and_estimate, seed=master_seed, seg_len=seg_len, fs=fs,
         dist=DistributionSpec.constant(DEFAULT_FAULT_FREQ),
-        pulse=replace(pulse, aci=aci) if pulse else PulseParams(aci=aci),
+        pulse=replace(pulse, aci=aci),
         noise_std=noise_std, spec_cfg=spec_cfg, est_cfg=est_cfg,
     )
     f_hats, snrs, errors = estimate_batch(simulate, range(n))
@@ -265,20 +241,15 @@ def calibrate_entry(
     )
 
 
-def _column_seed(master_seed: int, seg_index: int) -> int:
-    state = np.random.SeedSequence([int(master_seed), int(seg_index)]).generate_state(1, np.uint64)
-    return int(state[0])
-
-
 def build_table(
     aci_list=DEFAULT_ACI_GRID,
     seg_len_list=DEFAULT_SEG_GRID,
     n: int = DEFAULT_N_SIGNALS,
     fs: float = 25_000.0,
     master_seed: int = 0,
-    spec_cfg: SpectrumConfig | None = None,
-    est_cfg: EstimatorConfig | None = None,
-    pulse: PulseParams | None = None,
+    spec_cfg: SpectrumConfig = SpectrumConfig(),
+    est_cfg: EstimatorConfig = EstimatorConfig(f_theoretical=DEFAULT_FAULT_FREQ),
+    pulse: PulseParams = PulseParams(aci=1.0),
     noise_std: float = 1.0,
 ) -> ThresholdTable:
     """Calibrate the full ACI x segment-length grid.
@@ -294,13 +265,11 @@ def build_table(
     seg_len_list = list(seg_len_list)
     if not aci_list or not seg_len_list:
         raise ParameterError("calibration grids must be non-empty")
-    spec_cfg = spec_cfg or SpectrumConfig()
-    est_cfg = est_cfg or EstimatorConfig(f_theoretical=DEFAULT_FAULT_FREQ)
-    base = pulse or PulseParams(aci=1.0)
+    seeds = SeedSpec(master_seed)
 
     entries = []
     for seg_idx, seg_len in enumerate(seg_len_list):
-        col_seed = _column_seed(master_seed, seg_idx)
+        col_seed = int(seeds.sequence(seg_idx).generate_state(1, np.uint64)[0])
         for aci in aci_list:
             entries.append(
                 calibrate_entry(
@@ -311,7 +280,7 @@ def build_table(
                     col_seed,
                     spec_cfg=spec_cfg,
                     est_cfg=est_cfg,
-                    pulse=base,
+                    pulse=pulse,
                     noise_std=noise_std,
                 )
             )
@@ -319,9 +288,9 @@ def build_table(
         fs=float(fs),
         f_simul=DEFAULT_FAULT_FREQ,
         n_signals=int(n),
-        master_seed=int(master_seed),
+        master_seed=seeds.master_seed,
         noise_std=float(noise_std),
-        pulse_base=base,
+        pulse_base=pulse,
         config_digest=config_digest(spec_cfg, est_cfg),
         entries=tuple(entries),
     )

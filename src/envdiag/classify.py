@@ -65,8 +65,8 @@ class ClassifyConfig:
     def __post_init__(self):
         if not 0 < self.alpha < 1:
             raise ParameterError("alpha must lie in (0, 1)")
-        if not self.seg_len > 0:
-            raise ParameterError("segment length must be positive")
+        if not 0 < self.seg_len < math.inf:
+            raise ParameterError("segment length must be positive and finite")
 
 
 @dataclass(frozen=True)

@@ -62,8 +62,8 @@ class SpectrumConfig:
             object.__setattr__(self, "bandpass", (float(lo), float(hi)))
         if int(self.zero_pad_factor) != self.zero_pad_factor or self.zero_pad_factor < 1:
             raise ParameterError("zero_pad_factor must be an integer >= 1")
-        if not self.piece_len_s > 0:
-            raise ParameterError("piece_len_s must be positive")
+        if not 0 < self.piece_len_s < math.inf:
+            raise ParameterError("piece_len_s must be positive and finite")
         if self.window not in WINDOWS:
             raise ParameterError(
                 f"unknown window {self.window!r}; choose one of {', '.join(WINDOWS)}"

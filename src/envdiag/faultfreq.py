@@ -36,8 +36,8 @@ class EstimatorConfig:
     peak_excl_bins: int = 2
 
     def __post_init__(self):
-        if not self.f_theoretical > 0:
-            raise ParameterError("f_theoretical must be positive")
+        if not 0 < self.f_theoretical < math.inf:
+            raise ParameterError("f_theoretical must be positive and finite")
         if int(self.n_harmonics) != self.n_harmonics or self.n_harmonics < 1:
             raise ParameterError("n_harmonics must be an integer >= 1")
         if not 0 < self.search_frac < 0.5:
@@ -167,8 +167,8 @@ def estimate_fault_frequency(
 
 def segment_samples(x: Signal, seg_len: float) -> int:
     """Samples per segment; raises if the signal holds less than one."""
-    if not seg_len > 0:
-        raise ParameterError("segment length must be positive")
+    if not 0 < seg_len < math.inf:
+        raise ParameterError("segment length must be positive and finite")
     n_seg = int(round(seg_len * x.fs))
     if n_seg < 2:
         raise ParameterError(f"segment of {seg_len:g} s holds fewer than 2 samples")
@@ -212,7 +212,7 @@ def check_segment_failures(x: Signal, seg_len: float, failures: int, total: int)
     ``MAX_SEGMENT_FAILURE_FRAC`` of their estimates may fail; the failed
     ones are then skipped with a warning.
     """
-    if x.duration < 2 * seg_len:
+    if total < 2:
         raise EstimationError(
             f"signal of {x.duration:g} s yields fewer than 2 segments of {seg_len:g} s"
         )

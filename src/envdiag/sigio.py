@@ -103,9 +103,14 @@ def read_signal(path, fmt: str | None = None, fs: float | None = None) -> tuple[
     if fmt == FORMAT_CSV:
         samples = _read_csv_samples(path)
     elif fmt == FORMAT_RAW:
-        samples = np.fromfile(path, dtype="<f8")
-        if samples.size == 0:
+        size = os.path.getsize(path)
+        if size == 0:
             raise SignalFormatError(f"{path}: empty raw signal file")
+        if size % 8:
+            raise SignalFormatError(
+                f"{path}: {size} bytes is not a whole number of 8-byte samples"
+            )
+        samples = np.fromfile(path, dtype="<f8")
     else:
         raise ParameterError(f"unknown signal format {fmt!r}")
     return Signal(samples, float(fs)), meta

@@ -37,8 +37,8 @@ class Signal:
             raise ParameterError("signal samples must form a non-empty 1-D array")
         if not np.all(np.isfinite(samples)):
             raise ParameterError("signal contains non-finite samples")
-        if not self.fs > 0:
-            raise ParameterError(f"sample rate must be positive, got {self.fs}")
+        if not 0 < self.fs < math.inf:
+            raise ParameterError(f"sample rate must be positive and finite, got {self.fs}")
         object.__setattr__(self, "samples", samples)
         object.__setattr__(self, "fs", float(self.fs))
 
@@ -76,14 +76,14 @@ class DistributionSpec:
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "params", params)
         if kind == "constant":
-            if len(params) != 1 or not params[0] > 0:
-                raise ParameterError("constant law needs a single frequency f > 0")
+            if len(params) != 1 or not 0 < params[0] < math.inf:
+                raise ParameterError("constant law needs a single finite frequency f > 0")
         elif kind == "uniform":
-            if len(params) != 2 or not 0 < params[0] < params[1]:
-                raise ParameterError("uniform law needs 0 < a < b")
+            if len(params) != 2 or not 0 < params[0] < params[1] < math.inf:
+                raise ParameterError("uniform law needs 0 < a < b, both finite")
         elif kind == "normal":
-            if len(params) != 2 or not (params[0] > 0 and params[1] > 0):
-                raise ParameterError("normal law needs mu > 0 and sigma > 0")
+            if len(params) != 2 or not (0 < params[0] < math.inf and 0 < params[1] < math.inf):
+                raise ParameterError("normal law needs finite mu > 0 and sigma > 0")
         else:
             raise ParameterError(f"unknown distribution kind {self.kind!r}")
 
@@ -250,8 +250,10 @@ def simulate_signal(
     order.  Impulse centres are ``t0 + k/f``; each pulse is added over
     +-4 envelope standard deviations.
     """
-    if not duration > 0:
-        raise ParameterError("duration must be positive")
+    if not 0 < duration < math.inf:
+        raise ParameterError("duration must be positive and finite")
+    if not fs < math.inf:
+        raise ParameterError("sample rate must be finite")
     nyquist_needed = 2.0 * pulse.fc * (1.0 + pulse.bw_hi / 2.0)
     if not fs > nyquist_needed:
         raise ParameterError(

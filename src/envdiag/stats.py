@@ -86,26 +86,16 @@ def scott_bandwidth(samples) -> float:
     return 1.06 * sd * samples.size ** (-0.2)
 
 
-def default_kde_grid(samples, bandwidth: float, n_points: int = KDE_GRID_POINTS) -> np.ndarray:
-    samples = np.asarray(samples, dtype=np.float64)
-    lo = samples.min() - 4.0 * bandwidth
-    hi = samples.max() + 4.0 * bandwidth
-    return np.linspace(lo, hi, n_points)
-
-
-def kde(samples, grid=None) -> KdeCurve:
+def kde(samples) -> KdeCurve:
     """Gaussian-kernel density estimate with the Scott-style bandwidth.
 
-    ``p(f) = 1/(n h) * sum_i phi((f - f_i) / h)``.  Without an explicit
-    grid, 512 points spanning the samples +-4 bandwidths are used, on which
-    the density integrates to 1 within 1e-3.
+    ``p(f) = 1/(n h) * sum_i phi((f - f_i) / h)``, evaluated on 512 points
+    spanning the samples +-4 bandwidths, on which the density integrates to
+    1 within 1e-3.
     """
     samples = np.asarray(samples, dtype=np.float64)
     h = scott_bandwidth(samples)
-    if grid is None:
-        grid = default_kde_grid(samples, h)
-    else:
-        grid = np.asarray(grid, dtype=np.float64)
+    grid = np.linspace(samples.min() - 4.0 * h, samples.max() + 4.0 * h, KDE_GRID_POINTS)
     z = (grid[:, None] - samples[None, :]) / h
     density = np.exp(-0.5 * z * z).sum(axis=1) / (samples.size * h * math.sqrt(2.0 * math.pi))
     return KdeCurve(grid=grid, density=density, bandwidth=h)

@@ -1,5 +1,7 @@
 """Monte-Carlo calibration tests: seeding, failure policy, table files."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from envdiag import (
     PulseParams,
     SeedSpec,
     SpectrumConfig,
+    ThresholdEntry,
     ThresholdTable,
     build_table,
     calibrate_entry,
@@ -91,8 +94,12 @@ class TestBuildTable:
 
     def test_grid_and_metadata(self):
         table = build_table((1.0, 2.0), (0.5, 1.0), n=2, master_seed=3)
-        assert table.aci_values() == [1.0, 2.0]
-        assert table.seg_lengths() == [0.5, 1.0]
+        # column by column, the ACI rows in grid order
+        assert [(e.aci, e.seg_len) for e in table.entries] == [(1.0, 0.5), (2.0, 0.5),
+                                                                (1.0, 1.0), (2.0, 1.0)]
+        lines = table.to_csv_matrix().splitlines()
+        assert [line.split(",", 1)[0] for line in lines] == ["aci", "1", "2"]
+        assert lines[0] == "aci,0.5s,1s"
         assert table.pulse_base == PulseParams(aci=1.0)
         assert table.config_digest == config_digest(SpectrumConfig(),
                                                     EstimatorConfig(f_theoretical=30.0))
@@ -100,6 +107,10 @@ class TestBuildTable:
     def test_empty_grid_rejected(self):
         with pytest.raises(ParameterError):
             build_table((), (0.5,), n=2)
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ParameterError, match="unsigned 64-bit"):
+            build_table((1.0,), (0.5,), n=2, master_seed=-1)
 
 
 class TestConfigDigest:
@@ -120,6 +131,65 @@ class TestConfigDigest:
         assert a != b
 
 
+def hand_table():
+    """A two-cell table of fixed numbers, built without simulation."""
+    entries = tuple(
+        ThresholdEntry(aci=aci, seg_len=0.5, threshold=thr, mean_f_hat=f, mean_snr=snr,
+                       n_signals=1000, master_seed=12345678901234567890)
+        for aci, thr, f, snr in ((1.5, 0.0125, 30.0625, 2.5), (2.5, 0.00390625, 30.03125, 4.75))
+    )
+    return ThresholdTable(fs=25000.0, f_simul=30.0, n_signals=1000, master_seed=3,
+                          noise_std=1.0, pulse_base=PulseParams(aci=1.0),
+                          config_digest="2caa3ff4ce576fea", entries=entries)
+
+
+HAND_TABLE_TEXT = """\
+{
+  "entries": [
+    {
+      "aci": 1.5,
+      "master_seed": 12345678901234567890,
+      "mean_f_hat": 30.0625,
+      "mean_snr": 2.5,
+      "n_signals": 1000,
+      "seg_len_s": 0.5,
+      "threshold": 0.0125
+    },
+    {
+      "aci": 2.5,
+      "master_seed": 12345678901234567890,
+      "mean_f_hat": 30.03125,
+      "mean_snr": 4.75,
+      "n_signals": 1000,
+      "seg_len_s": 0.5,
+      "threshold": 0.00390625
+    }
+  ],
+  "meta": {
+    "config_digest": "2caa3ff4ce576fea",
+    "f_simul": 30.0,
+    "fs": 25000.0,
+    "n": 1000,
+    "noise_std": 1.0,
+    "pulse": {
+      "bw_hi": 0.5,
+      "bw_lo": 0.4,
+      "bwr": -6.0,
+      "fc": 2500.0
+    },
+    "seed": 3
+  }
+}
+"""
+
+
+def hand_table_with(record, key, value):
+    """The hand table's JSON text with one value of ``meta`` or the first entry replaced."""
+    data = hand_table().to_json_dict()
+    (data["meta"] if record == "meta" else data["entries"][0])[key] = value
+    return json.dumps(data)
+
+
 class TestThresholdTableFile:
     @pytest.fixture(scope="class")
     def table(self):
@@ -130,15 +200,35 @@ class TestThresholdTableFile:
         table.save(path)
         assert ThresholdTable.load(path) == table
 
-    @pytest.mark.parametrize("content", ['{"meta": {}}', "not json", '[1, 2]',
-                                         '{"meta": {"config_digest": "x"}, "entries": [1]}'])
+    def test_saved_text_is_pinned(self, tmp_path):
+        path = tmp_path / "table.json"
+        hand_table().save(path)
+        assert path.read_text(encoding="utf-8") == HAND_TABLE_TEXT
+        assert ThresholdTable.load(path) == hand_table()
+
+    def test_table_without_noise_std_loads_with_one(self, tmp_path):
+        data = json.loads(HAND_TABLE_TEXT)
+        del data["meta"]["noise_std"]
+        path = tmp_path / "old.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        table = ThresholdTable.load(path)
+        assert table.noise_std == 1.0
+        assert table == hand_table()
+
+    @pytest.mark.parametrize("content", [
+        '{"meta": {}}', "not json", '[1, 2]',
+        '{"meta": {"config_digest": "x"}, "entries": [1]}',
+        pytest.param(hand_table_with("entries", "threshold", None), id="threshold-null"),
+        pytest.param(hand_table_with("entries", "mean_snr", "x"), id="mean_snr-text"),
+        pytest.param(hand_table_with("entries", "aci", "2"), id="aci-text"),
+        pytest.param(hand_table_with("entries", "n_signals", 2.5), id="n_signals-fraction"),
+        pytest.param(hand_table_with("meta", "fs", "abc"), id="fs-text"),
+    ])
     def test_malformed_file_names_the_path(self, tmp_path, content):
         path = tmp_path / "bad.json"
         path.write_text(content, encoding="utf-8")
         with pytest.raises(ParameterError, match="bad.json"):
             ThresholdTable.load(path)
 
-    def test_csv_matrix(self, table):
-        lines = table.to_csv_matrix().splitlines()
-        assert lines[0] == "aci,0.5s"
-        assert [line.split(",")[0] for line in lines[1:]] == ["1.5", "2.5"]
+    def test_csv_matrix(self):
+        assert hand_table().to_csv_matrix() == "aci,0.5s\n1.5,0.0125\n2.5,0.00390625\n"

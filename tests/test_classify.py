@@ -143,7 +143,7 @@ class TestSimulateAndClassify:
         dist = DistributionSpec.normal(30.0, 0.33)
         report = simulate_and_classify(dist, 2.0, SEG, 4, table, 5, cfg=config(paper_rescale=True))
         assert report.provenance["rescale_direction"] == "paper"
-        entry = table.get(report.matched_aci, SEG)
+        (entry,) = [e for e in table.entries_at(SEG) if e.aci == report.matched_aci]
         ratio = report.mean_f_hat_real / entry.mean_f_hat
         assert report.rescaled_variance == pytest.approx(report.variance_raw * ratio**2,
                                                          rel=1e-12)

@@ -56,9 +56,23 @@ def test_simulate_calibrate_classify_round_trip(files):
     assert text.read_text(encoding="utf-8").splitlines()[1].startswith("0.5 s |")
 
 
-def test_zero_piece_length_is_a_usage_error(files):
-    root, rec, _ = files
-    assert_usage_error(invoke("spectrum", "-i", rec, "--piece-len", 0, "-o", root / "s.csv"))
+@pytest.mark.parametrize("args", [
+    "spectrum --piece-len 0 -i {rec}",
+    "spectrum --piece-len inf -i {rec}",
+    "spectrum --fs inf -i {rec}",
+    "classify --seg-lens inf -i {rec} --table {table} --f-theoretical 30",
+    "kde --seg-len inf -i {rec} --f-theoretical 30",
+    "kde --f-theoretical inf -i {rec} --seg-len 0.5",
+    "calibrate --seg-grid inf --aci-grid 2 --n 2",
+    "calibrate --seed -1 --aci-grid 2 --seg-grid 0.5 --n 2",
+    "calibrate --fs inf --aci-grid 2 --seg-grid 0.5 --n 2",
+    "simulate --fs inf --dist constant:30 --aci 2 --seg-len 0.5",
+    "simulate --dist constant:inf --aci 2 --seg-len 0.5",
+])
+def test_out_of_range_value_is_a_usage_error(files, args):
+    root, rec, table = files
+    argv = args.format(rec=rec, table=table).split()
+    assert_usage_error(invoke(*argv, "-o", root / "out"))
 
 
 def test_removed_welch_split_option_is_a_usage_error(files):
@@ -88,7 +102,11 @@ def test_help_lists_the_windows():
     assert "boxcar|hann|hamming|blackman|nuttall|blackmanharris|flattop" in result.output
 
 
-@pytest.mark.parametrize("content", ['{"meta": {}}', "not json"])
+@pytest.mark.parametrize("content", ['{"meta": {}}', "not json", pytest.param(
+    '{"meta": {"config_digest": "2caa3ff4ce576fea", "f_simul": 30.0, "fs": 25000.0, "n": 3,'
+    ' "seed": 2, "pulse": {"bw_hi": 0.5, "bw_lo": 0.4, "bwr": -6.0, "fc": 2500.0}},'
+    ' "entries": [{"aci": 2.0, "master_seed": 1, "mean_f_hat": 30.0, "mean_snr": 3.0,'
+    ' "n_signals": 3, "seg_len_s": 0.5, "threshold": "0.01"}]}', id="threshold-text")])
 def test_malformed_table_is_a_usage_error(files, content):
     root, rec, _ = files
     bad = root / "bad_table.json"

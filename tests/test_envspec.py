@@ -1,5 +1,7 @@
 """Envelope-spectrum pipeline tests: bandpass, Hilbert, tapers, Welch PSD."""
 
+import math
+
 import numpy as np
 import pytest
 import scipy.fft as sfft
@@ -194,7 +196,7 @@ class TestSpectrumConfig:
         with pytest.raises(ParameterError, match="choose one of boxcar, hann"):
             SpectrumConfig(window=window)
 
-    @pytest.mark.parametrize("piece_len_s", [0.0, -0.5])
+    @pytest.mark.parametrize("piece_len_s", [0.0, -0.5, math.inf])
     def test_nonpositive_piece_length_rejected(self, piece_len_s):
         with pytest.raises(ParameterError):
             SpectrumConfig(piece_len_s=piece_len_s)

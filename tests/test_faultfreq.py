@@ -1,5 +1,6 @@
 """Harmonic peak search, frequency estimation and SNR tests."""
 
+import math
 import re
 
 import numpy as np
@@ -253,6 +254,21 @@ class TestEstimatePerSegment:
             estimate_per_segment(sig, 1.0, SpectrumConfig(),
                                  EstimatorConfig(f_theoretical=30.0))
 
+    def test_two_segments_cut_by_rounding_are_kept(self):
+        # 0.50001 s rounds to 12,500 samples, so 1 s holds 2 segments
+        indices, ests, _ = estimate_per_segment(Signal(_impulse_train(1.0), FS), 0.50001,
+                                                SpectrumConfig(),
+                                                EstimatorConfig(f_theoretical=30.0))
+        assert indices == [0, 1]
+        assert len(ests) == 2
+
+    def test_one_segment_cut_by_rounding_rejected(self):
+        # 0.49966 s rounds to 12,492 samples, so 24,983 samples hold only 1 segment
+        sig = Signal(_impulse_train(1.0)[:24_983], FS)
+        with pytest.raises(EstimationError, match="yields fewer than 2 segments of 0.49966 s"):
+            estimate_per_segment(sig, 0.49966, SpectrumConfig(),
+                                 EstimatorConfig(f_theoretical=30.0))
+
     def test_silent_segment_is_skipped_with_a_warning(self):
         # segment 2 of 5 is zeros: its SNR is undefined
         samples = _impulse_train(5.0)
@@ -285,6 +301,7 @@ class TestEstimatorConfig:
         {"f_theoretical": 30.0, "search_frac": 0.0},
         {"f_theoretical": 30.0, "search_frac": 0.25},  # windows would overlap
         {"f_theoretical": 30.0, "peak_excl_bins": -1},
+        {"f_theoretical": math.inf},
     ])
     def test_invalid_config(self, kwargs):
         with pytest.raises(ParameterError):

@@ -100,6 +100,13 @@ def test_empty_raw_file_rejected(tmp_path):
         read_signal(path, fs=FS)
 
 
+def test_truncated_raw_file_rejected(tmp_path):
+    path = tmp_path / "x.f64"
+    path.write_bytes(np.arange(4.0).astype("<f8").tobytes() + b"\x00\x01\x02")
+    with pytest.raises(SignalFormatError, match=r"x\.f64: 35 bytes is not a whole number"):
+        read_signal(path, fs=FS)
+
+
 def test_unknown_format_rejected(tmp_path, signal):
     path = tmp_path / "x.wav"
     with pytest.raises(ParameterError, match="wav"):

@@ -86,6 +86,7 @@ class TestDistributionSpec:
     @pytest.mark.parametrize("text", [
         "constant:-1", "uniform:31,29", "uniform:0,5", "normal:30,-1",
         "weird:1,2", "uniform:a,b", "constant",
+        "constant:inf", "uniform:29,inf", "normal:inf,1", "normal:30,inf",
     ])
     def test_invalid_specs(self, text):
         with pytest.raises(ParameterError):
@@ -104,6 +105,7 @@ class TestSignalType:
         (np.array([1.0, np.inf]), FS),
         (np.ones(10), 0.0),
         (np.ones((2, 5)), FS),
+        (np.ones(10), math.inf),
     ])
     def test_invalid_signals(self, samples, fs):
         with pytest.raises(ParameterError):

@@ -58,10 +58,11 @@ class TestKde:
     def test_symmetry_about_centre(self):
         samples = np.array([29.0, 29.5, 30.5, 31.0])
         h = scott_bandwidth(samples)
-        grid = np.linspace(30 - 5, 30 + 5, 513)
-        curve = kde(samples, grid)
+        curve = kde(samples)
         np.testing.assert_allclose(curve.density, curve.density[::-1], atol=1e-12)
         assert curve.bandwidth == pytest.approx(h)
+        # 512 points spanning the samples +-4 bandwidths
+        np.testing.assert_array_equal(curve.grid, np.linspace(29.0 - 4 * h, 31.0 + 4 * h, 512))
 
     def test_unit_integral_on_default_grid(self):
         rng = np.random.default_rng(4)
