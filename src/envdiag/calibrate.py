@@ -87,6 +87,15 @@ _VALID = {
     "int": lambda v: type(v) is int,
     "str": lambda v: type(v) is str,
 }
+# The range of each field that has one, by field name; ``n_signals`` is both
+# the table's requested count and an entry's count of estimates kept.
+_IN_RANGE = {
+    "fs": lambda v: v > 0,
+    "f_simul": lambda v: v > 0,
+    "n_signals": lambda v: v >= 2,
+    "threshold": lambda v: v >= 0,
+    "mean_snr": lambda v: v >= 0,
+}
 
 
 def _dump(record, keys: dict) -> dict:
@@ -94,11 +103,15 @@ def _dump(record, keys: dict) -> dict:
 
 
 def _load(cls, data: dict, keys: dict, **extra):
-    """Build ``cls`` from the JSON object ``data``; a value of the wrong kind raises ValueError."""
+    """Build ``cls`` from the JSON object ``data``; a value of the wrong kind
+    or out of its field's range raises ValueError."""
     kinds = {f.name: f.type for f in fields(cls)}
     for name, key in keys.items():
-        if not _VALID[kinds[name]](data[key]):
-            raise ValueError(f"{key} is not a valid {kinds[name]}: {data[key]!r}")
+        value = data[key]
+        if not _VALID[kinds[name]](value):
+            raise ValueError(f"{key} is not a valid {kinds[name]}: {value!r}")
+        if name in _IN_RANGE and not _IN_RANGE[name](value):
+            raise ValueError(f"{key} is out of range: {value!r}")
     return cls(**{name: data[key] for name, key in keys.items()}, **extra)
 
 
@@ -108,10 +121,13 @@ class ThresholdTable:
 
     Saved as a JSON object with two members.  ``meta`` holds ``fs``,
     ``f_simul``, ``n``, ``seed``, ``noise_std``, ``config_digest`` and
-    ``pulse``, the base pulse's ``fc``, ``bw_lo``, ``bw_hi`` and ``bwr``.
+    ``pulse``, the base pulse's ``fc``, ``bw_lo``, ``bw_hi`` and ``bwr``; its
+    ACI is 1.0, as each entry carries its own.
     ``entries`` is a list of cells, each with ``aci``, ``seg_len_s``,
     ``threshold``, ``mean_f_hat``, ``mean_snr``, ``n_signals`` and
-    ``master_seed``.  Tables saved without ``noise_std`` load with 1.0.
+    ``master_seed``.  Tables saved without ``noise_std`` load with 1.0.  A
+    loaded table needs ``fs`` and ``f_simul`` above 0, every ``n`` and
+    ``n_signals`` at least 2, and no negative ``threshold`` or ``mean_snr``.
     """
 
     fs: float
@@ -290,7 +306,7 @@ def build_table(
         n_signals=int(n),
         master_seed=seeds.master_seed,
         noise_std=float(noise_std),
-        pulse_base=pulse,
+        pulse_base=replace(pulse, aci=1.0),
         config_digest=config_digest(spec_cfg, est_cfg),
         entries=tuple(entries),
     )

@@ -1,14 +1,18 @@
 """Statistical primitives: kernel density estimate, distribution
 densities, the one-tailed chi-squared variance test and a quantitative
-uniform-vs-normal shape comparison."""
+uniform-vs-normal shape comparison.
+
+The chi-squared quantile is computed here, with ``math`` alone, so that
+no envdiag process needs scipy.
+"""
 
 from __future__ import annotations
 
 import math
+import statistics
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from .errors import DegenerateSampleError, ParameterError
 
@@ -118,16 +122,100 @@ def normal_pdf(f, mu: float, sigma: float):
     return out if out.ndim else float(out)
 
 
+_EPS = 2.0**-52
+# Stirling series of lgamma(a) - ((a - 1/2) log a - a + log(2 pi) / 2), used
+# from a = 10 on, where the first omitted term is below 2e-14
+_STIRLING = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188)
+
+
+def _log_gamma_density(a: float, x: float) -> float:
+    """``log(x**a exp(-x) / Gamma(a))``, x times the Gamma(a) density at x.
+
+    For large ``a`` the terms of the plain sum are near ``a log a`` each and
+    cancel; the form ``-a (t - log1p(t))`` with ``t = x/a - 1``, plus the
+    Stirling series, keeps the error near one ulp of the result instead.
+    """
+    if a < 10.0:
+        return a * math.log(x) - x - math.lgamma(a)
+    t = (x - a) / a
+    inv = 1.0 / (a * a)
+    corr = 0.0
+    for c in reversed(_STIRLING):
+        corr = corr * inv + c
+    return -a * (t - math.log1p(t)) + 0.5 * math.log(a / (2.0 * math.pi)) - corr / a
+
+
+def _gamma_excess(a: float, x: float, p: float) -> tuple[float, float]:
+    """``P(a, x) - p`` for the regularized lower incomplete gamma, and ``P``'s
+    derivative in ``x``, the Gamma(a) density at ``x``.
+
+    A power series for ``P`` below ``x = a + 1``.  Above it ``Q = 1 - P``
+    comes from its continued fraction by the modified Lentz method and the
+    excess is ``(1 - p) - Q``: ``1 - p`` is exact for ``p >= 1/2``, so the
+    excess keeps the relative accuracy of ``Q`` in the upper tail.
+    """
+    scale = math.exp(_log_gamma_density(a, x))
+    if x < a + 1.0:
+        term = total = 1.0 / a
+        n = a
+        while term > total * _EPS:
+            n += 1.0
+            term *= x / n
+            total += term
+        return scale * total - p, scale / x
+    tiny = 1e-300
+    b = x + 1.0 - a
+    c, d = 1.0 / tiny, 1.0 / b
+    h = d
+    i = 0
+    while True:
+        i += 1
+        an = -i * (i - a)
+        b += 2.0
+        d = an * d + b
+        d = 1.0 / (d if abs(d) > tiny else tiny)
+        c = b + an / c
+        c = c if abs(c) > tiny else tiny
+        h *= d * c
+        if abs(d * c - 1.0) <= _EPS:
+            break
+    return (1.0 - p) - scale * h, scale / x
+
+
 def chi2_critical(p: float, dof: int) -> float:
-    """Chi-squared quantile by inverting the regularized lower incomplete gamma."""
+    """Chi-squared quantile by inverting the regularized lower incomplete gamma.
+
+    ``x`` with ``P(dof/2, x) = p`` is found by Halley steps from the larger
+    of the Wilson-Hilferty start and ``(p Gamma(a + 1))**(1/a)``, which is
+    below the root because ``P(a, x) < x**a / Gamma(a + 1)``.  The steps
+    stop once one moves ``x`` by at most 4 ulp, or, below a relative 1e-9,
+    by no less than the step before: then rounding in ``P`` sets the step.
+    Returns ``2 x``.
+    """
     if not 0 < p < 1:
         raise ParameterError("quantile probability must lie in (0, 1)")
     if int(dof) != dof or dof < 1:
         raise ParameterError("degrees of freedom must be a positive integer")
-    value = 2.0 * special.gammaincinv(dof / 2.0, p)
-    if not np.isfinite(value):
-        raise ParameterError(f"chi-squared quantile did not converge for p={p}, dof={dof}")
-    return float(value)
+    a = dof / 2.0
+    h = 2.0 / (9.0 * dof)
+    z = statistics.NormalDist().inv_cdf(p)
+    wilson_hilferty = a * max(1.0 - h + z * math.sqrt(h), 0.0) ** 3
+    x = max(wilson_hilferty, math.exp((math.log(p) + math.lgamma(a + 1.0)) / a))
+    last = math.inf
+    for _ in range(100):
+        excess, density = _gamma_excess(a, x, p)
+        if density == 0.0:
+            break
+        u = excess / density
+        # Halley's correction, (log density)' = (a - 1)/x - 1, capped as in
+        # Numerical Recipes so that a step never more than doubles Newton's
+        step = u / (1.0 - 0.5 * min(1.0, u * ((a - 1.0) / x - 1.0)))
+        x = x - step if step < x else 0.5 * x
+        size = abs(step)
+        if size <= 4.0 * _EPS * x or last <= size <= 1e-9 * x:
+            return 2.0 * x
+        last = size
+    raise ParameterError(f"chi-squared quantile did not converge for p={p}, dof={dof}")
 
 
 def chi_squared_variance_test(

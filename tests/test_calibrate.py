@@ -223,12 +223,29 @@ class TestThresholdTableFile:
         pytest.param(hand_table_with("entries", "aci", "2"), id="aci-text"),
         pytest.param(hand_table_with("entries", "n_signals", 2.5), id="n_signals-fraction"),
         pytest.param(hand_table_with("meta", "fs", "abc"), id="fs-text"),
+        pytest.param(hand_table_with("entries", "threshold", -1.0), id="threshold-negative"),
+        pytest.param(hand_table_with("entries", "n_signals", 1), id="n_signals-one"),
+        pytest.param(hand_table_with("meta", "n", -5), id="meta-n-negative"),
+        pytest.param(hand_table_with("meta", "fs", 0.0), id="fs-zero"),
+        pytest.param(hand_table_with("meta", "f_simul", -30.0), id="f_simul-negative"),
+        pytest.param(hand_table_with("entries", "mean_snr", -0.5), id="mean_snr-negative"),
     ])
     def test_malformed_file_names_the_path(self, tmp_path, content):
         path = tmp_path / "bad.json"
         path.write_text(content, encoding="utf-8")
-        with pytest.raises(ParameterError, match="bad.json"):
+        with pytest.raises(ParameterError, match="bad.json: not a valid threshold table"):
             ThresholdTable.load(path)
+
+    def test_zero_threshold_and_snr_load(self):
+        data = hand_table().to_json_dict()
+        data["entries"][0].update(threshold=0.0, mean_snr=0.0, n_signals=2)
+        entry = ThresholdTable.from_json_dict(data).entries[0]
+        assert (entry.threshold, entry.mean_snr, entry.n_signals) == (0.0, 0.0, 2)
+
+    def test_pulse_with_other_aci_round_trips(self):
+        table = build_table((1.5,), (0.5,), n=2, master_seed=9, pulse=PulseParams(aci=2.0))
+        assert table.pulse_base == PulseParams(aci=1.0)
+        assert ThresholdTable.from_json_dict(table.to_json_dict()) == table
 
     def test_csv_matrix(self):
         assert hand_table().to_csv_matrix() == "aci,0.5s\n1.5,0.0125\n2.5,0.00390625\n"

@@ -102,11 +102,18 @@ def test_help_lists_the_windows():
     assert "boxcar|hann|hamming|blackman|nuttall|blackmanharris|flattop" in result.output
 
 
-@pytest.mark.parametrize("content", ['{"meta": {}}', "not json", pytest.param(
+ONE_ENTRY_TABLE = (
     '{"meta": {"config_digest": "2caa3ff4ce576fea", "f_simul": 30.0, "fs": 25000.0, "n": 3,'
     ' "seed": 2, "pulse": {"bw_hi": 0.5, "bw_lo": 0.4, "bwr": -6.0, "fc": 2500.0}},'
     ' "entries": [{"aci": 2.0, "master_seed": 1, "mean_f_hat": 30.0, "mean_snr": 3.0,'
-    ' "n_signals": 3, "seg_len_s": 0.5, "threshold": "0.01"}]}', id="threshold-text")])
+    ' "n_signals": 3, "seg_len_s": 0.5, "threshold": THRESHOLD}]}')
+
+
+@pytest.mark.parametrize("content", [
+    '{"meta": {}}', "not json",
+    pytest.param(ONE_ENTRY_TABLE.replace("THRESHOLD", '"0.01"'), id="threshold-text"),
+    pytest.param(ONE_ENTRY_TABLE.replace("THRESHOLD", "-1.0"), id="threshold-negative"),
+])
 def test_malformed_table_is_a_usage_error(files, content):
     root, rec, _ = files
     bad = root / "bad_table.json"
@@ -115,6 +122,7 @@ def test_malformed_table_is_a_usage_error(files, content):
                     "--seg-lens", 0.5, "-o", root / "r.json")
     assert_usage_error(result)
     assert "bad_table.json" in result.output
+    assert "not a valid threshold table" in result.output
 
 
 def csv_rows(path):
@@ -143,6 +151,41 @@ def test_classify_emits_estimates_kde_and_spectra(files):
     header, rows = csv_rows(spectra / names[0])
     assert header == "freq_hz,amplitude"
     assert rows[0][0] == "0" and rows[1][0] == "0.5"
+
+
+def test_commands_run_with_scipy_unimportable(tmp_path, run_python):
+    # a None entry in sys.modules makes any import of scipy or of a submodule
+    # raise ImportError, so a lazy import anywhere on these paths would fail
+    code = """
+import sys
+sys.modules["scipy"] = None
+from envdiag.cli import main
+d = sys.argv[1]
+commands = [
+    ["simulate", "--dist", "uniform:28,32", "--aci", "2", "--seg-len", "0.5",
+     "--n-segments", "12", "--seed", "1", "-o", d + "/rec.f64"],
+    ["calibrate", "--aci-grid", "2", "--seg-grid", "0.5", "--n", "4", "--seed", "2",
+     "-o", d + "/table.json", "--csv", d + "/table.csv"],
+    ["classify", "-i", d + "/rec.f64", "--table", d + "/table.json", "--f-theoretical", "30",
+     "--seg-lens", "0.5", "-o", d + "/report.json", "--emit-estimates", d + "/est.csv",
+     "--emit-kde", d + "/kde.csv", "--emit-spectra", d + "/spectra"],
+]
+codes = []
+for args in commands:
+    try:
+        main(args)
+    except SystemExit as exc:
+        codes.append(exc.code)
+print(codes, sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+    out = run_python(code, str(tmp_path))
+    assert out.splitlines()[-1] == "[0, 0, 0] ['scipy']"
+    (rep,) = json.loads((tmp_path / "report.json").read_text(encoding="utf-8"))
+    assert rep["n_segments"] == 12
+    assert len(list((tmp_path / "spectra").iterdir())) == 12
+    # the spread passes the gate, so the chi-squared quantile was computed
+    assert rep["test"]["dof"] == 11
+    assert rep["test"]["critical"] == pytest.approx(19.67513757268249, rel=1e-12)
 
 
 def classify_reports(rec, table, out, *extra):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import special
 
 from envdiag import (
     DegenerateSampleError,
@@ -110,6 +111,15 @@ class TestChi2Critical:
     def test_exponential_median(self):
         # chi-squared with 2 dof is Exp(1/2): median 2 ln 2
         assert chi2_critical(0.5, 2) == pytest.approx(2 * math.log(2), abs=1e-12)
+
+    @pytest.mark.parametrize("p", [0.001, 0.01, 0.05, 0.5, 0.95, 0.99, 0.999])
+    def test_matches_scipy_gammaincinv(self, p):
+        # dense where recordings are, sparse up to 20000, then two very long ones
+        dof = np.concatenate([np.arange(1, 2001), np.arange(2003, 20001, 97),
+                              [20000, 10**5, 10**6]])
+        want = 2.0 * special.gammaincinv(dof / 2.0, p)
+        got = np.array([chi2_critical(p, int(d)) for d in dof])
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
 
     @settings(max_examples=25, deadline=None)
     @given(st.floats(0.01, 0.98), st.integers(1, 200))
