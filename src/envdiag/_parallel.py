@@ -3,6 +3,7 @@ allocator setting of the processes envdiag owns."""
 
 from __future__ import annotations
 
+import itertools
 import os
 from concurrent.futures import ProcessPoolExecutor
 
@@ -59,20 +60,40 @@ def worker_count() -> int:
     return max(1, n)
 
 
+def run_lengths(n_items: int, workers: int) -> list[int]:
+    """Lengths of the runs of consecutive items ``parallel_map`` sends out.
+
+    About ``TASKS_PER_WORKER`` runs per worker, rounded up to a whole number
+    of runs per worker (but never more runs than items), of near-equal length
+    with the longer runs first.  Workers taking the runs in turn then get
+    the same number of items to within one.
+    """
+    longest = -(-n_items // (TASKS_PER_WORKER * workers))
+    runs = -(-n_items // longest)
+    runs = min(n_items, -(-runs // workers) * workers)
+    short, extra = divmod(n_items, runs)
+    return [short + 1] * extra + [short] * (runs - extra)
+
+
+def _map_run(fn, run):
+    return [fn(item) for item in run]
+
+
 def parallel_map(fn, items):
     """Map ``fn`` over ``items`` preserving order.
 
     Runs serially unless ENVDIAG_THREADS > 1.  ``fn`` and the items must be
     picklable when workers are used; results are independent of the worker
-    count because every item carries its own seed.  The items go out in at
-    most ``TASKS_PER_WORKER`` runs of consecutive items per worker, and every
-    worker starts with ``keep_heap``.
+    count because every item carries its own seed.  The items go out in the
+    runs of consecutive items that ``run_lengths`` gives, and every worker
+    starts with ``keep_heap``.
     """
     items = list(items)
     n = worker_count()
     if n <= 1 or len(items) < 2:
         return [fn(item) for item in items]
     workers = min(n, len(items))
+    ends = list(itertools.accumulate(run_lengths(len(items), workers)))
+    runs = [items[a:b] for a, b in zip([0] + ends, ends)]
     with ProcessPoolExecutor(max_workers=workers, initializer=keep_heap) as pool:
-        chunk = -(-len(items) // (TASKS_PER_WORKER * workers))
-        return list(pool.map(fn, items, chunksize=chunk))
+        return [y for ys in pool.map(_map_run, itertools.repeat(fn), runs) for y in ys]

@@ -13,7 +13,6 @@ import os
 import sys
 
 import click
-import numpy as np
 
 from . import stats
 from ._parallel import keep_heap
@@ -33,7 +32,7 @@ from .sigio import (
     read_signal,
     write_estimates_csv,
     write_kde_csv,
-    write_signal,
+    write_signal_arrays,
     write_spectrum_csv,
 )
 from .sigmodel import (
@@ -42,7 +41,6 @@ from .sigmodel import (
     DistributionSpec,
     PulseParams,
     SeedSpec,
-    Signal,
     simulate_signal,
 )
 
@@ -153,7 +151,8 @@ def main():
 @click.option("--aci", required=True, type=float, help="Amplitude of the cyclic impulses.")
 @click.option("--seg-len", required=True, type=float, help="Segment duration in seconds.")
 @click.option("--n-segments", default=1, show_default=True, type=int,
-              help="Independent segments, each with its own frequency draw.")
+              help="Independent segments, each with its own frequency draw; each is "
+                   "written as it is made, so memory does not grow with their number.")
 @click.option("--fs", default=DEFAULT_FS, show_default=True, type=float)
 @click.option("--fc", default=2500.0, show_default=True, type=float)
 @click.option("--noise-std", default=1.0, show_default=True, type=float)
@@ -162,19 +161,25 @@ def main():
               type=click.Choice(FORMATS))
 @click.option("-o", "--out", required=True, type=click.Path())
 def cmd_simulate(dist_text, aci, seg_len, n_segments, fs, fc, noise_std, seed, fmt, out):
-    """Synthesize a segmented test signal with a ground-truth sidecar."""
+    """Synthesize a segmented test signal with a ground-truth sidecar.
+
+    Each segment is written to the output as soon as it is made and only
+    its true frequency is kept, so memory holds one segment whatever
+    --n-segments is.  A failed segment leaves no output behind.
+    """
     dist = DistributionSpec.parse(dist_text)
     pulse = PulseParams(aci=aci, fc=fc)
     if n_segments < 1:
         raise ParameterError("--n-segments must be >= 1")
     seeds = SeedSpec(seed)
-    chunks = []
     truth = []
-    for i in range(n_segments):
-        sig, f_true = simulate_signal(seg_len, fs, dist, pulse, seeds.sequence(i), noise_std)
-        chunks.append(sig.samples)
-        truth.append(f_true)
-    signal = Signal(np.concatenate(chunks), fs)
+
+    def segments():
+        for i in range(n_segments):
+            sig, f_true = simulate_signal(seg_len, fs, dist, pulse, seeds.sequence(i), noise_std)
+            truth.append(f_true)
+            yield sig.samples
+
     sidecar = {
         "seed": seed,
         "dist": dist.spec_string(),
@@ -183,10 +188,11 @@ def cmd_simulate(dist_text, aci, seg_len, n_segments, fs, fc, noise_std, seed, f
         "noise_std": noise_std,
         "seg_len_s": seg_len,
         "n_segments": n_segments,
+        # filled while the segments are written, and serialized after the last
         "f_true_hz": truth,
     }
-    write_signal(out, signal, fmt, sidecar)
-    click.echo(f"wrote {n_segments} segment(s), {signal.duration:g} s at {fs:g} Hz -> {out}")
+    n = write_signal_arrays(out, segments(), fs, fmt, sidecar)
+    click.echo(f"wrote {n_segments} segment(s), {n / fs:g} s at {fs:g} Hz -> {out}")
 
 
 @main.command("calibrate")

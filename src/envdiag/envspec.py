@@ -13,6 +13,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+# numpy 2 imports numpy.fft on first use; importing it here, before any pool
+# forks, spares every worker that import on its first segment
+import numpy.fft  # noqa: F401
 
 from .errors import ParameterError
 from .sigmodel import Signal

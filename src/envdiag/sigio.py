@@ -2,8 +2,11 @@
 
 Signals travel either as CSV (one float per line) or as raw little-endian
 64-bit floats; both carry a JSON sidecar (``<file>.json``) recording the
-sample rate and, for simulated data, the generation parameters and the
-ground-truth frequency of every segment.
+sample rate, the sample count ``n`` and, for simulated data, the generation
+parameters and the ground-truth frequency of every segment.  A signal is
+written one array at a time, so a long recording never has to sit in
+memory whole; on read, a sidecar's ``n`` must match the samples found, so
+a cut file or a stale sidecar is an error rather than a shorter signal.
 """
 
 from __future__ import annotations
@@ -38,20 +41,51 @@ def infer_format(path: str) -> str:
 
 def write_signal(path, signal: Signal, fmt: str | None = None, sidecar: dict | None = None) -> None:
     """Write samples plus a JSON sidecar with at least the sample rate."""
+    write_signal_arrays(path, [signal.samples], signal.fs, fmt, sidecar)
+
+
+def write_signal_arrays(path, arrays, fs: float, fmt: str | None = None,
+                        sidecar: dict | None = None) -> int:
+    """Write the samples of ``arrays``, in order, as one signal; return their count.
+
+    ``arrays`` may be a generator: each array is written as soon as it is
+    drawn, and ``sidecar`` is serialized only after the last one, so values
+    the generator fills in along the way reach the sidecar.  Samples and
+    sidecar go to temporary files beside ``path`` and replace the outputs,
+    samples first, only once both are complete: an error on any array leaves
+    no output behind and an existing one untouched.
+    """
     fmt = fmt or infer_format(path)
-    if fmt == FORMAT_CSV:
-        # 17 significant digits round-trip any float64
-        np.savetxt(path, signal.samples, fmt="%.17g")
-    elif fmt == FORMAT_RAW:
-        signal.samples.astype("<f8").tofile(path)
-    else:
+    if fmt not in FORMATS:
         raise ParameterError(f"unknown signal format {fmt!r}")
-    meta = {"fs": signal.fs, "n": len(signal), "format": fmt}
-    if sidecar:
-        meta.update(sidecar)
-    with open(sidecar_path(path), "w", encoding="utf-8") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    outputs = (str(path), sidecar_path(path))
+    # the process id keeps concurrent writers of one path apart; mode "x"
+    # creates the files with the umask's permissions, as a plain open would
+    temps = [f"{out}.{os.getpid()}.tmp" for out in outputs]
+    try:
+        n = 0
+        with open(temps[0], "xb") as fh:
+            for samples in arrays:
+                if fmt == FORMAT_CSV:
+                    # 17 significant digits round-trip any float64
+                    np.savetxt(fh, samples, fmt="%.17g")
+                else:
+                    samples.astype("<f8", copy=False).tofile(fh)
+                n += len(samples)
+        meta = {"fs": fs, "n": n, "format": fmt}
+        if sidecar:
+            meta.update(sidecar)
+        with open(temps[1], "x", encoding="utf-8") as fh:
+            json.dump(meta, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+        for temp, out in zip(temps, outputs):
+            os.replace(temp, out)
+    except BaseException:
+        for temp in temps:
+            if os.path.exists(temp):
+                os.remove(temp)
+        raise
+    return n
 
 
 def _read_csv_samples(path) -> np.ndarray:
@@ -113,6 +147,11 @@ def read_signal(path, fmt: str | None = None, fs: float | None = None) -> tuple[
         samples = np.fromfile(path, dtype="<f8")
     else:
         raise ParameterError(f"unknown signal format {fmt!r}")
+    side_n = meta.get("n")
+    if side_n is not None and (type(side_n) is not int or side_n != samples.size):
+        raise SignalFormatError(
+            f"{path}: {samples.size} samples read, but its sidecar says n = {side_n!r}"
+        )
     return Signal(samples, float(fs)), meta
 
 

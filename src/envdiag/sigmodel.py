@@ -273,7 +273,8 @@ def simulate_signal(
 
     n = int(round(duration * fs))
     if noise_std > 0:
-        x = noise_std * rng.standard_normal(n)
+        x = rng.standard_normal(n)
+        x *= noise_std
     else:
         x = np.zeros(n)
 

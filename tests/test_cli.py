@@ -2,12 +2,21 @@
 
 import json
 import shutil
+import tracemalloc
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from envdiag import Signal, SpectrumConfig, envelope_spectrum
+from envdiag import (
+    DistributionSpec,
+    PulseParams,
+    SeedSpec,
+    Signal,
+    SpectrumConfig,
+    envelope_spectrum,
+    simulate_signal,
+)
 from envdiag.faultfreq import iter_segments
 from envdiag.sigio import read_signal, write_signal, write_spectrum_csv
 from envdiag.cli import EXIT_ANALYSIS, EXIT_USAGE_IO, main
@@ -347,3 +356,68 @@ def test_calibrate_shorter_than_a_fault_cycle_is_an_analysis_error(tmp_path):
                     "-o", tmp_path / "t.json")
     assert_analysis_error(result)
     assert "holds less than one full cycle" in result.output
+
+
+def simulate_args(out, *extra):
+    return ("simulate", "--dist", "normal:30,0.33", "--aci", 2, "--seg-len", 1, "--seed", 3,
+            "-o", out, *extra)
+
+
+def traced_peak(*args):
+    tracemalloc.start()
+    try:
+        result = invoke(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.exit_code == 0, result.output
+    return peak
+
+
+def test_simulate_memory_does_not_grow_with_the_segments(tmp_path):
+    segment_bytes = 25_000 * 8
+    invoke(*simulate_args(tmp_path / "warm.f64"))  # first-call imports and caches
+    peak_10 = traced_peak(*simulate_args(tmp_path / "r10.f64", "--n-segments", 10))
+    peak_40 = traced_peak(*simulate_args(tmp_path / "r40.f64", "--n-segments", 40))
+    # the recording is 8 MB; holding it, or a copy, would be far above this
+    assert peak_40 < 2_000_000
+    assert peak_40 - peak_10 < segment_bytes
+
+
+@pytest.mark.parametrize("fmt,name", [("csv", "rec.csv"), ("raw-f64le", "rec.f64")])
+def test_simulate_writes_the_concatenated_segments(tmp_path, fmt, name):
+    out, ref = tmp_path / name, tmp_path / ("ref-" + name)
+    result = invoke("simulate", "--dist", "uniform:28,32", "--aci", 2.5, "--seg-len", 0.5,
+                    "--n-segments", 3, "--seed", 5, "--format", fmt, "-o", out)
+    assert result.exit_code == 0, result.output
+    assert result.output == f"wrote 3 segment(s), 1.5 s at 25000 Hz -> {out}\n"
+    dist, pulse, seeds = DistributionSpec.uniform(28.0, 32.0), PulseParams(aci=2.5), SeedSpec(5)
+    segments = [simulate_signal(0.5, 25_000.0, dist, pulse, seeds.sequence(i))
+                for i in range(3)]
+    sidecar = {"seed": 5, "dist": dist.spec_string(),
+               "pulse": {"aci": 2.5, "fc": 2500.0, "bw_lo": pulse.bw_lo, "bw_hi": pulse.bw_hi,
+                         "bwr": pulse.bwr},
+               "noise_std": 1.0, "seg_len_s": 0.5, "n_segments": 3,
+               "f_true_hz": [f for _, f in segments]}
+    write_signal(ref, Signal(np.concatenate([s.samples for s, _ in segments]), 25_000.0), fmt,
+                 sidecar)
+    assert out.read_bytes() == ref.read_bytes()
+    assert (tmp_path / (name + ".json")).read_bytes() == \
+        (tmp_path / ("ref-" + name + ".json")).read_bytes()
+
+
+def test_simulate_failing_on_a_later_segment_leaves_no_output(tmp_path):
+    # with seed 1, segments 0-2 draw 6.1, 4.6 and 5.6 Hz; segment 3 draws
+    # 2.1 Hz, less than one full cycle in 0.5 s
+    args = ("simulate", "--dist", "uniform:2,10", "--aci", 2, "--seg-len", 0.5,
+            "--n-segments", 6, "--seed", 1, "-o")
+    result = invoke(*args, tmp_path / "new.f64")
+    assert_analysis_error(result)
+    assert "less than one full cycle of 2.11255 Hz" in result.output
+    assert list(tmp_path.iterdir()) == []
+    # an existing recording and its sidecar stay as they were
+    old = tmp_path / "old.f64"
+    write_signal(old, Signal(np.arange(5.0), 25_000.0))
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    assert_analysis_error(invoke(*args, old))
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before

@@ -185,6 +185,12 @@ class TestTaper:
                          "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
         assert out.strip() == "[]"
 
+    def test_envdiag_imports_numpy_fft(self, run_python):
+        # numpy loads numpy.fft lazily; a pool parent that never transforms
+        # would leave every forked worker to import it on its first segment
+        out = run_python("import sys, envdiag; print('numpy.fft' in sys.modules)")
+        assert out.strip() == "True"
+
 
 class TestSpectrumConfig:
     def test_unknown_window_rejected(self):

@@ -8,7 +8,13 @@ import pytest
 
 from envdiag import DistributionSpec, ParameterError, build_table, simulate_and_classify
 from envdiag import _parallel
-from envdiag._parallel import ENV_THREADS, parallel_map, worker_count
+from envdiag._parallel import (
+    ENV_THREADS,
+    TASKS_PER_WORKER,
+    parallel_map,
+    run_lengths,
+    worker_count,
+)
 
 
 def on_glibc():
@@ -53,17 +59,43 @@ def test_simulate_and_classify_independent_of_worker_count(monkeypatch):
 
 @pytest.mark.parametrize("threads,n_items", [("2", 7), ("3", 7), ("2", 30), ("3", 31)])
 def test_chunked_map_keeps_the_order(monkeypatch, threads, n_items):
-    # chunks of 1; of 4 (last 2); of 3 (last 1)
+    # runs of 1; of 4 (last two 3); of 3 (last five 2)
     monkeypatch.setenv(ENV_THREADS, threads)
     assert parallel_map(operator.neg, range(n_items)) == [-i for i in range(n_items)]
 
 
+@pytest.mark.parametrize("n_items,workers,lengths", [
+    (2, 2, [1, 1]),
+    (3, 3, [1, 1, 1]),
+    (7, 2, [1] * 7),
+    (7, 3, [1] * 7),
+    # a calibration cell of 10 signals: 5:5 where runs of 2 split 6:4
+    (10, 2, [2, 2, 2, 2, 1, 1]),
+    # a sweep setup and a sweep call: 10:10 and 15:15 where 11:9 and 16:14
+    (20, 2, [3, 3, 3, 3, 2, 2, 2, 2]),
+    (30, 2, [4, 4, 4, 4, 4, 4, 3, 3]),
+    (31, 3, [3] * 7 + [2] * 5),
+    (100, 3, [9] * 4 + [8] * 8),
+    (1000, 2, [125] * 8),
+])
+def test_run_lengths_share_items_equally(n_items, workers, lengths):
+    assert run_lengths(n_items, workers) == lengths
+    # workers taking the runs in turn get the same number of items to within one
+    shares = [sum(lengths[w::workers]) for w in range(workers)]
+    assert max(shares) - min(shares) <= 1
+    # at most workers - 1 runs more than runs of the longest length would make
+    longest = -(-n_items // (TASKS_PER_WORKER * workers))
+    assert len(lengths) <= -(-n_items // longest) + workers - 1
+
+
 @pytest.mark.parametrize("threads,n_items,pool_shape",
-                         [("4", 3, (3, 1)), ("2", 7, (2, 1)), ("2", 30, (2, 4)), ("3", 100, (3, 9))])
+                         [("4", 3, (3, (1, 1, 1))), ("2", 7, (2, (1,) * 7)),
+                          ("2", 30, (2, (4,) * 6 + (3, 3))), ("3", 100, (3, (9,) * 4 + (8,) * 8))])
 def test_a_few_tasks_per_worker_and_no_more_workers_than_items(monkeypatch, threads, n_items,
                                                                pool_shape):
-    # the fake pool forks nothing; it records its worker count and chunk size,
-    # and checks that every worker would start by keeping its heap mapped
+    # the fake pool forks nothing; it records its worker count and the lengths
+    # of the runs it is sent, and checks that every worker would start by
+    # keeping its heap mapped
     seen = []
 
     class FakePool:
@@ -77,9 +109,9 @@ def test_a_few_tasks_per_worker_and_no_more_workers_than_items(monkeypatch, thre
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, items, chunksize):
-            seen.append((self.max_workers, chunksize))
-            return map(fn, items)
+        def map(self, fn, fns, runs):
+            seen.append((self.max_workers, tuple(len(run) for run in runs)))
+            return map(fn, fns, runs)
 
     monkeypatch.setattr(_parallel, "ProcessPoolExecutor", FakePool)
     monkeypatch.setenv(ENV_THREADS, threads)

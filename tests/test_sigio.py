@@ -107,6 +107,28 @@ def test_truncated_raw_file_rejected(tmp_path):
         read_signal(path, fs=FS)
 
 
+@pytest.mark.parametrize("name", ["x.f64", "x.csv"])
+def test_sample_count_must_match_the_sidecar(tmp_path, signal, name):
+    # a raw file cut by a whole number of samples, or a csv missing lines,
+    # reads as a shorter signal unless the sidecar's n is checked
+    path = tmp_path / name
+    write_signal(path, signal)
+    data = path.read_bytes()
+    path.write_bytes(data[:200 * 8] if name.endswith(".f64") else
+                     b"".join(data.splitlines(keepends=True)[:200]))
+    with pytest.raises(SignalFormatError,
+                       match=rf"{name}: 200 samples read, but its sidecar says n = 257"):
+        read_signal(path)
+
+
+@pytest.mark.parametrize("n", ["257", 257.0, True])
+def test_sidecar_count_must_be_an_integer(tmp_path, signal, n):
+    path = tmp_path / "x.f64"
+    write_signal(path, signal, sidecar={"n": n})
+    with pytest.raises(SignalFormatError, match=f"sidecar says n = {n!r}"):
+        read_signal(path)
+
+
 def test_unknown_format_rejected(tmp_path, signal):
     path = tmp_path / "x.wav"
     with pytest.raises(ParameterError, match="wav"):
