@@ -32,12 +32,17 @@ DEFAULT_ACI_GRID = (1.0, 1.5, 2.0, 2.5, 3.0)
 DEFAULT_SEG_GRID = (0.5, 1.0, 2.0, 5.0, 10.0)
 DEFAULT_N_SIGNALS = 1000
 MAX_FAILURE_FRAC = 0.01
+DEFAULT_SPECTRUM = SpectrumConfig()
+DEFAULT_ESTIMATOR = EstimatorConfig(f_theoretical=DEFAULT_FAULT_FREQ)
+SCHEMA_VERSION = 2
 
 
 def config_digest(spec_cfg: SpectrumConfig, est_cfg: EstimatorConfig) -> str:
     """Digest of the analysis settings a threshold table depends on.
 
-    Covers the spectral estimator shape and the peak-search geometry.  The
+    Covers the spectral estimator shape and the peak-search geometry, the
+    settings a table stores in ``meta.analysis``.  Tables saved before
+    ``schema_version`` 2 stored only this digest.  The
     bandpass band, the sample rate and the theoretical frequency are
     excluded on purpose: the envelope grid spacing depends only on the
     piece duration and zero padding, and variance rescaling maps any real
@@ -74,7 +79,11 @@ class ThresholdEntry:
 
 # Field -> JSON key of each saved record; one map drives both save and load.
 _META_KEYS = {"fs": "fs", "f_simul": "f_simul", "n_signals": "n", "master_seed": "seed",
-              "noise_std": "noise_std", "config_digest": "config_digest"}
+              "noise_std": "noise_std"}
+_SPECTRUM_KEYS = {"window": "window", "zero_pad_factor": "zero_pad_factor",
+                  "piece_len_s": "piece_len_s"}
+_ESTIMATOR_KEYS = {"n_harmonics": "n_harmonics", "search_frac": "search_frac",
+                   "peak_excl_bins": "peak_excl_bins"}
 _PULSE_KEYS = {"fc": "fc", "bw_lo": "bw_lo", "bw_hi": "bw_hi", "bwr": "bwr"}
 _ENTRY_KEYS = {"aci": "aci", "seg_len": "seg_len_s", "threshold": "threshold",
                "mean_f_hat": "mean_f_hat", "mean_snr": "mean_snr", "n_signals": "n_signals",
@@ -88,7 +97,8 @@ _VALID = {
     "str": lambda v: type(v) is str,
 }
 # The range of each field that has one, by field name; ``n_signals`` is both
-# the table's requested count and an entry's count of estimates kept.
+# the table's requested count and an entry's count of estimates kept.  The
+# analysis settings are range-checked by their own config classes.
 _IN_RANGE = {
     "fs": lambda v: v > 0,
     "f_simul": lambda v: v > 0,
@@ -119,15 +129,30 @@ def _load(cls, data: dict, keys: dict, **extra):
 class ThresholdTable:
     """Threshold entries plus the generation metadata they depend on.
 
+    ``spectrum`` and ``estimator`` are the envelope-spectrum and peak-search
+    settings the table was calibrated under; a recording compared against
+    it is analysed with the same ones.  ``spectrum`` has no band, and
+    ``estimator`` centres on ``f_simul``: a classification puts in the
+    recording's own band and theoretical frequency.
+
     Saved as a JSON object with two members.  ``meta`` holds ``fs``,
-    ``f_simul``, ``n``, ``seed``, ``noise_std``, ``config_digest`` and
-    ``pulse``, the base pulse's ``fc``, ``bw_lo``, ``bw_hi`` and ``bwr``; its
-    ACI is 1.0, as each entry carries its own.
+    ``f_simul``, ``n``, ``seed``, ``noise_std``, ``schema_version`` (2),
+    ``analysis``, the settings' ``window``, ``zero_pad_factor``,
+    ``piece_len_s``, ``n_harmonics``, ``search_frac`` and
+    ``peak_excl_bins``, and ``pulse``, the base pulse's ``fc``, ``bw_lo``,
+    ``bw_hi`` and ``bwr``; its ACI is 1.0, as each entry carries its own.
     ``entries`` is a list of cells, each with ``aci``, ``seg_len_s``,
     ``threshold``, ``mean_f_hat``, ``mean_snr``, ``n_signals`` and
     ``master_seed``.  Tables saved without ``noise_std`` load with 1.0.  A
     loaded table needs ``fs`` and ``f_simul`` above 0, every ``n`` and
-    ``n_signals`` at least 2, and no negative ``threshold`` or ``mean_snr``.
+    ``n_signals`` at least 2, no negative ``threshold`` or ``mean_snr``,
+    and analysis settings that ``SpectrumConfig`` and ``EstimatorConfig``
+    accept.
+
+    A table saved without ``schema_version`` carries only ``config_digest``,
+    a digest of its settings.  It loads with the default settings when the
+    digest is theirs; any other digest, or any other ``schema_version``, is
+    an error that asks for a recalibration.
     """
 
     fs: float
@@ -136,7 +161,8 @@ class ThresholdTable:
     master_seed: int
     noise_std: float
     pulse_base: PulseParams
-    config_digest: str
+    spectrum: SpectrumConfig
+    estimator: EstimatorConfig
     entries: tuple[ThresholdEntry, ...]
 
     def __post_init__(self):
@@ -149,15 +175,38 @@ class ThresholdTable:
 
     def to_json_dict(self) -> dict:
         meta = _dump(self, _META_KEYS)
+        meta["schema_version"] = SCHEMA_VERSION
+        meta["analysis"] = {**_dump(self.spectrum, _SPECTRUM_KEYS),
+                            **_dump(self.estimator, _ESTIMATOR_KEYS)}
         meta["pulse"] = _dump(self.pulse_base, _PULSE_KEYS)
         return {"meta": meta, "entries": [_dump(e, _ENTRY_KEYS) for e in self.entries]}
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "ThresholdTable":
         meta = {"noise_std": 1.0, **data["meta"]}
+        version = meta.get("schema_version")
+        if version is None:
+            if meta["config_digest"] != config_digest(DEFAULT_SPECTRUM, DEFAULT_ESTIMATOR):
+                raise ParameterError(
+                    "a table from before schema_version 2 keeps only a digest of its "
+                    f"analysis settings, and {meta['config_digest']!r} is not the defaults'; "
+                    "recalibrate it with 'envdiag calibrate'"
+                )
+            analysis = {**_dump(DEFAULT_SPECTRUM, _SPECTRUM_KEYS),
+                        **_dump(DEFAULT_ESTIMATOR, _ESTIMATOR_KEYS)}
+        elif version == SCHEMA_VERSION:
+            analysis = meta["analysis"]
+        else:
+            raise ParameterError(
+                f"schema_version {version!r} is not {SCHEMA_VERSION}; "
+                "recalibrate with this version of 'envdiag calibrate'"
+            )
         return _load(
             cls, meta, _META_KEYS,
             pulse_base=_load(PulseParams, meta["pulse"], _PULSE_KEYS, aci=1.0),
+            spectrum=_load(SpectrumConfig, analysis, _SPECTRUM_KEYS),
+            estimator=_load(EstimatorConfig, analysis, _ESTIMATOR_KEYS,
+                            f_theoretical=meta["f_simul"]),
             entries=tuple(_load(ThresholdEntry, e, _ENTRY_KEYS) for e in data["entries"]),
         )
 
@@ -221,8 +270,8 @@ def calibrate_entry(
     n: int,
     fs: float,
     master_seed: int,
-    spec_cfg: SpectrumConfig = SpectrumConfig(),
-    est_cfg: EstimatorConfig = EstimatorConfig(f_theoretical=DEFAULT_FAULT_FREQ),
+    spec_cfg: SpectrumConfig = DEFAULT_SPECTRUM,
+    est_cfg: EstimatorConfig = DEFAULT_ESTIMATOR,
     pulse: PulseParams = PulseParams(aci=1.0),
     noise_std: float = 1.0,
 ) -> ThresholdEntry:
@@ -263,8 +312,8 @@ def build_table(
     n: int = DEFAULT_N_SIGNALS,
     fs: float = 25_000.0,
     master_seed: int = 0,
-    spec_cfg: SpectrumConfig = SpectrumConfig(),
-    est_cfg: EstimatorConfig = EstimatorConfig(f_theoretical=DEFAULT_FAULT_FREQ),
+    spec_cfg: SpectrumConfig = DEFAULT_SPECTRUM,
+    est_cfg: EstimatorConfig = DEFAULT_ESTIMATOR,
     pulse: PulseParams = PulseParams(aci=1.0),
     noise_std: float = 1.0,
 ) -> ThresholdTable:
@@ -307,6 +356,7 @@ def build_table(
         master_seed=seeds.master_seed,
         noise_std=float(noise_std),
         pulse_base=replace(pulse, aci=1.0),
-        config_digest=config_digest(spec_cfg, est_cfg),
+        spectrum=replace(spec_cfg, bandpass=None),
+        estimator=replace(est_cfg, f_theoretical=DEFAULT_FAULT_FREQ),
         entries=tuple(entries),
     )

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -54,12 +54,18 @@ MIN_SEGMENTS_FOR_TEST = 10
 
 @dataclass(frozen=True)
 class ClassifyConfig:
-    """Settings for one classification run."""
+    """Settings for one classification run.
 
-    estimator: EstimatorConfig
+    Only the recording's own values: its theoretical fault frequency, the
+    segment length, the test level, an optional bandpass ``band`` (LO, HI)
+    in Hz and the rescale direction.  The envelope-spectrum and peak-search
+    settings come from the threshold table, see ``analysis``.
+    """
+
+    f_theoretical: float
     seg_len: float
     alpha: float = 0.05
-    spectrum: SpectrumConfig = field(default_factory=SpectrumConfig)
+    band: tuple[float, float] | None = None
     paper_rescale: bool = False
 
     def __post_init__(self):
@@ -67,6 +73,15 @@ class ClassifyConfig:
             raise ParameterError("alpha must lie in (0, 1)")
         if not 0 < self.seg_len < math.inf:
             raise ParameterError("segment length must be positive and finite")
+        # the band and the search centre are checked by the configs they go into
+        SpectrumConfig(bandpass=self.band)
+        EstimatorConfig(f_theoretical=self.f_theoretical)
+
+    def analysis(self, table: ThresholdTable) -> tuple[SpectrumConfig, EstimatorConfig]:
+        """The table's envelope-spectrum and peak-search settings, with this
+        run's band and theoretical frequency put in."""
+        return (replace(table.spectrum, bandpass=self.band),
+                replace(table.estimator, f_theoretical=self.f_theoretical))
 
 
 @dataclass(frozen=True)
@@ -242,26 +257,16 @@ def _decide(
     )
 
 
-def _check_digest(cfg: ClassifyConfig, table: ThresholdTable) -> None:
-    expected = config_digest(cfg.spectrum, cfg.estimator)
-    if expected != table.config_digest:
-        raise TableMismatchError(
-            "threshold table was calibrated under a different spectral/estimator "
-            f"configuration (table {table.config_digest}, current {expected}); "
-            "recalibrate or adjust the configuration"
-        )
-
-
 def _provenance(cfg: ClassifyConfig, table: ThresholdTable, **extra) -> dict:
     """Settings and table identity a report was made under."""
     return {
-        "table_digest": table.config_digest,
+        "table_digest": config_digest(table.spectrum, table.estimator),
         "table_seed": table.master_seed,
         "alpha": cfg.alpha,
-        "f_theoretical": cfg.estimator.f_theoretical,
+        "f_theoretical": cfg.f_theoretical,
         "rescale_direction": "paper" if cfg.paper_rescale else "normalized",
-        "search_frac": cfg.estimator.search_frac,
-        "n_harmonics": cfg.estimator.n_harmonics,
+        "search_frac": table.estimator.search_frac,
+        "n_harmonics": table.estimator.n_harmonics,
         **extra,
     }
 
@@ -269,13 +274,14 @@ def _provenance(cfg: ClassifyConfig, table: ThresholdTable, **extra) -> dict:
 def classify_signal(
     x: Signal, cfg: ClassifyConfig, table: ThresholdTable
 ) -> ClassificationReport:
-    """Run the full decision procedure on a recorded signal."""
-    _check_digest(cfg, table)
-    estimate = functools.partial(estimate_or_error, spec_cfg=cfg.spectrum, est_cfg=cfg.estimator)
+    """Run the full decision procedure on a recorded signal, analysed with
+    the table's settings."""
+    spec_cfg, est_cfg = cfg.analysis(table)
+    estimate = functools.partial(estimate_or_error, spec_cfg=spec_cfg, est_cfg=est_cfg)
     f_hats, snrs, errors = estimate_batch(estimate, iter_segments(x, cfg.seg_len))
     warnings = check_segment_failures(x, cfg.seg_len, len(errors), len(f_hats) + len(errors))
     provenance = _provenance(
-        cfg, table, bandpass=list(cfg.spectrum.bandpass) if cfg.spectrum.bandpass else None
+        cfg, table, bandpass=list(spec_cfg.bandpass) if spec_cfg.bandpass else None
     )
     return _decide(
         f_hats, snrs, table, cfg.seg_len, cfg.alpha, cfg.paper_rescale, warnings, provenance
@@ -299,14 +305,14 @@ def simulate_and_classify(
     """
     if n_segments < 2:
         raise ParameterError("need at least 2 segments")
-    cfg = cfg or ClassifyConfig(EstimatorConfig(f_theoretical=table.f_simul), seg_len)
+    cfg = cfg or ClassifyConfig(table.f_simul, seg_len)
     if abs(cfg.seg_len - seg_len) > 1e-12:
         raise ParameterError("cfg.seg_len disagrees with seg_len")
-    _check_digest(cfg, table)
+    spec_cfg, est_cfg = cfg.analysis(table)
     simulate = functools.partial(
         simulate_and_estimate, seed=seed, seg_len=seg_len, fs=table.fs, dist=dist,
         pulse=replace(table.pulse_base, aci=aci), noise_std=table.noise_std,
-        spec_cfg=cfg.spectrum, est_cfg=cfg.estimator,
+        spec_cfg=spec_cfg, est_cfg=est_cfg,
     )
     f_hats, snrs, errors = estimate_batch(simulate, range(n_segments))
     if errors:

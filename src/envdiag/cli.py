@@ -87,6 +87,11 @@ def _parse_grid(text: str):
         raise ParameterError(f"malformed list {text!r}") from None
 
 
+# classify takes the band alone; the other commands get it with the spectrum
+band_option = click.option("--band", default=None,
+                           help="Bandpass LO,HI in Hz before demodulation, or 'none'.")
+
+
 # The two option groups below hand the command one built config in place of
 # their raw values.  Their configs are built outside the command function, so
 # each command puts handle_errors directly under @main.command: a bad value
@@ -102,8 +107,7 @@ def spectrum_options(fn):
                                   zero_pad_factor=zero_pad, piece_len_s=piece_len)
         return fn(*args, spec_cfg=spec_cfg, **kwargs)
 
-    wrapper = click.option("--band", default=None,
-                           help="Bandpass LO,HI in Hz before demodulation, or 'none'.")(wrapper)
+    wrapper = band_option(wrapper)
     wrapper = click.option("--window", default="hann", show_default=True,
                            type=click.Choice(tuple(WINDOWS)),
                            help="Taper for the Welch pieces.")(wrapper)
@@ -266,8 +270,7 @@ def _report_text(reports: list[ClassificationReport]) -> str:
 @click.option("--paper-rescale", is_flag=True,
               help="Apply the literal (f_real/f_simul)^2 variance factor instead of "
                    "normalizing onto the simulated scale.")
-@spectrum_options
-@estimator_options
+@band_option
 @click.option("-o", "--out", required=True, type=click.Path(), help="Report JSON output.")
 @click.option("--text-out", default=None, type=click.Path(),
               help="Also write the human-readable decision table.")
@@ -277,16 +280,22 @@ def _report_text(reports: list[ClassificationReport]) -> str:
               help="CSV with the KDE of the estimates (first length only).")
 @click.option("--emit-estimates", default=None, type=click.Path(),
               help="CSV with per-segment estimates (first length only).")
-def cmd_classify(in_path, table_path, seg_lens, alpha, fs, fmt, paper_rescale, spec_cfg,
-                 est_cfg, out, text_out, emit_spectra, emit_kde, emit_estimates):
-    """Classify the fault-frequency behaviour of a recorded signal."""
+def cmd_classify(in_path, table_path, f_theoretical, seg_lens, alpha, fs, fmt, paper_rescale,
+                 band, out, text_out, emit_spectra, emit_kde, emit_estimates):
+    """Classify the fault-frequency behaviour of a recorded signal.
+
+    The envelope-spectrum and peak-search settings (window, zero padding,
+    piece length, harmonics, search width and peak exclusion) are read from
+    the threshold table, so the recording is analysed as the table was
+    calibrated; set them with 'envdiag calibrate'.  --band and
+    --f-theoretical belong to the recording and are given here.
+    """
+    band = _parse_band(band)
     table = ThresholdTable.load(table_path)
     signal, _ = _load_input_signal(in_path, fmt, fs)
-    reports = []
-    for seg_len in _parse_grid(seg_lens):
-        cfg = ClassifyConfig(estimator=est_cfg, seg_len=seg_len, alpha=alpha,
-                             spectrum=spec_cfg, paper_rescale=paper_rescale)
-        reports.append(classify_signal(signal, cfg, table))
+    cfgs = [ClassifyConfig(f_theoretical, seg_len, alpha, band, paper_rescale)
+            for seg_len in _parse_grid(seg_lens)]
+    reports = [classify_signal(signal, cfg, table) for cfg in cfgs]
     with open(out, "w", encoding="utf-8") as fh:
         json.dump([r.to_json_dict() for r in reports], fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -297,6 +306,7 @@ def cmd_classify(in_path, table_path, seg_lens, alpha, fs, fmt, paper_rescale, s
     click.echo(text, nl=False)
 
     first_len = reports[0].seg_len
+    spec_cfg, est_cfg = cfgs[0].analysis(table)
     if emit_estimates or emit_kde:
         # the same segments as the first report, which skipped the same failures
         indices, estimates, _ = estimate_per_segment(signal, first_len, spec_cfg, est_cfg)

@@ -22,7 +22,11 @@ class CalibrationError(EnvDiagError):
 
 
 class TableMismatchError(EnvDiagError):
-    """A threshold table was generated under a different configuration."""
+    """A threshold table has no calibrated cell for the requested segment length.
+
+    The analysis settings cannot mismatch: a table carries them, and a
+    recording is analysed with the table's own.
+    """
 
 
 class SignalFormatError(EnvDiagError):

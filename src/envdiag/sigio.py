@@ -11,6 +11,7 @@ a cut file or a stale sidecar is an error rather than a shorter signal.
 
 from __future__ import annotations
 
+import array
 import json
 import math
 import os
@@ -89,7 +90,8 @@ def write_signal_arrays(path, arrays, fs: float, fmt: str | None = None,
 
 
 def _read_csv_samples(path) -> np.ndarray:
-    values = []
+    # a typed array holds 8 bytes per sample, a list of floats about 32
+    values = array.array("d")
     with open(path, encoding="ascii") as fh:
         for lineno, line in enumerate(fh, start=1):
             text = line.strip()
@@ -103,7 +105,7 @@ def _read_csv_samples(path) -> np.ndarray:
                 ) from None
     if not values:
         raise SignalFormatError(f"{path}: no samples found")
-    return np.asarray(values)
+    return np.frombuffer(values, dtype=np.float64)
 
 
 def read_signal(path, fmt: str | None = None, fs: float | None = None) -> tuple[Signal, dict]:

@@ -235,8 +235,8 @@ def simulate_signal(
     seed : int, SeedSequence or Generator
         Source of randomness; fixed seeds give bit-identical signals.
     noise_std : float
-        Standard deviation of the additive noise (0 disables it; used by
-        the noiseless test oracles).
+        Standard deviation of the additive noise, finite and non-negative
+        (0 disables it; used by the noiseless test oracles).
 
     Returns
     -------
@@ -259,8 +259,9 @@ def simulate_signal(
         raise ParameterError(
             f"fs={fs:g} Hz leaves no Nyquist margin; need fs > {nyquist_needed:g} Hz"
         )
-    if noise_std < 0:
-        raise ParameterError("noise_std must be non-negative")
+    # written so that NaN fails it too
+    if not 0 <= noise_std < math.inf:
+        raise ParameterError(f"noise_std must be non-negative and finite, got {noise_std!r}")
 
     rng = _as_rng(seed)
     f_true = dist.sample(rng)

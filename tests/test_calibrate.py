@@ -101,8 +101,20 @@ class TestBuildTable:
         assert [line.split(",", 1)[0] for line in lines] == ["aci", "1", "2"]
         assert lines[0] == "aci,0.5s,1s"
         assert table.pulse_base == PulseParams(aci=1.0)
-        assert table.config_digest == config_digest(SpectrumConfig(),
-                                                    EstimatorConfig(f_theoretical=30.0))
+        assert table.spectrum == SpectrumConfig()
+        assert table.estimator == EstimatorConfig(f_theoretical=30.0)
+
+    def test_table_keeps_the_analysis_settings_but_not_the_band(self):
+        spec_cfg = SpectrumConfig(bandpass=(1000.0, 4000.0), window="hamming",
+                                  zero_pad_factor=2, piece_len_s=0.25)
+        est_cfg = EstimatorConfig(f_theoretical=30.0, n_harmonics=2, search_frac=0.2,
+                                  peak_excl_bins=1)
+        table = build_table((2.0,), (0.5,), n=2, master_seed=3, spec_cfg=spec_cfg,
+                            est_cfg=est_cfg)
+        assert table.spectrum == SpectrumConfig(window="hamming", zero_pad_factor=2,
+                                                piece_len_s=0.25)
+        assert table.estimator == est_cfg
+        assert ThresholdTable.from_json_dict(table.to_json_dict()) == table
 
     def test_empty_grid_rejected(self):
         with pytest.raises(ParameterError):
@@ -140,7 +152,8 @@ def hand_table():
     )
     return ThresholdTable(fs=25000.0, f_simul=30.0, n_signals=1000, master_seed=3,
                           noise_std=1.0, pulse_base=PulseParams(aci=1.0),
-                          config_digest="2caa3ff4ce576fea", entries=entries)
+                          spectrum=SpectrumConfig(),
+                          estimator=EstimatorConfig(f_theoretical=30.0), entries=entries)
 
 
 HAND_TABLE_TEXT = """\
@@ -166,7 +179,14 @@ HAND_TABLE_TEXT = """\
     }
   ],
   "meta": {
-    "config_digest": "2caa3ff4ce576fea",
+    "analysis": {
+      "n_harmonics": 3,
+      "peak_excl_bins": 2,
+      "piece_len_s": 0.5,
+      "search_frac": 0.18,
+      "window": "hann",
+      "zero_pad_factor": 4
+    },
     "f_simul": 30.0,
     "fs": 25000.0,
     "n": 1000,
@@ -177,6 +197,7 @@ HAND_TABLE_TEXT = """\
       "bwr": -6.0,
       "fc": 2500.0
     },
+    "schema_version": 2,
     "seed": 3
   }
 }
@@ -184,9 +205,20 @@ HAND_TABLE_TEXT = """\
 
 
 def hand_table_with(record, key, value):
-    """The hand table's JSON text with one value of ``meta`` or the first entry replaced."""
+    """The hand table's JSON text with one value of ``meta``, its ``analysis`` or the
+    first entry replaced."""
     data = hand_table().to_json_dict()
-    (data["meta"] if record == "meta" else data["entries"][0])[key] = value
+    records = {"meta": data["meta"], "analysis": data["meta"]["analysis"],
+               "entries": data["entries"][0]}
+    records[record][key] = value
+    return json.dumps(data)
+
+
+def legacy_table_json(digest):
+    """The hand table as a table from before schema_version 2 saved it."""
+    data = hand_table().to_json_dict()
+    del data["meta"]["schema_version"], data["meta"]["analysis"]
+    data["meta"]["config_digest"] = digest
     return json.dumps(data)
 
 
@@ -229,11 +261,37 @@ class TestThresholdTableFile:
         pytest.param(hand_table_with("meta", "fs", 0.0), id="fs-zero"),
         pytest.param(hand_table_with("meta", "f_simul", -30.0), id="f_simul-negative"),
         pytest.param(hand_table_with("entries", "mean_snr", -0.5), id="mean_snr-negative"),
+        pytest.param(hand_table_with("analysis", "window", "hanning"), id="window-unknown"),
+        pytest.param(hand_table_with("analysis", "zero_pad_factor", 0), id="zero_pad-zero"),
+        pytest.param(hand_table_with("analysis", "zero_pad_factor", 4.0), id="zero_pad-float"),
+        pytest.param(hand_table_with("analysis", "piece_len_s", "0.5"), id="piece_len-text"),
+        pytest.param(hand_table_with("analysis", "n_harmonics", 0), id="n_harmonics-zero"),
+        pytest.param(hand_table_with("analysis", "search_frac", 0.3), id="search_frac-overlap"),
+        pytest.param(hand_table_with("analysis", "peak_excl_bins", -1), id="peak_excl-negative"),
+        pytest.param(hand_table_with("meta", "analysis", {}), id="analysis-empty"),
+        pytest.param(hand_table_with("meta", "schema_version", 3), id="schema-3"),
+        pytest.param(hand_table_with("meta", "schema_version", "2"), id="schema-text"),
+        pytest.param(legacy_table_json("0123456789abcdef"), id="legacy-other-digest"),
     ])
     def test_malformed_file_names_the_path(self, tmp_path, content):
         path = tmp_path / "bad.json"
         path.write_text(content, encoding="utf-8")
         with pytest.raises(ParameterError, match="bad.json: not a valid threshold table"):
+            ThresholdTable.load(path)
+
+    def test_legacy_table_with_the_default_digest_loads_with_the_defaults(self):
+        legacy = json.loads(legacy_table_json("2caa3ff4ce576fea"))
+        assert ThresholdTable.from_json_dict(legacy) == hand_table()
+
+    @pytest.mark.parametrize("content,message", [
+        (legacy_table_json("0123456789abcdef"), "recalibrate it"),
+        (hand_table_with("meta", "schema_version", 1), "schema_version 1 is not 2; recalibrate"),
+    ])
+    def test_other_legacy_or_version_asks_for_a_recalibration(self, tmp_path, content,
+                                                              message):
+        path = tmp_path / "old.json"
+        path.write_text(content, encoding="utf-8")
+        with pytest.raises(ParameterError, match=f"old.json: .*{message}"):
             ThresholdTable.load(path)
 
     def test_zero_threshold_and_snr_load(self):

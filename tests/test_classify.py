@@ -18,7 +18,6 @@ from envdiag import (
     Signal,
     ShapeDistanceResult,
     SpectrumConfig,
-    TableMismatchError,
     ThresholdEntry,
     ThresholdTable,
     VarianceTestResult,
@@ -37,7 +36,7 @@ VERDICTS = {VERDICT_CONSTANT, VERDICT_UNIFORM, VERDICT_NORMAL, VERDICT_INCONCLUS
 COMMON_PROVENANCE = {"table_digest", "table_seed", "alpha", "f_theoretical",
                      "rescale_direction", "search_frac", "n_harmonics"}
 # harmonic 3's window around 15 kHz crosses fs/2, so every estimate fails on it
-UNREACHABLE = EstimatorConfig(f_theoretical=5000.0)
+UNREACHABLE = 5000.0
 
 
 @pytest.fixture(scope="module")
@@ -56,8 +55,8 @@ def recording():
     return Signal(np.concatenate(segments), FS)
 
 
-def config(estimator=EstimatorConfig(f_theoretical=30.0), **kwargs):
-    return ClassifyConfig(estimator, SEG, **kwargs)
+def config(f_theoretical=30.0, **kwargs):
+    return ClassifyConfig(f_theoretical, SEG, **kwargs)
 
 
 class TestClassifyConfig:
@@ -68,7 +67,22 @@ class TestClassifyConfig:
 
     def test_invalid_segment_length(self):
         with pytest.raises(ParameterError):
-            ClassifyConfig(EstimatorConfig(f_theoretical=30.0), 0.0)
+            ClassifyConfig(30.0, 0.0)
+
+    @pytest.mark.parametrize("kwargs", [{"f_theoretical": 0.0}, {"f_theoretical": float("inf")},
+                                        {"band": (3500.0, 1500.0)}])
+    def test_invalid_frequency_or_band(self, kwargs):
+        with pytest.raises(ParameterError):
+            config(**kwargs)
+
+    def test_analysis_takes_the_table_settings_and_the_run_values(self):
+        table = build_table((2.0,), (SEG,), n=2, master_seed=1,
+                            spec_cfg=SpectrumConfig(window="hamming", piece_len_s=0.25),
+                            est_cfg=EstimatorConfig(f_theoretical=30.0, n_harmonics=2))
+        spec_cfg, est_cfg = ClassifyConfig(97.0, SEG, band=(1000, 4000)).analysis(table)
+        assert spec_cfg == SpectrumConfig(bandpass=(1000.0, 4000.0), window="hamming",
+                                          piece_len_s=0.25)
+        assert est_cfg == EstimatorConfig(f_theoretical=97.0, n_harmonics=2)
 
 
 class TestClassifySignal:
@@ -91,10 +105,18 @@ class TestClassifySignal:
         with pytest.raises(EstimationError, match="4/4 segment estimates failed"):
             classify_signal(recording, config(UNREACHABLE), table)
 
-    def test_other_configuration_rejected(self, recording, table):
-        cfg = config(spectrum=SpectrumConfig(piece_len_s=0.25))
-        with pytest.raises(TableMismatchError):
-            classify_signal(recording, cfg, table)
+    def test_table_piece_length_is_used_without_configuration(self, recording):
+        spec_cfg = SpectrumConfig(piece_len_s=0.25)
+        table = build_table((2.0, 3.0), (SEG,), n=4, master_seed=1, spec_cfg=spec_cfg)
+        report = classify_signal(recording, config(), table)
+        _, quarter, _ = estimate_per_segment(recording, SEG, spec_cfg,
+                                             EstimatorConfig(f_theoretical=30.0))
+        _, half, _ = estimate_per_segment(recording, SEG, SpectrumConfig(),
+                                          EstimatorConfig(f_theoretical=30.0))
+        assert report.snrs == tuple(e.snr for e in quarter)
+        assert report.estimates == tuple(e.f_hat for e in quarter)
+        # 0.25 s pieces are another analysis than the default 0.5 s ones
+        assert report.snrs != tuple(e.snr for e in half)
 
     def test_too_short_signal_rejected(self, recording, table):
         short = Signal(recording.samples[: int(1.5 * SEG * FS)], FS)
@@ -196,7 +218,8 @@ def _table_at(cells):
         for aci, snr in cells
     )
     return ThresholdTable(fs=FS, f_simul=30.0, n_signals=2, master_seed=0, noise_std=1.0,
-                          pulse_base=PulseParams(aci=1.0), config_digest="d", entries=entries)
+                          pulse_base=PulseParams(aci=1.0), spectrum=SpectrumConfig(),
+                          estimator=EstimatorConfig(f_theoretical=30.0), entries=entries)
 
 
 # quarter steps keep every SNR distance exact, so ties are real ties

@@ -3,6 +3,7 @@
 import json
 import shutil
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,17 +11,23 @@ from click.testing import CliRunner
 
 from envdiag import (
     DistributionSpec,
+    EstimatorConfig,
     PulseParams,
     SeedSpec,
     Signal,
     SpectrumConfig,
+    config_digest,
     envelope_spectrum,
     simulate_signal,
 )
-from envdiag.faultfreq import iter_segments
+from envdiag.faultfreq import estimate_per_segment, iter_segments
 from envdiag.sigio import read_signal, write_signal, write_spectrum_csv
-from envdiag.cli import EXIT_ANALYSIS, EXIT_USAGE_IO, main
+from envdiag.cli import EXIT_ANALYSIS, EXIT_USAGE_IO, cmd_classify, main
 from envdiag.stats import KDE_GRID_POINTS
+
+# made by `envdiag calibrate --aci-grid 2 --seg-grid 0.5 --n 4 --seed 2` before
+# schema_version 2, when a table kept only a digest of its analysis settings
+TABLE_V1 = Path(__file__).parent / "data" / "table_v1.json"
 
 
 def invoke(*args):
@@ -82,6 +89,92 @@ def test_out_of_range_value_is_a_usage_error(files, args):
     root, rec, table = files
     argv = args.format(rec=rec, table=table).split()
     assert_usage_error(invoke(*argv, "-o", root / "out"))
+
+
+@pytest.mark.parametrize("option,value", [
+    ("--window", "hann"), ("--zero-pad", 4), ("--piece-len", 0.5), ("--n-harmonics", 3),
+    ("--search-frac", 0.18), ("--peak-excl-bins", 2),
+])
+def test_classify_takes_no_analysis_setting(files, option, value):
+    # the table carries them; only calibrate sets them
+    root, rec, table = files
+    result = invoke("classify", "-i", rec, "--table", table, "--f-theoretical", 30,
+                    "--seg-lens", 0.5, option, value, "-o", root / "r.json")
+    assert_usage_error(result)
+    assert "No such option" in result.output and option in result.output
+    assert not (root / "r.json").exists()
+
+
+def test_classify_has_fourteen_options():
+    names = sorted(opt for param in cmd_classify.params for opt in param.opts)
+    assert len(cmd_classify.params) == 14
+    assert "--band" in names and "--f-theoretical" in names
+
+
+def test_classify_analyses_as_the_table_was_calibrated(files):
+    root, rec, _ = files
+    table = root / "table_h2.json"
+    result = invoke("calibrate", "--aci-grid", 2, "--seg-grid", 0.5, "--n", 3, "--seed", 2,
+                    "--piece-len", 0.25, "--n-harmonics", 2, "-o", table)
+    assert result.exit_code == 0, result.output
+    assert json.loads(table.read_text(encoding="utf-8"))["meta"]["schema_version"] == 2
+    (rep,) = classify_reports(rec, table, root / "h2.json")
+    spec_cfg = SpectrumConfig(piece_len_s=0.25)
+    est_cfg = EstimatorConfig(f_theoretical=30.0, n_harmonics=2)
+    assert rep["provenance"]["n_harmonics"] == 2
+    assert rep["provenance"]["table_digest"] == config_digest(spec_cfg, est_cfg)
+    signal, _ = read_signal(rec)
+    _, estimates, _ = estimate_per_segment(signal, 0.5, spec_cfg, est_cfg)
+    assert rep["estimates_hz"] == [e.f_hat for e in estimates]
+
+
+def test_version_1_table_gives_the_same_report_bytes(files, tmp_path, run_python):
+    _, rec, _ = files
+    table_v2 = tmp_path / "table.json"
+    result = invoke("calibrate", "--aci-grid", 2, "--seg-grid", 0.5, "--n", 4, "--seed", 2,
+                    "-o", table_v2)
+    assert result.exit_code == 0, result.output
+    v1, v2 = (json.loads(p.read_text(encoding="utf-8")) for p in (TABLE_V1, table_v2))
+    assert v1["entries"] == v2["entries"]
+    assert {k: v for k, v in v1["meta"].items() if k != "config_digest"} == \
+        {k: v for k, v in v2["meta"].items() if k not in ("schema_version", "analysis")}
+    # the version 1 table in a real process, as `python -m envdiag.cli` runs it
+    code = "import runpy; runpy.run_module('envdiag.cli', run_name='__main__', alter_sys=True)"
+    args = ["classify", "-i", str(rec), "--f-theoretical", "30", "--seg-lens", "0.5"]
+    run_python(code, *args, "--table", str(TABLE_V1), "-o", str(tmp_path / "v1.json"),
+               "--text-out", str(tmp_path / "v1.txt"))
+    result = invoke(*args, "--table", table_v2, "-o", tmp_path / "v2.json",
+                    "--text-out", tmp_path / "v2.txt")
+    assert result.exit_code == 0, result.output
+    for name in ("v1.json", "v1.txt"):
+        other = tmp_path / name.replace("v1", "v2")
+        assert (tmp_path / name).read_bytes() == other.read_bytes(), name
+
+
+def test_version_1_table_of_other_settings_asks_for_a_recalibration(files, tmp_path):
+    _, rec, _ = files
+    data = json.loads(TABLE_V1.read_text(encoding="utf-8"))
+    data["meta"]["config_digest"] = "0123456789abcdef"
+    bad = tmp_path / "old_table.json"
+    bad.write_text(json.dumps(data), encoding="utf-8")
+    result = invoke("classify", "-i", rec, "--table", bad, "--f-theoretical", 30,
+                    "--seg-lens", 0.5, "-o", tmp_path / "r.json")
+    assert_usage_error(result)
+    assert "old_table.json" in result.output
+    assert "recalibrate" in result.output
+    assert not (tmp_path / "r.json").exists()
+
+
+@pytest.mark.parametrize("command", [
+    "simulate --dist constant:30 --aci 2 --seg-len 0.5",
+    "calibrate --aci-grid 2 --seg-grid 0.5 --n 2",
+])
+@pytest.mark.parametrize("noise", ["nan", "inf", "-1"])
+def test_noise_std_must_be_finite_and_non_negative(tmp_path, command, noise):
+    result = invoke(*command.split(), "--noise-std", noise, "-o", tmp_path / "out")
+    assert_usage_error(result)
+    assert "noise_std" in result.output
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_removed_welch_split_option_is_a_usage_error(files):

@@ -1,5 +1,7 @@
 """Signal file I/O: round trips, sidecars, malformed input and the result CSVs."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -91,6 +93,22 @@ def test_csv_line_that_is_not_a_number_is_named(tmp_path):
     path.write_text("1.0\n2.5\n\nabc\n")
     with pytest.raises(SignalFormatError, match="line 4 is not a number: 'abc'"):
         read_signal(path, fs=FS)
+
+
+def test_csv_read_holds_little_more_than_the_samples(tmp_path):
+    samples = np.random.default_rng(5).standard_normal(200_000)
+    path = tmp_path / "x.csv"
+    write_signal(path, Signal(samples, FS))
+    read_signal(path)  # first-call imports and caches
+    tracemalloc.start()
+    try:
+        back, _ = read_signal(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    np.testing.assert_array_equal(back.samples, samples)
+    # a list of Python floats would take about four times the sample bytes
+    assert peak < 1.5 * samples.nbytes
 
 
 def test_empty_raw_file_rejected(tmp_path):

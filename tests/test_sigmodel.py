@@ -163,6 +163,13 @@ class TestSimulateSignal:
             simulate_signal(1.0, FS, DistributionSpec.constant(30), PulseParams(aci=1.0),
                             0, noise_std=-1.0)
 
+    @pytest.mark.parametrize("noise_std", [float("nan"), float("inf")])
+    def test_non_finite_noise_std_rejected(self, noise_std):
+        # NaN compares false both ways, so it passes a plain "< 0" check
+        with pytest.raises(ParameterError, match="noise_std must be non-negative and finite"):
+            simulate_signal(1.0, FS, DistributionSpec.constant(30), PulseParams(aci=1.0),
+                            0, noise_std=noise_std)
+
 
 def simulate_by_pulse(duration, fs, dist, pulse, seed, noise_std=1.0):
     """The per-impulse loop ``simulate_signal`` replaced; its bit-exact oracle."""
