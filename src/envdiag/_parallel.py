@@ -82,14 +82,18 @@ def _map_run(fn, run):
 def parallel_map(fn, items):
     """Map ``fn`` over ``items`` preserving order.
 
-    Runs serially unless ENVDIAG_THREADS > 1.  ``fn`` and the items must be
-    picklable when workers are used; results are independent of the worker
-    count because every item carries its own seed.  The items go out in the
-    runs of consecutive items that ``run_lengths`` gives, and every worker
-    starts with ``keep_heap``.
+    Runs serially unless ENVDIAG_THREADS > 1; the serial path draws each
+    item only after the previous result is back, so a generator of large
+    items, such as the segments of a recording, has one in memory at a
+    time.  With workers, all items are drawn first.  ``fn`` and the items
+    must be picklable when workers are used; results are independent of
+    the worker count because every item carries its own seed.  The items go
+    out in the runs of consecutive items that ``run_lengths`` gives, and
+    every worker starts with ``keep_heap``.
     """
-    items = list(items)
     n = worker_count()
+    if n > 1:
+        items = list(items)
     if n <= 1 or len(items) < 2:
         return [fn(item) for item in items]
     workers = min(n, len(items))

@@ -39,7 +39,7 @@ from .faultfreq import (
     estimate_or_error,
     iter_segments,
 )
-from .sigmodel import DistributionSpec, Signal
+from .sigmodel import DistributionSpec, Recording
 
 VERDICT_CONSTANT = "constant"
 VERDICT_UNIFORM = "uniform"
@@ -136,15 +136,21 @@ class ClassificationReport:
         return f"{self.seg_len:g} s | {gate_ans} | {test_ans} | {final}"
 
 
+def calibrated_cells(table: ThresholdTable, seg_len: float) -> list[ThresholdEntry]:
+    """The table's cells at ``seg_len``; TableMismatchError when it has none."""
+    cells = table.entries_at(seg_len)
+    if not cells:
+        raise TableMismatchError(f"threshold table has no entries for seg_len={seg_len:g} s")
+    return cells
+
+
 def match_aci(avg_snr_real: float, table: ThresholdTable, seg_len: float) -> tuple[float, ThresholdEntry]:
     """Pick the calibrated cell whose mean SNR is closest to the signal's.
 
     Ties resolve toward the larger impulse amplitude, whose smaller
     threshold is the conservative choice (more likely to flag variation).
     """
-    candidates = table.entries_at(seg_len)
-    if not candidates:
-        raise TableMismatchError(f"threshold table has no entries for seg_len={seg_len:g} s")
+    candidates = calibrated_cells(table, seg_len)
     best = min(candidates, key=lambda e: (abs(e.mean_snr - avg_snr_real), -e.aci))
     return best.aci, best
 
@@ -272,10 +278,17 @@ def _provenance(cfg: ClassifyConfig, table: ThresholdTable, **extra) -> dict:
 
 
 def classify_signal(
-    x: Signal, cfg: ClassifyConfig, table: ThresholdTable
+    x: Recording, cfg: ClassifyConfig, table: ThresholdTable
 ) -> ClassificationReport:
-    """Run the full decision procedure on a recorded signal, analysed with
-    the table's settings."""
+    """Run the full decision procedure on a recording, analysed with the
+    table's settings.
+
+    ``x`` is a segment source, such as a Signal or the recording
+    ``sigio.read_signal`` returns; its segments are read and estimated one
+    at a time at one worker.  A table without a cell at ``cfg.seg_len``
+    raises TableMismatchError before any segment is read.
+    """
+    calibrated_cells(table, cfg.seg_len)
     spec_cfg, est_cfg = cfg.analysis(table)
     estimate = functools.partial(estimate_or_error, spec_cfg=spec_cfg, est_cfg=est_cfg)
     f_hats, snrs, errors = estimate_batch(estimate, iter_segments(x, cfg.seg_len))

@@ -1,8 +1,15 @@
 """Command-line front end.
 
-Exit codes: 0 on success, 1 when the analysis itself fails, 2 for usage or
-I/O problems.  Every randomized command accepts ``--seed`` and is fully
-reproducible under it; ENVDIAG_THREADS caps internal parallelism.
+Exit codes:
+
+- 0 on success;
+- 1 when the analysis itself fails;
+- 2 for usage or I/O problems, among them a threshold table without a
+  cell at a segment length ``classify`` was asked for, and a recording
+  with a non-finite sample.
+
+Every randomized command accepts ``--seed`` and is fully reproducible
+under it; ENVDIAG_THREADS caps internal parallelism.
 """
 
 from __future__ import annotations
@@ -23,9 +30,14 @@ from .calibrate import (
     ThresholdTable,
     build_table,
 )
-from .classify import ClassificationReport, ClassifyConfig, classify_signal
+from .classify import (
+    ClassificationReport,
+    ClassifyConfig,
+    calibrated_cells,
+    classify_signal,
+)
 from .envspec import WINDOWS, SpectrumConfig, envelope_spectrum
-from .errors import EnvDiagError, ParameterError, SignalFormatError
+from .errors import EnvDiagError, ParameterError, SignalFormatError, TableMismatchError
 from .faultfreq import EstimatorConfig, estimate_per_segment, iter_segments
 from .sigio import (
     FORMATS,
@@ -60,7 +72,7 @@ def handle_errors(fn):
     def wrapper(*args, **kwargs):
         try:
             return fn(*args, **kwargs)
-        except (ParameterError, SignalFormatError) as exc:
+        except (ParameterError, SignalFormatError, TableMismatchError) as exc:
             _fail(EXIT_USAGE_IO, str(exc))
         except OSError as exc:
             _fail(EXIT_USAGE_IO, str(exc))
@@ -288,14 +300,23 @@ def cmd_classify(in_path, table_path, f_theoretical, seg_lens, alpha, fs, fmt, p
     piece length, harmonics, search width and peak exclusion) are read from
     the threshold table, so the recording is analysed as the table was
     calibrated; set them with 'envdiag calibrate'.  --band and
-    --f-theoretical belong to the recording and are given here.
+    --f-theoretical belong to the recording and are given here.  A table
+    without a cell at one of the --seg-lens exits 2 before the recording
+    is read.
+
+    A raw recording is read one segment at a time, in one pass per segment
+    length, so memory does not grow with its length; a CSV recording is
+    parsed whole.  With ENVDIAG_THREADS > 1 the worker pool still holds the
+    samples of one segment length while it runs.
     """
     band = _parse_band(band)
     table = ThresholdTable.load(table_path)
-    signal, _ = _load_input_signal(in_path, fmt, fs)
     cfgs = [ClassifyConfig(f_theoretical, seg_len, alpha, band, paper_rescale)
             for seg_len in _parse_grid(seg_lens)]
-    reports = [classify_signal(signal, cfg, table) for cfg in cfgs]
+    for cfg in cfgs:
+        calibrated_cells(table, cfg.seg_len)
+    recording, _ = _load_input_signal(in_path, fmt, fs)
+    reports = [classify_signal(recording, cfg, table) for cfg in cfgs]
     with open(out, "w", encoding="utf-8") as fh:
         json.dump([r.to_json_dict() for r in reports], fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -309,7 +330,7 @@ def cmd_classify(in_path, table_path, f_theoretical, seg_lens, alpha, fs, fmt, p
     spec_cfg, est_cfg = cfgs[0].analysis(table)
     if emit_estimates or emit_kde:
         # the same segments as the first report, which skipped the same failures
-        indices, estimates, _ = estimate_per_segment(signal, first_len, spec_cfg, est_cfg)
+        indices, estimates, _ = estimate_per_segment(recording, first_len, spec_cfg, est_cfg)
         if emit_estimates:
             write_estimates_csv(emit_estimates, estimates, first_len, indices)
         if emit_kde:
@@ -322,7 +343,7 @@ def cmd_classify(in_path, table_path, f_theoretical, seg_lens, alpha, fs, fmt, p
                 write_kde_csv(emit_kde, curve, f_hats)
     if emit_spectra:
         os.makedirs(emit_spectra, exist_ok=True)
-        for idx, seg in enumerate(iter_segments(signal, first_len)):
+        for idx, seg in enumerate(iter_segments(recording, first_len)):
             write_spectrum_csv(os.path.join(emit_spectra, f"segment_{idx:04d}.csv"),
                                envelope_spectrum(seg, spec_cfg))
 
@@ -336,8 +357,8 @@ def cmd_classify(in_path, table_path, f_theoretical, seg_lens, alpha, fs, fmt, p
 @click.option("-o", "--out", required=True, type=click.Path())
 def cmd_spectrum(in_path, fs, fmt, spec_cfg, out):
     """Write the envelope spectrum of a whole recording as CSV."""
-    signal, _ = _load_input_signal(in_path, fmt, fs)
-    write_spectrum_csv(out, envelope_spectrum(signal, spec_cfg))
+    recording, _ = _load_input_signal(in_path, fmt, fs)
+    write_spectrum_csv(out, envelope_spectrum(recording.read(0, len(recording)), spec_cfg))
     click.echo(f"wrote envelope spectrum -> {out}")
 
 
@@ -357,8 +378,8 @@ def cmd_kde(in_path, seg_len, fs, fmt, spec_cfg, est_cfg, out):
     Failed segments are skipped with a warning as in classify, up to 20 % of
     them; with more, or with fewer than 2 segments, the command exits 1.
     """
-    signal, _ = _load_input_signal(in_path, fmt, fs)
-    _, estimates, warnings = estimate_per_segment(signal, seg_len, spec_cfg, est_cfg)
+    recording, _ = _load_input_signal(in_path, fmt, fs)
+    _, estimates, warnings = estimate_per_segment(recording, seg_len, spec_cfg, est_cfg)
     for warning in warnings:
         click.echo(f"warning: {warning}", err=True)
     f_hats = [e.f_hat for e in estimates]

@@ -25,7 +25,8 @@ class TableMismatchError(EnvDiagError):
     """A threshold table has no calibrated cell for the requested segment length.
 
     The analysis settings cannot mismatch: a table carries them, and a
-    recording is analysed with the table's own.
+    recording is analysed with the table's own.  The command line treats it
+    as a usage error (exit 2), found before the recording is read.
     """
 
 

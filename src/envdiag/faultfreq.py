@@ -9,7 +9,9 @@ the surrounding spectrum up to the third harmonic.
 ``estimate_or_error`` is the one place where an EstimationError is caught:
 it returns the error of a failed segment in place of its estimate, and
 ``check_segment_failures`` is the skip policy for the segments of a
-recording, shared by ``classify`` and ``kde``.
+recording, shared by ``classify`` and ``kde``.  A recording is a segment
+source (``sigmodel.Recording``): ``iter_segments`` reads its segments one
+at a time, so a file-backed recording is never held in memory whole.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import numpy as np
 
 from .envspec import EnvelopeSpectrum, SpectrumConfig, envelope_spectrum
 from .errors import EstimationError, ParameterError
-from .sigmodel import Signal
+from .sigmodel import Recording, Signal
 
 MAX_SEGMENT_FAILURE_FRAC = 0.20
 
@@ -165,8 +167,8 @@ def estimate_fault_frequency(
     return FaultFrequencyEstimate(f_hat=f_hat, peaks=peaks, snr=snr(spec, peaks, cfg))
 
 
-def segment_samples(x: Signal, seg_len: float) -> int:
-    """Samples per segment; raises if the signal holds less than one."""
+def segment_samples(x: Recording, seg_len: float) -> int:
+    """Samples per segment; raises if the recording holds less than one."""
     if not 0 < seg_len < math.inf:
         raise ParameterError("segment length must be positive and finite")
     n_seg = int(round(seg_len * x.fs))
@@ -179,15 +181,17 @@ def segment_samples(x: Signal, seg_len: float) -> int:
     return n_seg
 
 
-def iter_segments(x: Signal, seg_len: float):
+def iter_segments(x: Recording, seg_len: float):
     """Yield consecutive non-overlapping segments; the remainder is dropped.
 
-    Each segment is a view of ``x``, whose samples were checked when ``x`` was
+    Each segment is read from ``x`` as it is drawn, in one pass of
+    ``x.reader()``; a recording's samples were checked when it was opened or
     built, so they are not scanned again.
     """
     n_seg = segment_samples(x, seg_len)
-    for start in range(0, len(x) - n_seg + 1, n_seg):
-        yield Signal._from_checked(x.samples[start : start + n_seg], x.fs)
+    with x.reader() as read:
+        for start in range(0, len(x) - n_seg + 1, n_seg):
+            yield read(start, n_seg)
 
 
 def estimate_or_error(
@@ -205,7 +209,7 @@ def estimate_or_error(
         return exc
 
 
-def check_segment_failures(x: Signal, seg_len: float, failures: int, total: int) -> list[str]:
+def check_segment_failures(x: Recording, seg_len: float, failures: int, total: int) -> list[str]:
     """Skip policy for the segments of a recording; returns its warnings.
 
     A recording needs at least 2 segments, and at most
@@ -225,7 +229,7 @@ def check_segment_failures(x: Signal, seg_len: float, failures: int, total: int)
 
 
 def estimate_per_segment(
-    x: Signal,
+    x: Recording,
     seg_len: float,
     spec_cfg: SpectrumConfig,
     est_cfg: EstimatorConfig,

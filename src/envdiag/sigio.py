@@ -7,11 +7,17 @@ parameters and the ground-truth frequency of every segment.  A signal is
 written one array at a time, so a long recording never has to sit in
 memory whole; on read, a sidecar's ``n`` must match the samples found, so
 a cut file or a stale sidecar is an error rather than a shorter signal.
+
+Raw input is read one segment at a time: ``read_signal`` checks the file
+and returns a ``RawRecording``, whose segments are read from the file as
+they are analysed, so memory does not grow with the recording's length.
+CSV input is parsed whole into a ``Signal``.
 """
 
 from __future__ import annotations
 
 import array
+import contextlib
 import json
 import math
 import os
@@ -21,12 +27,21 @@ import numpy as np
 from .envspec import EnvelopeSpectrum
 from .errors import ParameterError, SignalFormatError
 from .faultfreq import FaultFrequencyEstimate
-from .sigmodel import Signal
+from .sigmodel import (
+    Recording,
+    Signal,
+    check_finite_samples,
+    check_sample_rate,
+    check_span,
+)
 from .stats import KdeCurve, normal_pdf, uniform_pdf
 
 FORMAT_CSV = "csv"
 FORMAT_RAW = "raw-f64le"
 FORMATS = (FORMAT_CSV, FORMAT_RAW)
+
+# samples per block of the finite-value scan of a raw file: 512 kB
+SCAN_BLOCK = 1 << 16
 
 
 def sidecar_path(path: str) -> str:
@@ -108,12 +123,70 @@ def _read_csv_samples(path) -> np.ndarray:
     return np.frombuffer(values, dtype=np.float64)
 
 
-def read_signal(path, fmt: str | None = None, fs: float | None = None) -> tuple[Signal, dict]:
+class RawRecording:
+    """A raw-f64le recording whose samples stay in its file until read.
+
+    A segment source (``sigmodel.Recording``): it has ``fs``, a length and a
+    ``duration``, and ``read(start, count)`` returns the ``count`` samples
+    from ``start`` on as a Signal, read into a new array from their offset
+    in the file; ``reader()`` keeps one handle open for a pass of such
+    reads.  Building one scans the file's ``n`` samples in blocks of
+    ``SCAN_BLOCK`` and checks the sample rate, raising as a Signal would,
+    so the segments read later are not scanned again; the file must not
+    change while the recording is in use.
+    """
+
+    def __init__(self, path, fs: float, n: int):
+        self.path = str(path)
+        self.fs = fs
+        self._n = n
+        with open(self.path, "rb") as fh:
+            for start in range(0, n, SCAN_BLOCK):
+                check_finite_samples(self._samples(fh, start, min(SCAN_BLOCK, n - start)))
+        check_sample_rate(fs)
+
+    def __len__(self) -> int:
+        return self._n
+
+    @property
+    def duration(self) -> float:
+        """Record length in seconds."""
+        return self._n / self.fs
+
+    def _samples(self, fh, start: int, count: int) -> np.ndarray:
+        check_span(start, count, self._n)
+        samples = np.empty(count, dtype="<f8")
+        fh.seek(8 * start)
+        if fh.readinto(samples) != samples.nbytes:
+            raise SignalFormatError(
+                f"{self.path}: ends before sample {start + count}; it changed while it was read"
+            )
+        return samples.astype(np.float64, copy=False)
+
+    @contextlib.contextmanager
+    def reader(self):
+        """``read`` on one open handle, for one pass over the recording."""
+        with open(self.path, "rb") as fh:
+            yield lambda start, count: Signal._from_checked(self._samples(fh, start, count),
+                                                            self.fs)
+
+    def read(self, start: int, count: int) -> Signal:
+        """The ``count`` samples from ``start`` on, as a Signal."""
+        with self.reader() as read:
+            return read(start, count)
+
+
+def read_signal(path, fmt: str | None = None, fs: float | None = None) -> tuple[Recording, dict]:
     """Read a signal file; the sample rate comes from the sidecar unless given.
 
-    Returns the signal and the sidecar dictionary (empty when absent).  An
-    explicit ``fs`` overrides the sidecar value; the caller is expected to
-    warn the user about the override.
+    Returns the recording and the sidecar dictionary (empty when absent).
+    CSV is parsed whole into a ``Signal``.  Raw input is not loaded: its
+    size is checked against the sidecar's ``n`` and its samples are checked
+    to be finite, a block at a time, and a ``RawRecording`` is returned
+    whose segments are read from the file one at a time.  Both are segment
+    sources (``sigmodel.Recording``).  An explicit ``fs`` overrides the
+    sidecar value; the caller is expected to warn the user about the
+    override.
     """
     fmt = fmt or infer_format(path)
     meta: dict = {}
@@ -138,6 +211,7 @@ def read_signal(path, fmt: str | None = None, fs: float | None = None) -> tuple[
         raise SignalFormatError(f"{path}: sample rate unknown; pass fs or provide a sidecar")
     if fmt == FORMAT_CSV:
         samples = _read_csv_samples(path)
+        n = samples.size
     elif fmt == FORMAT_RAW:
         size = os.path.getsize(path)
         if size == 0:
@@ -146,15 +220,17 @@ def read_signal(path, fmt: str | None = None, fs: float | None = None) -> tuple[
             raise SignalFormatError(
                 f"{path}: {size} bytes is not a whole number of 8-byte samples"
             )
-        samples = np.fromfile(path, dtype="<f8")
+        n = size // 8
     else:
         raise ParameterError(f"unknown signal format {fmt!r}")
     side_n = meta.get("n")
-    if side_n is not None and (type(side_n) is not int or side_n != samples.size):
+    if side_n is not None and (type(side_n) is not int or side_n != n):
         raise SignalFormatError(
-            f"{path}: {samples.size} samples read, but its sidecar says n = {side_n!r}"
+            f"{path}: {n} samples read, but its sidecar says n = {side_n!r}"
         )
-    return Signal(samples, float(fs)), meta
+    if fmt == FORMAT_CSV:
+        return Signal(samples, float(fs)), meta
+    return RawRecording(path, float(fs), n), meta
 
 
 def _write_columns(path, header: str, columns) -> None:

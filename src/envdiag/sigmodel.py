@@ -9,8 +9,10 @@ normal law, which is what the rest of the package tries to detect.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
+from typing import Callable, ContextManager, Protocol
 
 import numpy as np
 
@@ -24,6 +26,48 @@ DEFAULT_FAULT_FREQ = 30.0
 PULSE_SUPPORT_SIGMAS = 4.0
 
 
+def check_finite_samples(samples: np.ndarray) -> None:
+    """Raise ParameterError unless every sample is finite."""
+    if not np.all(np.isfinite(samples)):
+        raise ParameterError("signal contains non-finite samples")
+
+
+def check_sample_rate(fs: float) -> None:
+    """Raise ParameterError unless ``fs`` is positive and finite."""
+    if not 0 < fs < math.inf:
+        raise ParameterError(f"sample rate must be positive and finite, got {fs}")
+
+
+def check_span(start: int, count: int, n: int) -> None:
+    """Raise ParameterError unless samples ``[start, start + count)`` lie in ``n``."""
+    if not (0 <= start and 0 < count and start + count <= n):
+        raise ParameterError(
+            f"samples [{start}, {start + count}) lie outside a record of {n} samples"
+        )
+
+
+class Recording(Protocol):
+    """A uniformly sampled record read a span at a time: a segment source.
+
+    ``read(start, count)`` returns the ``count`` samples from ``start`` on as
+    a Signal.  ``reader()`` is a context manager giving a ``read`` function
+    for one pass over the record, so a file-backed record is opened once per
+    pass.  A Signal is one, holding its samples in memory;
+    ``sigio.RawRecording`` is another, reading them from its file.
+    """
+
+    fs: float
+
+    def __len__(self) -> int: ...
+
+    @property
+    def duration(self) -> float: ...
+
+    def read(self, start: int, count: int) -> "Signal": ...
+
+    def reader(self) -> ContextManager[Callable[[int, int], "Signal"]]: ...
+
+
 @dataclass(frozen=True)
 class Signal:
     """Uniformly sampled real-valued vibration record."""
@@ -35,10 +79,8 @@ class Signal:
         samples = np.asarray(self.samples, dtype=np.float64)
         if samples.ndim != 1 or samples.size == 0:
             raise ParameterError("signal samples must form a non-empty 1-D array")
-        if not np.all(np.isfinite(samples)):
-            raise ParameterError("signal contains non-finite samples")
-        if not 0 < self.fs < math.inf:
-            raise ParameterError(f"sample rate must be positive and finite, got {self.fs}")
+        check_finite_samples(samples)
+        check_sample_rate(self.fs)
         object.__setattr__(self, "samples", samples)
         object.__setattr__(self, "fs", float(self.fs))
 
@@ -61,6 +103,15 @@ class Signal:
 
     def __len__(self) -> int:
         return self.samples.size
+
+    def read(self, start: int, count: int) -> "Signal":
+        """The ``count`` samples from ``start`` on, as a Signal viewing this one's."""
+        check_span(start, count, len(self))
+        return Signal._from_checked(self.samples[start : start + count], self.fs)
+
+    def reader(self) -> ContextManager[Callable[[int, int], "Signal"]]:
+        """``read`` for one pass; the samples are in memory, so nothing is opened."""
+        return contextlib.nullcontext(self.read)
 
 
 @dataclass(frozen=True)

@@ -24,6 +24,10 @@ VERDICT_NORMAL = "normal"
 VERDICT_INCONCLUSIVE = "inconclusive"
 
 KDE_GRID_POINTS = 512
+# kernel values the KDE holds at once: grid rows are evaluated in blocks of
+# about this many elements (512 kB), so its memory does not grow with the
+# number of estimates, as it would with the whole (grid, samples) matrix
+KDE_BLOCK_ELEMENTS = 1 << 16
 # relative gap below which the two fitted-shape distances are a wash
 SHAPE_INCONCLUSIVE_FRAC = 0.10
 
@@ -95,13 +99,18 @@ def kde(samples) -> KdeCurve:
 
     ``p(f) = 1/(n h) * sum_i phi((f - f_i) / h)``, evaluated on 512 points
     spanning the samples +-4 bandwidths, on which the density integrates to
-    1 within 1e-3.
+    1 within 1e-3.  Each grid point's sum runs over all samples in one row,
+    as in the whole matrix, so the blocks of rows give the same bits.
     """
     samples = np.asarray(samples, dtype=np.float64)
     h = scott_bandwidth(samples)
     grid = np.linspace(samples.min() - 4.0 * h, samples.max() + 4.0 * h, KDE_GRID_POINTS)
-    z = (grid[:, None] - samples[None, :]) / h
-    density = np.exp(-0.5 * z * z).sum(axis=1) / (samples.size * h * math.sqrt(2.0 * math.pi))
+    rows = max(1, KDE_BLOCK_ELEMENTS // samples.size)
+    density = np.empty_like(grid)
+    for i in range(0, grid.size, rows):
+        z = (grid[i : i + rows, None] - samples[None, :]) / h
+        density[i : i + rows] = np.exp(-0.5 * z * z).sum(axis=1)
+    density /= samples.size * h * math.sqrt(2.0 * math.pi)
     return KdeCurve(grid=grid, density=density, bandwidth=h)
 
 

@@ -1,5 +1,6 @@
 """Decision-procedure tests: the shared segment estimate and its failure policies."""
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -18,6 +19,7 @@ from envdiag import (
     Signal,
     ShapeDistanceResult,
     SpectrumConfig,
+    TableMismatchError,
     ThresholdEntry,
     ThresholdTable,
     VarianceTestResult,
@@ -28,7 +30,10 @@ from envdiag import (
     simulate_and_classify,
     simulate_signal,
 )
+from envdiag import classify
+from envdiag._parallel import ENV_THREADS
 from envdiag.classify import VERDICT_CONSTANT, VERDICT_INCONCLUSIVE, VERDICT_NORMAL, VERDICT_UNIFORM
+from envdiag.sigio import read_signal, write_signal_arrays
 
 FS = 25_000.0
 SEG = 0.5
@@ -122,6 +127,35 @@ class TestClassifySignal:
         short = Signal(recording.samples[: int(1.5 * SEG * FS)], FS)
         with pytest.raises(EstimationError, match="fewer than 2 segments"):
             classify_signal(short, config(), table)
+
+    def test_length_without_a_cell_fails_before_any_estimate(self, recording, table,
+                                                             monkeypatch):
+        calls = []
+        monkeypatch.setattr(classify, "estimate_or_error", lambda *a, **k: calls.append(a))
+        with pytest.raises(TableMismatchError, match="no entries for seg_len=1 s"):
+            classify_signal(recording, ClassifyConfig(30.0, 1.0), table)
+        assert calls == []
+
+    def test_raw_recording_is_classified_in_little_more_than_a_segment(self, tmp_path,
+                                                                        monkeypatch):
+        # 40 s of raw samples are 8 MB on disk; one 1 s segment is 200 kB
+        monkeypatch.setenv(ENV_THREADS, "1")
+        path = tmp_path / "rec.f64"
+        law, pulse = DistributionSpec.normal(30.0, 0.33), PulseParams(aci=2.0)
+        write_signal_arrays(path, (simulate_signal(1.0, FS, law, pulse, SeedSpec(8).sequence(i))
+                                   [0].samples for i in range(40)), FS)
+        table = build_table((2.0,), (1.0,), n=2, master_seed=1)
+        cfg = ClassifyConfig(30.0, 1.0)
+        want = classify_signal(read_signal(path)[0], cfg, table)  # first-call imports and caches
+        tracemalloc.start()
+        try:
+            recording, _ = read_signal(path)
+            report = classify_signal(recording, cfg, table)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report == want and report.n_segments == 40
+        assert peak < 2_000_000
 
 
 class TestSimulateAndClassify:

@@ -20,8 +20,9 @@ from envdiag import (
     envelope_spectrum,
     simulate_signal,
 )
+from envdiag import classify, cli, faultfreq
 from envdiag.faultfreq import estimate_per_segment, iter_segments
-from envdiag.sigio import read_signal, write_signal, write_spectrum_csv
+from envdiag.sigio import read_signal, write_signal, write_signal_arrays, write_spectrum_csv
 from envdiag.cli import EXIT_ANALYSIS, EXIT_USAGE_IO, cmd_classify, main
 from envdiag.stats import KDE_GRID_POINTS
 
@@ -32,6 +33,12 @@ TABLE_V1 = Path(__file__).parent / "data" / "table_v1.json"
 
 def invoke(*args):
     return CliRunner().invoke(main, [str(a) for a in args])
+
+
+def read_whole(path):
+    """The samples of a recording file, as one Signal."""
+    recording, _ = read_signal(path)
+    return recording.read(0, len(recording))
 
 
 @pytest.fixture(scope="module")
@@ -297,10 +304,51 @@ def classify_reports(rec, table, out, *extra):
     return json.loads(out.read_text(encoding="utf-8"))
 
 
+def test_length_missing_from_the_table_is_a_usage_error_before_any_read(files, monkeypatch):
+    # the table is calibrated at 0.5 s only
+    root, rec, table = files
+    calls = []
+
+    def counting(module, name):
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name,
+                            lambda *a, **k: calls.append(name) or real(*a, **k))
+
+    counting(classify, "estimate_or_error")
+    counting(faultfreq, "estimate_or_error")
+    counting(cli, "read_signal")
+    result = invoke("classify", "-i", rec, "--table", table, "--f-theoretical", 30,
+                    "--seg-lens", "0.5,1", "-o", root / "mismatch.json")
+    assert_usage_error(result)
+    assert "threshold table has no entries for seg_len=1 s" in result.output
+    assert calls == []
+    assert not (root / "mismatch.json").exists()
+
+
+@pytest.mark.parametrize("where", ["segment", "tail"])
+@pytest.mark.parametrize("command", [
+    "classify --seg-lens 0.5 --table {table} --f-theoretical 30",
+    "kde --seg-len 0.5 --f-theoretical 30",
+    "spectrum",
+])
+def test_non_finite_sample_in_a_raw_file_is_a_usage_error(files, tmp_path, command, where):
+    # 3.2 s: the last 0.2 s are in no 0.5 s segment
+    _, rec, table = files
+    samples = np.concatenate([read_whole(rec).samples, np.ones(5_000)])
+    samples[40_000 if where == "segment" else 77_500] = np.nan
+    bad = tmp_path / "nan.f64"
+    write_signal_arrays(bad, [samples], 25_000.0)
+    out = tmp_path / "out"
+    result = invoke(*command.format(table=table).split(), "-i", bad, "-o", out)
+    assert_usage_error(result)
+    assert "non-finite samples" in result.output
+    assert not out.exists()
+
+
 def test_loud_recording_classifies_like_the_quiet_one(files):
     # PSD peaks near 1e240: squaring them as they are would overflow
     root, rec, table = files
-    signal, _ = read_signal(rec)
+    signal = read_whole(rec)
     loud = root / "loud.f64"
     write_signal(loud, Signal(2.0**400 * signal.samples, signal.fs))
     (quiet_rep,) = classify_reports(rec, table, root / "quiet.json")
@@ -317,7 +365,7 @@ def gap_recording(path, gap_segment):
     result = invoke("simulate", "--dist", "constant:30", "--aci", 2, "--seg-len", 0.5,
                     "--n-segments", 10, "--seed", 4, "-o", path)
     assert result.exit_code == 0, result.output
-    signal, _ = read_signal(path)
+    signal = read_whole(path)
     cut = gap_segment * 12_500
     samples = np.concatenate([signal.samples[:cut], np.zeros(12_500), signal.samples[cut:]])
     write_signal(path, Signal(samples, signal.fs))
@@ -406,7 +454,7 @@ def test_kde_of_a_point_mass_is_an_analysis_error(tmp_path):
 def test_classify_with_too_many_failed_segments_is_an_analysis_error(tmp_path, files):
     # 1 s of zeros after the 3 s recording: 2 of 8 segments fail, over the 20 % allowed
     _, rec, table = files
-    signal, _ = read_signal(rec)
+    signal = read_whole(rec)
     padded = tmp_path / "padded.f64"
     write_signal(padded, Signal(np.concatenate([signal.samples, np.zeros(25_000)]), signal.fs))
     result = invoke("classify", "-i", padded, "--table", table, "--f-theoretical", 30,
@@ -417,7 +465,7 @@ def test_classify_with_too_many_failed_segments_is_an_analysis_error(tmp_path, f
 
 def test_kde_with_too_many_failed_segments_is_an_analysis_error(tmp_path, files):
     _, rec, _ = files
-    signal, _ = read_signal(rec)
+    signal = read_whole(rec)
     padded = tmp_path / "padded.f64"
     write_signal(padded, Signal(np.concatenate([signal.samples, np.zeros(25_000)]), signal.fs))
     result = invoke("kde", "-i", padded, "--f-theoretical", 30, "--seg-len", 0.5,

@@ -36,6 +36,26 @@ def test_serial_path_runs_in_process(monkeypatch, threads, items):
     assert parallel_map(lambda _: os.getpid(), items) == [os.getpid()] * len(items)
 
 
+def test_serial_path_draws_each_item_after_the_previous_result(monkeypatch):
+    # a recording's segments come from a generator; drawing them all first
+    # would hold every segment of a length in memory at once
+    monkeypatch.setenv(ENV_THREADS, "1")
+    events = []
+
+    def items():
+        for i in range(3):
+            events.append(("draw", i))
+            yield i
+
+    def square(i):
+        events.append(("done", i))
+        return i * i
+
+    assert parallel_map(square, items()) == [0, 1, 4]
+    assert events == [("draw", 0), ("done", 0), ("draw", 1), ("done", 1), ("draw", 2),
+                      ("done", 2)]
+
+
 def test_non_integer_thread_count_rejected(monkeypatch):
     monkeypatch.setenv(ENV_THREADS, "abc")
     with pytest.raises(ParameterError, match="abc"):

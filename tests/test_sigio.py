@@ -19,6 +19,7 @@ from envdiag import (
 from envdiag.sigio import (
     FORMAT_CSV,
     FORMAT_RAW,
+    RawRecording,
     read_signal,
     sidecar_path,
     write_estimates_csv,
@@ -41,9 +42,25 @@ def test_round_trip_is_bit_exact(tmp_path, signal, name, fmt):
     path = tmp_path / name
     write_signal(path, signal, sidecar={"seed": 4})
     back, meta = read_signal(path)
-    np.testing.assert_array_equal(back.samples, signal.samples)
+    np.testing.assert_array_equal(back.read(0, len(back)).samples, signal.samples)
     assert back.fs == FS
     assert meta == {"fs": FS, "n": 257, "format": fmt, "seed": 4}
+
+
+def test_raw_recording_reads_its_spans_from_the_file(tmp_path, signal):
+    path = tmp_path / "x.f64"
+    write_signal(path, signal)
+    back, _ = read_signal(path)
+    assert isinstance(back, RawRecording)
+    assert (len(back), back.duration) == (257, 257 / FS)
+    with back.reader() as read:
+        parts = [read(start, 100).samples for start in (0, 100)]
+    np.testing.assert_array_equal(np.concatenate(parts), signal.samples[:200])
+    with pytest.raises(ParameterError, match=r"samples \[200, 300\) lie outside"):
+        back.read(200, 100)
+    path.write_bytes(path.read_bytes()[:150 * 8])
+    with pytest.raises(SignalFormatError, match="changed while it was read"):
+        back.read(100, 100)
 
 
 def test_explicit_fs_overrides_sidecar(tmp_path, signal):

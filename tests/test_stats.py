@@ -1,6 +1,7 @@
 """Statistics tests: bandwidth, KDE, distributions, chi-squared, shapes."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -86,6 +87,25 @@ class TestKde:
     def test_point_mass_raises(self):
         with pytest.raises(DegenerateSampleError):
             kde(np.full(50, 30.0))
+
+    @pytest.mark.parametrize("n", [10, 127, 128, 3000])
+    def test_blocked_rows_give_the_whole_matrix_bits(self, n):
+        samples = 30.0 + 0.5 * np.random.default_rng(n).standard_normal(n)
+        curve = kde(samples)
+        z = (curve.grid[:, None] - samples[None, :]) / curve.bandwidth
+        whole = np.exp(-0.5 * z * z).sum(axis=1) / (n * curve.bandwidth * math.sqrt(2.0 * math.pi))
+        np.testing.assert_array_equal(curve.density, whole)
+
+    def test_memory_does_not_grow_with_the_samples(self):
+        # the whole (512, 3000) kernel matrix is 12 MB per temporary
+        samples = 30.0 + 0.5 * np.random.default_rng(1).standard_normal(3000)
+        tracemalloc.start()
+        try:
+            kde(samples)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2_000_000
 
 
 class TestDistributionFunctions:
