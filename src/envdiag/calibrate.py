@@ -41,8 +41,8 @@ def config_digest(spec_cfg: SpectrumConfig, est_cfg: EstimatorConfig) -> str:
     """Digest of the analysis settings a threshold table depends on.
 
     Covers the spectral estimator shape and the peak-search geometry, the
-    settings a table stores in ``meta.analysis``.  Tables saved before
-    ``schema_version`` 2 stored only this digest.  The
+    settings a table stores in ``meta.analysis`` apart from its band.
+    Tables saved before ``schema_version`` 2 stored only this digest.  The
     bandpass band, the sample rate and the theoretical frequency are
     excluded on purpose: the envelope grid spacing depends only on the
     piece duration and zero padding, and variance rescaling maps any real
@@ -80,8 +80,8 @@ class ThresholdEntry:
 # Field -> JSON key of each saved record; one map drives both save and load.
 _META_KEYS = {"fs": "fs", "f_simul": "f_simul", "n_signals": "n", "master_seed": "seed",
               "noise_std": "noise_std"}
-_SPECTRUM_KEYS = {"window": "window", "zero_pad_factor": "zero_pad_factor",
-                  "piece_len_s": "piece_len_s"}
+_SPECTRUM_KEYS = {"bandpass": "bandpass", "window": "window",
+                  "zero_pad_factor": "zero_pad_factor", "piece_len_s": "piece_len_s"}
 _ESTIMATOR_KEYS = {"n_harmonics": "n_harmonics", "search_frac": "search_frac",
                    "peak_excl_bins": "peak_excl_bins"}
 _PULSE_KEYS = {"fc": "fc", "bw_lo": "bw_lo", "bw_hi": "bw_hi", "bwr": "bwr"}
@@ -95,6 +95,8 @@ _VALID = {
     "float": lambda v: type(v) is int or type(v) is float and math.isfinite(v),
     "int": lambda v: type(v) is int,
     "str": lambda v: type(v) is str,
+    "tuple[float, float] | None": lambda v: v is None or (
+        type(v) in (list, tuple) and len(v) == 2 and all(_VALID["float"](b) for b in v)),
 }
 # The range of each field that has one, by field name; ``n_signals`` is both
 # the table's requested count and an entry's count of estimates kept.  The
@@ -130,24 +132,23 @@ class ThresholdTable:
     """Threshold entries plus the generation metadata they depend on.
 
     ``spectrum`` and ``estimator`` are the envelope-spectrum and peak-search
-    settings the table was calibrated under; a recording compared against
-    it is analysed with the same ones.  ``spectrum`` has no band, and
-    ``estimator`` centres on ``f_simul``: a classification puts in the
-    recording's own band and theoretical frequency.
+    settings the table was calibrated under, its band included.  A recording
+    compared against it is analysed with the same ones, in its own band and
+    around its own theoretical frequency (``analysis_settings``).
 
     Saved as a JSON object with two members.  ``meta`` holds ``fs``,
     ``f_simul``, ``n``, ``seed``, ``noise_std``, ``schema_version`` (2),
-    ``analysis``, the settings' ``window``, ``zero_pad_factor``,
-    ``piece_len_s``, ``n_harmonics``, ``search_frac`` and
-    ``peak_excl_bins``, and ``pulse``, the base pulse's ``fc``, ``bw_lo``,
-    ``bw_hi`` and ``bwr``; its ACI is 1.0, as each entry carries its own.
-    ``entries`` is a list of cells, each with ``aci``, ``seg_len_s``,
-    ``threshold``, ``mean_f_hat``, ``mean_snr``, ``n_signals`` and
-    ``master_seed``.  Tables saved without ``noise_std`` load with 1.0.  A
-    loaded table needs ``fs`` and ``f_simul`` above 0, every ``n`` and
-    ``n_signals`` at least 2, no negative ``threshold`` or ``mean_snr``,
-    and analysis settings that ``SpectrumConfig`` and ``EstimatorConfig``
-    accept.
+    ``analysis``, the settings' ``bandpass`` (null or ``[lo, hi]``),
+    ``window``, ``zero_pad_factor``, ``piece_len_s``, ``n_harmonics``,
+    ``search_frac`` and ``peak_excl_bins``, and ``pulse``, the base pulse's
+    ``fc``, ``bw_lo``, ``bw_hi`` and ``bwr``; its ACI is 1.0, as each entry
+    carries its own.  ``entries`` is a list of cells, each with ``aci``,
+    ``seg_len_s``, ``threshold``, ``mean_f_hat``, ``mean_snr``,
+    ``n_signals`` and ``master_seed``.  Tables saved without ``noise_std``
+    load with 1.0, and without ``bandpass`` with no band.  A loaded table
+    needs ``fs`` and ``f_simul`` above 0, every ``n`` and ``n_signals`` at
+    least 2, no negative ``threshold`` or ``mean_snr``, and analysis
+    settings that ``SpectrumConfig`` and ``EstimatorConfig`` accept.
 
     A table saved without ``schema_version`` carries only ``config_digest``,
     a digest of its settings.  It loads with the default settings when the
@@ -195,7 +196,8 @@ class ThresholdTable:
             analysis = {**_dump(DEFAULT_SPECTRUM, _SPECTRUM_KEYS),
                         **_dump(DEFAULT_ESTIMATOR, _ESTIMATOR_KEYS)}
         elif version == SCHEMA_VERSION:
-            analysis = meta["analysis"]
+            # v2 tables saved before the band was stored record none, and load with none
+            analysis = {"bandpass": None, **meta["analysis"]}
         else:
             raise ParameterError(
                 f"schema_version {version!r} is not {SCHEMA_VERSION}; "
@@ -231,6 +233,16 @@ class ThresholdTable:
         for aci in sorted({a for a, _ in cells}):
             lines.append(f"{aci:g}," + ",".join(f"{cells[aci, s]:.6g}" for s in segs))
         return "\n".join(lines) + "\n"
+
+
+def analysis_settings(table: ThresholdTable | None, band: tuple[float, float] | None,
+                      f_theoretical: float = DEFAULT_FAULT_FREQ):
+    """The envelope-spectrum and peak-search settings a recording is analysed
+    with: those ``table`` was calibrated under, or calibrate's defaults
+    without a table, with the recording's ``band`` and ``f_theoretical``."""
+    spec_cfg = table.spectrum if table else DEFAULT_SPECTRUM
+    est_cfg = table.estimator if table else DEFAULT_ESTIMATOR
+    return replace(spec_cfg, bandpass=band), replace(est_cfg, f_theoretical=f_theoretical)
 
 
 def simulate_and_estimate(index, seed, seg_len, fs, dist, pulse, noise_std, spec_cfg, est_cfg):
@@ -356,7 +368,7 @@ def build_table(
         master_seed=seeds.master_seed,
         noise_std=float(noise_std),
         pulse_base=replace(pulse, aci=1.0),
-        spectrum=replace(spec_cfg, bandpass=None),
+        spectrum=spec_cfg,
         estimator=replace(est_cfg, f_theoretical=DEFAULT_FAULT_FREQ),
         entries=tuple(entries),
     )

@@ -22,6 +22,7 @@ from . import stats
 from .calibrate import (
     ThresholdEntry,
     ThresholdTable,
+    analysis_settings,
     config_digest,
     estimate_batch,
     simulate_and_estimate,
@@ -59,7 +60,7 @@ class ClassifyConfig:
     Only the recording's own values: its theoretical fault frequency, the
     segment length, the test level, an optional bandpass ``band`` (LO, HI)
     in Hz and the rescale direction.  The envelope-spectrum and peak-search
-    settings come from the threshold table, see ``analysis``.
+    settings come from the threshold table, see ``analysis_settings``.
     """
 
     f_theoretical: float
@@ -76,12 +77,6 @@ class ClassifyConfig:
         # the band and the search centre are checked by the configs they go into
         SpectrumConfig(bandpass=self.band)
         EstimatorConfig(f_theoretical=self.f_theoretical)
-
-    def analysis(self, table: ThresholdTable) -> tuple[SpectrumConfig, EstimatorConfig]:
-        """The table's envelope-spectrum and peak-search settings, with this
-        run's band and theoretical frequency put in."""
-        return (replace(table.spectrum, bandpass=self.band),
-                replace(table.estimator, f_theoretical=self.f_theoretical))
 
 
 @dataclass(frozen=True)
@@ -286,13 +281,17 @@ def classify_signal(
     ``x`` is a segment source, such as a Signal or the recording
     ``sigio.read_signal`` returns; its segments are read and estimated one
     at a time at one worker.  A table without a cell at ``cfg.seg_len``
-    raises TableMismatchError before any segment is read.
+    raises TableMismatchError before any segment is read.  A ``cfg.band``
+    other than the table's band is used, with a warning in the report.
     """
     calibrated_cells(table, cfg.seg_len)
-    spec_cfg, est_cfg = cfg.analysis(table)
+    spec_cfg, est_cfg = analysis_settings(table, cfg.band, cfg.f_theoretical)
     estimate = functools.partial(estimate_or_error, spec_cfg=spec_cfg, est_cfg=est_cfg)
     f_hats, snrs, errors = estimate_batch(estimate, iter_segments(x, cfg.seg_len))
     warnings = check_segment_failures(x, cfg.seg_len, len(errors), len(f_hats) + len(errors))
+    if spec_cfg.bandpass != table.spectrum.bandpass:
+        warnings.append(f"band {spec_cfg.bandpass} is not the table's band "
+                        f"{table.spectrum.bandpass}; its SNRs and thresholds may not apply")
     provenance = _provenance(
         cfg, table, bandpass=list(spec_cfg.bandpass) if spec_cfg.bandpass else None
     )
@@ -321,7 +320,7 @@ def simulate_and_classify(
     cfg = cfg or ClassifyConfig(table.f_simul, seg_len)
     if abs(cfg.seg_len - seg_len) > 1e-12:
         raise ParameterError("cfg.seg_len disagrees with seg_len")
-    spec_cfg, est_cfg = cfg.analysis(table)
+    spec_cfg, est_cfg = analysis_settings(table, cfg.band, cfg.f_theoretical)
     simulate = functools.partial(
         simulate_and_estimate, seed=seed, seg_len=seg_len, fs=table.fs, dist=dist,
         pulse=replace(table.pulse_base, aci=aci), noise_std=table.noise_std,

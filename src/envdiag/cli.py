@@ -8,6 +8,11 @@ Exit codes:
   cell at a segment length ``classify`` was asked for, and a recording
   with a non-finite sample.
 
+Only ``calibrate`` sets the envelope-spectrum and peak-search settings;
+``classify``, ``kde`` and ``spectrum`` read them from the threshold table
+they are given, and ``kde`` and ``spectrum`` use calibrate's defaults
+without one.
+
 Every randomized command accepts ``--seed`` and is fully reproducible
 under it; ENVDIAG_THREADS caps internal parallelism.
 """
@@ -28,6 +33,7 @@ from .calibrate import (
     DEFAULT_N_SIGNALS,
     DEFAULT_SEG_GRID,
     ThresholdTable,
+    analysis_settings,
     build_table,
 )
 from .classify import (
@@ -99,59 +105,11 @@ def _parse_grid(text: str):
         raise ParameterError(f"malformed list {text!r}") from None
 
 
-# classify takes the band alone; the other commands get it with the spectrum
 band_option = click.option("--band", default=None,
                            help="Bandpass LO,HI in Hz before demodulation, or 'none'.")
-
-
-# The two option groups below hand the command one built config in place of
-# their raw values.  Their configs are built outside the command function, so
-# each command puts handle_errors directly under @main.command: a bad value
-# then still exits 2.
-
-
-def spectrum_options(fn):
-    """Add the envelope-spectrum options; the command receives ``spec_cfg``."""
-
-    @functools.wraps(fn)
-    def wrapper(*args, band, window, zero_pad, piece_len, **kwargs):
-        spec_cfg = SpectrumConfig(bandpass=_parse_band(band), window=window,
-                                  zero_pad_factor=zero_pad, piece_len_s=piece_len)
-        return fn(*args, spec_cfg=spec_cfg, **kwargs)
-
-    wrapper = band_option(wrapper)
-    wrapper = click.option("--window", default="hann", show_default=True,
-                           type=click.Choice(tuple(WINDOWS)),
-                           help="Taper for the Welch pieces.")(wrapper)
-    wrapper = click.option("--zero-pad", default=4, show_default=True, type=int,
-                           help="Zero-padding factor of the PSD pieces.")(wrapper)
-    wrapper = click.option("--piece-len", default=0.5, show_default=True, type=float,
-                           help="Welch piece duration in seconds; fixed across segment "
-                                "lengths so that calibrated thresholds stay comparable.")(wrapper)
-    return wrapper
-
-
-def estimator_options(fn):
-    """Add the peak-search options; the command receives ``est_cfg``.
-
-    The search centres on the command's ``--f-theoretical`` when it has
-    one, and on the simulated fault frequency otherwise.
-    """
-
-    @functools.wraps(fn)
-    def wrapper(*args, n_harmonics, search_frac, peak_excl_bins,
-                f_theoretical=DEFAULT_FAULT_FREQ, **kwargs):
-        est_cfg = EstimatorConfig(f_theoretical=f_theoretical, n_harmonics=n_harmonics,
-                                  search_frac=search_frac, peak_excl_bins=peak_excl_bins)
-        return fn(*args, est_cfg=est_cfg, **kwargs)
-
-    wrapper = click.option("--n-harmonics", default=3, show_default=True, type=int)(wrapper)
-    wrapper = click.option("--search-frac", default=0.18, show_default=True, type=float,
-                           help="Half-width of the harmonic search window, relative.")(wrapper)
-    wrapper = click.option("--peak-excl-bins", default=2, show_default=True, type=int,
-                           help="Bins excluded around each peak in the SNR noise "
-                                "average.")(wrapper)
-    return wrapper
+table_option = click.option("--table", "table_path", type=click.Path(),
+                            help="Threshold table JSON whose analysis settings to use; "
+                                 "calibrate's defaults without one.")
 
 
 @click.group()
@@ -223,23 +181,36 @@ def cmd_simulate(dist_text, aci, seg_len, n_segments, fs, fc, noise_std, seed, f
 @click.option("--fc", default=2500.0, show_default=True, type=float)
 @click.option("--noise-std", default=1.0, show_default=True, type=float)
 @click.option("--seed", default=0, show_default=True, type=int)
-@spectrum_options
-@estimator_options
+@band_option
+@click.option("--window", default="hann", show_default=True, type=click.Choice(tuple(WINDOWS)),
+              help="Taper for the Welch pieces.")
+@click.option("--zero-pad", default=4, show_default=True, type=int,
+              help="Zero-padding factor of the PSD pieces.")
+@click.option("--piece-len", default=0.5, show_default=True, type=float,
+              help="Welch piece duration in seconds; fixed across segment lengths so that "
+                   "calibrated thresholds stay comparable.")
+@click.option("--n-harmonics", default=3, show_default=True, type=int)
+@click.option("--search-frac", default=0.18, show_default=True, type=float,
+              help="Half-width of the harmonic search window, relative.")
+@click.option("--peak-excl-bins", default=2, show_default=True, type=int,
+              help="Bins excluded around each peak in the SNR noise average.")
 @click.option("-o", "--out", required=True, type=click.Path(),
               help="Threshold table JSON output.")
 @click.option("--csv", "csv_out", default=None, type=click.Path(),
               help="Also write the threshold matrix as CSV.")
-def cmd_calibrate(aci_grid, seg_grid, n, fs, fc, noise_std, seed, spec_cfg, est_cfg, out,
-                  csv_out):
-    """Build the Monte-Carlo threshold table."""
+def cmd_calibrate(aci_grid, seg_grid, n, fs, fc, noise_std, seed, band, window, zero_pad,
+                  piece_len, n_harmonics, search_frac, peak_excl_bins, out, csv_out):
+    """Build the Monte-Carlo threshold table; it stores the analysis settings."""
     table = build_table(
         aci_list=_parse_grid(aci_grid),
         seg_len_list=_parse_grid(seg_grid),
         n=n,
         fs=fs,
         master_seed=seed,
-        spec_cfg=spec_cfg,
-        est_cfg=est_cfg,
+        spec_cfg=SpectrumConfig(bandpass=_parse_band(band), window=window,
+                                zero_pad_factor=zero_pad, piece_len_s=piece_len),
+        est_cfg=EstimatorConfig(f_theoretical=DEFAULT_FAULT_FREQ, n_harmonics=n_harmonics,
+                                search_frac=search_frac, peak_excl_bins=peak_excl_bins),
         pulse=PulseParams(aci=1.0, fc=fc),
         noise_std=noise_std,
     )
@@ -300,7 +271,8 @@ def cmd_classify(in_path, table_path, f_theoretical, seg_lens, alpha, fs, fmt, p
     piece length, harmonics, search width and peak exclusion) are read from
     the threshold table, so the recording is analysed as the table was
     calibrated; set them with 'envdiag calibrate'.  --band and
-    --f-theoretical belong to the recording and are given here.  A table
+    --f-theoretical belong to the recording and are given here; a --band
+    other than the table's puts a warning in each report.  A table
     without a cell at one of the --seg-lens exits 2 before the recording
     is read.
 
@@ -327,7 +299,7 @@ def cmd_classify(in_path, table_path, f_theoretical, seg_lens, alpha, fs, fmt, p
     click.echo(text, nl=False)
 
     first_len = reports[0].seg_len
-    spec_cfg, est_cfg = cfgs[0].analysis(table)
+    spec_cfg, est_cfg = analysis_settings(table, band, f_theoretical)
     if emit_estimates or emit_kde:
         # the same segments as the first report, which skipped the same failures
         indices, estimates, _ = estimate_per_segment(recording, first_len, spec_cfg, est_cfg)
@@ -353,10 +325,19 @@ def cmd_classify(in_path, table_path, f_theoretical, seg_lens, alpha, fs, fmt, p
 @click.option("-i", "--input", "in_path", required=True, type=click.Path())
 @click.option("--fs", default=None, type=float)
 @click.option("--format", "fmt", default=None, type=click.Choice(FORMATS))
-@spectrum_options
+@band_option
+@table_option
 @click.option("-o", "--out", required=True, type=click.Path())
-def cmd_spectrum(in_path, fs, fmt, spec_cfg, out):
-    """Write the envelope spectrum of a whole recording as CSV."""
+def cmd_spectrum(in_path, fs, fmt, band, table_path, out):
+    """Write the envelope spectrum of a whole recording as CSV.
+
+    The window, zero padding and piece length are those of the --table,
+    and calibrate's defaults without one.  The recording is analysed whole,
+    in one pass, so memory grows with its length: about 8.6 times its
+    sample bytes.
+    """
+    table = ThresholdTable.load(table_path) if table_path else None
+    spec_cfg, _ = analysis_settings(table, _parse_band(band))
     recording, _ = _load_input_signal(in_path, fmt, fs)
     write_spectrum_csv(out, envelope_spectrum(recording.read(0, len(recording)), spec_cfg))
     click.echo(f"wrote envelope spectrum -> {out}")
@@ -369,15 +350,19 @@ def cmd_spectrum(in_path, fs, fmt, spec_cfg, out):
 @click.option("--seg-len", required=True, type=float)
 @click.option("--fs", default=None, type=float)
 @click.option("--format", "fmt", default=None, type=click.Choice(FORMATS))
-@spectrum_options
-@estimator_options
+@band_option
+@table_option
 @click.option("-o", "--out", required=True, type=click.Path())
-def cmd_kde(in_path, seg_len, fs, fmt, spec_cfg, est_cfg, out):
+def cmd_kde(in_path, f_theoretical, seg_len, fs, fmt, band, table_path, out):
     """Estimate per segment and write the KDE of the estimates as CSV.
 
-    Failed segments are skipped with a warning as in classify, up to 20 % of
-    them; with more, or with fewer than 2 segments, the command exits 1.
+    The analysis settings are the --table's, as 'classify --emit-kde'
+    uses them, or calibrate's defaults without one.  Failed segments are
+    skipped with a warning as in classify, up to 20 % of them; with more,
+    or with fewer than 2 segments, the command exits 1.
     """
+    table = ThresholdTable.load(table_path) if table_path else None
+    spec_cfg, est_cfg = analysis_settings(table, _parse_band(band), f_theoretical)
     recording, _ = _load_input_signal(in_path, fmt, fs)
     _, estimates, warnings = estimate_per_segment(recording, seg_len, spec_cfg, est_cfg)
     for warning in warnings:

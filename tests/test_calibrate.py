@@ -104,17 +104,29 @@ class TestBuildTable:
         assert table.spectrum == SpectrumConfig()
         assert table.estimator == EstimatorConfig(f_theoretical=30.0)
 
-    def test_table_keeps_the_analysis_settings_but_not_the_band(self):
+    def test_table_keeps_the_analysis_settings_and_the_band(self, tmp_path):
         spec_cfg = SpectrumConfig(bandpass=(1000.0, 4000.0), window="hamming",
                                   zero_pad_factor=2, piece_len_s=0.25)
         est_cfg = EstimatorConfig(f_theoretical=30.0, n_harmonics=2, search_frac=0.2,
                                   peak_excl_bins=1)
         table = build_table((2.0,), (0.5,), n=2, master_seed=3, spec_cfg=spec_cfg,
                             est_cfg=est_cfg)
-        assert table.spectrum == SpectrumConfig(window="hamming", zero_pad_factor=2,
-                                                piece_len_s=0.25)
+        assert table.spectrum == spec_cfg
         assert table.estimator == est_cfg
         assert ThresholdTable.from_json_dict(table.to_json_dict()) == table
+        path = tmp_path / "banded.json"
+        table.save(path)
+        assert json.loads(path.read_text(encoding="utf-8"))["meta"]["analysis"]["bandpass"] \
+            == [1000.0, 4000.0]
+        assert ThresholdTable.load(path) == table
+
+    def test_band_changes_the_table(self):
+        # the band filters every simulated signal, so the SNRs and thresholds move
+        plain = build_table((2.0,), (0.5,), n=3, master_seed=3)
+        banded = build_table((2.0,), (0.5,), n=3, master_seed=3,
+                             spec_cfg=SpectrumConfig(bandpass=(1500.0, 3500.0)))
+        assert banded.entries[0].mean_snr != plain.entries[0].mean_snr
+        assert banded.to_json_dict()["meta"] != plain.to_json_dict()["meta"]
 
     def test_empty_grid_rejected(self):
         with pytest.raises(ParameterError):
@@ -180,6 +192,7 @@ HAND_TABLE_TEXT = """\
   ],
   "meta": {
     "analysis": {
+      "bandpass": null,
       "n_harmonics": 3,
       "peak_excl_bins": 2,
       "piece_len_s": 0.5,
@@ -238,6 +251,13 @@ class TestThresholdTableFile:
         assert path.read_text(encoding="utf-8") == HAND_TABLE_TEXT
         assert ThresholdTable.load(path) == hand_table()
 
+    def test_table_without_a_band_key_loads_without_a_band(self):
+        data = json.loads(HAND_TABLE_TEXT)
+        del data["meta"]["analysis"]["bandpass"]
+        table = ThresholdTable.from_json_dict(data)
+        assert table.spectrum.bandpass is None
+        assert table == hand_table()
+
     def test_table_without_noise_std_loads_with_one(self, tmp_path):
         data = json.loads(HAND_TABLE_TEXT)
         del data["meta"]["noise_std"]
@@ -262,6 +282,10 @@ class TestThresholdTableFile:
         pytest.param(hand_table_with("meta", "f_simul", -30.0), id="f_simul-negative"),
         pytest.param(hand_table_with("entries", "mean_snr", -0.5), id="mean_snr-negative"),
         pytest.param(hand_table_with("analysis", "window", "hanning"), id="window-unknown"),
+        pytest.param(hand_table_with("analysis", "bandpass", "1500,3500"), id="bandpass-text"),
+        pytest.param(hand_table_with("analysis", "bandpass", [1500.0]), id="bandpass-one"),
+        pytest.param(hand_table_with("analysis", "bandpass", [3500.0, 1500.0]),
+                     id="bandpass-reversed"),
         pytest.param(hand_table_with("analysis", "zero_pad_factor", 0), id="zero_pad-zero"),
         pytest.param(hand_table_with("analysis", "zero_pad_factor", 4.0), id="zero_pad-float"),
         pytest.param(hand_table_with("analysis", "piece_len_s", "0.5"), id="piece_len-text"),

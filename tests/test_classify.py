@@ -31,6 +31,7 @@ from envdiag import (
     simulate_signal,
 )
 from envdiag import classify
+from envdiag.calibrate import analysis_settings
 from envdiag._parallel import ENV_THREADS
 from envdiag.classify import VERDICT_CONSTANT, VERDICT_INCONCLUSIVE, VERDICT_NORMAL, VERDICT_UNIFORM
 from envdiag.sigio import read_signal, write_signal_arrays
@@ -84,10 +85,14 @@ class TestClassifyConfig:
         table = build_table((2.0,), (SEG,), n=2, master_seed=1,
                             spec_cfg=SpectrumConfig(window="hamming", piece_len_s=0.25),
                             est_cfg=EstimatorConfig(f_theoretical=30.0, n_harmonics=2))
-        spec_cfg, est_cfg = ClassifyConfig(97.0, SEG, band=(1000, 4000)).analysis(table)
+        cfg = ClassifyConfig(97.0, SEG, band=(1000, 4000))
+        spec_cfg, est_cfg = analysis_settings(table, cfg.band, cfg.f_theoretical)
         assert spec_cfg == SpectrumConfig(bandpass=(1000.0, 4000.0), window="hamming",
                                           piece_len_s=0.25)
         assert est_cfg == EstimatorConfig(f_theoretical=97.0, n_harmonics=2)
+        # without a table, calibrate's defaults
+        assert analysis_settings(None, cfg.band, cfg.f_theoretical) == (
+            SpectrumConfig(bandpass=(1000.0, 4000.0)), EstimatorConfig(f_theoretical=97.0))
 
 
 class TestClassifySignal:
@@ -122,6 +127,20 @@ class TestClassifySignal:
         assert report.estimates == tuple(e.f_hat for e in quarter)
         # 0.25 s pieces are another analysis than the default 0.5 s ones
         assert report.snrs != tuple(e.snr for e in half)
+
+    def test_band_other_than_the_table_s_is_analysed_with_a_warning(self, recording, table):
+        band = (1500.0, 3500.0)
+        report = classify_signal(recording, config(band=band), table)
+        _, banded, _ = estimate_per_segment(recording, SEG, SpectrumConfig(bandpass=band),
+                                            EstimatorConfig(f_theoretical=30.0))
+        assert report.estimates == tuple(e.f_hat for e in banded)
+        assert report.warnings[0] == ("band (1500.0, 3500.0) is not the table's band None; "
+                                      "its SNRs and thresholds may not apply")
+        # the table's own band gives no warning, and neither does a band-less run
+        banded_table = replace(table, spectrum=SpectrumConfig(bandpass=band))
+        assert not any("band" in w for w in
+                       classify_signal(recording, config(band=band), banded_table).warnings)
+        assert not any("band" in w for w in classify_signal(recording, config(), table).warnings)
 
     def test_too_short_signal_rejected(self, recording, table):
         short = Signal(recording.samples[: int(1.5 * SEG * FS)], FS)

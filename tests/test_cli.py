@@ -55,6 +55,17 @@ def files(tmp_path_factory):
     return root, rec, table
 
 
+@pytest.fixture(scope="module")
+def table_h2(files):
+    """A table of 0.25 s pieces and 2 harmonics, other than calibrate's defaults."""
+    root, _, _ = files
+    table = root / "table_h2.json"
+    result = invoke("calibrate", "--aci-grid", 2, "--seg-grid", 0.5, "--n", 3, "--seed", 2,
+                    "--piece-len", 0.25, "--n-harmonics", 2, "-o", table)
+    assert result.exit_code == 0, result.output
+    return table
+
+
 def assert_usage_error(result):
     assert result.exit_code == EXIT_USAGE_IO, result.output
     # a clean exit, not an escaped exception
@@ -80,8 +91,8 @@ def test_simulate_calibrate_classify_round_trip(files):
 
 
 @pytest.mark.parametrize("args", [
-    "spectrum --piece-len 0 -i {rec}",
-    "spectrum --piece-len inf -i {rec}",
+    "calibrate --piece-len 0 --aci-grid 2 --seg-grid 0.5 --n 2",
+    "calibrate --piece-len inf --aci-grid 2 --seg-grid 0.5 --n 2",
     "spectrum --fs inf -i {rec}",
     "classify --seg-lens inf -i {rec} --table {table} --f-theoretical 30",
     "kde --seg-len inf -i {rec} --f-theoretical 30",
@@ -112,20 +123,72 @@ def test_classify_takes_no_analysis_setting(files, option, value):
     assert not (root / "r.json").exists()
 
 
+@pytest.mark.parametrize("command,args", [
+    ("kde", "--f-theoretical 30 --seg-len 0.5"),
+    ("spectrum", ""),
+])
+@pytest.mark.parametrize("option,value", [
+    ("--window", "hann"), ("--zero-pad", 4), ("--piece-len", 0.5), ("--n-harmonics", 3),
+    ("--search-frac", 0.18), ("--peak-excl-bins", 2),
+])
+def test_kde_and_spectrum_take_no_analysis_setting(files, tmp_path, command, args, option,
+                                                  value):
+    # they read them from --table, as classify does
+    _, rec, _ = files
+    out = tmp_path / "out.csv"
+    result = invoke(command, "-i", rec, *args.split(), option, value, "-o", out)
+    assert_usage_error(result)
+    assert "No such option" in result.output and option in result.output
+    assert not out.exists()
+
+
 def test_classify_has_fourteen_options():
     names = sorted(opt for param in cmd_classify.params for opt in param.opts)
     assert len(cmd_classify.params) == 14
     assert "--band" in names and "--f-theoretical" in names
 
 
-def test_classify_analyses_as_the_table_was_calibrated(files):
+@pytest.mark.parametrize("command,count", [("kde", 8), ("spectrum", 6)])
+def test_kde_and_spectrum_take_a_table_and_a_band(command, count):
+    params = main.commands[command].params
+    names = {opt for param in params for opt in param.opts}
+    assert len(params) == count
+    assert {"--table", "--band"} <= names
+    assert sum(len(cmd.params) for cmd in main.commands.values()) == 54
+
+
+@pytest.mark.parametrize("band", [None, "1500,3500"])
+def test_kde_with_a_table_writes_the_curve_classify_emits(files, table_h2, band):
     root, rec, _ = files
-    table = root / "table_h2.json"
-    result = invoke("calibrate", "--aci-grid", 2, "--seg-grid", 0.5, "--n", 3, "--seed", 2,
-                    "--piece-len", 0.25, "--n-harmonics", 2, "-o", table)
+    extra = () if band is None else ("--band", band)
+    emitted, out = root / "h2_emitted.csv", root / "h2_kde.csv"
+    classify_reports(rec, table_h2, root / "h2_emit.json", "--emit-kde", emitted, *extra)
+    result = invoke("kde", "-i", rec, "--f-theoretical", 30, "--seg-len", 0.5,
+                    "--table", table_h2, "-o", out, *extra)
     assert result.exit_code == 0, result.output
-    assert json.loads(table.read_text(encoding="utf-8"))["meta"]["schema_version"] == 2
-    (rep,) = classify_reports(rec, table, root / "h2.json")
+    assert out.read_bytes() == emitted.read_bytes()
+    # the defaults' 0.5 s pieces and 3 harmonics give another curve
+    result = invoke("kde", "-i", rec, "--f-theoretical", 30, "--seg-len", 0.5,
+                    "-o", root / "default_kde.csv", *extra)
+    assert result.exit_code == 0, result.output
+    assert (root / "default_kde.csv").read_bytes() != emitted.read_bytes()
+
+
+def test_spectrum_with_a_table_uses_its_pieces(files, table_h2):
+    root, rec, _ = files
+    out = root / "h2_spectrum.csv"
+    result = invoke("spectrum", "-i", rec, "--table", table_h2, "-o", out)
+    assert result.exit_code == 0, result.output
+    _, rows = csv_rows(out)
+    # 0.25 s pieces zero-padded 4x: 1 Hz bins from 0 to fs/2 = 12.5 kHz
+    assert len(rows) == 12_501
+    assert rows[1][0] == "1" and rows[-1][0] == "12500"
+
+
+def test_classify_analyses_as_the_table_was_calibrated(files, table_h2):
+    root, rec, _ = files
+    assert json.loads(table_h2.read_text(encoding="utf-8"))["meta"]["schema_version"] == 2
+    (rep,) = classify_reports(rec, table_h2, root / "h2.json")
     spec_cfg = SpectrumConfig(piece_len_s=0.25)
     est_cfg = EstimatorConfig(f_theoretical=30.0, n_harmonics=2)
     assert rep["provenance"]["n_harmonics"] == 2
@@ -190,23 +253,24 @@ def test_removed_welch_split_option_is_a_usage_error(files):
                               "--welch-segments", 2, "-o", root / "t.json"))
 
 
-def test_unknown_window_is_a_usage_error(files):
-    root, rec, _ = files
-    result = invoke("spectrum", "-i", rec, "--window", "nosuch", "-o", root / "s.csv")
+def test_unknown_window_is_a_usage_error(tmp_path):
+    result = invoke("calibrate", "--aci-grid", 2, "--seg-grid", 0.5, "--n", 2,
+                    "--window", "nosuch", "-o", tmp_path / "t.json")
     assert_usage_error(result)
     assert "nosuch" in result.output
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("window", ["bartlett", "hanning"])
-def test_scipy_window_outside_the_seven_is_a_usage_error(files, window):
-    root, rec, _ = files
-    result = invoke("spectrum", "-i", rec, "--window", window, "-o", root / "s.csv")
+def test_scipy_window_outside_the_seven_is_a_usage_error(tmp_path, window):
+    result = invoke("calibrate", "--aci-grid", 2, "--seg-grid", 0.5, "--n", 2,
+                    "--window", window, "-o", tmp_path / "t.json")
     assert_usage_error(result)
     assert "blackmanharris" in result.output
 
 
 def test_help_lists_the_windows():
-    result = invoke("spectrum", "--help")
+    result = invoke("calibrate", "--help")
     assert result.exit_code == 0
     assert "boxcar|hann|hamming|blackman|nuttall|blackmanharris|flattop" in result.output
 
