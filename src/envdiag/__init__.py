@@ -11,7 +11,6 @@ from .calibrate import (
     ThresholdTable,
     build_table,
     calibrate_entry,
-    config_digest,
 )
 from .classify import (
     ClassificationReport,
@@ -102,7 +101,6 @@ __all__ = [
     "chi2_critical",
     "chi_squared_variance_test",
     "classify_signal",
-    "config_digest",
     "detect_harmonic_peak",
     "envelope",
     "envelope_spectrum",

@@ -9,7 +9,6 @@ stored next to the batch's mean estimate and mean SNR.
 from __future__ import annotations
 
 import functools
-import hashlib
 import json
 import math
 from dataclasses import dataclass, fields, replace
@@ -35,33 +34,8 @@ MAX_FAILURE_FRAC = 0.01
 DEFAULT_SPECTRUM = SpectrumConfig()
 DEFAULT_ESTIMATOR = EstimatorConfig(f_theoretical=DEFAULT_FAULT_FREQ)
 SCHEMA_VERSION = 2
-
-
-def config_digest(spec_cfg: SpectrumConfig, est_cfg: EstimatorConfig) -> str:
-    """Digest of the analysis settings a threshold table depends on.
-
-    Covers the spectral estimator shape and the peak-search geometry, the
-    settings a table stores in ``meta.analysis`` apart from its band.
-    Tables saved before ``schema_version`` 2 stored only this digest.  The
-    bandpass band, the sample rate and the theoretical frequency are
-    excluded on purpose: the envelope grid spacing depends only on the
-    piece duration and zero padding, and variance rescaling maps any real
-    fault frequency onto the simulated 30 Hz scale.
-    """
-    payload = {
-        "window": spec_cfg.window,
-        "zero_pad_factor": spec_cfg.zero_pad_factor,
-        "piece_len_s": spec_cfg.piece_len_s,
-        # no longer settable; kept at their only remaining values so that
-        # tables saved with these fields in the digest still load
-        "welch_segments": 1,
-        "welch_overlap": 0.0,
-        "n_harmonics": est_cfg.n_harmonics,
-        "search_frac": est_cfg.search_frac,
-        "peak_excl_bins": est_cfg.peak_excl_bins,
-    }
-    blob = json.dumps(payload, sort_keys=True).encode()
-    return hashlib.sha256(blob).hexdigest()[:16]
+# the ``config_digest`` of calibrate's defaults, the one v1 table that loads
+LEGACY_DEFAULTS_DIGEST = "2caa3ff4ce576fea"
 
 
 @dataclass(frozen=True)
@@ -114,6 +88,12 @@ def _dump(record, keys: dict) -> dict:
     return {key: getattr(record, name) for name, key in keys.items()}
 
 
+def analysis_json(spec_cfg: SpectrumConfig, est_cfg: EstimatorConfig) -> dict:
+    """The ``meta.analysis`` map a table calibrated under these settings saves:
+    every envelope-spectrum and peak-search setting, its band included."""
+    return {**_dump(spec_cfg, _SPECTRUM_KEYS), **_dump(est_cfg, _ESTIMATOR_KEYS)}
+
+
 def _load(cls, data: dict, keys: dict, **extra):
     """Build ``cls`` from the JSON object ``data``; a value of the wrong kind
     or out of its field's range raises ValueError."""
@@ -138,9 +118,10 @@ class ThresholdTable:
 
     Saved as a JSON object with two members.  ``meta`` holds ``fs``,
     ``f_simul``, ``n``, ``seed``, ``noise_std``, ``schema_version`` (2),
-    ``analysis``, the settings' ``bandpass`` (null or ``[lo, hi]``),
-    ``window``, ``zero_pad_factor``, ``piece_len_s``, ``n_harmonics``,
-    ``search_frac`` and ``peak_excl_bins``, and ``pulse``, the base pulse's
+    ``analysis`` (``analysis_json``), the settings' ``bandpass`` (null or
+    ``[lo, hi]``), ``window``, ``zero_pad_factor``, ``piece_len_s``,
+    ``n_harmonics``, ``search_frac`` and ``peak_excl_bins``, which also
+    name the table in a report's provenance, and ``pulse``, the base pulse's
     ``fc``, ``bw_lo``, ``bw_hi`` and ``bwr``; its ACI is 1.0, as each entry
     carries its own.  ``entries`` is a list of cells, each with ``aci``,
     ``seg_len_s``, ``threshold``, ``mean_f_hat``, ``mean_snr``,
@@ -150,10 +131,11 @@ class ThresholdTable:
     least 2, no negative ``threshold`` or ``mean_snr``, and analysis
     settings that ``SpectrumConfig`` and ``EstimatorConfig`` accept.
 
-    A table saved without ``schema_version`` carries only ``config_digest``,
-    a digest of its settings.  It loads with the default settings when the
-    digest is theirs; any other digest, or any other ``schema_version``, is
-    an error that asks for a recalibration.
+    A table saved without ``schema_version`` has no ``analysis``, only a
+    ``config_digest`` hash of its settings.  It loads with calibrate's
+    default settings when that hash is ``LEGACY_DEFAULTS_DIGEST``, the
+    defaults' own; any other hash, or any other ``schema_version``, is an
+    error that asks for a recalibration.
     """
 
     fs: float
@@ -177,8 +159,7 @@ class ThresholdTable:
     def to_json_dict(self) -> dict:
         meta = _dump(self, _META_KEYS)
         meta["schema_version"] = SCHEMA_VERSION
-        meta["analysis"] = {**_dump(self.spectrum, _SPECTRUM_KEYS),
-                            **_dump(self.estimator, _ESTIMATOR_KEYS)}
+        meta["analysis"] = analysis_json(self.spectrum, self.estimator)
         meta["pulse"] = _dump(self.pulse_base, _PULSE_KEYS)
         return {"meta": meta, "entries": [_dump(e, _ENTRY_KEYS) for e in self.entries]}
 
@@ -187,14 +168,13 @@ class ThresholdTable:
         meta = {"noise_std": 1.0, **data["meta"]}
         version = meta.get("schema_version")
         if version is None:
-            if meta["config_digest"] != config_digest(DEFAULT_SPECTRUM, DEFAULT_ESTIMATOR):
+            if meta["config_digest"] != LEGACY_DEFAULTS_DIGEST:
                 raise ParameterError(
                     "a table from before schema_version 2 keeps only a digest of its "
                     f"analysis settings, and {meta['config_digest']!r} is not the defaults'; "
                     "recalibrate it with 'envdiag calibrate'"
                 )
-            analysis = {**_dump(DEFAULT_SPECTRUM, _SPECTRUM_KEYS),
-                        **_dump(DEFAULT_ESTIMATOR, _ESTIMATOR_KEYS)}
+            analysis = analysis_json(DEFAULT_SPECTRUM, DEFAULT_ESTIMATOR)
         elif version == SCHEMA_VERSION:
             # v2 tables saved before the band was stored record none, and load with none
             analysis = {"bandpass": None, **meta["analysis"]}

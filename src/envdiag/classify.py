@@ -22,8 +22,8 @@ from . import stats
 from .calibrate import (
     ThresholdEntry,
     ThresholdTable,
+    analysis_json,
     analysis_settings,
-    config_digest,
     estimate_batch,
     simulate_and_estimate,
 )
@@ -81,7 +81,17 @@ class ClassifyConfig:
 
 @dataclass(frozen=True)
 class ClassificationReport:
-    """Full decision trail for one signal at one segment length."""
+    """Full decision trail for one signal at one segment length.
+
+    ``provenance`` names what the decision was made under.  ``analysis`` is
+    the table's ``meta.analysis``, the settings it was calibrated with, its
+    band included, and ``table_seed`` its master seed; ``alpha``,
+    ``f_theoretical`` and ``rescale_direction`` ("normalized" or "paper")
+    are the run's.  A classified recording adds ``bandpass``, the band it
+    was analysed in, which may differ from the table's
+    ``analysis.bandpass``; a simulated one adds ``simulated``, its ``dist``,
+    ``aci`` and ``seed``.
+    """
 
     seg_len: float
     n_segments: int
@@ -259,15 +269,13 @@ def _decide(
 
 
 def _provenance(cfg: ClassifyConfig, table: ThresholdTable, **extra) -> dict:
-    """Settings and table identity a report was made under."""
+    """Settings and table a report was made under (see ClassificationReport)."""
     return {
-        "table_digest": config_digest(table.spectrum, table.estimator),
+        "analysis": analysis_json(table.spectrum, table.estimator),
         "table_seed": table.master_seed,
         "alpha": cfg.alpha,
         "f_theoretical": cfg.f_theoretical,
         "rescale_direction": "paper" if cfg.paper_rescale else "normalized",
-        "search_frac": table.estimator.search_frac,
-        "n_harmonics": table.estimator.n_harmonics,
         **extra,
     }
 

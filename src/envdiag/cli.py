@@ -5,8 +5,10 @@ Exit codes:
 - 0 on success;
 - 1 when the analysis itself fails;
 - 2 for usage or I/O problems, among them a threshold table without a
-  cell at a segment length ``classify`` was asked for, and a recording
-  with a non-finite sample.
+  cell at a segment length ``classify`` was asked for, a recording with a
+  non-finite sample, a CSV recording that is not ASCII text, and an input
+  too large for memory (``MemoryError``, reported with the allocation
+  that failed).
 
 Only ``calibrate`` sets the envelope-spectrum and peak-search settings;
 ``classify``, ``kde`` and ``spectrum`` read them from the threshold table
@@ -78,10 +80,10 @@ def handle_errors(fn):
     def wrapper(*args, **kwargs):
         try:
             return fn(*args, **kwargs)
-        except (ParameterError, SignalFormatError, TableMismatchError) as exc:
+        except (ParameterError, SignalFormatError, TableMismatchError, OSError) as exc:
             _fail(EXIT_USAGE_IO, str(exc))
-        except OSError as exc:
-            _fail(EXIT_USAGE_IO, str(exc))
+        except MemoryError as exc:
+            _fail(EXIT_USAGE_IO, str(exc) or "out of memory")
         except EnvDiagError as exc:
             _fail(EXIT_ANALYSIS, str(exc))
 

@@ -108,16 +108,16 @@ def _read_csv_samples(path) -> np.ndarray:
     # a typed array holds 8 bytes per sample, a list of floats about 32
     values = array.array("d")
     with open(path, encoding="ascii") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            text = line.strip()
-            if not text:
-                continue
-            try:
-                values.append(float(text))
-            except ValueError:
-                raise SignalFormatError(
-                    f"{path}: line {lineno} is not a number: {text!r}"
-                ) from None
+        try:
+            for lineno, line in enumerate(fh, start=1):
+                text = line.strip()
+                if text:
+                    values.append(float(text))
+        except UnicodeDecodeError:  # raised by the read, and a ValueError too
+            raise SignalFormatError(f"{path}: not a CSV recording, it holds a byte outside "
+                                    "ASCII; for raw samples pass --format raw-f64le") from None
+        except ValueError:
+            raise SignalFormatError(f"{path}: line {lineno} is not a number: {text!r}") from None
     if not values:
         raise SignalFormatError(f"{path}: no samples found")
     return np.frombuffer(values, dtype=np.float64)
@@ -244,9 +244,12 @@ def write_spectrum_csv(path, spec: EnvelopeSpectrum) -> None:
 
 def write_estimates_csv(path, estimates: list[FaultFrequencyEstimate], seg_len: float,
                         indices: list[int]) -> None:
-    """One row per estimate; ``indices`` are their segment numbers."""
+    """One row per estimate; ``indices`` are their segment numbers.  There is a
+    ``peakK_hz`` column for every harmonic order K up to the estimates' highest."""
+    orders = range(1, max((p.order for est in estimates for p in est.peaks), default=0) + 1)
     with open(path, "w", encoding="ascii") as fh:
-        fh.write("segment_index,t_start_s,f_hat_hz,snr,peak1_hz,peak2_hz,peak3_hz\n")
+        fh.write(",".join(["segment_index,t_start_s,f_hat_hz,snr"]
+                          + [f"peak{k}_hz" for k in orders]) + "\n")
         for i, est in zip(indices, estimates, strict=True):
             peaks = {p.order: p.freq for p in est.peaks}
             cols = [
@@ -254,7 +257,7 @@ def write_estimates_csv(path, estimates: list[FaultFrequencyEstimate], seg_len: 
                 f"{i * seg_len:.10g}",
                 f"{est.f_hat:.10g}",
                 f"{est.snr:.10g}",
-            ] + [f"{peaks[k]:.10g}" if k in peaks else "" for k in (1, 2, 3)]
+            ] + [f"{peaks[k]:.10g}" if k in peaks else "" for k in orders]
             fh.write(",".join(cols) + "\n")
 
 

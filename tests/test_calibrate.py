@@ -19,7 +19,6 @@ from envdiag import (
     ThresholdTable,
     build_table,
     calibrate_entry,
-    config_digest,
     envelope_spectrum,
     estimate_fault_frequency,
     simulate_signal,
@@ -135,24 +134,6 @@ class TestBuildTable:
     def test_negative_seed_rejected(self):
         with pytest.raises(ParameterError, match="unsigned 64-bit"):
             build_table((1.0,), (0.5,), n=2, master_seed=-1)
-
-
-class TestConfigDigest:
-    def test_default_digest_is_stable(self):
-        # value saved tables carry; it must not change while the settings do not
-        digest = config_digest(SpectrumConfig(), EstimatorConfig(f_theoretical=30.0))
-        assert digest == "2caa3ff4ce576fea"
-
-    def test_ignores_band_and_theoretical_frequency(self):
-        a = config_digest(SpectrumConfig(), EstimatorConfig(f_theoretical=30.0))
-        b = config_digest(SpectrumConfig(bandpass=(1000.0, 4000.0)),
-                          EstimatorConfig(f_theoretical=97.0))
-        assert a == b
-
-    def test_tracks_piece_length(self):
-        a = config_digest(SpectrumConfig(), EstimatorConfig(f_theoretical=30.0))
-        b = config_digest(SpectrumConfig(piece_len_s=0.25), EstimatorConfig(f_theoretical=30.0))
-        assert a != b
 
 
 def hand_table():

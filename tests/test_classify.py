@@ -39,8 +39,7 @@ from envdiag.sigio import read_signal, write_signal_arrays
 FS = 25_000.0
 SEG = 0.5
 VERDICTS = {VERDICT_CONSTANT, VERDICT_UNIFORM, VERDICT_NORMAL, VERDICT_INCONCLUSIVE}
-COMMON_PROVENANCE = {"table_digest", "table_seed", "alpha", "f_theoretical",
-                     "rescale_direction", "search_frac", "n_harmonics"}
+COMMON_PROVENANCE = {"analysis", "table_seed", "alpha", "f_theoretical", "rescale_direction"}
 # harmonic 3's window around 15 kHz crosses fs/2, so every estimate fails on it
 UNREACHABLE = 5000.0
 
@@ -110,6 +109,20 @@ class TestClassifySignal:
         assert set(report.provenance) == COMMON_PROVENANCE | {"bandpass"}
         assert report.provenance["f_theoretical"] == 30.0
         assert report.provenance["bandpass"] is None
+        assert report.provenance["analysis"] == table.to_json_dict()["meta"]["analysis"]
+
+    def test_provenance_names_the_table_by_its_analysis_settings(self, recording):
+        table = build_table((2.0,), (SEG,), n=2, master_seed=1,
+                            spec_cfg=SpectrumConfig(bandpass=(1500.0, 3500.0), piece_len_s=0.25),
+                            est_cfg=EstimatorConfig(f_theoretical=30.0, n_harmonics=2))
+        analysis = table.to_json_dict()["meta"]["analysis"]
+        # the run's band is the recording's; the table's own stays in its analysis
+        report = classify_signal(recording, config(), table)
+        assert report.provenance["analysis"] == analysis
+        assert report.provenance["analysis"]["bandpass"] == (1500.0, 3500.0)
+        assert report.provenance["bandpass"] is None
+        simulated = simulate_and_classify(DistributionSpec.constant(30.0), 2.0, SEG, 4, table, 5)
+        assert simulated.provenance["analysis"] == analysis
 
     def test_all_segments_failing_is_an_estimation_error(self, recording, table):
         with pytest.raises(EstimationError, match="4/4 segment estimates failed"):
@@ -184,6 +197,7 @@ class TestSimulateAndClassify:
         assert report.verdict in VERDICTS
         assert set(report.provenance) == COMMON_PROVENANCE | {"simulated"}
         assert report.provenance["simulated"] == {"dist": "constant:30", "aci": 2.0, "seed": 5}
+        assert report.provenance["analysis"] == table.to_json_dict()["meta"]["analysis"]
 
     def test_reproducible(self, table):
         dist = DistributionSpec.normal(30.0, 0.33)

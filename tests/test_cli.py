@@ -16,7 +16,6 @@ from envdiag import (
     SeedSpec,
     Signal,
     SpectrumConfig,
-    config_digest,
     envelope_spectrum,
     simulate_signal,
 )
@@ -191,11 +190,33 @@ def test_classify_analyses_as_the_table_was_calibrated(files, table_h2):
     (rep,) = classify_reports(rec, table_h2, root / "h2.json")
     spec_cfg = SpectrumConfig(piece_len_s=0.25)
     est_cfg = EstimatorConfig(f_theoretical=30.0, n_harmonics=2)
-    assert rep["provenance"]["n_harmonics"] == 2
-    assert rep["provenance"]["table_digest"] == config_digest(spec_cfg, est_cfg)
+    assert rep["provenance"]["analysis"]["n_harmonics"] == 2
+    assert rep["provenance"]["analysis"] == \
+        json.loads(table_h2.read_text(encoding="utf-8"))["meta"]["analysis"]
     signal, _ = read_signal(rec)
     _, estimates, _ = estimate_per_segment(signal, 0.5, spec_cfg, est_cfg)
     assert rep["estimates_hz"] == [e.f_hat for e in estimates]
+
+
+def test_reports_against_tables_of_other_bands_name_them_apart(files, tmp_path):
+    # the same calibration with and without a band, and one run band for both
+    _, rec, _ = files
+    reports = []
+    for name, band in (("plain", ()), ("banded", ("--band", "1500,3500"))):
+        table = tmp_path / f"{name}.json"
+        result = invoke("calibrate", "--aci-grid", 2, "--seg-grid", 0.5, "--n", 3, "--seed", 2,
+                        *band, "-o", table)
+        assert result.exit_code == 0, result.output
+        (rep,) = classify_reports(rec, table, tmp_path / f"{name}_report.json",
+                                  "--band", "1500,3500")
+        assert rep["provenance"]["analysis"] == \
+            json.loads(table.read_text(encoding="utf-8"))["meta"]["analysis"]
+        reports.append(rep)
+    plain, banded = (rep["provenance"] for rep in reports)
+    assert plain != banded
+    assert plain["analysis"]["bandpass"] is None
+    assert banded["analysis"]["bandpass"] == [1500.0, 3500.0]
+    assert plain["bandpass"] == banded["bandpass"] == [1500.0, 3500.0]
 
 
 def test_version_1_table_gives_the_same_report_bytes(files, tmp_path, run_python):
@@ -387,6 +408,61 @@ def test_length_missing_from_the_table_is_a_usage_error_before_any_read(files, m
     assert "threshold table has no entries for seg_len=1 s" in result.output
     assert calls == []
     assert not (root / "mismatch.json").exists()
+
+
+@pytest.mark.parametrize("n_harmonics,extra", [(1, ()), (4, ("--search-frac", 0.1))])
+def test_emitted_estimates_have_a_peak_column_per_harmonic(files, tmp_path, n_harmonics, extra):
+    _, rec, _ = files
+    table, est = tmp_path / "table.json", tmp_path / "est.csv"
+    result = invoke("calibrate", "--aci-grid", 2, "--seg-grid", 0.5, "--n", 3, "--seed", 2,
+                    "--n-harmonics", n_harmonics, *extra, "-o", table)
+    assert result.exit_code == 0, result.output
+    (rep,) = classify_reports(rec, table, tmp_path / "rep.json", "--emit-estimates", est)
+    header, rows = csv_rows(est)
+    assert header.split(",")[4:] == [f"peak{k}_hz" for k in range(1, n_harmonics + 1)]
+    assert [row[2] for row in rows] == [f"{f:.10g}" for f in rep["estimates_hz"]]
+    for row in rows:
+        peaks = [float(v) for v in row[4:]]
+        assert len(peaks) == n_harmonics
+        # f_hat is the mean of the order-normalized peaks
+        assert float(row[2]) == pytest.approx(np.mean([f / k for k, f in enumerate(peaks, 1)]),
+                                              rel=1e-9)
+
+
+def test_input_too_large_for_memory_is_a_usage_error(monkeypatch, tmp_path):
+    def too_large(*args, **kwargs):
+        raise MemoryError("Unable to allocate 3.64 TiB for an array with shape "
+                          "(500000000000,) and data type float64")
+
+    monkeypatch.setattr(cli, "simulate_signal", too_large)
+    result = invoke("simulate", "--dist", "constant:30", "--aci", 2, "--seg-len", 0.5,
+                    "--fs", 1e12, "-o", tmp_path / "rec.f64")
+    assert_usage_error(result)
+    assert result.output == ("error: Unable to allocate 3.64 TiB for an array with shape "
+                             "(500000000000,) and data type float64\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", [
+    "classify --seg-lens 0.5 --table {table} --f-theoretical 30",
+    "kde --seg-len 0.5 --f-theoretical 30",
+    "spectrum",
+])
+@pytest.mark.parametrize("source", ["raw-read-as-csv", "byte-ff"])
+def test_csv_recording_with_a_non_ascii_byte_is_a_usage_error(files, tmp_path, command, source):
+    _, rec, table = files
+    if source == "raw-read-as-csv":
+        path, fmt = rec, ("--format", "csv")
+    else:
+        path, fmt = tmp_path / "rec.csv", ()
+        path.write_bytes(b"0.5\n1.5\n\xff\n")
+        (tmp_path / "rec.csv.json").write_text('{"fs": 25000.0}', encoding="utf-8")
+    out = tmp_path / "out"
+    result = invoke(*command.format(table=table).split(), "-i", path, *fmt, "-o", out)
+    assert_usage_error(result)
+    assert result.output.startswith(f"error: {path}: not a CSV recording")
+    assert "--format raw-f64le" in result.output
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("where", ["segment", "tail"])
