@@ -317,11 +317,30 @@ def build_table(
     SNRs along the ACI axis directly estimable instead of being buried in
     Monte-Carlo noise.  Results are reproducible and independent of worker
     scheduling.
+
+    The grids are checked before any cell is simulated: each must be
+    non-empty and free of repeats, every ACI positive and finite, and every
+    length finite and at least two cycles of ``f_simul``, the least span
+    ``simulate_signal`` accepts.
     """
     aci_list = list(aci_list)
     seg_len_list = list(seg_len_list)
     if not aci_list or not seg_len_list:
         raise ParameterError("calibration grids must be non-empty")
+    for name, grid in (("ACI", aci_list), ("segment-length", seg_len_list)):
+        if len(set(grid)) != len(grid):
+            raise ParameterError(f"the {name} grid repeats a value, which would give "
+                                 "duplicate (aci, seg_len) keys")
+    for aci in aci_list:
+        if not 0 < aci < math.inf:
+            raise ParameterError(f"ACI must be positive and finite, got {aci:g}")
+    min_len = 2.0 / DEFAULT_FAULT_FREQ
+    for seg_len in seg_len_list:
+        if not min_len <= seg_len < math.inf:
+            raise ParameterError(
+                f"segment length must be finite and at least two cycles of "
+                f"{DEFAULT_FAULT_FREQ:g} Hz ({min_len:g} s), got {seg_len:g} s"
+            )
     seeds = SeedSpec(master_seed)
 
     entries = []

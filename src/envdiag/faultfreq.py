@@ -184,14 +184,13 @@ def segment_samples(x: Recording, seg_len: float) -> int:
 def iter_segments(x: Recording, seg_len: float):
     """Yield consecutive non-overlapping segments; the remainder is dropped.
 
-    Each segment is read from ``x`` as it is drawn, in one pass of
-    ``x.reader()``; a recording's samples were checked when it was opened or
-    built, so they are not scanned again.
+    Each segment is read from ``x`` with ``x.read`` as it is drawn; a
+    recording's samples were checked when it was opened or built, so they
+    are not scanned again.
     """
     n_seg = segment_samples(x, seg_len)
-    with x.reader() as read:
-        for start in range(0, len(x) - n_seg + 1, n_seg):
-            yield read(start, n_seg)
+    for start in range(0, len(x) - n_seg + 1, n_seg):
+        yield x.read(start, n_seg)
 
 
 def estimate_or_error(

@@ -9,15 +9,14 @@ memory whole; on read, a sidecar's ``n`` must match the samples found, so
 a cut file or a stale sidecar is an error rather than a shorter signal.
 
 Raw input is read one segment at a time: ``read_signal`` checks the file
-and returns a ``RawRecording``, whose segments are read from the file as
-they are analysed, so memory does not grow with the recording's length.
-CSV input is parsed whole into a ``Signal``.
+and returns a ``RawRecording``, whose ``read(start, count)`` opens the file
+and reads just that span, so memory does not grow with the recording's
+length.  CSV input is parsed whole into a ``Signal``.
 """
 
 from __future__ import annotations
 
 import array
-import contextlib
 import json
 import math
 import os
@@ -127,22 +126,20 @@ class RawRecording:
     """A raw-f64le recording whose samples stay in its file until read.
 
     A segment source (``sigmodel.Recording``): it has ``fs``, a length and a
-    ``duration``, and ``read(start, count)`` returns the ``count`` samples
-    from ``start`` on as a Signal, read into a new array from their offset
-    in the file; ``reader()`` keeps one handle open for a pass of such
-    reads.  Building one scans the file's ``n`` samples in blocks of
-    ``SCAN_BLOCK`` and checks the sample rate, raising as a Signal would,
-    so the segments read later are not scanned again; the file must not
-    change while the recording is in use.
+    ``duration``, and ``read(start, count)`` opens the file and returns the
+    ``count`` samples from ``start`` on as a Signal, read into a new array
+    from their offset.  Building one scans the file's ``n`` samples in
+    blocks of ``SCAN_BLOCK`` and checks the sample rate, raising as a Signal
+    would, so the segments read later are not scanned again; the file must
+    not change while the recording is in use.
     """
 
     def __init__(self, path, fs: float, n: int):
         self.path = str(path)
         self.fs = fs
         self._n = n
-        with open(self.path, "rb") as fh:
-            for start in range(0, n, SCAN_BLOCK):
-                check_finite_samples(self._samples(fh, start, min(SCAN_BLOCK, n - start)))
+        for start in range(0, n, SCAN_BLOCK):
+            check_finite_samples(self._samples(start, min(SCAN_BLOCK, n - start)))
         check_sample_rate(fs)
 
     def __len__(self) -> int:
@@ -153,27 +150,19 @@ class RawRecording:
         """Record length in seconds."""
         return self._n / self.fs
 
-    def _samples(self, fh, start: int, count: int) -> np.ndarray:
+    def _samples(self, start: int, count: int) -> np.ndarray:
         check_span(start, count, self._n)
         samples = np.empty(count, dtype="<f8")
-        fh.seek(8 * start)
-        if fh.readinto(samples) != samples.nbytes:
-            raise SignalFormatError(
-                f"{self.path}: ends before sample {start + count}; it changed while it was read"
-            )
-        return samples.astype(np.float64, copy=False)
-
-    @contextlib.contextmanager
-    def reader(self):
-        """``read`` on one open handle, for one pass over the recording."""
         with open(self.path, "rb") as fh:
-            yield lambda start, count: Signal._from_checked(self._samples(fh, start, count),
-                                                            self.fs)
+            fh.seek(8 * start)
+            if fh.readinto(samples) != samples.nbytes:
+                raise SignalFormatError(f"{self.path}: ends before sample {start + count}; "
+                                        "it changed while it was read")
+        return samples.astype(np.float64, copy=False)
 
     def read(self, start: int, count: int) -> Signal:
         """The ``count`` samples from ``start`` on, as a Signal."""
-        with self.reader() as read:
-            return read(start, count)
+        return Signal._from_checked(self._samples(start, count), self.fs)
 
 
 def read_signal(path, fmt: str | None = None, fs: float | None = None) -> tuple[Recording, dict]:

@@ -9,10 +9,9 @@ normal law, which is what the rest of the package tries to detect.
 
 from __future__ import annotations
 
-import contextlib
 import math
 from dataclasses import dataclass
-from typing import Callable, ContextManager, Protocol
+from typing import Protocol
 
 import numpy as np
 
@@ -49,10 +48,9 @@ def check_span(start: int, count: int, n: int) -> None:
 class Recording(Protocol):
     """A uniformly sampled record read a span at a time: a segment source.
 
+    It has ``fs``, a length in samples and a ``duration``, and
     ``read(start, count)`` returns the ``count`` samples from ``start`` on as
-    a Signal.  ``reader()`` is a context manager giving a ``read`` function
-    for one pass over the record, so a file-backed record is opened once per
-    pass.  A Signal is one, holding its samples in memory;
+    a Signal.  A Signal is one, holding its samples in memory;
     ``sigio.RawRecording`` is another, reading them from its file.
     """
 
@@ -64,8 +62,6 @@ class Recording(Protocol):
     def duration(self) -> float: ...
 
     def read(self, start: int, count: int) -> "Signal": ...
-
-    def reader(self) -> ContextManager[Callable[[int, int], "Signal"]]: ...
 
 
 @dataclass(frozen=True)
@@ -108,10 +104,6 @@ class Signal:
         """The ``count`` samples from ``start`` on, as a Signal viewing this one's."""
         check_span(start, count, len(self))
         return Signal._from_checked(self.samples[start : start + count], self.fs)
-
-    def reader(self) -> ContextManager[Callable[[int, int], "Signal"]]:
-        """``read`` for one pass; the samples are in memory, so nothing is opened."""
-        return contextlib.nullcontext(self.read)
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,7 @@
 """Monte-Carlo calibration tests: seeding, failure policy, table files."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from envdiag import (
     estimate_fault_frequency,
     simulate_signal,
 )
+from envdiag import calibrate
 from envdiag.calibrate import estimate_batch
 
 FS = 25_000.0
@@ -134,6 +136,45 @@ class TestBuildTable:
     def test_negative_seed_rejected(self):
         with pytest.raises(ParameterError, match="unsigned 64-bit"):
             build_table((1.0,), (0.5,), n=2, master_seed=-1)
+
+    @pytest.fixture
+    def simulations(self, monkeypatch):
+        """The simulate_signal calls build_table makes, run in this process."""
+        monkeypatch.setenv("ENVDIAG_THREADS", "1")
+        calls = []
+        monkeypatch.setattr(calibrate, "simulate_signal",
+                            lambda *a, **k: calls.append(a) or simulate_signal(*a, **k))
+        return calls
+
+    # each bad value comes last in its grid, after cells that would simulate
+    @pytest.mark.parametrize("aci_grid,seg_grid", [
+        ((2.0, 1.0, 2.0), (0.5,)),
+        ((2.0,), (0.5, 1.0, 0.5)),
+    ])
+    def test_repeated_grid_value_rejected_before_any_simulation(self, simulations,
+                                                                aci_grid, seg_grid):
+        with pytest.raises(ParameterError, match=r"duplicate \(aci, seg_len\) keys"):
+            build_table(aci_grid, seg_grid, n=2)
+        assert simulations == []
+
+    @pytest.mark.parametrize("aci", [0.0, -1.0, math.inf, math.nan])
+    def test_aci_not_positive_and_finite_rejected_before_any_simulation(self, simulations,
+                                                                        aci):
+        with pytest.raises(ParameterError, match="ACI must be positive and finite"):
+            build_table((2.0, aci), (0.5,), n=2)
+        assert simulations == []
+
+    @pytest.mark.parametrize("seg_len", [0.05, 0.0, -1.0, math.inf, math.nan])
+    def test_length_under_two_cycles_rejected_before_any_simulation(self, simulations,
+                                                                    seg_len):
+        with pytest.raises(ParameterError, match="at least two cycles of 30 Hz"):
+            build_table((2.0,), (0.5, seg_len), n=2)
+        assert simulations == []
+
+    def test_two_cycles_is_the_shortest_length(self, simulations):
+        # 2/30 s is the least span simulate_signal accepts at 30 Hz
+        table = build_table((2.0,), (2.0 / 30.0,), n=2)
+        assert len(simulations) == 2 and table.entries[0].n_signals == 2
 
 
 def hand_table():

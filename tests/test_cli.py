@@ -77,6 +77,57 @@ def assert_analysis_error(result):
     assert "Traceback" not in result.output
 
 
+@pytest.fixture(scope="module")
+def short_rec(files):
+    """A recording of one 0.5 s segment, too short for a variance test."""
+    root, _, _ = files
+    rec = root / "short.f64"
+    result = invoke("simulate", "--dist", "constant:30", "--aci", 2, "--seg-len", 0.5,
+                    "--seed", 1, "-o", rec)
+    assert result.exit_code == 0, result.output
+    return rec
+
+
+# Each command with each exit code the module docstring documents; spectrum
+# has no exit-1 path.
+EXIT_CODE_CASES = [
+    ("simulate --dist constant:30 --aci 2 --seg-len 0.5", 0),
+    # under two cycles of 30 Hz per segment
+    ("simulate --dist constant:30 --aci 2 --seg-len 0.05", EXIT_ANALYSIS),
+    ("simulate --dist constant:30 --aci 2 --seg-len 0.5 --n-segments 0", EXIT_USAGE_IO),
+    ("calibrate --aci-grid 2 --seg-grid 0.5 --n 2", 0),
+    # a search window narrower than 3 bins fails every estimate of the cell
+    ("calibrate --aci-grid 2 --seg-grid 0.5 --n 2 --search-frac 0.001", EXIT_ANALYSIS),
+    ("calibrate --aci-grid 2,2 --seg-grid 0.5 --n 2", EXIT_USAGE_IO),
+    ("classify -i {rec} --table {table} --f-theoretical 30 --seg-lens 0.5", 0),
+    ("classify -i {short} --table {table} --f-theoretical 30 --seg-lens 0.5", EXIT_ANALYSIS),
+    ("classify -i {rec} --table {table} --f-theoretical 30 --seg-lens 1", EXIT_USAGE_IO),
+    ("spectrum -i {rec}", 0),
+    ("spectrum -i {missing}", EXIT_USAGE_IO),
+    ("kde -i {rec} --f-theoretical 30 --seg-len 0.5", 0),
+    ("kde -i {short} --f-theoretical 30 --seg-len 0.5", EXIT_ANALYSIS),
+    ("kde -i {missing} --f-theoretical 30 --seg-len 0.5", EXIT_USAGE_IO),
+]
+
+
+@pytest.mark.parametrize("args,code", EXIT_CODE_CASES,
+                         ids=[f"{args.split()[0]}-{code}" for args, code in EXIT_CODE_CASES])
+def test_documented_exit_code(files, short_rec, tmp_path, args, code):
+    root, rec, table = files
+    argv = args.format(rec=rec, table=table, short=short_rec,
+                       missing=root / "missing.f64").split()
+    out = tmp_path / "out"
+    result = invoke(*argv, "-o", out)
+    if code == EXIT_ANALYSIS:
+        assert_analysis_error(result)
+    elif code == EXIT_USAGE_IO:
+        assert_usage_error(result)
+    else:
+        assert result.exit_code == 0, result.output
+    # a failing command writes no output
+    assert out.exists() == (code == 0)
+
+
 def test_simulate_calibrate_classify_round_trip(files):
     root, rec, table = files
     report, text = root / "report.json", root / "report.txt"
@@ -363,6 +414,9 @@ commands = [
     ["classify", "-i", d + "/rec.f64", "--table", d + "/table.json", "--f-theoretical", "30",
      "--seg-lens", "0.5", "-o", d + "/report.json", "--emit-estimates", d + "/est.csv",
      "--emit-kde", d + "/kde.csv", "--emit-spectra", d + "/spectra"],
+    ["kde", "-i", d + "/rec.f64", "--f-theoretical", "30", "--seg-len", "0.5",
+     "--table", d + "/table.json", "-o", d + "/kde_cmd.csv"],
+    ["spectrum", "-i", d + "/rec.f64", "--table", d + "/table.json", "-o", d + "/spectrum.csv"],
 ]
 codes = []
 for args in commands:
@@ -373,7 +427,11 @@ for args in commands:
 print(codes, sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
 """
     out = run_python(code, str(tmp_path))
-    assert out.splitlines()[-1] == "[0, 0, 0] ['scipy']"
+    assert out.splitlines()[-1] == "[0, 0, 0, 0, 0] ['scipy']"
+    # kde with the table writes the curve classify emits, byte for byte
+    assert (tmp_path / "kde_cmd.csv").read_bytes() == (tmp_path / "kde.csv").read_bytes()
+    assert (tmp_path / "spectrum.csv").read_text(encoding="ascii").startswith(
+        "freq_hz,amplitude\n")
     (rep,) = json.loads((tmp_path / "report.json").read_text(encoding="utf-8"))
     assert rep["n_segments"] == 12
     assert len(list((tmp_path / "spectra").iterdir())) == 12
@@ -632,11 +690,13 @@ def test_simulate_shorter_than_a_fault_cycle_is_an_analysis_error(tmp_path):
     assert "holds less than one full cycle" in result.output
 
 
-def test_calibrate_shorter_than_a_fault_cycle_is_an_analysis_error(tmp_path):
-    result = invoke("calibrate", "--aci-grid", 2, "--seg-grid", 0.05, "--n", 2,
+def test_calibrate_shorter_than_two_fault_cycles_is_a_usage_error(tmp_path):
+    # checked with the rest of the grid, before the 0.5 s column is simulated
+    result = invoke("calibrate", "--aci-grid", 2, "--seg-grid", "0.5,0.05", "--n", 2,
                     "-o", tmp_path / "t.json")
-    assert_analysis_error(result)
-    assert "holds less than one full cycle" in result.output
+    assert_usage_error(result)
+    assert "at least two cycles of 30 Hz" in result.output
+    assert list(tmp_path.iterdir()) == []
 
 
 def simulate_args(out, *extra):

@@ -53,8 +53,7 @@ def test_raw_recording_reads_its_spans_from_the_file(tmp_path, signal):
     back, _ = read_signal(path)
     assert isinstance(back, RawRecording)
     assert (len(back), back.duration) == (257, 257 / FS)
-    with back.reader() as read:
-        parts = [read(start, 100).samples for start in (0, 100)]
+    parts = [back.read(start, 100).samples for start in (0, 100)]
     np.testing.assert_array_equal(np.concatenate(parts), signal.samples[:200])
     with pytest.raises(ParameterError, match=r"samples \[200, 300\) lie outside"):
         back.read(200, 100)
