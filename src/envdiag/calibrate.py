@@ -21,6 +21,7 @@ from .errors import CalibrationError, EstimationError, ParameterError
 from .faultfreq import EstimatorConfig, estimate_or_error
 from .sigmodel import (
     DEFAULT_FAULT_FREQ,
+    MIN_FAULT_CYCLES,
     DistributionSpec,
     PulseParams,
     SeedSpec,
@@ -38,6 +39,19 @@ SCHEMA_VERSION = 2
 LEGACY_DEFAULTS_DIGEST = "2caa3ff4ce576fea"
 
 
+def same_length(a: float, b: float) -> bool:
+    """Whether two segment lengths name one table column: they are within 1e-9 s."""
+    return abs(a - b) < 1e-9
+
+
+def check_unique_cells(cells) -> None:
+    """Raise ParameterError if two (aci, seg_len) ``cells`` share an ACI at ``same_length``s."""
+    cells = list(cells)
+    for i, (aci, seg_len) in enumerate(cells):
+        if any(a == aci and same_length(s, seg_len) for a, s in cells[:i]):
+            raise ParameterError(f"duplicate (aci, seg_len) keys: ACI {aci:g} at {seg_len!r} s")
+
+
 @dataclass(frozen=True)
 class ThresholdEntry:
     """Calibration result for one (aci, segment length) cell."""
@@ -49,6 +63,12 @@ class ThresholdEntry:
     mean_snr: float
     n_signals: int
     master_seed: int
+
+    def __post_init__(self):
+        if not (self.threshold >= 0 and self.mean_snr >= 0 and self.n_signals >= 2):
+            raise ParameterError(
+                "a cell needs threshold >= 0, mean_snr >= 0 and n_signals >= 2, got "
+                f"{self.threshold!r}, {self.mean_snr!r} and {self.n_signals!r}")
 
 
 # Field -> JSON key of each saved record; one map drives both save and load.
@@ -72,16 +92,6 @@ _VALID = {
     "tuple[float, float] | None": lambda v: v is None or (
         type(v) in (list, tuple) and len(v) == 2 and all(_VALID["float"](b) for b in v)),
 }
-# The range of each field that has one, by field name; ``n_signals`` is both
-# the table's requested count and an entry's count of estimates kept.  The
-# analysis settings are range-checked by their own config classes.
-_IN_RANGE = {
-    "fs": lambda v: v > 0,
-    "f_simul": lambda v: v > 0,
-    "n_signals": lambda v: v >= 2,
-    "threshold": lambda v: v >= 0,
-    "mean_snr": lambda v: v >= 0,
-}
 
 
 def _dump(record, keys: dict) -> dict:
@@ -95,15 +105,12 @@ def analysis_json(spec_cfg: SpectrumConfig, est_cfg: EstimatorConfig) -> dict:
 
 
 def _load(cls, data: dict, keys: dict, **extra):
-    """Build ``cls`` from the JSON object ``data``; a value of the wrong kind
-    or out of its field's range raises ValueError."""
+    """Build ``cls`` from the JSON object ``data``; a value of the wrong kind raises ValueError."""
     kinds = {f.name: f.type for f in fields(cls)}
     for name, key in keys.items():
         value = data[key]
         if not _VALID[kinds[name]](value):
             raise ValueError(f"{key} is not a valid {kinds[name]}: {value!r}")
-        if name in _IN_RANGE and not _IN_RANGE[name](value):
-            raise ValueError(f"{key} is out of range: {value!r}")
     return cls(**{name: data[key] for name, key in keys.items()}, **extra)
 
 
@@ -126,10 +133,10 @@ class ThresholdTable:
     carries its own.  ``entries`` is a list of cells, each with ``aci``,
     ``seg_len_s``, ``threshold``, ``mean_f_hat``, ``mean_snr``,
     ``n_signals`` and ``master_seed``.  Tables saved without ``noise_std``
-    load with 1.0, and without ``bandpass`` with no band.  A loaded table
-    needs ``fs`` and ``f_simul`` above 0, every ``n`` and ``n_signals`` at
-    least 2, no negative ``threshold`` or ``mean_snr``, and analysis
-    settings that ``SpectrumConfig`` and ``EstimatorConfig`` accept.
+    load with 1.0, and without ``bandpass`` with no band.  Ranges are checked
+    on construction, built or loaded: ``fs`` and ``f_simul`` above 0, ``n`` at
+    least 2, and records their own classes accept.  Lengths within 1e-9 s are
+    one column (``same_length``), holding one entry per ACI.
 
     A table saved without ``schema_version`` has no ``analysis``, only a
     ``config_digest`` hash of its settings.  It loads with calibrate's
@@ -149,12 +156,13 @@ class ThresholdTable:
     entries: tuple[ThresholdEntry, ...]
 
     def __post_init__(self):
-        keys = [(e.aci, e.seg_len) for e in self.entries]
-        if len(set(keys)) != len(keys):
-            raise ParameterError("threshold table has duplicate (aci, seg_len) keys")
+        if not (self.fs > 0 and self.f_simul > 0 and self.n_signals >= 2):
+            raise ParameterError("a table needs fs > 0, f_simul > 0 and n >= 2, got "
+                                 f"{self.fs!r}, {self.f_simul!r} and {self.n_signals!r}")
+        check_unique_cells((e.aci, e.seg_len) for e in self.entries)
 
     def entries_at(self, seg_len: float) -> list[ThresholdEntry]:
-        return [e for e in self.entries if abs(e.seg_len - seg_len) < 1e-9]
+        return [e for e in self.entries if same_length(e.seg_len, seg_len)]
 
     def to_json_dict(self) -> dict:
         meta = _dump(self, _META_KEYS)
@@ -319,22 +327,19 @@ def build_table(
     scheduling.
 
     The grids are checked before any cell is simulated: each must be
-    non-empty and free of repeats, every ACI positive and finite, and every
-    length finite and at least two cycles of ``f_simul``, the least span
-    ``simulate_signal`` accepts.
+    non-empty, no two cells may be one (``check_unique_cells``, lengths
+    within 1e-9 s being one column), every ACI must make a ``PulseParams``,
+    and every length must be finite and at least two cycles of ``f_simul``,
+    the least span ``simulate_signal`` accepts.
     """
     aci_list = list(aci_list)
     seg_len_list = list(seg_len_list)
     if not aci_list or not seg_len_list:
         raise ParameterError("calibration grids must be non-empty")
-    for name, grid in (("ACI", aci_list), ("segment-length", seg_len_list)):
-        if len(set(grid)) != len(grid):
-            raise ParameterError(f"the {name} grid repeats a value, which would give "
-                                 "duplicate (aci, seg_len) keys")
+    check_unique_cells((aci, seg_len) for seg_len in seg_len_list for aci in aci_list)
     for aci in aci_list:
-        if not 0 < aci < math.inf:
-            raise ParameterError(f"ACI must be positive and finite, got {aci:g}")
-    min_len = 2.0 / DEFAULT_FAULT_FREQ
+        replace(pulse, aci=aci)
+    min_len = MIN_FAULT_CYCLES / DEFAULT_FAULT_FREQ
     for seg_len in seg_len_list:
         if not min_len <= seg_len < math.inf:
             raise ParameterError(

@@ -25,6 +25,7 @@ from .calibrate import (
     analysis_json,
     analysis_settings,
     estimate_batch,
+    same_length,
     simulate_and_estimate,
 )
 from .envspec import SpectrumConfig
@@ -326,7 +327,7 @@ def simulate_and_classify(
     if n_segments < 2:
         raise ParameterError("need at least 2 segments")
     cfg = cfg or ClassifyConfig(table.f_simul, seg_len)
-    if abs(cfg.seg_len - seg_len) > 1e-12:
+    if not same_length(cfg.seg_len, seg_len):
         raise ParameterError("cfg.seg_len disagrees with seg_len")
     spec_cfg, est_cfg = analysis_settings(table, cfg.band, cfg.f_theoretical)
     simulate = functools.partial(

@@ -128,19 +128,19 @@ class RawRecording:
     A segment source (``sigmodel.Recording``): it has ``fs``, a length and a
     ``duration``, and ``read(start, count)`` opens the file and returns the
     ``count`` samples from ``start`` on as a Signal, read into a new array
-    from their offset.  Building one scans the file's ``n`` samples in
-    blocks of ``SCAN_BLOCK`` and checks the sample rate, raising as a Signal
+    from their offset.  Building one checks the sample rate, then scans the
+    file's ``n`` samples in blocks of ``SCAN_BLOCK``, raising as a Signal
     would, so the segments read later are not scanned again; the file must
     not change while the recording is in use.
     """
 
     def __init__(self, path, fs: float, n: int):
+        check_sample_rate(fs)
         self.path = str(path)
         self.fs = fs
         self._n = n
         for start in range(0, n, SCAN_BLOCK):
             check_finite_samples(self._samples(start, min(SCAN_BLOCK, n - start)))
-        check_sample_rate(fs)
 
     def __len__(self) -> int:
         return self._n

@@ -19,6 +19,8 @@ from .errors import ParameterError, SimulationError
 
 DEFAULT_FS = 25_000.0
 DEFAULT_FAULT_FREQ = 30.0
+# the fewest cycles of its fault frequency ``simulate_signal`` accepts in a span
+MIN_FAULT_CYCLES = 2.0
 
 # Pulses are evaluated on +-PULSE_SUPPORT_SIGMAS standard deviations of the
 # Gaussian envelope; beyond that the envelope is below exp(-8).
@@ -171,7 +173,8 @@ class PulseParams:
 
     ``aci`` scales the unit-peak Gaussian pulse; the carrier sits at ``fc``
     with a fractional bandwidth drawn per impulse from [bw_lo, bw_hi],
-    referenced at ``bwr`` dB below the spectral peak.
+    referenced at ``bwr`` dB below the spectral peak.  ``aci`` and ``fc``
+    must be positive and finite; ``gaussian_pulse`` is checked by one of these.
     """
 
     aci: float
@@ -181,10 +184,10 @@ class PulseParams:
     bwr: float = -6.0
 
     def __post_init__(self):
-        if not self.aci > 0:
-            raise ParameterError("aci must be positive")
-        if not self.fc > 0:
-            raise ParameterError("carrier frequency must be positive")
+        if not 0 < self.aci < math.inf:
+            raise ParameterError(f"ACI must be positive and finite, got {self.aci:g}")
+        if not 0 < self.fc < math.inf:
+            raise ParameterError(f"fc must be positive and finite, got {self.fc:g} Hz")
         if not 0 < self.bw_lo <= self.bw_hi < 2:
             raise ParameterError("need 0 < bw_lo <= bw_hi < 2")
         if not self.bwr < 0:
@@ -192,7 +195,8 @@ class PulseParams:
 
     def time_variance(self, bw: float) -> float:
         """Gaussian-envelope variance tv for a given fractional bandwidth."""
-        return _time_variance(self.fc, bw, self.bwr)
+        ref = 10.0 ** (self.bwr / 20.0)
+        return -2.0 * math.log(ref) / (math.pi * bw * self.fc) ** 2
 
     def max_half_support(self) -> float:
         # widest pulse comes from the smallest bandwidth
@@ -228,20 +232,10 @@ def gaussian_pulse(t, fc: float, bw: float, bwr: float = -6.0) -> np.ndarray:
 
     ``g(t) = exp(-t^2 / (2 tv)) * cos(2 pi fc t)`` with ``tv`` chosen so the
     spectral envelope at ``fc * (1 +- bw/2)`` sits ``bwr`` dB below its peak:
-    ``tv = -2 ln(10^(bwr/20)) / (pi bw fc)^2``.
+    ``tv = -2 ln(10^(bwr/20)) / (pi bw fc)^2``, from ``PulseParams``, which checks them.
     """
-    if not fc > 0:
-        raise ParameterError("fc must be positive")
-    if not 0 < bw < 2:
-        raise ParameterError("fractional bandwidth must lie in (0, 2)")
-    if not bwr < 0:
-        raise ParameterError("bwr must be negative")
-    return _burst(np.asarray(t, dtype=np.float64), _time_variance(fc, bw, bwr), fc)
-
-
-def _time_variance(fc: float, bw: float, bwr: float) -> float:
-    ref = 10.0 ** (bwr / 20.0)
-    return -2.0 * math.log(ref) / (math.pi * bw * fc) ** 2
+    tv = PulseParams(aci=1.0, fc=fc, bw_lo=bw, bw_hi=bw, bwr=bwr).time_variance(bw)
+    return _burst(np.asarray(t, dtype=np.float64), tv, fc)
 
 
 def _burst(t: np.ndarray, tv, fc: float) -> np.ndarray:
@@ -268,9 +262,9 @@ def simulate_signal(
     Parameters
     ----------
     duration : float
-        Record length in seconds.
+        Record length in seconds, ``MIN_FAULT_CYCLES`` of the drawn frequency at least.
     fs : float
-        Sample rate in Hz; must clear ``2 * fc * (1 + bw_hi / 2)``.
+        Sample rate in Hz, finite; must clear ``2 * fc * (1 + bw_hi / 2)``.
     dist : DistributionSpec
         Law the per-signal fault frequency is drawn from.
     pulse : PulseParams
@@ -295,8 +289,7 @@ def simulate_signal(
     """
     if not 0 < duration < math.inf:
         raise ParameterError("duration must be positive and finite")
-    if not fs < math.inf:
-        raise ParameterError("sample rate must be finite")
+    check_sample_rate(fs)
     nyquist_needed = 2.0 * pulse.fc * (1.0 + pulse.bw_hi / 2.0)
     if not fs > nyquist_needed:
         raise ParameterError(
@@ -310,9 +303,9 @@ def simulate_signal(
     f_true = dist.sample(rng)
     if f_true <= 0:
         raise SimulationError(f"drawn fault frequency {f_true:g} Hz is not positive")
-    if duration < 2.0 / f_true:
+    if duration < MIN_FAULT_CYCLES / f_true:
         raise SimulationError(
-            f"duration {duration:g} s holds less than one full cycle of {f_true:g} Hz"
+            f"duration {duration:g} s holds fewer than two cycles of {f_true:g} Hz"
         )
 
     n = int(round(duration * fs))

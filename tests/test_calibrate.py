@@ -2,6 +2,7 @@
 
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -150,6 +151,8 @@ class TestBuildTable:
     @pytest.mark.parametrize("aci_grid,seg_grid", [
         ((2.0, 1.0, 2.0), (0.5,)),
         ((2.0,), (0.5, 1.0, 0.5)),
+        # lengths within 1e-9 s are one column
+        ((2.0,), (0.5, 0.5 + 1e-13)),
     ])
     def test_repeated_grid_value_rejected_before_any_simulation(self, simulations,
                                                                 aci_grid, seg_grid):
@@ -318,6 +321,9 @@ class TestThresholdTableFile:
         pytest.param(hand_table_with("meta", "schema_version", 3), id="schema-3"),
         pytest.param(hand_table_with("meta", "schema_version", "2"), id="schema-text"),
         pytest.param(legacy_table_json("0123456789abcdef"), id="legacy-other-digest"),
+        # the first entry moved onto the second's ACI, 1e-13 s away: one cell
+        pytest.param(hand_table_with("entries", "seg_len_s", 0.5 + 1e-13)
+                     .replace('"aci": 1.5', '"aci": 2.5'), id="cells-within-1e-9"),
     ])
     def test_malformed_file_names_the_path(self, tmp_path, content):
         path = tmp_path / "bad.json"
@@ -345,6 +351,14 @@ class TestThresholdTableFile:
         data["entries"][0].update(threshold=0.0, mean_snr=0.0, n_signals=2)
         entry = ThresholdTable.from_json_dict(data).entries[0]
         assert (entry.threshold, entry.mean_snr, entry.n_signals) == (0.0, 0.0, 2)
+
+    @pytest.mark.parametrize("field,value", [
+        ("threshold", -1.0), ("n_signals", 1), ("mean_snr", math.nan),
+    ])
+    def test_entry_out_of_range_is_refused_on_construction(self, field, value):
+        # an entry built in code is held to the rules of a loaded one
+        with pytest.raises(ParameterError, match="a cell needs threshold >= 0"):
+            replace(hand_table().entries[0], **{field: value})
 
     def test_pulse_with_other_aci_round_trips(self):
         table = build_table((1.5,), (0.5,), n=2, master_seed=9, pulse=PulseParams(aci=2.0))

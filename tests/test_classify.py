@@ -1,5 +1,6 @@
 """Decision-procedure tests: the shared segment estimate and its failure policies."""
 
+import math
 import tracemalloc
 from dataclasses import replace
 
@@ -213,6 +214,15 @@ class TestSimulateAndClassify:
         with pytest.raises(ParameterError):
             simulate_and_classify(DistributionSpec.constant(30.0), 2.0, 1.0, 4, table, 5,
                                   cfg=config())
+
+    def test_infinite_aci_is_refused_before_any_simulation(self, table, monkeypatch):
+        monkeypatch.setenv(ENV_THREADS, "1")
+        calls = []
+        monkeypatch.setattr("envdiag.calibrate.simulate_signal",
+                            lambda *a, **k: calls.append(a))
+        with pytest.raises(ParameterError, match="ACI must be positive and finite, got inf"):
+            simulate_and_classify(DistributionSpec.constant(30.0), math.inf, SEG, 4, table, 5)
+        assert calls == []
 
     def test_needs_two_segments(self, table):
         with pytest.raises(ParameterError):

@@ -152,11 +152,26 @@ def test_simulate_calibrate_classify_round_trip(files):
     "calibrate --fs inf --aci-grid 2 --seg-grid 0.5 --n 2",
     "simulate --fs inf --dist constant:30 --aci 2 --seg-len 0.5",
     "simulate --dist constant:inf --aci 2 --seg-len 0.5",
+    "simulate --aci inf --dist constant:30 --seg-len 0.5",
+    "simulate --fc inf --dist constant:30 --aci 2 --seg-len 0.5",
 ])
 def test_out_of_range_value_is_a_usage_error(files, args):
     root, rec, table = files
     argv = args.format(rec=rec, table=table).split()
     assert_usage_error(invoke(*argv, "-o", root / "out"))
+
+
+@pytest.mark.parametrize("option,message", [
+    ("--aci", "ACI must be positive and finite, got inf"),
+    ("--fc", "fc must be positive and finite, got inf Hz"),
+])
+def test_simulate_names_an_infinite_pulse_value(tmp_path, option, message):
+    args = {"--dist": "constant:30", "--aci": 2, "--seg-len": 0.5, option: "inf"}
+    result = invoke("simulate", *[a for kv in args.items() for a in kv],
+                    "-o", tmp_path / "inf.f64")
+    assert_usage_error(result)
+    assert result.output == f"error: {message}\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("option,value", [
@@ -683,11 +698,11 @@ def test_kde_of_one_segment_is_an_analysis_error(tmp_path):
     assert "signal of 0.5 s yields fewer than 2 segments of 0.5 s" in result.output
 
 
-def test_simulate_shorter_than_a_fault_cycle_is_an_analysis_error(tmp_path):
+def test_simulate_shorter_than_two_fault_cycles_is_an_analysis_error(tmp_path):
     result = invoke("simulate", "--dist", "constant:30", "--aci", 2, "--seg-len", 0.05,
                     "-o", tmp_path / "rec.f64")
     assert_analysis_error(result)
-    assert "holds less than one full cycle" in result.output
+    assert "holds fewer than two cycles of 30 Hz" in result.output
 
 
 def test_calibrate_shorter_than_two_fault_cycles_is_a_usage_error(tmp_path):
@@ -749,12 +764,12 @@ def test_simulate_writes_the_concatenated_segments(tmp_path, fmt, name):
 
 def test_simulate_failing_on_a_later_segment_leaves_no_output(tmp_path):
     # with seed 1, segments 0-2 draw 6.1, 4.6 and 5.6 Hz; segment 3 draws
-    # 2.1 Hz, less than one full cycle in 0.5 s
+    # 2.1 Hz, 1.06 cycles in 0.5 s, fewer than the two a segment needs
     args = ("simulate", "--dist", "uniform:2,10", "--aci", 2, "--seg-len", 0.5,
             "--n-segments", 6, "--seed", 1, "-o")
     result = invoke(*args, tmp_path / "new.f64")
     assert_analysis_error(result)
-    assert "less than one full cycle of 2.11255 Hz" in result.output
+    assert "fewer than two cycles of 2.11255 Hz" in result.output
     assert list(tmp_path.iterdir()) == []
     # an existing recording and its sidecar stay as they were
     old = tmp_path / "old.f64"

@@ -70,6 +70,19 @@ def test_explicit_fs_overrides_sidecar(tmp_path, signal):
     assert meta["fs"] == FS
 
 
+@pytest.mark.parametrize("fs", [0.0, -1.0])
+def test_raw_sample_rate_checked_before_any_sample_is_read(tmp_path, signal, monkeypatch, fs):
+    path = tmp_path / "x.f64"
+    write_signal(path, signal)
+    reads = []
+    samples = RawRecording._samples
+    monkeypatch.setattr(RawRecording, "_samples",
+                        lambda self, *a: reads.append(a) or samples(self, *a))
+    with pytest.raises(ParameterError, match="sample rate must be positive and finite"):
+        read_signal(path, fs=fs)
+    assert reads == []
+
+
 def test_missing_sample_rate_rejected(tmp_path, signal):
     path = tmp_path / "x.f64"
     signal.samples.tofile(path)

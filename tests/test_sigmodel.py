@@ -71,6 +71,16 @@ class TestGaussianPulse:
             gaussian_pulse(np.array([0.0]), **kwargs)
 
 
+class TestPulseParams:
+    @pytest.mark.parametrize("kwargs", [
+        {"aci": 0.0}, {"aci": -1.0}, {"aci": math.inf}, {"aci": math.nan},
+        {"aci": 1.0, "fc": 0.0}, {"aci": 1.0, "fc": math.inf},
+    ])
+    def test_aci_and_carrier_must_be_positive_and_finite(self, kwargs):
+        with pytest.raises(ParameterError, match="must be positive and finite"):
+            PulseParams(**kwargs)
+
+
 class TestDistributionSpec:
     def test_parse_roundtrip(self):
         for text in ("constant:30", "uniform:29,31", "normal:30,0.33"):
