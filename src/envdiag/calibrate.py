@@ -21,6 +21,8 @@ from .errors import CalibrationError, EstimationError, ParameterError
 from .faultfreq import EstimatorConfig, estimate_or_error
 from .sigmodel import (
     DEFAULT_FAULT_FREQ,
+    DEFAULT_FS,
+    DEFAULT_NOISE_STD,
     MIN_FAULT_CYCLES,
     DistributionSpec,
     PulseParams,
@@ -273,7 +275,7 @@ def calibrate_entry(
     spec_cfg: SpectrumConfig = DEFAULT_SPECTRUM,
     est_cfg: EstimatorConfig = DEFAULT_ESTIMATOR,
     pulse: PulseParams = PulseParams(aci=1.0),
-    noise_std: float = 1.0,
+    noise_std: float = DEFAULT_NOISE_STD,
 ) -> ThresholdEntry:
     """Calibrate one cell from ``n`` constant-frequency simulations.
 
@@ -310,12 +312,12 @@ def build_table(
     aci_list=DEFAULT_ACI_GRID,
     seg_len_list=DEFAULT_SEG_GRID,
     n: int = DEFAULT_N_SIGNALS,
-    fs: float = 25_000.0,
+    fs: float = DEFAULT_FS,
     master_seed: int = 0,
     spec_cfg: SpectrumConfig = DEFAULT_SPECTRUM,
     est_cfg: EstimatorConfig = DEFAULT_ESTIMATOR,
     pulse: PulseParams = PulseParams(aci=1.0),
-    noise_std: float = 1.0,
+    noise_std: float = DEFAULT_NOISE_STD,
 ) -> ThresholdTable:
     """Calibrate the full ACI x segment-length grid.
 
@@ -331,7 +333,11 @@ def build_table(
     within 1e-9 s being one column), every ACI must make a ``PulseParams``,
     and every length must be finite and at least two cycles of ``f_simul``,
     the least span ``simulate_signal`` accepts.
+
+    Every cell is searched around ``f_simul``, the centre the table
+    records, whatever ``est_cfg.f_theoretical`` is.
     """
+    est_cfg = replace(est_cfg, f_theoretical=DEFAULT_FAULT_FREQ)
     aci_list = list(aci_list)
     seg_len_list = list(seg_len_list)
     if not aci_list or not seg_len_list:
@@ -373,6 +379,6 @@ def build_table(
         noise_std=float(noise_std),
         pulse_base=replace(pulse, aci=1.0),
         spectrum=spec_cfg,
-        estimator=replace(est_cfg, f_theoretical=DEFAULT_FAULT_FREQ),
+        estimator=est_cfg,
         entries=tuple(entries),
     )

@@ -41,7 +41,7 @@ from .faultfreq import (
     estimate_or_error,
     iter_segments,
 )
-from .sigmodel import DistributionSpec, Recording
+from .sigmodel import DistributionSpec, Recording, check_segment_length
 
 VERDICT_CONSTANT = "constant"
 VERDICT_UNIFORM = "uniform"
@@ -66,15 +66,14 @@ class ClassifyConfig:
 
     f_theoretical: float
     seg_len: float
-    alpha: float = 0.05
+    alpha: float = stats.DEFAULT_ALPHA
     band: tuple[float, float] | None = None
     paper_rescale: bool = False
 
     def __post_init__(self):
         if not 0 < self.alpha < 1:
             raise ParameterError("alpha must lie in (0, 1)")
-        if not 0 < self.seg_len < math.inf:
-            raise ParameterError("segment length must be positive and finite")
+        check_segment_length(self.seg_len)
         # the band and the search centre are checked by the configs they go into
         SpectrumConfig(bandpass=self.band)
         EstimatorConfig(f_theoretical=self.f_theoretical)

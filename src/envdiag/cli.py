@@ -21,6 +21,7 @@ under it; ENVDIAG_THREADS caps internal parallelism.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import json
 import os
@@ -32,8 +33,10 @@ from . import stats
 from ._parallel import keep_heap
 from .calibrate import (
     DEFAULT_ACI_GRID,
+    DEFAULT_ESTIMATOR,
     DEFAULT_N_SIGNALS,
     DEFAULT_SEG_GRID,
+    DEFAULT_SPECTRUM,
     ThresholdTable,
     analysis_settings,
     build_table,
@@ -48,6 +51,7 @@ from .envspec import WINDOWS, SpectrumConfig, envelope_spectrum
 from .errors import EnvDiagError, ParameterError, SignalFormatError, TableMismatchError
 from .faultfreq import EstimatorConfig, estimate_per_segment, iter_segments
 from .sigio import (
+    FORMAT_RAW,
     FORMATS,
     read_signal,
     write_estimates_csv,
@@ -58,6 +62,7 @@ from .sigio import (
 from .sigmodel import (
     DEFAULT_FAULT_FREQ,
     DEFAULT_FS,
+    DEFAULT_NOISE_STD,
     DistributionSpec,
     PulseParams,
     SeedSpec,
@@ -130,10 +135,10 @@ def main():
               help="Independent segments, each with its own frequency draw; each is "
                    "written as it is made, so memory does not grow with their number.")
 @click.option("--fs", default=DEFAULT_FS, show_default=True, type=float)
-@click.option("--fc", default=2500.0, show_default=True, type=float)
-@click.option("--noise-std", default=1.0, show_default=True, type=float)
+@click.option("--fc", default=PulseParams.fc, show_default=True, type=float)
+@click.option("--noise-std", default=DEFAULT_NOISE_STD, show_default=True, type=float)
 @click.option("--seed", default=0, show_default=True, type=int)
-@click.option("--format", "fmt", default="raw-f64le", show_default=True,
+@click.option("--format", "fmt", default=FORMAT_RAW, show_default=True,
               type=click.Choice(FORMATS))
 @click.option("-o", "--out", required=True, type=click.Path())
 def cmd_simulate(dist_text, aci, seg_len, n_segments, fs, fc, noise_std, seed, fmt, out):
@@ -159,8 +164,7 @@ def cmd_simulate(dist_text, aci, seg_len, n_segments, fs, fc, noise_std, seed, f
     sidecar = {
         "seed": seed,
         "dist": dist.spec_string(),
-        "pulse": {"aci": aci, "fc": fc, "bw_lo": pulse.bw_lo, "bw_hi": pulse.bw_hi,
-                  "bwr": pulse.bwr},
+        "pulse": dataclasses.asdict(pulse),
         "noise_std": noise_std,
         "seg_len_s": seg_len,
         "n_segments": n_segments,
@@ -180,22 +184,22 @@ def cmd_simulate(dist_text, aci, seg_len, n_segments, fs, fc, noise_std, seed, f
 @click.option("--n", default=DEFAULT_N_SIGNALS, show_default=True, type=int,
               help="Simulated signals per cell.")
 @click.option("--fs", default=DEFAULT_FS, show_default=True, type=float)
-@click.option("--fc", default=2500.0, show_default=True, type=float)
-@click.option("--noise-std", default=1.0, show_default=True, type=float)
+@click.option("--fc", default=PulseParams.fc, show_default=True, type=float)
+@click.option("--noise-std", default=DEFAULT_NOISE_STD, show_default=True, type=float)
 @click.option("--seed", default=0, show_default=True, type=int)
 @band_option
-@click.option("--window", default="hann", show_default=True, type=click.Choice(tuple(WINDOWS)),
-              help="Taper for the Welch pieces.")
-@click.option("--zero-pad", default=4, show_default=True, type=int,
+@click.option("--window", default=DEFAULT_SPECTRUM.window, show_default=True,
+              type=click.Choice(tuple(WINDOWS)), help="Taper for the Welch pieces.")
+@click.option("--zero-pad", default=DEFAULT_SPECTRUM.zero_pad_factor, show_default=True, type=int,
               help="Zero-padding factor of the PSD pieces.")
-@click.option("--piece-len", default=0.5, show_default=True, type=float,
+@click.option("--piece-len", default=DEFAULT_SPECTRUM.piece_len_s, show_default=True, type=float,
               help="Welch piece duration in seconds; fixed across segment lengths so that "
                    "calibrated thresholds stay comparable.")
-@click.option("--n-harmonics", default=3, show_default=True, type=int)
-@click.option("--search-frac", default=0.18, show_default=True, type=float,
-              help="Half-width of the harmonic search window, relative.")
-@click.option("--peak-excl-bins", default=2, show_default=True, type=int,
-              help="Bins excluded around each peak in the SNR noise average.")
+@click.option("--n-harmonics", default=DEFAULT_ESTIMATOR.n_harmonics, show_default=True, type=int)
+@click.option("--search-frac", default=DEFAULT_ESTIMATOR.search_frac, show_default=True,
+              type=float, help="Half-width of the harmonic search window, relative.")
+@click.option("--peak-excl-bins", default=DEFAULT_ESTIMATOR.peak_excl_bins, show_default=True,
+              type=int, help="Bins excluded around each peak in the SNR noise average.")
 @click.option("-o", "--out", required=True, type=click.Path(),
               help="Threshold table JSON output.")
 @click.option("--csv", "csv_out", default=None, type=click.Path(),
@@ -249,7 +253,7 @@ def _report_text(reports: list[ClassificationReport]) -> str:
               help="Theoretical fault frequency of the recording, Hz.")
 @click.option("--seg-lens", required=True,
               help="Comma-separated segment lengths (s); one report per length.")
-@click.option("--alpha", default=0.05, show_default=True, type=float)
+@click.option("--alpha", default=stats.DEFAULT_ALPHA, show_default=True, type=float)
 @click.option("--fs", default=None, type=float, help="Override the sidecar sample rate.")
 @click.option("--format", "fmt", default=None, type=click.Choice(FORMATS))
 @click.option("--paper-rescale", is_flag=True,

@@ -23,7 +23,7 @@ import numpy as np
 
 from .envspec import EnvelopeSpectrum, SpectrumConfig, envelope_spectrum
 from .errors import EstimationError, ParameterError
-from .sigmodel import Recording, Signal
+from .sigmodel import Recording, Signal, check_segment_length
 
 MAX_SEGMENT_FAILURE_FRAC = 0.20
 
@@ -89,7 +89,7 @@ def detect_harmonic_peak(
     spec: EnvelopeSpectrum,
     f_theoretical: float,
     k: int = 1,
-    search_frac: float = 0.18,
+    search_frac: float = EstimatorConfig.search_frac,
 ) -> HarmonicPeak:
     """Find the amplitude maximum near the k-th harmonic.
 
@@ -169,8 +169,7 @@ def estimate_fault_frequency(
 
 def segment_samples(x: Recording, seg_len: float) -> int:
     """Samples per segment; raises if the recording holds less than one."""
-    if not 0 < seg_len < math.inf:
-        raise ParameterError("segment length must be positive and finite")
+    check_segment_length(seg_len)
     n_seg = int(round(seg_len * x.fs))
     if n_seg < 2:
         raise ParameterError(f"segment of {seg_len:g} s holds fewer than 2 samples")

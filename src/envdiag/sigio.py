@@ -2,11 +2,12 @@
 
 Signals travel either as CSV (one float per line) or as raw little-endian
 64-bit floats; both carry a JSON sidecar (``<file>.json``) recording the
-sample rate, the sample count ``n`` and, for simulated data, the generation
-parameters and the ground-truth frequency of every segment.  A signal is
-written one array at a time, so a long recording never has to sit in
-memory whole; on read, a sidecar's ``n`` must match the samples found, so
-a cut file or a stale sidecar is an error rather than a shorter signal.
+sample rate, the sample count ``n``, the format and, for simulated data,
+the generation parameters and the ground-truth frequency of every
+segment.  A signal is written one array at a time, so a long recording
+never has to sit in memory whole; on read, a sidecar's ``n`` must match
+the samples found, so a cut file or a stale sidecar is an error rather
+than a shorter signal.
 
 Raw input is read one segment at a time: ``read_signal`` checks the file
 and returns a ``RawRecording``, whose ``read(start, count)`` opens the file
@@ -166,8 +167,9 @@ class RawRecording:
 
 
 def read_signal(path, fmt: str | None = None, fs: float | None = None) -> tuple[Recording, dict]:
-    """Read a signal file; the sample rate comes from the sidecar unless given.
+    """Read a signal file; the sample rate and format come from the sidecar unless given.
 
+    Without either, the file extension names the format (``infer_format``).
     Returns the recording and the sidecar dictionary (empty when absent).
     CSV is parsed whole into a ``Signal``.  Raw input is not loaded: its
     size is checked against the sidecar's ``n`` and its samples are checked
@@ -177,7 +179,6 @@ def read_signal(path, fmt: str | None = None, fs: float | None = None) -> tuple[
     sidecar value; the caller is expected to warn the user about the
     override.
     """
-    fmt = fmt or infer_format(path)
     meta: dict = {}
     sc = sidecar_path(path)
     if os.path.exists(sc):
@@ -194,6 +195,9 @@ def read_signal(path, fmt: str | None = None, fs: float | None = None) -> tuple[
             type(side_fs) not in (int, float) or not math.isfinite(side_fs)
         ):
             raise SignalFormatError(f"{sc}: fs is not a finite number: {side_fs!r}")
+        if "format" in meta and meta["format"] not in FORMATS:
+            raise SignalFormatError(f"{sc}: unknown signal format {meta['format']!r}")
+    fmt = fmt or meta.get("format") or infer_format(path)
     if fs is None:
         fs = meta.get("fs")
     if fs is None:

@@ -18,6 +18,7 @@ import numpy as np
 from .errors import ParameterError, SimulationError
 
 DEFAULT_FS = 25_000.0
+DEFAULT_NOISE_STD = 1.0
 DEFAULT_FAULT_FREQ = 30.0
 # the fewest cycles of its fault frequency ``simulate_signal`` accepts in a span
 MIN_FAULT_CYCLES = 2.0
@@ -37,6 +38,12 @@ def check_sample_rate(fs: float) -> None:
     """Raise ParameterError unless ``fs`` is positive and finite."""
     if not 0 < fs < math.inf:
         raise ParameterError(f"sample rate must be positive and finite, got {fs}")
+
+
+def check_segment_length(seg_len: float) -> None:
+    """Raise ParameterError unless the segment length ``seg_len`` (s) is positive and finite."""
+    if not 0 < seg_len < math.inf:
+        raise ParameterError(f"segment length must be positive and finite, got {seg_len:g} s")
 
 
 def check_span(start: int, count: int, n: int) -> None:
@@ -227,7 +234,7 @@ class SeedSpec:
         return np.random.SeedSequence([self.master_seed, int(index)])
 
 
-def gaussian_pulse(t, fc: float, bw: float, bwr: float = -6.0) -> np.ndarray:
+def gaussian_pulse(t, fc: float, bw: float, bwr: float = PulseParams.bwr) -> np.ndarray:
     """Unit-peak Gaussian-modulated cosine burst.
 
     ``g(t) = exp(-t^2 / (2 tv)) * cos(2 pi fc t)`` with ``tv`` chosen so the
@@ -255,7 +262,7 @@ def simulate_signal(
     dist: DistributionSpec,
     pulse: PulseParams,
     seed,
-    noise_std: float = 1.0,
+    noise_std: float = DEFAULT_NOISE_STD,
 ) -> tuple[Signal, float]:
     """Draw one fault frequency and synthesize the two-component signal.
 
@@ -287,8 +294,7 @@ def simulate_signal(
     order.  Impulse centres are ``t0 + k/f``; each pulse is added over
     +-4 envelope standard deviations.
     """
-    if not 0 < duration < math.inf:
-        raise ParameterError("duration must be positive and finite")
+    check_segment_length(duration)
     check_sample_rate(fs)
     nyquist_needed = 2.0 * pulse.fc * (1.0 + pulse.bw_hi / 2.0)
     if not fs > nyquist_needed:

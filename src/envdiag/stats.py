@@ -16,6 +16,9 @@ import numpy as np
 
 from .errors import DegenerateSampleError, ParameterError
 
+# level of the chi-squared variance test unless a caller sets one
+DEFAULT_ALPHA = 0.05
+
 DECISION_REJECT = "reject"
 DECISION_FAIL_TO_REJECT = "fail-to-reject"
 
@@ -228,7 +231,7 @@ def chi2_critical(p: float, dof: int) -> float:
 
 
 def chi_squared_variance_test(
-    sample_var: float, sigma0_sq: float, n: int, alpha: float = 0.05
+    sample_var: float, sigma0_sq: float, n: int, alpha: float = DEFAULT_ALPHA
 ) -> VarianceTestResult:
     """Upper one-tailed test of H0: variance equals ``sigma0_sq``.
 

@@ -106,6 +106,13 @@ class TestBuildTable:
         assert table.spectrum == SpectrumConfig()
         assert table.estimator == EstimatorConfig(f_theoretical=30.0)
 
+    def test_cells_are_searched_around_the_centre_the_table_records(self):
+        # the table records f_simul as its estimator's centre, whatever the caller's was
+        tables = [build_table((2.0,), (0.5,), n=8, master_seed=3,
+                              est_cfg=EstimatorConfig(f_theoretical=f)) for f in (34.0, 30.0)]
+        assert tables[0].estimator.f_theoretical == 30.0
+        assert tables[0] == tables[1]
+
     def test_table_keeps_the_analysis_settings_and_the_band(self, tmp_path):
         spec_cfg = SpectrumConfig(bandpass=(1000.0, 4000.0), window="hamming",
                                   zero_pad_factor=2, piece_len_s=0.25)

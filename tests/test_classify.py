@@ -1,5 +1,6 @@
 """Decision-procedure tests: the shared segment estimate and its failure policies."""
 
+import json
 import math
 import tracemalloc
 from dataclasses import replace
@@ -237,6 +238,15 @@ class TestSimulateAndClassify:
         assert report.verdict == VERDICT_INCONCLUSIVE
         assert report.shape is None
         assert report.warnings[-1].startswith("shape comparison unavailable")
+
+    def test_zero_threshold_rejects_with_an_infinite_statistic(self, table):
+        # a cell whose calibrated variance is 0.0, which a table allows
+        zero = replace(table, entries=(replace(table.entries[0], threshold=0.0),))
+        rep = simulate_and_classify(DistributionSpec.normal(30.0, 0.33), 2.0, SEG, 12, zero, 5)
+        assert (rep.gate, rep.test.statistic, rep.test.decision, rep.verdict) == (
+            classify.GATE_ABOVE, math.inf, "reject", VERDICT_NORMAL)
+        assert "calibrated threshold is zero; chi-squared test degenerate" in rep.warnings
+        assert '"statistic": Infinity' in json.dumps(rep.to_json_dict())
 
     def test_paper_rescale_uses_the_literal_factor(self, table):
         dist = DistributionSpec.normal(30.0, 0.33)

@@ -3,6 +3,7 @@
 import json
 import shutil
 import tracemalloc
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -20,10 +21,12 @@ from envdiag import (
     simulate_signal,
 )
 from envdiag import classify, cli, faultfreq
+from envdiag.calibrate import DEFAULT_ESTIMATOR, DEFAULT_SPECTRUM, analysis_json
 from envdiag.faultfreq import estimate_per_segment, iter_segments
 from envdiag.sigio import read_signal, write_signal, write_signal_arrays, write_spectrum_csv
 from envdiag.cli import EXIT_ANALYSIS, EXIT_USAGE_IO, cmd_classify, main
-from envdiag.stats import KDE_GRID_POINTS
+from envdiag.sigmodel import DEFAULT_FS, DEFAULT_NOISE_STD
+from envdiag.stats import DEFAULT_ALPHA, KDE_GRID_POINTS
 
 # made by `envdiag calibrate --aci-grid 2 --seg-grid 0.5 --n 4 --seed 2` before
 # schema_version 2, when a table kept only a digest of its analysis settings
@@ -172,6 +175,52 @@ def test_simulate_names_an_infinite_pulse_value(tmp_path, option, message):
     assert_usage_error(result)
     assert result.output == f"error: {message}\n"
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("args", [
+    "simulate --dist constant:30 --aci 2 --seg-len nan",
+    "kde -i {rec} --f-theoretical 30 --seg-len nan",
+    "classify -i {rec} --table {table} --f-theoretical 30 --seg-lens nan",
+])
+def test_segment_length_not_positive_and_finite_is_named(files, tmp_path, args):
+    _, rec, table = files
+    result = invoke(*args.format(rec=rec, table=table).split(), "-o", tmp_path / "out")
+    assert_usage_error(result)
+    assert result.output == "error: segment length must be positive and finite, got nan s\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+# Each option default and its home: the field default of the type that owns it.
+OPTION_HOMES = [
+    ("simulate", "--fs", DEFAULT_FS),
+    ("simulate", "--fc", PulseParams(aci=1.0).fc),
+    ("simulate", "--noise-std", DEFAULT_NOISE_STD),
+    ("calibrate", "--fs", DEFAULT_FS),
+    ("calibrate", "--fc", PulseParams(aci=1.0).fc),
+    ("calibrate", "--noise-std", DEFAULT_NOISE_STD),
+    ("calibrate", "--window", DEFAULT_SPECTRUM.window),
+    ("calibrate", "--zero-pad", DEFAULT_SPECTRUM.zero_pad_factor),
+    ("calibrate", "--piece-len", DEFAULT_SPECTRUM.piece_len_s),
+    ("calibrate", "--n-harmonics", DEFAULT_ESTIMATOR.n_harmonics),
+    ("calibrate", "--search-frac", DEFAULT_ESTIMATOR.search_frac),
+    ("calibrate", "--peak-excl-bins", DEFAULT_ESTIMATOR.peak_excl_bins),
+    ("classify", "--alpha", DEFAULT_ALPHA),
+]
+
+
+@pytest.mark.parametrize("command,option,home", OPTION_HOMES,
+                         ids=[f"{command}{option}" for command, option, _ in OPTION_HOMES])
+def test_option_default_is_read_from_its_home(command, option, home):
+    (param,) = [p for p in main.commands[command].params if option in p.opts]
+    assert param.default == home
+
+
+def test_calibrate_without_settings_records_the_defaults(files):
+    _, _, table = files  # made without a settings option
+    meta = json.loads(table.read_text(encoding="utf-8"))["meta"]
+    assert meta["analysis"] == analysis_json(DEFAULT_SPECTRUM, DEFAULT_ESTIMATOR)
+    assert {"aci": 1.0, **meta["pulse"]} == asdict(PulseParams(aci=1.0))
+    assert (meta["fs"], meta["noise_std"]) == (DEFAULT_FS, DEFAULT_NOISE_STD)
 
 
 @pytest.mark.parametrize("option,value", [
@@ -650,6 +699,45 @@ def test_sidecar_with_a_text_sample_rate_is_a_usage_error(files):
     result = invoke("spectrum", "-i", bad, "--fs", 25000, "-o", root / "s.csv")
     assert_usage_error(result)
     assert "bad_sidecar.f64.json" in result.output
+
+
+READ_COMMANDS = [
+    ("classify", "--table {table} --f-theoretical 30 --seg-lens 0.5"),
+    ("kde", "--f-theoretical 30 --seg-len 0.5"),
+    ("spectrum", ""),
+]
+
+
+@pytest.mark.parametrize("command,args", READ_COMMANDS, ids=[c for c, _ in READ_COMMANDS])
+def test_recording_is_read_in_the_format_its_sidecar_records(files, tmp_path, command, args):
+    # the CSV recording's extension names no format; its sidecar does
+    _, rec, table = files
+    dat = tmp_path / "rec.dat"
+    result = invoke("simulate", "--dist", "constant:30", "--aci", 2, "--seg-len", 0.5,
+                    "--n-segments", 6, "--seed", 1, "--format", "csv", "-o", dat)
+    assert result.exit_code == 0, result.output
+    outputs = []
+    for path in (dat, rec):
+        out = tmp_path / f"{path.name}.out"
+        result = invoke(command, "-i", path, *args.format(table=table).split(), "-o", out)
+        assert result.exit_code == 0, result.output
+        outputs.append(out.read_bytes())
+    # CSV holds every sample to the bit, so the raw recording gives the same output
+    assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("command,args", READ_COMMANDS, ids=[c for c, _ in READ_COMMANDS])
+def test_sidecar_with_an_unknown_format_is_a_usage_error(files, tmp_path, command, args):
+    _, rec, table = files
+    bad = tmp_path / "bad.f64"
+    shutil.copyfile(rec, bad)
+    sidecar = json.loads(Path(f"{rec}.json").read_text(encoding="utf-8"))
+    Path(f"{bad}.json").write_text(json.dumps({**sidecar, "format": "f32"}), encoding="utf-8")
+    out = tmp_path / "out"
+    result = invoke(command, "-i", bad, *args.format(table=table).split(), "-o", out)
+    assert_usage_error(result)
+    assert "bad.f64.json: unknown signal format 'f32'" in result.output
+    assert not out.exists()
 
 
 def test_kde_of_a_point_mass_is_an_analysis_error(tmp_path):
