@@ -29,6 +29,7 @@ from .sigmodel import (
     SeedSpec,
     simulate_signal,
 )
+from .sigio import write_json
 
 DEFAULT_ACI_GRID = (1.0, 1.5, 2.0, 2.5, 3.0)
 DEFAULT_SEG_GRID = (0.5, 1.0, 2.0, 5.0, 10.0)
@@ -203,9 +204,7 @@ class ThresholdTable:
         )
 
     def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_json_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(path, self.to_json_dict())
 
     @classmethod
     def load(cls, path) -> "ThresholdTable":
@@ -277,15 +276,17 @@ def calibrate_entry(
     pulse: PulseParams = PulseParams(aci=1.0),
     noise_std: float = DEFAULT_NOISE_STD,
 ) -> ThresholdEntry:
-    """Calibrate one cell from ``n`` constant-frequency simulations.
+    """Calibrate one cell from ``n`` simulations at ``DEFAULT_FAULT_FREQ``.
 
-    The threshold is the unbiased sample variance of the estimates.  Failed
-    estimates are excluded up to 1% of the batch; beyond that the
-    calibration aborts, since silent exclusion at scale would bias the
-    variance.
+    Each is searched around that frequency, whatever
+    ``est_cfg.f_theoretical`` is.  The threshold is the unbiased sample
+    variance of the estimates.  Failed estimates are excluded up to 1% of
+    the batch; beyond that the calibration aborts, since silent exclusion
+    at scale would bias the variance.
     """
     if n < 2:
         raise ParameterError("calibration needs at least 2 signals per cell")
+    est_cfg = replace(est_cfg, f_theoretical=DEFAULT_FAULT_FREQ)
     simulate = functools.partial(
         simulate_and_estimate, seed=master_seed, seg_len=seg_len, fs=fs,
         dist=DistributionSpec.constant(DEFAULT_FAULT_FREQ),
@@ -335,9 +336,8 @@ def build_table(
     the least span ``simulate_signal`` accepts.
 
     Every cell is searched around ``f_simul``, the centre the table
-    records, whatever ``est_cfg.f_theoretical`` is.
+    records, whatever ``est_cfg.f_theoretical`` is (``calibrate_entry``).
     """
-    est_cfg = replace(est_cfg, f_theoretical=DEFAULT_FAULT_FREQ)
     aci_list = list(aci_list)
     seg_len_list = list(seg_len_list)
     if not aci_list or not seg_len_list:
@@ -379,6 +379,6 @@ def build_table(
         noise_std=float(noise_std),
         pulse_base=replace(pulse, aci=1.0),
         spectrum=spec_cfg,
-        estimator=est_cfg,
+        estimator=replace(est_cfg, f_theoretical=DEFAULT_FAULT_FREQ),
         entries=tuple(entries),
     )

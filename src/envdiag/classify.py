@@ -71,8 +71,7 @@ class ClassifyConfig:
     paper_rescale: bool = False
 
     def __post_init__(self):
-        if not 0 < self.alpha < 1:
-            raise ParameterError("alpha must lie in (0, 1)")
+        stats.check_alpha(self.alpha)
         check_segment_length(self.seg_len)
         # the band and the search centre are checked by the configs they go into
         SpectrumConfig(bandpass=self.band)

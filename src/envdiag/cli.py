@@ -10,6 +10,12 @@ Exit codes:
   too large for memory (``MemoryError``, reported with the allocation
   that failed).
 
+A recording is read in the format its sidecar's ``format`` records, else
+in the one its file name names: ``.csv`` and ``.txt`` are CSV text, one
+sample per line, and any other name raw little-endian float64.
+``simulate`` writes the format its ``-o`` name names, and its sidecar
+records it.
+
 Only ``calibrate`` sets the envelope-spectrum and peak-search settings;
 ``classify``, ``kde`` and ``spectrum`` read them from the threshold table
 they are given, and ``kde`` and ``spectrum`` use calibrate's defaults
@@ -23,7 +29,6 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-import json
 import os
 import sys
 
@@ -51,10 +56,9 @@ from .envspec import WINDOWS, SpectrumConfig, envelope_spectrum
 from .errors import EnvDiagError, ParameterError, SignalFormatError, TableMismatchError
 from .faultfreq import EstimatorConfig, estimate_per_segment, iter_segments
 from .sigio import (
-    FORMAT_RAW,
-    FORMATS,
     read_signal,
     write_estimates_csv,
+    write_json,
     write_kde_csv,
     write_signal_arrays,
     write_spectrum_csv,
@@ -138,10 +142,9 @@ def main():
 @click.option("--fc", default=PulseParams.fc, show_default=True, type=float)
 @click.option("--noise-std", default=DEFAULT_NOISE_STD, show_default=True, type=float)
 @click.option("--seed", default=0, show_default=True, type=int)
-@click.option("--format", "fmt", default=FORMAT_RAW, show_default=True,
-              type=click.Choice(FORMATS))
-@click.option("-o", "--out", required=True, type=click.Path())
-def cmd_simulate(dist_text, aci, seg_len, n_segments, fs, fc, noise_std, seed, fmt, out):
+@click.option("-o", "--out", required=True, type=click.Path(),
+              help="Recording output: CSV text if named .csv or .txt, else raw float64.")
+def cmd_simulate(dist_text, aci, seg_len, n_segments, fs, fc, noise_std, seed, out):
     """Synthesize a segmented test signal with a ground-truth sidecar.
 
     Each segment is written to the output as soon as it is made and only
@@ -171,7 +174,7 @@ def cmd_simulate(dist_text, aci, seg_len, n_segments, fs, fc, noise_std, seed, f
         # filled while the segments are written, and serialized after the last
         "f_true_hz": truth,
     }
-    n = write_signal_arrays(out, segments(), fs, fmt, sidecar)
+    n = write_signal_arrays(out, segments(), fs, sidecar)
     click.echo(f"wrote {n_segments} segment(s), {n / fs:g} s at {fs:g} Hz -> {out}")
 
 
@@ -227,8 +230,8 @@ def cmd_calibrate(aci_grid, seg_grid, n, fs, fc, noise_std, seed, band, window, 
     click.echo(f"calibrated {len(table.entries)} cells (n={n} each) -> {out}")
 
 
-def _load_input_signal(path, fmt, fs):
-    signal, meta = read_signal(path, fmt=fmt, fs=fs)
+def _load_input_signal(path, fs):
+    signal, meta = read_signal(path, fs=fs)
     if fs is not None and meta.get("fs") not in (None, fs):
         click.echo(
             f"warning: overriding sidecar fs={meta['fs']:g} Hz with --fs {fs:g} Hz",
@@ -255,7 +258,6 @@ def _report_text(reports: list[ClassificationReport]) -> str:
               help="Comma-separated segment lengths (s); one report per length.")
 @click.option("--alpha", default=stats.DEFAULT_ALPHA, show_default=True, type=float)
 @click.option("--fs", default=None, type=float, help="Override the sidecar sample rate.")
-@click.option("--format", "fmt", default=None, type=click.Choice(FORMATS))
 @click.option("--paper-rescale", is_flag=True,
               help="Apply the literal (f_real/f_simul)^2 variance factor instead of "
                    "normalizing onto the simulated scale.")
@@ -269,8 +271,8 @@ def _report_text(reports: list[ClassificationReport]) -> str:
               help="CSV with the KDE of the estimates (first length only).")
 @click.option("--emit-estimates", default=None, type=click.Path(),
               help="CSV with per-segment estimates (first length only).")
-def cmd_classify(in_path, table_path, f_theoretical, seg_lens, alpha, fs, fmt, paper_rescale,
-                 band, out, text_out, emit_spectra, emit_kde, emit_estimates):
+def cmd_classify(in_path, table_path, f_theoretical, seg_lens, alpha, fs, paper_rescale, band,
+                 out, text_out, emit_spectra, emit_kde, emit_estimates):
     """Classify the fault-frequency behaviour of a recorded signal.
 
     The envelope-spectrum and peak-search settings (window, zero padding,
@@ -293,11 +295,9 @@ def cmd_classify(in_path, table_path, f_theoretical, seg_lens, alpha, fs, fmt, p
             for seg_len in _parse_grid(seg_lens)]
     for cfg in cfgs:
         calibrated_cells(table, cfg.seg_len)
-    recording, _ = _load_input_signal(in_path, fmt, fs)
+    recording, _ = _load_input_signal(in_path, fs)
     reports = [classify_signal(recording, cfg, table) for cfg in cfgs]
-    with open(out, "w", encoding="utf-8") as fh:
-        json.dump([r.to_json_dict() for r in reports], fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(out, [r.to_json_dict() for r in reports])
     text = _report_text(reports)
     if text_out:
         with open(text_out, "w", encoding="utf-8") as fh:
@@ -330,11 +330,10 @@ def cmd_classify(in_path, table_path, f_theoretical, seg_lens, alpha, fs, fmt, p
 @handle_errors
 @click.option("-i", "--input", "in_path", required=True, type=click.Path())
 @click.option("--fs", default=None, type=float)
-@click.option("--format", "fmt", default=None, type=click.Choice(FORMATS))
 @band_option
 @table_option
 @click.option("-o", "--out", required=True, type=click.Path())
-def cmd_spectrum(in_path, fs, fmt, band, table_path, out):
+def cmd_spectrum(in_path, fs, band, table_path, out):
     """Write the envelope spectrum of a whole recording as CSV.
 
     The window, zero padding and piece length are those of the --table,
@@ -344,7 +343,7 @@ def cmd_spectrum(in_path, fs, fmt, band, table_path, out):
     """
     table = ThresholdTable.load(table_path) if table_path else None
     spec_cfg, _ = analysis_settings(table, _parse_band(band))
-    recording, _ = _load_input_signal(in_path, fmt, fs)
+    recording, _ = _load_input_signal(in_path, fs)
     write_spectrum_csv(out, envelope_spectrum(recording.read(0, len(recording)), spec_cfg))
     click.echo(f"wrote envelope spectrum -> {out}")
 
@@ -355,11 +354,10 @@ def cmd_spectrum(in_path, fs, fmt, band, table_path, out):
 @click.option("--f-theoretical", required=True, type=float)
 @click.option("--seg-len", required=True, type=float)
 @click.option("--fs", default=None, type=float)
-@click.option("--format", "fmt", default=None, type=click.Choice(FORMATS))
 @band_option
 @table_option
 @click.option("-o", "--out", required=True, type=click.Path())
-def cmd_kde(in_path, f_theoretical, seg_len, fs, fmt, band, table_path, out):
+def cmd_kde(in_path, f_theoretical, seg_len, fs, band, table_path, out):
     """Estimate per segment and write the KDE of the estimates as CSV.
 
     The analysis settings are the --table's, as 'classify --emit-kde'
@@ -369,7 +367,7 @@ def cmd_kde(in_path, f_theoretical, seg_len, fs, fmt, band, table_path, out):
     """
     table = ThresholdTable.load(table_path) if table_path else None
     spec_cfg, est_cfg = analysis_settings(table, _parse_band(band), f_theoretical)
-    recording, _ = _load_input_signal(in_path, fmt, fs)
+    recording, _ = _load_input_signal(in_path, fs)
     _, estimates, warnings = estimate_per_segment(recording, seg_len, spec_cfg, est_cfg)
     for warning in warnings:
         click.echo(f"warning: {warning}", err=True)

@@ -4,10 +4,16 @@ Signals travel either as CSV (one float per line) or as raw little-endian
 64-bit floats; both carry a JSON sidecar (``<file>.json``) recording the
 sample rate, the sample count ``n``, the format and, for simulated data,
 the generation parameters and the ground-truth frequency of every
-segment.  A signal is written one array at a time, so a long recording
-never has to sit in memory whole; on read, a sidecar's ``n`` must match
-the samples found, so a cut file or a stale sidecar is an error rather
-than a shorter signal.
+segment.  The format rule has its one home here: a signal is written in
+the format its file name names (``infer_format``: ``.csv`` and ``.txt``
+are CSV, any other name raw), and read in the format its sidecar
+records, else in the one its name names.  Tables, reports and sidecars
+share one JSON layout, ``write_json``.
+
+A signal is written one array at a time, so a long recording never has
+to sit in memory whole; on read, a sidecar's ``n`` must match the
+samples found, so a cut file or a stale sidecar is an error rather than
+a shorter signal.
 
 Raw input is read one segment at a time: ``read_signal`` checks the file
 and returns a ``RawRecording``, whose ``read(start, count)`` opens the file
@@ -25,7 +31,7 @@ import os
 import numpy as np
 
 from .envspec import EnvelopeSpectrum
-from .errors import ParameterError, SignalFormatError
+from .errors import SignalFormatError
 from .faultfreq import FaultFrequencyEstimate
 from .sigmodel import (
     Recording,
@@ -49,31 +55,36 @@ def sidecar_path(path: str) -> str:
 
 
 def infer_format(path: str) -> str:
+    """The format a signal file's name names: CSV for ``.csv`` and ``.txt``, else raw."""
     ext = os.path.splitext(str(path))[1].lower()
     if ext in (".csv", ".txt"):
         return FORMAT_CSV
     return FORMAT_RAW
 
 
-def write_signal(path, signal: Signal, fmt: str | None = None, sidecar: dict | None = None) -> None:
-    """Write samples plus a JSON sidecar with at least the sample rate."""
-    write_signal_arrays(path, [signal.samples], signal.fs, fmt, sidecar)
+def write_json(path, data, mode: str = "w") -> None:
+    """Write ``data`` in the JSON layout of tables, reports and sidecars:
+    2-space indent, sorted keys and a trailing newline.  Mode ``"x"``
+    refuses an existing file."""
+    with open(path, mode, encoding="utf-8") as fh:
+        json.dump(data, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
-def write_signal_arrays(path, arrays, fs: float, fmt: str | None = None,
-                        sidecar: dict | None = None) -> int:
+def write_signal_arrays(path, arrays, fs: float, sidecar: dict | None = None) -> int:
     """Write the samples of ``arrays``, in order, as one signal; return their count.
 
-    ``arrays`` may be a generator: each array is written as soon as it is
-    drawn, and ``sidecar`` is serialized only after the last one, so values
-    the generator fills in along the way reach the sidecar.  Samples and
-    sidecar go to temporary files beside ``path`` and replace the outputs,
-    samples first, only once both are complete: an error on any array leaves
-    no output behind and an existing one untouched.
+    The format is the one ``path`` names (``infer_format``), and the JSON
+    sidecar records it, whatever ``sidecar`` says, beside ``fs``, ``n`` and
+    the entries of ``sidecar``.  ``arrays`` may be a generator: each array
+    is written as soon as it is drawn, and ``sidecar`` is serialized only
+    after the last one, so values the generator fills in along the way
+    reach the sidecar.  Samples and sidecar go to temporary files beside
+    ``path`` and replace the outputs, samples first, only once both are
+    complete: an error on any array leaves no output behind and an existing
+    one untouched.
     """
-    fmt = fmt or infer_format(path)
-    if fmt not in FORMATS:
-        raise ParameterError(f"unknown signal format {fmt!r}")
+    fmt = infer_format(path)
     outputs = (str(path), sidecar_path(path))
     # the process id keeps concurrent writers of one path apart; mode "x"
     # creates the files with the umask's permissions, as a plain open would
@@ -88,12 +99,7 @@ def write_signal_arrays(path, arrays, fs: float, fmt: str | None = None,
                 else:
                     samples.astype("<f8", copy=False).tofile(fh)
                 n += len(samples)
-        meta = {"fs": fs, "n": n, "format": fmt}
-        if sidecar:
-            meta.update(sidecar)
-        with open(temps[1], "x", encoding="utf-8") as fh:
-            json.dump(meta, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(temps[1], {"fs": fs, "n": n, **(sidecar or {}), "format": fmt}, mode="x")
         for temp, out in zip(temps, outputs):
             os.replace(temp, out)
     except BaseException:
@@ -114,8 +120,10 @@ def _read_csv_samples(path) -> np.ndarray:
                 if text:
                     values.append(float(text))
         except UnicodeDecodeError:  # raised by the read, and a ValueError too
-            raise SignalFormatError(f"{path}: not a CSV recording, it holds a byte outside "
-                                    "ASCII; for raw samples pass --format raw-f64le") from None
+            raise SignalFormatError(
+                f"{path}: not a CSV recording, it holds a byte outside ASCII; for raw samples, "
+                f'name the file other than .csv or .txt, or set "format": "{FORMAT_RAW}" in '
+                "its sidecar") from None
         except ValueError:
             raise SignalFormatError(f"{path}: line {lineno} is not a number: {text!r}") from None
     if not values:
@@ -166,18 +174,18 @@ class RawRecording:
         return Signal._from_checked(self._samples(start, count), self.fs)
 
 
-def read_signal(path, fmt: str | None = None, fs: float | None = None) -> tuple[Recording, dict]:
-    """Read a signal file; the sample rate and format come from the sidecar unless given.
+def read_signal(path, fs: float | None = None) -> tuple[Recording, dict]:
+    """Read a signal file in the format its sidecar records, else in the one its name names.
 
-    Without either, the file extension names the format (``infer_format``).
-    Returns the recording and the sidecar dictionary (empty when absent).
-    CSV is parsed whole into a ``Signal``.  Raw input is not loaded: its
-    size is checked against the sidecar's ``n`` and its samples are checked
-    to be finite, a block at a time, and a ``RawRecording`` is returned
-    whose segments are read from the file one at a time.  Both are segment
-    sources (``sigmodel.Recording``).  An explicit ``fs`` overrides the
-    sidecar value; the caller is expected to warn the user about the
-    override.
+    A name names its format as ``infer_format`` says; the sample rate is
+    the sidecar's unless ``fs`` is given.  Returns the recording and the
+    sidecar dictionary (empty when absent).  CSV is parsed whole into a
+    ``Signal``.  Raw input is not loaded: its size is checked against the
+    sidecar's ``n`` and its samples are checked to be finite, a block at a
+    time, and a ``RawRecording`` is returned whose segments are read from
+    the file one at a time.  Both are segment sources
+    (``sigmodel.Recording``).  An explicit ``fs`` overrides the sidecar
+    value; the caller is expected to warn the user about the override.
     """
     meta: dict = {}
     sc = sidecar_path(path)
@@ -197,7 +205,7 @@ def read_signal(path, fmt: str | None = None, fs: float | None = None) -> tuple[
             raise SignalFormatError(f"{sc}: fs is not a finite number: {side_fs!r}")
         if "format" in meta and meta["format"] not in FORMATS:
             raise SignalFormatError(f"{sc}: unknown signal format {meta['format']!r}")
-    fmt = fmt or meta.get("format") or infer_format(path)
+    fmt = meta.get("format") or infer_format(path)
     if fs is None:
         fs = meta.get("fs")
     if fs is None:
@@ -205,17 +213,16 @@ def read_signal(path, fmt: str | None = None, fs: float | None = None) -> tuple[
     if fmt == FORMAT_CSV:
         samples = _read_csv_samples(path)
         n = samples.size
-    elif fmt == FORMAT_RAW:
+    else:
         size = os.path.getsize(path)
         if size == 0:
             raise SignalFormatError(f"{path}: empty raw signal file")
         if size % 8:
             raise SignalFormatError(
-                f"{path}: {size} bytes is not a whole number of 8-byte samples"
+                f"{path}: {size} bytes is not a whole number of 8-byte samples; for CSV text, "
+                f'name the file .csv or .txt, or set "format": "{FORMAT_CSV}" in its sidecar'
             )
         n = size // 8
-    else:
-        raise ParameterError(f"unknown signal format {fmt!r}")
     side_n = meta.get("n")
     if side_n is not None and (type(side_n) is not int or side_n != n):
         raise SignalFormatError(

@@ -19,6 +19,13 @@ from .errors import DegenerateSampleError, ParameterError
 # level of the chi-squared variance test unless a caller sets one
 DEFAULT_ALPHA = 0.05
 
+
+def check_alpha(alpha: float) -> None:
+    """Raise ParameterError unless the test level ``alpha`` lies in (0, 1)."""
+    if not 0 < alpha < 1:
+        raise ParameterError(f"alpha must lie in (0, 1), got {alpha:g}")
+
+
 DECISION_REJECT = "reject"
 DECISION_FAIL_TO_REJECT = "fail-to-reject"
 
@@ -244,8 +251,7 @@ def chi_squared_variance_test(
         raise ParameterError("tested variance must be positive")
     if sample_var < 0:
         raise ParameterError("sample variance cannot be negative")
-    if not 0 < alpha < 1:
-        raise ParameterError("alpha must lie in (0, 1)")
+    check_alpha(alpha)
     statistic = (n - 1) * sample_var / sigma0_sq
     critical = chi2_critical(1.0 - alpha, n - 1)
     decision = DECISION_REJECT if statistic > critical else DECISION_FAIL_TO_REJECT

@@ -81,9 +81,16 @@ class TestCalibrateEntry:
             calibrate_entry(2.0, 0.5, 1, FS, 0)
 
     def test_failed_estimates_abort_the_cell(self):
-        # harmonic 3's window around 15 kHz crosses fs/2, so every estimate fails
+        # a search window narrower than 3 bins fails every estimate
         with pytest.raises(CalibrationError, match="3/3 estimates failed"):
-            calibrate_entry(2.0, 0.5, 3, FS, 0, est_cfg=EstimatorConfig(f_theoretical=5000.0))
+            calibrate_entry(2.0, 0.5, 3, FS, 0,
+                            est_cfg=EstimatorConfig(f_theoretical=30.0, search_frac=0.001))
+
+    def test_searched_around_the_frequency_it_simulates(self):
+        # a centre of 34 Hz would find the 30 Hz harmonics at a window's edge
+        entry = calibrate_entry(2.0, 0.5, 8, FS, 3, est_cfg=EstimatorConfig(f_theoretical=34.0))
+        assert entry == calibrate_entry(2.0, 0.5, 8, FS, 3)
+        assert entry.mean_f_hat == pytest.approx(30.0, abs=1.0)
 
 
 class TestBuildTable:

@@ -15,7 +15,6 @@ from envdiag import (
     EstimatorConfig,
     PulseParams,
     SeedSpec,
-    Signal,
     SpectrumConfig,
     envelope_spectrum,
     simulate_signal,
@@ -23,7 +22,7 @@ from envdiag import (
 from envdiag import classify, cli, faultfreq
 from envdiag.calibrate import DEFAULT_ESTIMATOR, DEFAULT_SPECTRUM, analysis_json
 from envdiag.faultfreq import estimate_per_segment, iter_segments
-from envdiag.sigio import read_signal, write_signal, write_signal_arrays, write_spectrum_csv
+from envdiag.sigio import read_signal, write_signal_arrays, write_spectrum_csv
 from envdiag.cli import EXIT_ANALYSIS, EXIT_USAGE_IO, cmd_classify, main
 from envdiag.sigmodel import DEFAULT_FS, DEFAULT_NOISE_STD
 from envdiag.stats import DEFAULT_ALPHA, KDE_GRID_POINTS
@@ -157,11 +156,16 @@ def test_simulate_calibrate_classify_round_trip(files):
     "simulate --dist constant:inf --aci 2 --seg-len 0.5",
     "simulate --aci inf --dist constant:30 --seg-len 0.5",
     "simulate --fc inf --dist constant:30 --aci 2 --seg-len 0.5",
+    "classify --alpha nan -i {rec} --table {table} --f-theoretical 30 --seg-lens 0.5",
+    "classify --alpha 1 -i {rec} --table {table} --f-theoretical 30 --seg-lens 0.5",
 ])
 def test_out_of_range_value_is_a_usage_error(files, args):
     root, rec, table = files
     argv = args.format(rec=rec, table=table).split()
-    assert_usage_error(invoke(*argv, "-o", root / "out"))
+    result = invoke(*argv, "-o", root / "out")
+    assert_usage_error(result)
+    if argv[1] == "--alpha":
+        assert result.output == f"error: alpha must lie in (0, 1), got {argv[2]}\n"
 
 
 @pytest.mark.parametrize("option,message", [
@@ -256,19 +260,19 @@ def test_kde_and_spectrum_take_no_analysis_setting(files, tmp_path, command, arg
     assert not out.exists()
 
 
-def test_classify_has_fourteen_options():
+def test_classify_has_thirteen_options():
     names = sorted(opt for param in cmd_classify.params for opt in param.opts)
-    assert len(cmd_classify.params) == 14
+    assert len(cmd_classify.params) == 13
     assert "--band" in names and "--f-theoretical" in names
 
 
-@pytest.mark.parametrize("command,count", [("kde", 8), ("spectrum", 6)])
+@pytest.mark.parametrize("command,count", [("kde", 7), ("spectrum", 5)])
 def test_kde_and_spectrum_take_a_table_and_a_band(command, count):
     params = main.commands[command].params
     names = {opt for param in params for opt in param.opts}
     assert len(params) == count
     assert {"--table", "--band"} <= names
-    assert sum(len(cmd.params) for cmd in main.commands.values()) == 54
+    assert sum(len(cmd.params) for cmd in main.commands.values()) == 50
 
 
 @pytest.mark.parametrize("band", [None, "1500,3500"])
@@ -574,16 +578,21 @@ def test_input_too_large_for_memory_is_a_usage_error(monkeypatch, tmp_path):
 def test_csv_recording_with_a_non_ascii_byte_is_a_usage_error(files, tmp_path, command, source):
     _, rec, table = files
     if source == "raw-read-as-csv":
-        path, fmt = rec, ("--format", "csv")
+        # raw samples under a CSV name, with no sidecar to name their format
+        path = tmp_path / "raw.csv"
+        shutil.copyfile(rec, path)
+        fs = ("--fs", 25_000)
     else:
-        path, fmt = tmp_path / "rec.csv", ()
+        path, fs = tmp_path / "rec.csv", ()
         path.write_bytes(b"0.5\n1.5\n\xff\n")
         (tmp_path / "rec.csv.json").write_text('{"fs": 25000.0}', encoding="utf-8")
     out = tmp_path / "out"
-    result = invoke(*command.format(table=table).split(), "-i", path, *fmt, "-o", out)
+    result = invoke(*command.format(table=table).split(), "-i", path, *fs, "-o", out)
     assert_usage_error(result)
-    assert result.output.startswith(f"error: {path}: not a CSV recording")
-    assert "--format raw-f64le" in result.output
+    # one line, which says how to have raw samples read as raw
+    assert result.output == (f"error: {path}: not a CSV recording, it holds a byte outside "
+                             "ASCII; for raw samples, name the file other than .csv or .txt, "
+                             'or set "format": "raw-f64le" in its sidecar\n')
     assert not out.exists()
 
 
@@ -612,7 +621,7 @@ def test_loud_recording_classifies_like_the_quiet_one(files):
     root, rec, table = files
     signal = read_whole(rec)
     loud = root / "loud.f64"
-    write_signal(loud, Signal(2.0**400 * signal.samples, signal.fs))
+    write_signal_arrays(loud, [2.0**400 * signal.samples], signal.fs)
     (quiet_rep,) = classify_reports(rec, table, root / "quiet.json")
     (loud_rep,) = classify_reports(loud, table, root / "loud.json")
     assert loud_rep["estimates_hz"] == quiet_rep["estimates_hz"]
@@ -630,7 +639,7 @@ def gap_recording(path, gap_segment):
     signal = read_whole(path)
     cut = gap_segment * 12_500
     samples = np.concatenate([signal.samples[:cut], np.zeros(12_500), signal.samples[cut:]])
-    write_signal(path, Signal(samples, signal.fs))
+    write_signal_arrays(path, [samples], signal.fs)
     return path
 
 
@@ -712,10 +721,12 @@ READ_COMMANDS = [
 def test_recording_is_read_in_the_format_its_sidecar_records(files, tmp_path, command, args):
     # the CSV recording's extension names no format; its sidecar does
     _, rec, table = files
-    dat = tmp_path / "rec.dat"
+    csv, dat = tmp_path / "rec.csv", tmp_path / "rec.dat"
     result = invoke("simulate", "--dist", "constant:30", "--aci", 2, "--seg-len", 0.5,
-                    "--n-segments", 6, "--seed", 1, "--format", "csv", "-o", dat)
+                    "--n-segments", 6, "--seed", 1, "-o", csv)
     assert result.exit_code == 0, result.output
+    shutil.copyfile(csv, dat)
+    shutil.copyfile(f"{csv}.json", f"{dat}.json")
     outputs = []
     for path in (dat, rec):
         out = tmp_path / f"{path.name}.out"
@@ -724,6 +735,28 @@ def test_recording_is_read_in_the_format_its_sidecar_records(files, tmp_path, co
         outputs.append(out.read_bytes())
     # CSV holds every sample to the bit, so the raw recording gives the same output
     assert outputs[0] == outputs[1]
+
+
+def test_simulate_writes_csv_text_to_a_csv_name(files, tmp_path):
+    _, rec, _ = files
+    csv = tmp_path / "rec.csv"
+    result = invoke("simulate", "--dist", "constant:30", "--aci", 2, "--seg-len", 0.5,
+                    "--n-segments", 6, "--seed", 1, "-o", csv)
+    assert result.exit_code == 0, result.output
+    text = csv.read_bytes()
+    assert text.isascii() and text.decode("ascii").replace("\n", "").isprintable()
+    assert json.loads(Path(f"{csv}.json").read_text(encoding="utf-8"))["format"] == "csv"
+    # the raw recording of the same seed, to the bit
+    np.testing.assert_array_equal(read_whole(csv).samples, read_whole(rec).samples)
+
+
+@pytest.mark.parametrize("command", ["simulate", "classify", "kde", "spectrum"])
+def test_format_option_is_refused(tmp_path, command):
+    # a file's format comes from its sidecar or its name
+    result = invoke(command, "--format", "csv", "-o", tmp_path / "out")
+    assert_usage_error(result)
+    assert "No such option" in result.output and "--format" in result.output
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("command,args", READ_COMMANDS, ids=[c for c, _ in READ_COMMANDS])
@@ -757,7 +790,7 @@ def test_classify_with_too_many_failed_segments_is_an_analysis_error(tmp_path, f
     _, rec, table = files
     signal = read_whole(rec)
     padded = tmp_path / "padded.f64"
-    write_signal(padded, Signal(np.concatenate([signal.samples, np.zeros(25_000)]), signal.fs))
+    write_signal_arrays(padded, [signal.samples, np.zeros(25_000)], signal.fs)
     result = invoke("classify", "-i", padded, "--table", table, "--f-theoretical", 30,
                     "--seg-lens", 0.5, "-o", tmp_path / "r.json")
     assert_analysis_error(result)
@@ -768,7 +801,7 @@ def test_kde_with_too_many_failed_segments_is_an_analysis_error(tmp_path, files)
     _, rec, _ = files
     signal = read_whole(rec)
     padded = tmp_path / "padded.f64"
-    write_signal(padded, Signal(np.concatenate([signal.samples, np.zeros(25_000)]), signal.fs))
+    write_signal_arrays(padded, [signal.samples, np.zeros(25_000)], signal.fs)
     result = invoke("kde", "-i", padded, "--f-theoretical", 30, "--seg-len", 0.5,
                     "-o", tmp_path / "kde.csv")
     assert_analysis_error(result)
@@ -832,7 +865,7 @@ def test_simulate_memory_does_not_grow_with_the_segments(tmp_path):
 def test_simulate_writes_the_concatenated_segments(tmp_path, fmt, name):
     out, ref = tmp_path / name, tmp_path / ("ref-" + name)
     result = invoke("simulate", "--dist", "uniform:28,32", "--aci", 2.5, "--seg-len", 0.5,
-                    "--n-segments", 3, "--seed", 5, "--format", fmt, "-o", out)
+                    "--n-segments", 3, "--seed", 5, "-o", out)
     assert result.exit_code == 0, result.output
     assert result.output == f"wrote 3 segment(s), 1.5 s at 25000 Hz -> {out}\n"
     dist, pulse, seeds = DistributionSpec.uniform(28.0, 32.0), PulseParams(aci=2.5), SeedSpec(5)
@@ -843,11 +876,12 @@ def test_simulate_writes_the_concatenated_segments(tmp_path, fmt, name):
                          "bwr": pulse.bwr},
                "noise_std": 1.0, "seg_len_s": 0.5, "n_segments": 3,
                "f_true_hz": [f for _, f in segments]}
-    write_signal(ref, Signal(np.concatenate([s.samples for s, _ in segments]), 25_000.0), fmt,
-                 sidecar)
+    write_signal_arrays(ref, [s.samples for s, _ in segments], 25_000.0, sidecar)
     assert out.read_bytes() == ref.read_bytes()
-    assert (tmp_path / (name + ".json")).read_bytes() == \
-        (tmp_path / ("ref-" + name + ".json")).read_bytes()
+    written = tmp_path / (name + ".json")
+    assert written.read_bytes() == (tmp_path / ("ref-" + name + ".json")).read_bytes()
+    # the output's name names its format, and its sidecar records it
+    assert json.loads(written.read_text(encoding="utf-8"))["format"] == fmt
 
 
 def test_simulate_failing_on_a_later_segment_leaves_no_output(tmp_path):
@@ -861,7 +895,7 @@ def test_simulate_failing_on_a_later_segment_leaves_no_output(tmp_path):
     assert list(tmp_path.iterdir()) == []
     # an existing recording and its sidecar stay as they were
     old = tmp_path / "old.f64"
-    write_signal(old, Signal(np.arange(5.0), 25_000.0))
+    write_signal_arrays(old, [np.arange(5.0)], 25_000.0)
     before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
     assert_analysis_error(invoke(*args, old))
     assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before

@@ -1,5 +1,6 @@
 """Signal file I/O: round trips, sidecars, malformed input and the result CSVs."""
 
+import os
 import tracemalloc
 
 import numpy as np
@@ -24,7 +25,7 @@ from envdiag.sigio import (
     sidecar_path,
     write_estimates_csv,
     write_kde_csv,
-    write_signal,
+    write_signal_arrays,
     write_spectrum_csv,
 )
 
@@ -40,7 +41,7 @@ def signal():
 @pytest.mark.parametrize("name,fmt", [("x.csv", FORMAT_CSV), ("x.f64", FORMAT_RAW)])
 def test_round_trip_is_bit_exact(tmp_path, signal, name, fmt):
     path = tmp_path / name
-    write_signal(path, signal, sidecar={"seed": 4})
+    write_signal_arrays(path, [signal.samples], FS, sidecar={"seed": 4})
     back, meta = read_signal(path)
     np.testing.assert_array_equal(back.read(0, len(back)).samples, signal.samples)
     assert back.fs == FS
@@ -49,7 +50,7 @@ def test_round_trip_is_bit_exact(tmp_path, signal, name, fmt):
 
 def test_raw_recording_reads_its_spans_from_the_file(tmp_path, signal):
     path = tmp_path / "x.f64"
-    write_signal(path, signal)
+    write_signal_arrays(path, [signal.samples], FS)
     back, _ = read_signal(path)
     assert isinstance(back, RawRecording)
     assert (len(back), back.duration) == (257, 257 / FS)
@@ -64,7 +65,7 @@ def test_raw_recording_reads_its_spans_from_the_file(tmp_path, signal):
 
 def test_explicit_fs_overrides_sidecar(tmp_path, signal):
     path = tmp_path / "x.f64"
-    write_signal(path, signal)
+    write_signal_arrays(path, [signal.samples], FS)
     back, meta = read_signal(path, fs=1000.0)
     assert back.fs == 1000.0
     assert meta["fs"] == FS
@@ -73,7 +74,7 @@ def test_explicit_fs_overrides_sidecar(tmp_path, signal):
 @pytest.mark.parametrize("fs", [0.0, -1.0])
 def test_raw_sample_rate_checked_before_any_sample_is_read(tmp_path, signal, monkeypatch, fs):
     path = tmp_path / "x.f64"
-    write_signal(path, signal)
+    write_signal_arrays(path, [signal.samples], FS)
     reads = []
     samples = RawRecording._samples
     monkeypatch.setattr(RawRecording, "_samples",
@@ -92,7 +93,7 @@ def test_missing_sample_rate_rejected(tmp_path, signal):
 
 def test_malformed_sidecar_rejected(tmp_path, signal):
     path = tmp_path / "x.f64"
-    write_signal(path, signal)
+    write_signal_arrays(path, [signal.samples], FS)
     with open(sidecar_path(path), "w") as fh:
         fh.write("{not json")
     with pytest.raises(SignalFormatError, match="malformed sidecar"):
@@ -109,7 +110,7 @@ def test_malformed_sidecar_rejected(tmp_path, signal):
 ], ids=["list", "text-fs", "text-fs-and-explicit-fs", "nan-fs", "bad-utf8"])
 def test_sidecar_of_wrong_shape_rejected(tmp_path, signal, content, fs, match):
     path = tmp_path / "x.f64"
-    write_signal(path, signal)
+    write_signal_arrays(path, [signal.samples], FS)
     with open(sidecar_path(path), "wb") as fh:
         fh.write(content)
     with pytest.raises(SignalFormatError, match=match) as info:
@@ -127,7 +128,7 @@ def test_csv_line_that_is_not_a_number_is_named(tmp_path):
 def test_csv_read_holds_little_more_than_the_samples(tmp_path):
     samples = np.random.default_rng(5).standard_normal(200_000)
     path = tmp_path / "x.csv"
-    write_signal(path, Signal(samples, FS))
+    write_signal_arrays(path, [samples], FS)
     read_signal(path)  # first-call imports and caches
     tracemalloc.start()
     try:
@@ -150,7 +151,9 @@ def test_empty_raw_file_rejected(tmp_path):
 def test_truncated_raw_file_rejected(tmp_path):
     path = tmp_path / "x.f64"
     path.write_bytes(np.arange(4.0).astype("<f8").tobytes() + b"\x00\x01\x02")
-    with pytest.raises(SignalFormatError, match=r"x\.f64: 35 bytes is not a whole number"):
+    with pytest.raises(SignalFormatError, match=r"x\.f64: 35 bytes is not a whole number of "
+                       r"8-byte samples; for CSV text, name the file \.csv or \.txt, "
+                       r'or set "format": "csv" in its sidecar'):
         read_signal(path, fs=FS)
 
 
@@ -159,7 +162,7 @@ def test_sample_count_must_match_the_sidecar(tmp_path, signal, name):
     # a raw file cut by a whole number of samples, or a csv missing lines,
     # reads as a shorter signal unless the sidecar's n is checked
     path = tmp_path / name
-    write_signal(path, signal)
+    write_signal_arrays(path, [signal.samples], FS)
     data = path.read_bytes()
     path.write_bytes(data[:200 * 8] if name.endswith(".f64") else
                      b"".join(data.splitlines(keepends=True)[:200]))
@@ -171,18 +174,27 @@ def test_sample_count_must_match_the_sidecar(tmp_path, signal, name):
 @pytest.mark.parametrize("n", ["257", 257.0, True])
 def test_sidecar_count_must_be_an_integer(tmp_path, signal, n):
     path = tmp_path / "x.f64"
-    write_signal(path, signal, sidecar={"n": n})
+    write_signal_arrays(path, [signal.samples], FS, sidecar={"n": n})
     with pytest.raises(SignalFormatError, match=f"sidecar says n = {n!r}"):
         read_signal(path)
 
 
-def test_unknown_format_rejected(tmp_path, signal):
-    path = tmp_path / "x.wav"
-    with pytest.raises(ParameterError, match="wav"):
-        write_signal(path, signal, fmt="wav")
-    signal.samples.tofile(path)
-    with pytest.raises(ParameterError, match="wav"):
-        read_signal(path, fmt="wav", fs=FS)
+def test_sidecar_records_the_format_the_name_names(tmp_path, signal):
+    path = tmp_path / "x.f64"
+    write_signal_arrays(path, [signal.samples], FS, sidecar={"format": FORMAT_CSV})
+    assert path.read_bytes() == signal.samples.astype("<f8").tobytes()
+    assert read_signal(path)[1]["format"] == FORMAT_RAW
+
+
+def test_sidecar_format_wins_over_the_name(tmp_path, signal):
+    # raw samples and their sidecar, moved to a name that names CSV
+    raw, path = tmp_path / "x.f64", tmp_path / "x.csv"
+    write_signal_arrays(raw, [signal.samples], FS)
+    raw.rename(path)
+    os.rename(sidecar_path(raw), sidecar_path(path))
+    back, _ = read_signal(path)
+    assert isinstance(back, RawRecording)
+    np.testing.assert_array_equal(back.read(0, len(back)).samples, signal.samples)
 
 
 def test_estimates_csv_columns(tmp_path):
