@@ -224,14 +224,13 @@ class ThresholdTable:
         return "\n".join(lines) + "\n"
 
 
-def analysis_settings(table: ThresholdTable | None, band: tuple[float, float] | None,
-                      f_theoretical: float = DEFAULT_FAULT_FREQ):
+def analysis_settings(table: ThresholdTable, band: tuple[float, float] | None,
+                      f_theoretical: float):
     """The envelope-spectrum and peak-search settings a recording is analysed
-    with: those ``table`` was calibrated under, or calibrate's defaults
-    without a table, with the recording's ``band`` and ``f_theoretical``."""
-    spec_cfg = table.spectrum if table else DEFAULT_SPECTRUM
-    est_cfg = table.estimator if table else DEFAULT_ESTIMATOR
-    return replace(spec_cfg, bandpass=band), replace(est_cfg, f_theoretical=f_theoretical)
+    with: those ``table`` was calibrated under, with the recording's ``band``
+    and ``f_theoretical``."""
+    return (replace(table.spectrum, bandpass=band),
+            replace(table.estimator, f_theoretical=f_theoretical))
 
 
 def simulate_and_estimate(index, seed, seg_len, fs, dist, pulse, noise_std, spec_cfg, est_cfg):

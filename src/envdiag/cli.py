@@ -17,9 +17,7 @@ sample per line, and any other name raw little-endian float64.
 records it.
 
 Only ``calibrate`` sets the envelope-spectrum and peak-search settings;
-``classify``, ``kde`` and ``spectrum`` read them from the threshold table
-they are given, and ``kde`` and ``spectrum`` use calibrate's defaults
-without one.
+``classify`` reads them from the threshold table it is given.
 
 Every randomized command accepts ``--seed`` and is fully reproducible
 under it; ENVDIAG_THREADS caps internal parallelism.
@@ -118,9 +116,6 @@ def _parse_grid(text: str):
 
 band_option = click.option("--band", default=None,
                            help="Bandpass LO,HI in Hz before demodulation, or 'none'.")
-table_option = click.option("--table", "table_path", type=click.Path(),
-                            help="Threshold table JSON whose analysis settings to use; "
-                                 "calibrate's defaults without one.")
 
 
 @click.group()
@@ -230,16 +225,6 @@ def cmd_calibrate(aci_grid, seg_grid, n, fs, fc, noise_std, seed, band, window, 
     click.echo(f"calibrated {len(table.entries)} cells (n={n} each) -> {out}")
 
 
-def _load_input_signal(path, fs):
-    signal, meta = read_signal(path, fs=fs)
-    if fs is not None and meta.get("fs") not in (None, fs):
-        click.echo(
-            f"warning: overriding sidecar fs={meta['fs']:g} Hz with --fs {fs:g} Hz",
-            err=True,
-        )
-    return signal, meta
-
-
 def _report_text(reports: list[ClassificationReport]) -> str:
     lines = ["segment length | below threshold -> constant | chi-squared | classification"]
     for rep in reports:
@@ -295,7 +280,10 @@ def cmd_classify(in_path, table_path, f_theoretical, seg_lens, alpha, fs, paper_
             for seg_len in _parse_grid(seg_lens)]
     for cfg in cfgs:
         calibrated_cells(table, cfg.seg_len)
-    recording, _ = _load_input_signal(in_path, fs)
+    recording, meta = read_signal(in_path, fs=fs)
+    if fs is not None and meta.get("fs") not in (None, fs):
+        click.echo(f"warning: overriding sidecar fs={meta['fs']:g} Hz with --fs {fs:g} Hz",
+                   err=True)
     reports = [classify_signal(recording, cfg, table) for cfg in cfgs]
     write_json(out, [r.to_json_dict() for r in reports])
     text = _report_text(reports)
@@ -324,64 +312,6 @@ def cmd_classify(in_path, table_path, f_theoretical, seg_lens, alpha, fs, paper_
         for idx, seg in enumerate(iter_segments(recording, first_len)):
             write_spectrum_csv(os.path.join(emit_spectra, f"segment_{idx:04d}.csv"),
                                envelope_spectrum(seg, spec_cfg))
-
-
-@main.command("spectrum")
-@handle_errors
-@click.option("-i", "--input", "in_path", required=True, type=click.Path())
-@click.option("--fs", default=None, type=float)
-@band_option
-@table_option
-@click.option("-o", "--out", required=True, type=click.Path())
-def cmd_spectrum(in_path, fs, band, table_path, out):
-    """Write the envelope spectrum of a whole recording as CSV.
-
-    The window, zero padding and piece length are those of the --table,
-    and calibrate's defaults without one.  The recording is analysed whole,
-    in one pass, so memory grows with its length: about 8.6 times its
-    sample bytes.
-    """
-    table = ThresholdTable.load(table_path) if table_path else None
-    spec_cfg, _ = analysis_settings(table, _parse_band(band))
-    recording, _ = _load_input_signal(in_path, fs)
-    write_spectrum_csv(out, envelope_spectrum(recording.read(0, len(recording)), spec_cfg))
-    click.echo(f"wrote envelope spectrum -> {out}")
-
-
-@main.command("kde")
-@handle_errors
-@click.option("-i", "--input", "in_path", required=True, type=click.Path())
-@click.option("--f-theoretical", required=True, type=float)
-@click.option("--seg-len", required=True, type=float)
-@click.option("--fs", default=None, type=float)
-@band_option
-@table_option
-@click.option("-o", "--out", required=True, type=click.Path())
-def cmd_kde(in_path, f_theoretical, seg_len, fs, band, table_path, out):
-    """Estimate per segment and write the KDE of the estimates as CSV.
-
-    The analysis settings are the --table's, as 'classify --emit-kde'
-    uses them, or calibrate's defaults without one.  Failed segments are
-    skipped with a warning as in classify, up to 20 % of them; with more,
-    or with fewer than 2 segments, the command exits 1.
-    """
-    table = ThresholdTable.load(table_path) if table_path else None
-    spec_cfg, est_cfg = analysis_settings(table, _parse_band(band), f_theoretical)
-    recording, _ = _load_input_signal(in_path, fs)
-    _, estimates, warnings = estimate_per_segment(recording, seg_len, spec_cfg, est_cfg)
-    for warning in warnings:
-        click.echo(f"warning: {warning}", err=True)
-    f_hats = [e.f_hat for e in estimates]
-    try:
-        curve = stats.kde(f_hats)
-    except EnvDiagError:
-        click.echo(
-            f"all {len(f_hats)} estimates equal {f_hats[0]:g} Hz (point mass); no curve",
-            err=True,
-        )
-        sys.exit(EXIT_ANALYSIS)
-    write_kde_csv(out, curve, f_hats)
-    click.echo(f"wrote KDE of {len(f_hats)} estimates -> {out}")
 
 
 if __name__ == "__main__":

@@ -9,9 +9,10 @@ the surrounding spectrum up to the third harmonic.
 ``estimate_or_error`` is the one place where an EstimationError is caught:
 it returns the error of a failed segment in place of its estimate, and
 ``check_segment_failures`` is the skip policy for the segments of a
-recording, shared by ``classify`` and ``kde``.  A recording is a segment
-source (``sigmodel.Recording``): ``iter_segments`` reads its segments one
-at a time, so a file-backed recording is never held in memory whole.
+recording, shared by ``classify_signal`` and ``estimate_per_segment``.  A
+recording is a segment source (``sigmodel.Recording``): ``iter_segments``
+reads its segments one at a time, so a file-backed recording is never held
+in memory whole.
 """
 
 from __future__ import annotations

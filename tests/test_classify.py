@@ -91,9 +91,6 @@ class TestClassifyConfig:
         assert spec_cfg == SpectrumConfig(bandpass=(1000.0, 4000.0), window="hamming",
                                           piece_len_s=0.25)
         assert est_cfg == EstimatorConfig(f_theoretical=97.0, n_harmonics=2)
-        # without a table, calibrate's defaults
-        assert analysis_settings(None, cfg.band, cfg.f_theoretical) == (
-            SpectrumConfig(bandpass=(1000.0, 4000.0)), EstimatorConfig(f_theoretical=97.0))
 
 
 class TestClassifySignal:

@@ -90,8 +90,7 @@ def short_rec(files):
     return rec
 
 
-# Each command with each exit code the module docstring documents; spectrum
-# has no exit-1 path.
+# Each command with each exit code the module docstring documents.
 EXIT_CODE_CASES = [
     ("simulate --dist constant:30 --aci 2 --seg-len 0.5", 0),
     # under two cycles of 30 Hz per segment
@@ -104,11 +103,6 @@ EXIT_CODE_CASES = [
     ("classify -i {rec} --table {table} --f-theoretical 30 --seg-lens 0.5", 0),
     ("classify -i {short} --table {table} --f-theoretical 30 --seg-lens 0.5", EXIT_ANALYSIS),
     ("classify -i {rec} --table {table} --f-theoretical 30 --seg-lens 1", EXIT_USAGE_IO),
-    ("spectrum -i {rec}", 0),
-    ("spectrum -i {missing}", EXIT_USAGE_IO),
-    ("kde -i {rec} --f-theoretical 30 --seg-len 0.5", 0),
-    ("kde -i {short} --f-theoretical 30 --seg-len 0.5", EXIT_ANALYSIS),
-    ("kde -i {missing} --f-theoretical 30 --seg-len 0.5", EXIT_USAGE_IO),
 ]
 
 
@@ -145,10 +139,9 @@ def test_simulate_calibrate_classify_round_trip(files):
 @pytest.mark.parametrize("args", [
     "calibrate --piece-len 0 --aci-grid 2 --seg-grid 0.5 --n 2",
     "calibrate --piece-len inf --aci-grid 2 --seg-grid 0.5 --n 2",
-    "spectrum --fs inf -i {rec}",
+    "classify --fs inf -i {rec} --table {table} --f-theoretical 30 --seg-lens 0.5",
     "classify --seg-lens inf -i {rec} --table {table} --f-theoretical 30",
-    "kde --seg-len inf -i {rec} --f-theoretical 30",
-    "kde --f-theoretical inf -i {rec} --seg-len 0.5",
+    "classify --f-theoretical inf -i {rec} --table {table} --seg-lens 0.5",
     "calibrate --seg-grid inf --aci-grid 2 --n 2",
     "calibrate --seed -1 --aci-grid 2 --seg-grid 0.5 --n 2",
     "calibrate --fs inf --aci-grid 2 --seg-grid 0.5 --n 2",
@@ -183,7 +176,6 @@ def test_simulate_names_an_infinite_pulse_value(tmp_path, option, message):
 
 @pytest.mark.parametrize("args", [
     "simulate --dist constant:30 --aci 2 --seg-len nan",
-    "kde -i {rec} --f-theoretical 30 --seg-len nan",
     "classify -i {rec} --table {table} --f-theoretical 30 --seg-lens nan",
 ])
 def test_segment_length_not_positive_and_finite_is_named(files, tmp_path, args):
@@ -241,63 +233,29 @@ def test_classify_takes_no_analysis_setting(files, option, value):
     assert not (root / "r.json").exists()
 
 
-@pytest.mark.parametrize("command,args", [
-    ("kde", "--f-theoretical 30 --seg-len 0.5"),
-    ("spectrum", ""),
-])
-@pytest.mark.parametrize("option,value", [
-    ("--window", "hann"), ("--zero-pad", 4), ("--piece-len", 0.5), ("--n-harmonics", 3),
-    ("--search-frac", 0.18), ("--peak-excl-bins", 2),
-])
-def test_kde_and_spectrum_take_no_analysis_setting(files, tmp_path, command, args, option,
-                                                  value):
-    # they read them from --table, as classify does
-    _, rec, _ = files
-    out = tmp_path / "out.csv"
-    result = invoke(command, "-i", rec, *args.split(), option, value, "-o", out)
-    assert_usage_error(result)
-    assert "No such option" in result.output and option in result.output
-    assert not out.exists()
-
-
 def test_classify_has_thirteen_options():
     names = sorted(opt for param in cmd_classify.params for opt in param.opts)
     assert len(cmd_classify.params) == 13
     assert "--band" in names and "--f-theoretical" in names
 
 
-@pytest.mark.parametrize("command,count", [("kde", 7), ("spectrum", 5)])
-def test_kde_and_spectrum_take_a_table_and_a_band(command, count):
-    params = main.commands[command].params
-    names = {opt for param in params for opt in param.opts}
-    assert len(params) == count
-    assert {"--table", "--band"} <= names
-    assert sum(len(cmd.params) for cmd in main.commands.values()) == 50
+def test_envdiag_has_three_commands_and_38_options(files, tmp_path):
+    assert set(main.commands) == {"simulate", "calibrate", "classify"}
+    assert sum(len(cmd.params) for cmd in main.commands.values()) == 38
+    # kde and spectrum are gone: classify --emit-kde and --emit-spectra write their curves
+    _, rec, table = files
+    for command in ("kde", "spectrum"):
+        result = invoke(command, "-i", rec, "--table", table, "-o", tmp_path / "out.csv")
+        assert_usage_error(result)
+        assert "No such command" in result.output
+    assert list(tmp_path.iterdir()) == []
 
 
-@pytest.mark.parametrize("band", [None, "1500,3500"])
-def test_kde_with_a_table_writes_the_curve_classify_emits(files, table_h2, band):
-    root, rec, _ = files
-    extra = () if band is None else ("--band", band)
-    emitted, out = root / "h2_emitted.csv", root / "h2_kde.csv"
-    classify_reports(rec, table_h2, root / "h2_emit.json", "--emit-kde", emitted, *extra)
-    result = invoke("kde", "-i", rec, "--f-theoretical", 30, "--seg-len", 0.5,
-                    "--table", table_h2, "-o", out, *extra)
-    assert result.exit_code == 0, result.output
-    assert out.read_bytes() == emitted.read_bytes()
-    # the defaults' 0.5 s pieces and 3 harmonics give another curve
-    result = invoke("kde", "-i", rec, "--f-theoretical", 30, "--seg-len", 0.5,
-                    "-o", root / "default_kde.csv", *extra)
-    assert result.exit_code == 0, result.output
-    assert (root / "default_kde.csv").read_bytes() != emitted.read_bytes()
-
-
-def test_spectrum_with_a_table_uses_its_pieces(files, table_h2):
-    root, rec, _ = files
-    out = root / "h2_spectrum.csv"
-    result = invoke("spectrum", "-i", rec, "--table", table_h2, "-o", out)
-    assert result.exit_code == 0, result.output
-    _, rows = csv_rows(out)
+def test_emitted_spectra_use_the_table_pieces(files, table_h2, tmp_path):
+    _, rec, _ = files
+    spectra = tmp_path / "spectra"
+    classify_reports(rec, table_h2, tmp_path / "h2.json", "--emit-spectra", spectra)
+    _, rows = csv_rows(spectra / "segment_0000.csv")
     # 0.25 s pieces zero-padded 4x: 1 Hz bins from 0 to fs/2 = 12.5 kHz
     assert len(rows) == 12_501
     assert rows[1][0] == "1" and rows[-1][0] == "12500"
@@ -482,9 +440,6 @@ commands = [
     ["classify", "-i", d + "/rec.f64", "--table", d + "/table.json", "--f-theoretical", "30",
      "--seg-lens", "0.5", "-o", d + "/report.json", "--emit-estimates", d + "/est.csv",
      "--emit-kde", d + "/kde.csv", "--emit-spectra", d + "/spectra"],
-    ["kde", "-i", d + "/rec.f64", "--f-theoretical", "30", "--seg-len", "0.5",
-     "--table", d + "/table.json", "-o", d + "/kde_cmd.csv"],
-    ["spectrum", "-i", d + "/rec.f64", "--table", d + "/table.json", "-o", d + "/spectrum.csv"],
 ]
 codes = []
 for args in commands:
@@ -495,11 +450,7 @@ for args in commands:
 print(codes, sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
 """
     out = run_python(code, str(tmp_path))
-    assert out.splitlines()[-1] == "[0, 0, 0, 0, 0] ['scipy']"
-    # kde with the table writes the curve classify emits, byte for byte
-    assert (tmp_path / "kde_cmd.csv").read_bytes() == (tmp_path / "kde.csv").read_bytes()
-    assert (tmp_path / "spectrum.csv").read_text(encoding="ascii").startswith(
-        "freq_hz,amplitude\n")
+    assert out.splitlines()[-1] == "[0, 0, 0] ['scipy']"
     (rep,) = json.loads((tmp_path / "report.json").read_text(encoding="utf-8"))
     assert rep["n_segments"] == 12
     assert len(list((tmp_path / "spectra").iterdir())) == 12
@@ -571,8 +522,6 @@ def test_input_too_large_for_memory_is_a_usage_error(monkeypatch, tmp_path):
 
 @pytest.mark.parametrize("command", [
     "classify --seg-lens 0.5 --table {table} --f-theoretical 30",
-    "kde --seg-len 0.5 --f-theoretical 30",
-    "spectrum",
 ])
 @pytest.mark.parametrize("source", ["raw-read-as-csv", "byte-ff"])
 def test_csv_recording_with_a_non_ascii_byte_is_a_usage_error(files, tmp_path, command, source):
@@ -599,8 +548,6 @@ def test_csv_recording_with_a_non_ascii_byte_is_a_usage_error(files, tmp_path, c
 @pytest.mark.parametrize("where", ["segment", "tail"])
 @pytest.mark.parametrize("command", [
     "classify --seg-lens 0.5 --table {table} --f-theoretical 30",
-    "kde --seg-len 0.5 --f-theoretical 30",
-    "spectrum",
 ])
 def test_non_finite_sample_in_a_raw_file_is_a_usage_error(files, tmp_path, command, where):
     # 3.2 s: the last 0.2 s are in no 0.5 s segment
@@ -664,56 +611,19 @@ def test_emitted_estimates_skip_the_segments_classify_skips(tmp_path, files, gap
         assert (spectra / name).read_bytes() == want.read_bytes(), name
 
 
-def test_kde_skips_a_failed_segment_as_classify_does(tmp_path, files):
-    _, _, table = files
-    rec = gap_recording(tmp_path / "rec.f64", 5)
-    emitted, out = tmp_path / "emitted.csv", tmp_path / "kde.csv"
-    classify_reports(rec, table, tmp_path / "rep.json", "--emit-kde", emitted)
-    result = invoke("kde", "-i", rec, "--f-theoretical", 30, "--seg-len", 0.5, "-o", out)
-    assert result.exit_code == 0, result.output
-    assert "warning: 1/11 segment estimates failed and were skipped" in result.stderr
-    assert "KDE of 10 estimates" in result.output
-    assert out.read_bytes() == emitted.read_bytes()
-
-
-def test_spectrum_writes_the_whole_recording(files):
-    root, rec, _ = files
-    out = root / "spectrum.csv"
-    result = invoke("spectrum", "-i", rec, "-o", out)
-    assert result.exit_code == 0, result.output
-    header, rows = csv_rows(out)
-    assert header == "freq_hz,amplitude"
-    # 0.5 s pieces zero-padded 4x: 0.5 Hz bins from 0 to fs/2 = 12.5 kHz
-    assert len(rows) == 25_001
-    assert rows[1][0] == "0.5" and rows[-1][0] == "12500"
-
-
-def test_kde_writes_the_curve_of_the_estimates(files):
-    root, rec, _ = files
-    out = root / "kde_cmd.csv"
-    result = invoke("kde", "-i", rec, "--f-theoretical", 30, "--seg-len", 0.5, "-o", out)
-    assert result.exit_code == 0, result.output
-    header, rows = csv_rows(out)
-    assert header == "grid,density,uniform_pdf,normal_pdf"
-    assert len(rows) == KDE_GRID_POINTS
-    assert all(len(row) == 4 for row in rows)
-    assert "KDE of 6 estimates" in result.output
-
-
 def test_sidecar_with_a_text_sample_rate_is_a_usage_error(files):
-    root, rec, _ = files
+    root, rec, table = files
     bad = root / "bad_sidecar.f64"
     shutil.copyfile(rec, bad)
     (root / "bad_sidecar.f64.json").write_text('{"fs": "25000"}', encoding="utf-8")
-    result = invoke("spectrum", "-i", bad, "--fs", 25000, "-o", root / "s.csv")
+    result = invoke("classify", "-i", bad, "--fs", 25000, "--table", table,
+                    "--f-theoretical", 30, "--seg-lens", 0.5, "-o", root / "s.json")
     assert_usage_error(result)
     assert "bad_sidecar.f64.json" in result.output
 
 
 READ_COMMANDS = [
     ("classify", "--table {table} --f-theoretical 30 --seg-lens 0.5"),
-    ("kde", "--f-theoretical 30 --seg-len 0.5"),
-    ("spectrum", ""),
 ]
 
 
@@ -750,7 +660,7 @@ def test_simulate_writes_csv_text_to_a_csv_name(files, tmp_path):
     np.testing.assert_array_equal(read_whole(csv).samples, read_whole(rec).samples)
 
 
-@pytest.mark.parametrize("command", ["simulate", "classify", "kde", "spectrum"])
+@pytest.mark.parametrize("command", ["simulate", "classify"])
 def test_format_option_is_refused(tmp_path, command):
     # a file's format comes from its sidecar or its name
     result = invoke(command, "--format", "csv", "-o", tmp_path / "out")
@@ -773,18 +683,6 @@ def test_sidecar_with_an_unknown_format_is_a_usage_error(files, tmp_path, comman
     assert not out.exists()
 
 
-def test_kde_of_a_point_mass_is_an_analysis_error(tmp_path):
-    # a noiseless constant recording gives the same estimate in every segment
-    rec = tmp_path / "rec.f64"
-    result = invoke("simulate", "--dist", "constant:30", "--aci", 2, "--seg-len", 0.5,
-                    "--n-segments", 4, "--noise-std", 0, "-o", rec)
-    assert result.exit_code == 0, result.output
-    result = invoke("kde", "-i", rec, "--f-theoretical", 30, "--seg-len", 0.5,
-                    "-o", tmp_path / "kde.csv")
-    assert_analysis_error(result)
-    assert "point mass" in result.output
-
-
 def test_classify_with_too_many_failed_segments_is_an_analysis_error(tmp_path, files):
     # 1 s of zeros after the 3 s recording: 2 of 8 segments fail, over the 20 % allowed
     _, rec, table = files
@@ -797,26 +695,18 @@ def test_classify_with_too_many_failed_segments_is_an_analysis_error(tmp_path, f
     assert "2/8 segment estimates failed" in result.output
 
 
-def test_kde_with_too_many_failed_segments_is_an_analysis_error(tmp_path, files):
-    _, rec, _ = files
-    signal = read_whole(rec)
-    padded = tmp_path / "padded.f64"
-    write_signal_arrays(padded, [signal.samples, np.zeros(25_000)], signal.fs)
-    result = invoke("kde", "-i", padded, "--f-theoretical", 30, "--seg-len", 0.5,
-                    "-o", tmp_path / "kde.csv")
-    assert_analysis_error(result)
-    assert "2/8 segment estimates failed" in result.output
-
-
-def test_kde_of_one_segment_is_an_analysis_error(tmp_path):
-    rec = tmp_path / "rec.f64"
+def test_classify_emits_no_kde_of_a_point_mass(files, tmp_path):
+    # a noiseless constant recording gives the same estimate in every segment
+    _, _, table = files
+    rec, report, kde = tmp_path / "rec.f64", tmp_path / "rep.json", tmp_path / "kde.csv"
     result = invoke("simulate", "--dist", "constant:30", "--aci", 2, "--seg-len", 0.5,
-                    "-o", rec)
+                    "--n-segments", 4, "--noise-std", 0, "-o", rec)
     assert result.exit_code == 0, result.output
-    result = invoke("kde", "-i", rec, "--f-theoretical", 30, "--seg-len", 0.5,
-                    "-o", tmp_path / "kde.csv")
-    assert_analysis_error(result)
-    assert "signal of 0.5 s yields fewer than 2 segments of 0.5 s" in result.output
+    result = invoke("classify", "-i", rec, "--table", table, "--f-theoretical", 30,
+                    "--seg-lens", 0.5, "-o", report, "--emit-kde", kde)
+    assert result.exit_code == 0, result.output
+    assert "estimates are a point mass; writing no KDE curve" in result.stderr
+    assert report.exists() and not kde.exists()
 
 
 def test_simulate_shorter_than_two_fault_cycles_is_an_analysis_error(tmp_path):
