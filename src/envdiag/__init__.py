@@ -44,7 +44,6 @@ from .faultfreq import (
     HarmonicPeak,
     detect_harmonic_peak,
     estimate_fault_frequency,
-    estimate_per_segment,
     snr,
 )
 from .sigmodel import (
@@ -105,7 +104,6 @@ __all__ = [
     "envelope",
     "envelope_spectrum",
     "estimate_fault_frequency",
-    "estimate_per_segment",
     "gaussian_pulse",
     "kde",
     "match_aci",

@@ -15,10 +15,9 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from ._parallel import parallel_map
 from .envspec import SpectrumConfig
-from .errors import CalibrationError, EstimationError, ParameterError
-from .faultfreq import EstimatorConfig, estimate_or_error
+from .errors import CalibrationError, ParameterError
+from .faultfreq import EstimatorConfig, estimate_batch, estimate_or_error
 from .sigmodel import (
     DEFAULT_FAULT_FREQ,
     DEFAULT_FS,
@@ -243,25 +242,6 @@ def simulate_and_estimate(index, seed, seg_len, fs, dist, pulse, noise_std, spec
         seg_len, fs, dist, pulse, SeedSpec(seed).sequence(index), noise_std
     )
     return estimate_or_error(signal, spec_cfg, est_cfg)
-
-
-def estimate_batch(fn, items):
-    """Map the per-item estimate ``fn`` over ``items`` with one ``parallel_map``.
-
-    ``fn`` returns an estimate or an EstimationError, as
-    ``estimate_or_error`` does.  Returns ``(f_hats, snrs, errors)``: arrays of
-    the estimates that succeeded and a list of the errors, each in item
-    order.  Callers apply their own failure policy to ``errors``.
-    """
-    good, errors = [], []
-    for r in parallel_map(fn, items):
-        if isinstance(r, EstimationError):
-            errors.append(r)
-        else:
-            good.append(r)
-    f_hats = np.array([g.f_hat for g in good], dtype=np.float64)
-    snrs = np.array([g.snr for g in good], dtype=np.float64)
-    return f_hats, snrs, errors
 
 
 def calibrate_entry(

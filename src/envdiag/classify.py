@@ -13,7 +13,6 @@ estimates.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
@@ -24,7 +23,6 @@ from .calibrate import (
     ThresholdTable,
     analysis_json,
     analysis_settings,
-    estimate_batch,
     same_length,
     simulate_and_estimate,
 )
@@ -38,6 +36,7 @@ from .errors import (
 from .faultfreq import (
     EstimatorConfig,
     check_segment_failures,
+    estimate_batch,
     estimate_or_error,
     iter_segments,
 )
@@ -219,19 +218,9 @@ def _decide(
         verdict = VERDICT_CONSTANT
     else:
         gate = GATE_ABOVE
-        if entry.threshold > 0:
-            test = stats.chi_squared_variance_test(var_scaled, entry.threshold, n, alpha)
-        else:
-            # calibrated variance of zero: any positive variance is infinitely
-            # significant, so the test degenerates to an immediate rejection
+        if entry.threshold == 0:
             warnings.append("calibrated threshold is zero; chi-squared test degenerate")
-            test = stats.VarianceTestResult(
-                statistic=math.inf,
-                dof=n - 1,
-                critical=stats.chi2_critical(1.0 - alpha, n - 1),
-                alpha=alpha,
-                decision=stats.DECISION_REJECT,
-            )
+        test = stats.chi_squared_variance_test(var_scaled, entry.threshold, n, alpha)
         if not test.rejected:
             verdict = VERDICT_CONSTANT
         else:

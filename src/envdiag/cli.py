@@ -5,10 +5,10 @@ Exit codes:
 - 0 on success;
 - 1 when the analysis itself fails;
 - 2 for usage or I/O problems, among them a threshold table without a
-  cell at a segment length ``classify`` was asked for, a recording with a
-  non-finite sample, a CSV recording that is not ASCII text, and an input
-  too large for memory (``MemoryError``, reported with the allocation
-  that failed).
+  cell at a segment length ``classify`` was asked for, a length asked for
+  twice (within ``calibrate.same_length``), a recording with a non-finite
+  sample, a CSV recording that is not ASCII text, and an input too large
+  for memory (``MemoryError``, reported with the allocation that failed).
 
 A recording is read in the format its sidecar's ``format`` records, else
 in the one its file name names: ``.csv`` and ``.txt`` are CSV text, one
@@ -43,6 +43,7 @@ from .calibrate import (
     ThresholdTable,
     analysis_settings,
     build_table,
+    same_length,
 )
 from .classify import (
     ClassificationReport,
@@ -51,8 +52,14 @@ from .classify import (
     classify_signal,
 )
 from .envspec import WINDOWS, SpectrumConfig, envelope_spectrum
-from .errors import EnvDiagError, ParameterError, SignalFormatError, TableMismatchError
-from .faultfreq import EstimatorConfig, estimate_per_segment, iter_segments
+from .errors import (
+    EnvDiagError,
+    EstimationError,
+    ParameterError,
+    SignalFormatError,
+    TableMismatchError,
+)
+from .faultfreq import EstimatorConfig, estimate_or_error, iter_segments
 from .sigio import (
     read_signal,
     write_estimates_csv,
@@ -278,7 +285,9 @@ def cmd_classify(in_path, table_path, f_theoretical, seg_lens, alpha, fs, paper_
     table = ThresholdTable.load(table_path)
     cfgs = [ClassifyConfig(f_theoretical, seg_len, alpha, band, paper_rescale)
             for seg_len in _parse_grid(seg_lens)]
-    for cfg in cfgs:
+    for i, cfg in enumerate(cfgs):
+        if any(same_length(c.seg_len, cfg.seg_len) for c in cfgs[:i]):
+            raise ParameterError(f"--seg-lens names the segment length {cfg.seg_len!r} s twice")
         calibrated_cells(table, cfg.seg_len)
     recording, meta = read_signal(in_path, fs=fs)
     if fs is not None and meta.get("fs") not in (None, fs):
@@ -295,12 +304,15 @@ def cmd_classify(in_path, table_path, f_theoretical, seg_lens, alpha, fs, paper_
     first_len = reports[0].seg_len
     spec_cfg, est_cfg = analysis_settings(table, band, f_theoretical)
     if emit_estimates or emit_kde:
-        # the same segments as the first report, which skipped the same failures
-        indices, estimates, _ = estimate_per_segment(recording, first_len, spec_cfg, est_cfg)
+        # the segments the first report kept: classify_signal applied the
+        # skip policy to these same estimates
+        results = enumerate(estimate_or_error(seg, spec_cfg, est_cfg)
+                            for seg in iter_segments(recording, first_len))
+        kept = {i: r for i, r in results if not isinstance(r, EstimationError)}
         if emit_estimates:
-            write_estimates_csv(emit_estimates, estimates, first_len, indices)
+            write_estimates_csv(emit_estimates, list(kept.values()), first_len, list(kept))
         if emit_kde:
-            f_hats = [e.f_hat for e in estimates]
+            f_hats = [e.f_hat for e in kept.values()]
             try:
                 curve = stats.kde(f_hats)
             except EnvDiagError:

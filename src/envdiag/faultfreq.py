@@ -6,13 +6,14 @@ and averages the results.  A spectral signal-to-noise ratio accompanies
 every estimate: mean squared peak amplitude over mean squared amplitude of
 the surrounding spectrum up to the third harmonic.
 
-``estimate_or_error`` is the one place where an EstimationError is caught:
-it returns the error of a failed segment in place of its estimate, and
-``check_segment_failures`` is the skip policy for the segments of a
-recording, shared by ``classify_signal`` and ``estimate_per_segment``.  A
-recording is a segment source (``sigmodel.Recording``): ``iter_segments``
-reads its segments one at a time, so a file-backed recording is never held
-in memory whole.
+This module is the one home of segment estimation.  ``estimate_or_error``
+is the one place where an EstimationError is caught: it returns the error
+of a failed segment in place of its estimate.  ``estimate_batch`` maps it,
+or any function like it, over a batch of segments with one
+``parallel_map``, and ``check_segment_failures`` is the skip policy for
+the segments of a recording.  A recording is a segment source
+(``sigmodel.Recording``): ``iter_segments`` reads its segments one at a
+time, so a file-backed recording is never held in memory whole.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._parallel import parallel_map
 from .envspec import EnvelopeSpectrum, SpectrumConfig, envelope_spectrum
 from .errors import EstimationError, ParameterError
 from .sigmodel import Recording, Signal, check_segment_length
@@ -168,8 +170,14 @@ def estimate_fault_frequency(
     return FaultFrequencyEstimate(f_hat=f_hat, peaks=peaks, snr=snr(spec, peaks, cfg))
 
 
-def segment_samples(x: Recording, seg_len: float) -> int:
-    """Samples per segment; raises if the recording holds less than one."""
+def iter_segments(x: Recording, seg_len: float):
+    """Yield consecutive non-overlapping segments; the remainder is dropped.
+
+    Each segment is read from ``x`` with ``x.read`` as it is drawn; a
+    recording's samples were checked when it was opened or built, so they
+    are not scanned again.  Raises, at the first draw, if a segment holds
+    fewer than 2 samples or the recording less than one segment.
+    """
     check_segment_length(seg_len)
     n_seg = int(round(seg_len * x.fs))
     if n_seg < 2:
@@ -178,17 +186,6 @@ def segment_samples(x: Recording, seg_len: float) -> int:
         raise EstimationError(
             f"signal of {x.duration:g} s is shorter than one {seg_len:g} s segment"
         )
-    return n_seg
-
-
-def iter_segments(x: Recording, seg_len: float):
-    """Yield consecutive non-overlapping segments; the remainder is dropped.
-
-    Each segment is read from ``x`` with ``x.read`` as it is drawn; a
-    recording's samples were checked when it was opened or built, so they
-    are not scanned again.
-    """
-    n_seg = segment_samples(x, seg_len)
     for start in range(0, len(x) - n_seg + 1, n_seg):
         yield x.read(start, n_seg)
 
@@ -208,6 +205,25 @@ def estimate_or_error(
         return exc
 
 
+def estimate_batch(fn, items):
+    """Map the per-item estimate ``fn`` over ``items`` with one ``parallel_map``.
+
+    ``fn`` returns an estimate or an EstimationError, as
+    ``estimate_or_error`` does.  Returns ``(f_hats, snrs, errors)``: arrays of
+    the estimates that succeeded and a list of the errors, each in item
+    order.  Callers apply their own failure policy to ``errors``.
+    """
+    good, errors = [], []
+    for r in parallel_map(fn, items):
+        if isinstance(r, EstimationError):
+            errors.append(r)
+        else:
+            good.append(r)
+    f_hats = np.array([g.f_hat for g in good], dtype=np.float64)
+    snrs = np.array([g.snr for g in good], dtype=np.float64)
+    return f_hats, snrs, errors
+
+
 def check_segment_failures(x: Recording, seg_len: float, failures: int, total: int) -> list[str]:
     """Skip policy for the segments of a recording; returns its warnings.
 
@@ -225,20 +241,3 @@ def check_segment_failures(x: Recording, seg_len: float, failures: int, total: i
             "and the theoretical fault frequency"
         )
     return [f"{failures}/{total} segment estimates failed and were skipped"] if failures else []
-
-
-def estimate_per_segment(
-    x: Recording,
-    seg_len: float,
-    spec_cfg: SpectrumConfig,
-    est_cfg: EstimatorConfig,
-) -> tuple[list[int], list[FaultFrequencyEstimate], list[str]]:
-    """Estimate every non-overlapping segment in turn, under the skip policy.
-
-    Returns the indices of the segments kept, their estimates in time order
-    and the policy's warnings; raises as ``check_segment_failures`` does.
-    """
-    results = [estimate_or_error(seg, spec_cfg, est_cfg) for seg in iter_segments(x, seg_len)]
-    kept = [i for i, r in enumerate(results) if not isinstance(r, EstimationError)]
-    warnings = check_segment_failures(x, seg_len, len(results) - len(kept), len(results))
-    return kept, [results[i] for i in kept], warnings

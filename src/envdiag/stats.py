@@ -244,15 +244,20 @@ def chi_squared_variance_test(
 
     ``T = (n-1) sample_var / sigma0_sq`` is compared against the
     ``1 - alpha`` quantile of chi-squared with ``n - 1`` degrees of freedom.
+    A ``sigma0_sq`` of 0 makes ``T`` infinite, a rejection, when
+    ``sample_var`` is positive, and 0 when it is 0 too.
     """
     if int(n) != n or n < 2:
         raise ParameterError("need an integer sample size n >= 2")
-    if not sigma0_sq > 0:
-        raise ParameterError("tested variance must be positive")
+    if not sigma0_sq >= 0:
+        raise ParameterError(f"tested variance must be non-negative, got {sigma0_sq!r}")
     if sample_var < 0:
         raise ParameterError("sample variance cannot be negative")
     check_alpha(alpha)
-    statistic = (n - 1) * sample_var / sigma0_sq
+    if sigma0_sq == 0:
+        statistic = math.inf if sample_var > 0 else 0.0
+    else:
+        statistic = (n - 1) * sample_var / sigma0_sq
     critical = chi2_critical(1.0 - alpha, n - 1)
     decision = DECISION_REJECT if statistic > critical else DECISION_FAIL_TO_REJECT
     return VarianceTestResult(

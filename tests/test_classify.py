@@ -27,7 +27,6 @@ from envdiag import (
     VarianceTestResult,
     build_table,
     classify_signal,
-    estimate_per_segment,
     match_aci,
     simulate_and_classify,
     simulate_signal,
@@ -36,6 +35,7 @@ from envdiag import classify
 from envdiag.calibrate import analysis_settings
 from envdiag._parallel import ENV_THREADS
 from envdiag.classify import VERDICT_CONSTANT, VERDICT_INCONCLUSIVE, VERDICT_NORMAL, VERDICT_UNIFORM
+from envdiag.faultfreq import estimate_or_error, iter_segments
 from envdiag.sigio import read_signal, write_signal_arrays
 
 FS = 25_000.0
@@ -64,6 +64,11 @@ def recording():
 
 def config(f_theoretical=30.0, **kwargs):
     return ClassifyConfig(f_theoretical, SEG, **kwargs)
+
+
+def plain_estimates(x, spec_cfg, est_cfg=EstimatorConfig(f_theoretical=30.0)):
+    """Each segment's estimate, one segment at a time, in time order."""
+    return [estimate_or_error(seg, spec_cfg, est_cfg) for seg in iter_segments(x, SEG)]
 
 
 class TestClassifyConfig:
@@ -96,8 +101,7 @@ class TestClassifyConfig:
 class TestClassifySignal:
     def test_estimates_match_per_segment_loop(self, recording, table):
         report = classify_signal(recording, config(), table)
-        _, plain, _ = estimate_per_segment(recording, SEG, SpectrumConfig(),
-                                           EstimatorConfig(f_theoretical=30.0))
+        plain = plain_estimates(recording, SpectrumConfig())
         assert report.estimates == tuple(e.f_hat for e in plain)
         assert report.snrs == tuple(e.snr for e in plain)
         assert report.n_segments == 4
@@ -131,10 +135,8 @@ class TestClassifySignal:
         spec_cfg = SpectrumConfig(piece_len_s=0.25)
         table = build_table((2.0, 3.0), (SEG,), n=4, master_seed=1, spec_cfg=spec_cfg)
         report = classify_signal(recording, config(), table)
-        _, quarter, _ = estimate_per_segment(recording, SEG, spec_cfg,
-                                             EstimatorConfig(f_theoretical=30.0))
-        _, half, _ = estimate_per_segment(recording, SEG, SpectrumConfig(),
-                                          EstimatorConfig(f_theoretical=30.0))
+        quarter = plain_estimates(recording, spec_cfg)
+        half = plain_estimates(recording, SpectrumConfig())
         assert report.snrs == tuple(e.snr for e in quarter)
         assert report.estimates == tuple(e.f_hat for e in quarter)
         # 0.25 s pieces are another analysis than the default 0.5 s ones
@@ -143,8 +145,7 @@ class TestClassifySignal:
     def test_band_other_than_the_table_s_is_analysed_with_a_warning(self, recording, table):
         band = (1500.0, 3500.0)
         report = classify_signal(recording, config(band=band), table)
-        _, banded, _ = estimate_per_segment(recording, SEG, SpectrumConfig(bandpass=band),
-                                            EstimatorConfig(f_theoretical=30.0))
+        banded = plain_estimates(recording, SpectrumConfig(bandpass=band))
         assert report.estimates == tuple(e.f_hat for e in banded)
         assert report.warnings[0] == ("band (1500.0, 3500.0) is not the table's band None; "
                                       "its SNRs and thresholds may not apply")
@@ -153,6 +154,23 @@ class TestClassifySignal:
         assert not any("band" in w for w in
                        classify_signal(recording, config(band=band), banded_table).warnings)
         assert not any("band" in w for w in classify_signal(recording, config(), table).warnings)
+
+    def test_silent_segment_is_skipped_alike_at_one_and_two_workers(self, recording, table,
+                                                                    monkeypatch):
+        # segment 2 of 5 is zeros: its SNR is undefined
+        samples = np.concatenate([recording.samples, recording.samples[: int(SEG * FS)]])
+        samples[2 * int(SEG * FS):3 * int(SEG * FS)] = 0.0
+        silent = Signal(samples, FS)
+        reports = []
+        for threads in ("1", "2"):
+            monkeypatch.setenv(ENV_THREADS, threads)
+            reports.append(classify_signal(silent, config(), table))
+        assert reports[0] == reports[1]
+        assert reports[0].n_segments == 4
+        assert reports[0].warnings[0] == "1/5 segment estimates failed and were skipped"
+        kept = [e for e in plain_estimates(silent, SpectrumConfig())
+                if not isinstance(e, EstimationError)]
+        assert reports[0].estimates == tuple(e.f_hat for e in kept)
 
     def test_too_short_signal_rejected(self, recording, table):
         short = Signal(recording.samples[: int(1.5 * SEG * FS)], FS)

@@ -21,7 +21,7 @@ from envdiag import (
 )
 from envdiag import classify, cli, faultfreq
 from envdiag.calibrate import DEFAULT_ESTIMATOR, DEFAULT_SPECTRUM, analysis_json
-from envdiag.faultfreq import estimate_per_segment, iter_segments
+from envdiag.faultfreq import estimate_or_error, iter_segments
 from envdiag.sigio import read_signal, write_signal_arrays, write_spectrum_csv
 from envdiag.cli import EXIT_ANALYSIS, EXIT_USAGE_IO, cmd_classify, main
 from envdiag.sigmodel import DEFAULT_FS, DEFAULT_NOISE_STD
@@ -103,11 +103,16 @@ EXIT_CODE_CASES = [
     ("classify -i {rec} --table {table} --f-theoretical 30 --seg-lens 0.5", 0),
     ("classify -i {short} --table {table} --f-theoretical 30 --seg-lens 0.5", EXIT_ANALYSIS),
     ("classify -i {rec} --table {table} --f-theoretical 30 --seg-lens 1", EXIT_USAGE_IO),
+    # one length named twice
+    ("classify -i {rec} --table {table} --f-theoretical 30 --seg-lens 0.5,0.5", EXIT_USAGE_IO),
 ]
+# command-code, with the ordinal of a repeated pair from its second case on
+_EXIT_IDS = [f"{args.split()[0]}-{code}" for args, code in EXIT_CODE_CASES]
+_EXIT_IDS = [i if i not in _EXIT_IDS[:k] else f"{i}-{_EXIT_IDS[:k].count(i) + 1}"
+             for k, i in enumerate(_EXIT_IDS)]
 
 
-@pytest.mark.parametrize("args,code", EXIT_CODE_CASES,
-                         ids=[f"{args.split()[0]}-{code}" for args, code in EXIT_CODE_CASES])
+@pytest.mark.parametrize("args,code", EXIT_CODE_CASES, ids=_EXIT_IDS)
 def test_documented_exit_code(files, short_rec, tmp_path, args, code):
     root, rec, table = files
     argv = args.format(rec=rec, table=table, short=short_rec,
@@ -271,7 +276,7 @@ def test_classify_analyses_as_the_table_was_calibrated(files, table_h2):
     assert rep["provenance"]["analysis"] == \
         json.loads(table_h2.read_text(encoding="utf-8"))["meta"]["analysis"]
     signal, _ = read_signal(rec)
-    _, estimates, _ = estimate_per_segment(signal, 0.5, spec_cfg, est_cfg)
+    estimates = [estimate_or_error(seg, spec_cfg, est_cfg) for seg in iter_segments(signal, 0.5)]
     assert rep["estimates_hz"] == [e.f_hat for e in estimates]
 
 
@@ -485,6 +490,21 @@ def test_length_missing_from_the_table_is_a_usage_error_before_any_read(files, m
     assert "threshold table has no entries for seg_len=1 s" in result.output
     assert calls == []
     assert not (root / "mismatch.json").exists()
+
+
+@pytest.mark.parametrize("seg_lens,named", [("0.5,0.5", "0.5"),
+                                             ("0.5,0.5000000001", "0.5000000001")])
+def test_repeated_length_is_a_usage_error_before_any_read(files, monkeypatch, seg_lens, named):
+    # lengths within 1e-9 s are one table column, as calibrate's --seg-grid has it
+    root, rec, table = files
+    calls = []
+    monkeypatch.setattr(cli, "read_signal", lambda *a, **k: calls.append(a))
+    result = invoke("classify", "-i", rec, "--table", table, "--f-theoretical", 30,
+                    "--seg-lens", seg_lens, "-o", root / "repeated.json")
+    assert_usage_error(result)
+    assert result.output == f"error: --seg-lens names the segment length {named} s twice\n"
+    assert calls == []
+    assert not (root / "repeated.json").exists()
 
 
 @pytest.mark.parametrize("n_harmonics,extra", [(1, ()), (4, ("--search-frac", 0.1))])

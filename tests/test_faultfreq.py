@@ -12,6 +12,7 @@ from envdiag import (
     DistributionSpec,
     EstimationError,
     EstimatorConfig,
+    FaultFrequencyEstimate,
     ParameterError,
     PulseParams,
     Signal,
@@ -19,11 +20,15 @@ from envdiag import (
     detect_harmonic_peak,
     envelope_spectrum,
     estimate_fault_frequency,
-    estimate_per_segment,
     simulate_signal,
     snr,
 )
-from envdiag.faultfreq import estimate_or_error
+from envdiag.faultfreq import (
+    check_segment_failures,
+    estimate_batch,
+    estimate_or_error,
+    iter_segments,
+)
 from envdiag.envspec import EnvelopeSpectrum
 
 FS = 25_000.0
@@ -218,74 +223,101 @@ class TestBandLimitedEstimate:
         assert re.match(r"^harmonic 3: .* exceeds the spectrum range$", str(err))
 
 
+def fake_estimate(i):
+    """An estimate for item ``i``, or an EstimationError for every third item."""
+    if i % 3 == 1:
+        return EstimationError(f"item {i}")
+    return FaultFrequencyEstimate(f_hat=30.0 + i, peaks=(), snr=0.5 * i)
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_estimate_batch_splits_estimates_from_errors_in_item_order(monkeypatch, threads):
+    monkeypatch.setenv("ENVDIAG_THREADS", threads)
+    f_hats, snrs, errors = estimate_batch(fake_estimate, range(8))
+    np.testing.assert_array_equal(f_hats, [30.0, 32.0, 33.0, 35.0, 36.0])
+    np.testing.assert_array_equal(snrs, [0.0, 1.0, 1.5, 2.5, 3.0])
+    assert [str(e) for e in errors] == ["item 1", "item 4", "item 7"]
+
+
+def test_estimate_batch_of_only_errors_gives_empty_arrays():
+    f_hats, snrs, errors = estimate_batch(fake_estimate, [1, 4])
+    assert f_hats.shape == snrs.shape == (0,)
+    assert len(errors) == 2
+
+
+def estimates(x, seg_len):
+    """The estimate, or the error, of each segment of ``x`` in time order."""
+    est_cfg = EstimatorConfig(f_theoretical=30.0)
+    return [estimate_or_error(seg, SpectrumConfig(), est_cfg) for seg in iter_segments(x, seg_len)]
+
+
 class TestEstimatePerSegment:
+    """A recording estimated segment by segment: ``iter_segments`` cuts it,
+    ``estimate_or_error`` estimates each segment and ``check_segment_failures``
+    is the skip policy (``classify_signal`` runs all three)."""
+
     def test_segment_count(self):
         sig = Signal(np.random.default_rng(0).standard_normal(int(6 * FS)), FS)
         sig = Signal(sig.samples + _impulse_train(6.0), FS)
-        indices, ests, warnings = estimate_per_segment(sig, 0.5, SpectrumConfig(),
-                                                       EstimatorConfig(f_theoretical=30.0))
-        assert indices == list(range(12))
-        assert len(ests) == 12
-        assert warnings == []
+        assert [len(seg) for seg in iter_segments(sig, 0.5)] == [12_500] * 12
+        ests = estimates(sig, 0.5)
+        assert not any(isinstance(e, EstimationError) for e in ests)
+        assert check_segment_failures(sig, 0.5, 0, len(ests)) == []
 
     def test_trailing_remainder_dropped(self):
         sig = Signal(_impulse_train(2.3), FS)
-        _, ests, _ = estimate_per_segment(sig, 1.0, SpectrumConfig(),
-                                          EstimatorConfig(f_theoretical=30.0))
-        assert len(ests) == 2
+        assert [seg.samples.tolist() for seg in iter_segments(sig, 1.0)] == \
+            [sig.samples[:25_000].tolist(), sig.samples[25_000:50_000].tolist()]
 
     def test_constant_signal_gives_identical_estimates(self):
-        sig = Signal(_impulse_train(4.0), FS)
-        _, ests, _ = estimate_per_segment(sig, 1.0, SpectrumConfig(),
-                                          EstimatorConfig(f_theoretical=30.0))
-        f_hats = {e.f_hat for e in ests}
-        assert len(f_hats) == 1
+        ests = estimates(Signal(_impulse_train(4.0), FS), 1.0)
+        assert len(ests) == 4
+        assert len({e.f_hat for e in ests}) == 1
 
     def test_signal_shorter_than_segment_rejected(self):
         sig = Signal(np.ones(int(0.25 * FS)), FS)
-        with pytest.raises(EstimationError):
-            estimate_per_segment(sig, 1.0, SpectrumConfig(),
-                                 EstimatorConfig(f_theoretical=30.0))
+        with pytest.raises(EstimationError,
+                           match=r"^signal of 0.25 s is shorter than one 1 s segment$"):
+            next(iter_segments(sig, 1.0))
 
     def test_one_segment_rejected(self):
         sig = Signal(_impulse_train(1.5), FS)
+        assert len(list(iter_segments(sig, 1.0))) == 1
         with pytest.raises(EstimationError,
                            match=r"^signal of 1.5 s yields fewer than 2 segments of 1 s$"):
-            estimate_per_segment(sig, 1.0, SpectrumConfig(),
-                                 EstimatorConfig(f_theoretical=30.0))
+            check_segment_failures(sig, 1.0, 0, 1)
 
     def test_two_segments_cut_by_rounding_are_kept(self):
         # 0.50001 s rounds to 12,500 samples, so 1 s holds 2 segments
-        indices, ests, _ = estimate_per_segment(Signal(_impulse_train(1.0), FS), 0.50001,
-                                                SpectrumConfig(),
-                                                EstimatorConfig(f_theoretical=30.0))
-        assert indices == [0, 1]
-        assert len(ests) == 2
+        sig = Signal(_impulse_train(1.0), FS)
+        assert [len(seg) for seg in iter_segments(sig, 0.50001)] == [12_500, 12_500]
+        assert check_segment_failures(sig, 0.50001, 0, 2) == []
 
     def test_one_segment_cut_by_rounding_rejected(self):
         # 0.49966 s rounds to 12,492 samples, so 24,983 samples hold only 1 segment
         sig = Signal(_impulse_train(1.0)[:24_983], FS)
+        assert [len(seg) for seg in iter_segments(sig, 0.49966)] == [12_492]
         with pytest.raises(EstimationError, match="yields fewer than 2 segments of 0.49966 s"):
-            estimate_per_segment(sig, 0.49966, SpectrumConfig(),
-                                 EstimatorConfig(f_theoretical=30.0))
+            check_segment_failures(sig, 0.49966, 0, 1)
 
     def test_silent_segment_is_skipped_with_a_warning(self):
         # segment 2 of 5 is zeros: its SNR is undefined
         samples = _impulse_train(5.0)
         samples[2 * int(FS):3 * int(FS)] = 0.0
-        indices, ests, warnings = estimate_per_segment(Signal(samples, FS), 1.0,
-                                                       SpectrumConfig(),
-                                                       EstimatorConfig(f_theoretical=30.0))
-        assert indices == [0, 1, 3, 4]
-        assert len(ests) == 4
-        assert warnings == ["1/5 segment estimates failed and were skipped"]
+        sig = Signal(samples, FS)
+        failed = [i for i, e in enumerate(estimates(sig, 1.0)) if isinstance(e, EstimationError)]
+        assert failed == [2]
+        assert check_segment_failures(sig, 1.0, 1, 5) == \
+            ["1/5 segment estimates failed and were skipped"]
 
     def test_more_than_a_fifth_failing_is_an_estimation_error(self):
         samples = _impulse_train(5.0)
         samples[2 * int(FS):4 * int(FS)] = 0.0
+        sig = Signal(samples, FS)
+        failed = [i for i, e in enumerate(estimates(sig, 1.0)) if isinstance(e, EstimationError)]
+        assert failed == [2, 3]
         with pytest.raises(EstimationError, match=r"^2/5 segment estimates failed; check "):
-            estimate_per_segment(Signal(samples, FS), 1.0, SpectrumConfig(),
-                                 EstimatorConfig(f_theoretical=30.0))
+            check_segment_failures(sig, 1.0, 2, 5)
 
 
 def _impulse_train(duration, f=30.0, aci=3.0):

@@ -187,9 +187,19 @@ class TestVarianceTest:
         rate = np.mean(99 * variances / sigma0_sq > crit)
         assert rate == pytest.approx(0.05, abs=0.02)
 
+    def test_zero_tested_variance(self):
+        # a calibrated threshold of 0: any spread rejects, none fails to reject
+        spread = chi_squared_variance_test(1e-12, 0.0, 10, alpha=0.1)
+        assert (spread.statistic, spread.decision) == (math.inf, DECISION_REJECT)
+        assert (spread.dof, spread.alpha) == (9, 0.1)
+        assert spread.critical == chi2_critical(0.9, 9)
+        none = chi_squared_variance_test(0.0, 0.0, 10)
+        assert (none.statistic, none.decision) == (0.0, DECISION_FAIL_TO_REJECT)
+
     def test_invalid_arguments(self):
-        with pytest.raises(ParameterError):
-            chi_squared_variance_test(1.0, 0.0, 10)
+        for sigma0_sq in (-1.0, math.nan):
+            with pytest.raises(ParameterError, match="tested variance must be non-negative"):
+                chi_squared_variance_test(1.0, sigma0_sq, 10)
         with pytest.raises(ParameterError):
             chi_squared_variance_test(1.0, 1.0, 1)
         with pytest.raises(ParameterError):
