@@ -1,9 +1,11 @@
 """The golden-output corpus: a fixed list of ``envdiag`` runs and the files they write.
 
-``make(outdir)`` runs every command of ``COMMANDS`` in this process, in
-``outdir``, and leaves their files there.  The raw samples of the recording
-(1.2 MB) are then removed; their sidecar stays, and every report is made
-from them.  ``tests/test_golden.py`` runs ``make`` afresh and compares each
+``make(outdir)`` runs every command of ``COMMANDS``, which exit 0, and of
+``FAILING``, which exit 2, in this process, in ``outdir``, and leaves their
+files there.  ``RUNS`` logs each run's command, exit code, stdout and
+stderr.  The samples of the recording, written raw (1.2 MB) and as CSV,
+are then removed; their sidecars stay, and every report is made from
+them.  ``tests/test_golden.py`` runs ``make`` afresh and compares each
 file with the committed copy in ``tests/golden/``.
 
 After a change meant to alter an output, regenerate the corpus from the
@@ -26,13 +28,17 @@ from envdiag.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
 RECORDING = "rec.f64"
+CSV_RECORDING = "rec.csv"
+RUNS = "runs.txt"
 
 _CLASSIFY = f"classify -i {RECORDING} --f-theoretical 30"
+# twelve 0.5 s segments whose frequencies vary: the test rejects and the
+# shape comparison runs
+_SIMULATE = "simulate --dist normal:30,0.33 --aci 2.5 --seg-len 0.5 --n-segments 12 --seed 11"
 COMMANDS = (
-    # twelve 0.5 s segments whose frequencies vary: the test rejects and the
-    # shape comparison runs
-    f"simulate --dist normal:30,0.33 --aci 2.5 --seg-len 0.5 --n-segments 12 --seed 11 "
-    f"-o {RECORDING}",
+    f"{_SIMULATE} -o {RECORDING}",
+    # the same samples as CSV text, which classifies to the same estimates
+    f"{_SIMULATE} -o {CSV_RECORDING}",
     "calibrate --aci-grid 2,3 --seg-grid 0.5,1 --n 4 --seed 2 -o table.json --csv table.csv",
     "calibrate --aci-grid 2,3 --seg-grid 0.5,1 --n 4 --seed 2 --band 1500,3500 "
     "-o table_band.json --csv table_band.csv",
@@ -51,20 +57,36 @@ COMMANDS = (
     "--emit-estimates estimates_short.csv --emit-kde kde_short.csv --emit-spectra spectra",
     f"{_CLASSIFY} --table table_zero.json --seg-lens 0.5 -o report_zero.json "
     "--text-out report_zero.txt",
+    f"classify -i {CSV_RECORDING} --f-theoretical 30 --table table.json --seg-lens 0.5,1 "
+    "-o report_csv.json",
+    f"{_CLASSIFY} --table table.json --seg-lens 0.5,1 --paper-rescale --alpha 0.1 "
+    "-o report_paper.json --text-out report_paper.txt",
+)
+# usage errors: each exits 2 with its message and writes nothing
+FAILING = (
+    f"{_CLASSIFY} --table table.json --seg-lens 0.5,2 -o report_missing.json",
+    "calibrate --aci-grid 2 --seg-grid 0.5 --n 1 -o table_n1.json",
 )
 
 
 def make(outdir) -> None:
-    """Run ``COMMANDS`` in ``outdir``; raises on the first command that fails."""
+    """Run ``COMMANDS`` and ``FAILING`` in ``outdir``; raises on the first run
+    whose exit code is not the expected one."""
     here = os.getcwd()
     os.chdir(outdir)
     try:
-        for command in COMMANDS:
+        log = []
+        for command, code in [(c, 0) for c in COMMANDS] + [(c, 2) for c in FAILING]:
             result = CliRunner().invoke(main, shlex.split(command))
-            if result.exit_code != 0:
-                raise RuntimeError(f"envdiag {command} exited with {result.exit_code}: "
-                                   f"{result.output}")
+            if result.exit_code != code:
+                raise RuntimeError(f"envdiag {command} exited with {result.exit_code}, "
+                                   f"not {code}: {result.output}")
+            log.append(f"$ envdiag {command}\nexit {result.exit_code}\n"
+                       f"--- stdout\n{result.stdout}--- stderr\n{result.stderr}\n")
+        with open(RUNS, "w", encoding="utf-8") as fh:
+            fh.write("".join(log))
         os.remove(RECORDING)
+        os.remove(CSV_RECORDING)
     finally:
         os.chdir(here)
 

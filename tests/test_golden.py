@@ -8,6 +8,7 @@ within ``REL_TOL``, so that platforms whose last bits differ agree.  See
 import json
 import math
 
+import pytest
 from golden_corpus import GOLDEN, make
 
 REL_TOL = 1e-9
@@ -62,14 +63,22 @@ def _csv_diffs(got, want, where):
     return diffs
 
 
-def test_every_output_matches_the_golden_corpus(tmp_path, monkeypatch):
-    monkeypatch.setenv("ENVDIAG_THREADS", "1")
-    make(tmp_path)
+@pytest.fixture(scope="module")
+def corpus(tmp_path_factory):
+    """A fresh run of the corpus, made once for this module."""
+    outdir = tmp_path_factory.mktemp("golden")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("ENVDIAG_THREADS", "1")
+        make(outdir)
+    return outdir
+
+
+def test_every_output_matches_the_golden_corpus(corpus):
     names = _files(GOLDEN)
-    assert _files(tmp_path) == names
+    assert _files(corpus) == names
     diffs = []
     for name in names:
-        got = (tmp_path / name).read_text(encoding="utf-8")
+        got = (corpus / name).read_text(encoding="utf-8")
         want = (GOLDEN / name).read_text(encoding="utf-8")
         if name.endswith(".json"):
             diffs += _json_diffs(json.loads(got), json.loads(want), name)
@@ -78,3 +87,10 @@ def test_every_output_matches_the_golden_corpus(tmp_path, monkeypatch):
         elif got != want:
             diffs.append(f"{name}: text differs")
     assert diffs == []
+
+
+def test_csv_recording_gives_the_raw_recording_s_estimates(corpus):
+    def estimates(name):
+        return [r["estimates_hz"] for r in json.loads((corpus / name).read_text(encoding="utf-8"))]
+
+    assert estimates("report_csv.json") == estimates("report.json")
