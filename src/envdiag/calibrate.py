@@ -16,7 +16,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from .envspec import SpectrumConfig
-from .errors import CalibrationError, ParameterError
+from .errors import CalibrationError, ParameterError, TableMismatchError
 from .faultfreq import EstimatorConfig, estimate_batch, estimate_or_error
 from .sigmodel import (
     DEFAULT_FAULT_FREQ,
@@ -164,7 +164,11 @@ class ThresholdTable:
         check_unique_cells((e.aci, e.seg_len) for e in self.entries)
 
     def entries_at(self, seg_len: float) -> list[ThresholdEntry]:
-        return [e for e in self.entries if same_length(e.seg_len, seg_len)]
+        """The cells at ``seg_len``; TableMismatchError when there are none."""
+        cells = [e for e in self.entries if same_length(e.seg_len, seg_len)]
+        if not cells:
+            raise TableMismatchError(f"threshold table has no entries for seg_len={seg_len:g} s")
+        return cells
 
     def to_json_dict(self) -> dict:
         meta = _dump(self, _META_KEYS)

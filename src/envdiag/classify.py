@@ -27,12 +27,7 @@ from .calibrate import (
     simulate_and_estimate,
 )
 from .envspec import SpectrumConfig
-from .errors import (
-    DegenerateSampleError,
-    EstimationError,
-    ParameterError,
-    TableMismatchError,
-)
+from .errors import DegenerateSampleError, EstimationError, ParameterError
 from .faultfreq import (
     EstimatorConfig,
     check_segment_failures,
@@ -43,8 +38,9 @@ from .faultfreq import (
 from .sigmodel import DistributionSpec, Recording, check_segment_length
 
 VERDICT_CONSTANT = "constant"
-VERDICT_UNIFORM = "uniform"
-VERDICT_NORMAL = "normal"
+# a shape comparison that names a family gives its verdict
+VERDICT_UNIFORM = stats.VERDICT_UNIFORM
+VERDICT_NORMAL = stats.VERDICT_NORMAL
 VERDICT_INCONCLUSIVE = "not-constant-inconclusive"
 
 GATE_BELOW = "below"
@@ -139,22 +135,13 @@ class ClassificationReport:
         return f"{self.seg_len:g} s | {gate_ans} | {test_ans} | {final}"
 
 
-def calibrated_cells(table: ThresholdTable, seg_len: float) -> list[ThresholdEntry]:
-    """The table's cells at ``seg_len``; TableMismatchError when it has none."""
-    cells = table.entries_at(seg_len)
-    if not cells:
-        raise TableMismatchError(f"threshold table has no entries for seg_len={seg_len:g} s")
-    return cells
-
-
 def match_aci(avg_snr_real: float, table: ThresholdTable, seg_len: float) -> tuple[float, ThresholdEntry]:
     """Pick the calibrated cell whose mean SNR is closest to the signal's.
 
     Ties resolve toward the larger impulse amplitude, whose smaller
     threshold is the conservative choice (more likely to flag variation).
     """
-    candidates = calibrated_cells(table, seg_len)
-    best = min(candidates, key=lambda e: (abs(e.mean_snr - avg_snr_real), -e.aci))
+    best = min(table.entries_at(seg_len), key=lambda e: (abs(e.mean_snr - avg_snr_real), -e.aci))
     return best.aci, best
 
 
@@ -181,13 +168,15 @@ def _decide(
     f_hats: np.ndarray,
     snrs: np.ndarray,
     table: ThresholdTable,
-    seg_len: float,
-    alpha: float,
-    paper_rescale: bool,
+    cfg: ClassifyConfig,
     warnings: list[str],
-    provenance: dict,
+    **provenance_extra,
 ) -> ClassificationReport:
-    """Decision chain on an estimates vector; pure given its inputs."""
+    """Decision chain on an estimates vector; pure given its inputs.
+
+    The report's provenance (see ClassificationReport) comes from ``cfg``
+    and ``table``, followed by ``provenance_extra``.
+    """
     n = len(f_hats)
     if n < 2:
         raise EstimationError("need at least 2 segment estimates to test variance")
@@ -200,16 +189,16 @@ def _decide(
     mean_f = float(f_hats.mean())
     var_raw = float(np.var(f_hats, ddof=1))
 
-    matched, entry = match_aci(avg_snr, table, seg_len)
-    snr_lo = min(e.mean_snr for e in table.entries_at(seg_len))
-    snr_hi = max(e.mean_snr for e in table.entries_at(seg_len))
+    matched, entry = match_aci(avg_snr, table, cfg.seg_len)
+    cell_snrs = [e.mean_snr for e in table.entries_at(cfg.seg_len)]
+    snr_lo, snr_hi = min(cell_snrs), max(cell_snrs)
     if not snr_lo <= avg_snr <= snr_hi:
         warnings.append(
             f"signal SNR {avg_snr:.3g} lies outside the calibrated range "
             f"[{snr_lo:.3g}, {snr_hi:.3g}]; matched the boundary aci={matched:g}"
         )
 
-    var_scaled = rescale_variance(var_raw, mean_f, entry.mean_f_hat, paper_rescale)
+    var_scaled = rescale_variance(var_raw, mean_f, entry.mean_f_hat, cfg.paper_rescale)
 
     test = None
     shape = None
@@ -220,24 +209,21 @@ def _decide(
         gate = GATE_ABOVE
         if entry.threshold == 0:
             warnings.append("calibrated threshold is zero; chi-squared test degenerate")
-        test = stats.chi_squared_variance_test(var_scaled, entry.threshold, n, alpha)
+        test = stats.chi_squared_variance_test(var_scaled, entry.threshold, n, cfg.alpha)
         if not test.rejected:
             verdict = VERDICT_CONSTANT
         else:
+            verdict = VERDICT_INCONCLUSIVE
             try:
                 shape = stats.shape_distance(f_hats)
             except (ParameterError, DegenerateSampleError) as exc:
                 warnings.append(f"shape comparison unavailable: {exc}")
-                verdict = VERDICT_INCONCLUSIVE
             else:
-                verdict = {
-                    stats.VERDICT_UNIFORM: VERDICT_UNIFORM,
-                    stats.VERDICT_NORMAL: VERDICT_NORMAL,
-                    stats.VERDICT_INCONCLUSIVE: VERDICT_INCONCLUSIVE,
-                }[shape.verdict]
+                if shape.verdict != stats.VERDICT_INCONCLUSIVE:
+                    verdict = shape.verdict
 
     return ClassificationReport(
-        seg_len=float(seg_len),
+        seg_len=float(cfg.seg_len),
         n_segments=n,
         estimates=tuple(f_hats.tolist()),
         snrs=tuple(snrs.tolist()),
@@ -252,20 +238,15 @@ def _decide(
         verdict=verdict,
         shape=shape,
         warnings=tuple(warnings),
-        provenance=provenance,
+        provenance={
+            "analysis": analysis_json(table.spectrum, table.estimator),
+            "table_seed": table.master_seed,
+            "alpha": cfg.alpha,
+            "f_theoretical": cfg.f_theoretical,
+            "rescale_direction": "paper" if cfg.paper_rescale else "normalized",
+            **provenance_extra,
+        },
     )
-
-
-def _provenance(cfg: ClassifyConfig, table: ThresholdTable, **extra) -> dict:
-    """Settings and table a report was made under (see ClassificationReport)."""
-    return {
-        "analysis": analysis_json(table.spectrum, table.estimator),
-        "table_seed": table.master_seed,
-        "alpha": cfg.alpha,
-        "f_theoretical": cfg.f_theoretical,
-        "rescale_direction": "paper" if cfg.paper_rescale else "normalized",
-        **extra,
-    }
 
 
 def classify_signal(
@@ -280,7 +261,7 @@ def classify_signal(
     raises TableMismatchError before any segment is read.  A ``cfg.band``
     other than the table's band is used, with a warning in the report.
     """
-    calibrated_cells(table, cfg.seg_len)
+    table.entries_at(cfg.seg_len)  # raises before any segment is read
     spec_cfg, est_cfg = analysis_settings(table, cfg.band, cfg.f_theoretical)
     estimate = functools.partial(estimate_or_error, spec_cfg=spec_cfg, est_cfg=est_cfg)
     f_hats, snrs, errors = estimate_batch(estimate, iter_segments(x, cfg.seg_len))
@@ -288,12 +269,8 @@ def classify_signal(
     if spec_cfg.bandpass != table.spectrum.bandpass:
         warnings.append(f"band {spec_cfg.bandpass} is not the table's band "
                         f"{table.spectrum.bandpass}; its SNRs and thresholds may not apply")
-    provenance = _provenance(
-        cfg, table, bandpass=list(spec_cfg.bandpass) if spec_cfg.bandpass else None
-    )
-    return _decide(
-        f_hats, snrs, table, cfg.seg_len, cfg.alpha, cfg.paper_rescale, warnings, provenance
-    )
+    return _decide(f_hats, snrs, table, cfg, warnings,
+                   bandpass=list(spec_cfg.bandpass) if spec_cfg.bandpass else None)
 
 
 def simulate_and_classify(
@@ -316,6 +293,8 @@ def simulate_and_classify(
     cfg = cfg or ClassifyConfig(table.f_simul, seg_len)
     if not same_length(cfg.seg_len, seg_len):
         raise ParameterError("cfg.seg_len disagrees with seg_len")
+    # the report carries seg_len, not a cfg.seg_len that differs from it below 1e-9 s
+    cfg = replace(cfg, seg_len=seg_len)
     spec_cfg, est_cfg = analysis_settings(table, cfg.band, cfg.f_theoretical)
     simulate = functools.partial(
         simulate_and_estimate, seed=seed, seg_len=seg_len, fs=table.fs, dist=dist,
@@ -325,9 +304,5 @@ def simulate_and_classify(
     f_hats, snrs, errors = estimate_batch(simulate, range(n_segments))
     if errors:
         raise errors[0]
-    provenance = _provenance(
-        cfg, table, simulated={"dist": dist.spec_string(), "aci": aci, "seed": seed}
-    )
-    return _decide(
-        f_hats, snrs, table, seg_len, cfg.alpha, cfg.paper_rescale, [], provenance
-    )
+    return _decide(f_hats, snrs, table, cfg, [],
+                   simulated={"dist": dist.spec_string(), "aci": aci, "seed": seed})

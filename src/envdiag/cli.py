@@ -45,12 +45,7 @@ from .calibrate import (
     build_table,
     same_length,
 )
-from .classify import (
-    ClassificationReport,
-    ClassifyConfig,
-    calibrated_cells,
-    classify_signal,
-)
+from .classify import ClassificationReport, ClassifyConfig, classify_signal
 from .envspec import WINDOWS, SpectrumConfig, envelope_spectrum
 from .errors import (
     EnvDiagError,
@@ -288,7 +283,7 @@ def cmd_classify(in_path, table_path, f_theoretical, seg_lens, alpha, fs, paper_
     for i, cfg in enumerate(cfgs):
         if any(same_length(c.seg_len, cfg.seg_len) for c in cfgs[:i]):
             raise ParameterError(f"--seg-lens names the segment length {cfg.seg_len!r} s twice")
-        calibrated_cells(table, cfg.seg_len)
+        table.entries_at(cfg.seg_len)  # raises before the recording is read
     recording, meta = read_signal(in_path, fs=fs)
     if fs is not None and meta.get("fs") not in (None, fs):
         click.echo(f"warning: overriding sidecar fs={meta['fs']:g} Hz with --fs {fs:g} Hz",

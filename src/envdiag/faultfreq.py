@@ -29,6 +29,8 @@ from .errors import EstimationError, ParameterError
 from .sigmodel import Recording, Signal, check_segment_length
 
 MAX_SEGMENT_FAILURE_FRAC = 0.20
+# the SNR's noise band, in multiples of f_hat
+SNR_NOISE_BAND = (0.5, 3.5)
 
 
 @dataclass(frozen=True)
@@ -62,11 +64,13 @@ class EstimatorConfig:
         """Highest frequency the peak search and the SNR read, Hz.
 
         The last harmonic window ends at ``n_harmonics * f_theoretical *
-        (1 + search_frac)`` and the SNR noise band at ``3.5 f_hat``, with
-        ``f_hat <= f_theoretical * (1 + search_frac)``; an envelope spectrum
-        cut just above this frequency gives the same estimate as the full one.
+        (1 + search_frac)`` and the SNR noise band (``SNR_NOISE_BAND``) at
+        ``3.5 f_hat``, with ``f_hat <= f_theoretical * (1 + search_frac)``; an
+        envelope spectrum cut just above this frequency gives the same
+        estimate as the full one.
         """
-        return max(self.n_harmonics, 3.5) * self.f_theoretical * (1.0 + self.search_frac)
+        reach = max(self.n_harmonics, SNR_NOISE_BAND[1])
+        return reach * self.f_theoretical * (1.0 + self.search_frac)
 
 
 @dataclass(frozen=True)
@@ -129,14 +133,14 @@ def snr(
 ) -> float:
     """Spectral SNR: mean squared peak amplitude over the non-peak mean.
 
-    The noise set covers the band [0.5 f_hat, 3.5 f_hat] minus
-    ``peak_excl_bins`` bins on each side of every detected peak; the lower
-    cut keeps residual DC leakage out of the average.
+    The noise set covers the band ``SNR_NOISE_BAND`` times f_hat, [0.5 f_hat,
+    3.5 f_hat], minus ``peak_excl_bins`` bins on each side of every detected
+    peak; the lower cut keeps residual DC leakage out of the average.
     """
     if not peaks:
         raise ParameterError("snr needs at least one detected peak")
     f_hat = float(np.mean([p.freq / p.order for p in peaks]))
-    lo, hi = 0.5 * f_hat, 3.5 * f_hat
+    lo, hi = (k * f_hat for k in SNR_NOISE_BAND)
     i0 = int(np.searchsorted(spec.freqs, lo, side="left"))
     i1 = int(np.searchsorted(spec.freqs, hi, side="right")) - 1
     keep = np.ones(i1 - i0 + 1, dtype=bool)

@@ -40,7 +40,7 @@ from .sigmodel import (
     check_sample_rate,
     check_span,
 )
-from .stats import KdeCurve, normal_pdf, uniform_pdf
+from .stats import KdeCurve, fitted_overlays
 
 FORMAT_CSV = "csv"
 FORMAT_RAW = "raw-f64le"
@@ -263,8 +263,5 @@ def write_estimates_csv(path, estimates: list[FaultFrequencyEstimate], seg_len: 
 
 def write_kde_csv(path, curve: KdeCurve, samples) -> None:
     """KDE curve plus fitted uniform/normal overlays for plotting."""
-    samples = np.asarray(samples, dtype=np.float64)
-    uniform = uniform_pdf(curve.grid, samples.min(), samples.max())
-    normal = normal_pdf(curve.grid, samples.mean(), np.std(samples, ddof=1))
     _write_columns(path, "grid,density,uniform_pdf,normal_pdf",
-                   (curve.grid, curve.density, uniform, normal))
+                   (curve.grid, curve.density, *fitted_overlays(samples, curve.grid)))

@@ -269,6 +269,14 @@ def chi_squared_variance_test(
     )
 
 
+def fitted_overlays(samples, grid) -> tuple[np.ndarray, np.ndarray]:
+    """The uniform density fitted on the samples' (min, max) and the normal
+    one on their (mean, ddof=1 std), each evaluated on ``grid``."""
+    samples = np.asarray(samples, dtype=np.float64)
+    return (uniform_pdf(grid, float(samples.min()), float(samples.max())),
+            normal_pdf(grid, float(samples.mean()), float(np.std(samples, ddof=1))))
+
+
 def _l2_distance(grid: np.ndarray, f1: np.ndarray, f2: np.ndarray) -> float:
     return float(np.sqrt(np.trapezoid((f1 - f2) ** 2, grid)))
 
@@ -276,19 +284,16 @@ def _l2_distance(grid: np.ndarray, f1: np.ndarray, f2: np.ndarray) -> float:
 def shape_distance(samples) -> ShapeDistanceResult:
     """Compare a sample's KDE against fitted uniform and normal overlays.
 
-    The uniform candidate is fitted on (min, max), the normal one on
-    (mean, sample std); distances are L2 norms on the KDE grid.  The verdict
-    names the closer family, or ``inconclusive`` when the two distances
-    differ by less than 10% of the larger.
+    The candidates are ``fitted_overlays``; distances are L2 norms on the
+    KDE grid.  The verdict names the closer family, or ``inconclusive`` when
+    the two distances differ by less than 10% of the larger.
     """
     samples = np.asarray(samples, dtype=np.float64)
     if samples.size < 10:
         raise ParameterError("shape comparison needs at least 10 samples")
     curve = kde(samples)
-    a, b = float(samples.min()), float(samples.max())
-    mu, sd = float(samples.mean()), float(np.std(samples, ddof=1))
-    d_uniform = _l2_distance(curve.grid, curve.density, uniform_pdf(curve.grid, a, b))
-    d_normal = _l2_distance(curve.grid, curve.density, normal_pdf(curve.grid, mu, sd))
+    d_uniform, d_normal = (_l2_distance(curve.grid, curve.density, pdf)
+                           for pdf in fitted_overlays(samples, curve.grid))
     if abs(d_uniform - d_normal) < SHAPE_INCONCLUSIVE_FRAC * max(d_uniform, d_normal):
         verdict = VERDICT_INCONCLUSIVE
     elif d_uniform < d_normal:
