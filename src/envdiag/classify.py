@@ -259,7 +259,8 @@ def classify_signal(
     ``sigio.read_signal`` returns; its segments are read and estimated one
     at a time at one worker.  A table without a cell at ``cfg.seg_len``
     raises TableMismatchError before any segment is read.  A ``cfg.band``
-    other than the table's band is used, with a warning in the report.
+    other than the table's band is used, with a warning in the report, and
+    so is a recording whose sample rate is not the table's ``fs``.
     """
     table.entries_at(cfg.seg_len)  # raises before any segment is read
     spec_cfg, est_cfg = analysis_settings(table, cfg.band, cfg.f_theoretical)
@@ -269,6 +270,9 @@ def classify_signal(
     if spec_cfg.bandpass != table.spectrum.bandpass:
         warnings.append(f"band {spec_cfg.bandpass} is not the table's band "
                         f"{table.spectrum.bandpass}; its SNRs and thresholds may not apply")
+    if x.fs != table.fs:
+        warnings.append(f"sample rate {x.fs:g} Hz is not the table's sample rate "
+                        f"{table.fs:g} Hz; its SNRs and thresholds may not apply")
     return _decide(f_hats, snrs, table, cfg, warnings,
                    bandpass=list(spec_cfg.bandpass) if spec_cfg.bandpass else None)
 
@@ -301,6 +305,10 @@ def simulate_and_classify(
         pulse=replace(table.pulse_base, aci=aci), noise_std=table.noise_std,
         spec_cfg=spec_cfg, est_cfg=est_cfg,
     )
+    # imported here, so that forked pool workers inherit it rather than each
+    # import it on its first segment; ``import envdiag`` leaves it out
+    import numpy.random  # noqa: F401
+
     f_hats, snrs, errors = estimate_batch(simulate, range(n_segments))
     if errors:
         raise errors[0]

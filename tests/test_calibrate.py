@@ -15,6 +15,7 @@ from envdiag import (
     PulseParams,
     SeedSpec,
     SpectrumConfig,
+    TableMismatchError,
     ThresholdEntry,
     ThresholdTable,
     build_table,
@@ -356,3 +357,10 @@ class TestThresholdTableFile:
 
     def test_csv_matrix(self):
         assert hand_table().to_csv_matrix() == "aci,0.5s\n1.5,0.0125\n2.5,0.00390625\n"
+
+    def test_cells_at_a_length_or_a_mismatch(self):
+        table = hand_table()
+        assert sorted(e.aci for e in table.entries_at(0.5 + 1e-10)) == [1.5, 2.5]
+        with pytest.raises(TableMismatchError,
+                           match=r"^threshold table has no entries for seg_len=1 s$"):
+            table.entries_at(1.0)

@@ -4,6 +4,7 @@ import json
 import math
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -155,6 +156,21 @@ class TestClassifySignal:
                        classify_signal(recording, config(band=band), banded_table).warnings)
         assert not any("band" in w for w in classify_signal(recording, config(), table).warnings)
 
+    def test_sample_rate_other_than_the_table_s_is_analysed_with_a_warning(self, recording,
+                                                                         table):
+        # the SNR a recording is matched on moves with its sample rate
+        fast = Signal(np.concatenate([
+            simulate_signal(SEG, 2 * FS, DistributionSpec.constant(30.0), PulseParams(aci=2.5),
+                            SeedSpec(3).sequence(i))[0].samples
+            for i in range(4)
+        ]), 2 * FS)
+        report = classify_signal(fast, config(), table)
+        assert report.warnings[0] == ("sample rate 50000 Hz is not the table's sample rate "
+                                      "25000 Hz; its SNRs and thresholds may not apply")
+        # the table's own rate gives no warning
+        assert not any("sample rate" in w for w in
+                       classify_signal(recording, config(), table).warnings)
+
     def test_silent_segment_is_skipped_alike_at_one_and_two_workers(self, recording, table,
                                                                     monkeypatch):
         # segment 2 of 5 is zeros: its SNR is undefined
@@ -239,6 +255,26 @@ class TestSimulateAndClassify:
         with pytest.raises(ParameterError, match="ACI must be positive and finite, got inf"):
             simulate_and_classify(DistributionSpec.constant(30.0), math.inf, SEG, 4, table, 5)
         assert calls == []
+
+    def test_pool_workers_inherit_numpy_random(self, monkeypatch, run_python):
+        # a fresh process that has drawn no random number yet; its pool workers
+        # are forked from it when the map starts
+        monkeypatch.setenv(ENV_THREADS, "2")
+        code = """
+import sys
+from envdiag import DistributionSpec, ThresholdTable, faultfreq, simulate_and_classify
+table = ThresholdTable.load(sys.argv[1])
+seen = ["numpy.random" in sys.modules]
+real = faultfreq.parallel_map
+def checking(fn, items):
+    seen.append("numpy.random" in sys.modules)
+    return real(fn, items)
+faultfreq.parallel_map = checking
+simulate_and_classify(DistributionSpec.constant(30.0), 2.0, 0.5, 2, table, 5)
+print(seen)
+"""
+        table = Path(__file__).parent / "golden" / "table.json"
+        assert run_python(code, str(table)) == "[False, True]\n"
 
     def test_needs_two_segments(self, table):
         with pytest.raises(ParameterError):

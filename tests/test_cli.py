@@ -471,6 +471,16 @@ def classify_reports(rec, table, out, *extra):
     return json.loads(out.read_text(encoding="utf-8"))
 
 
+@pytest.mark.parametrize("fs,warned", [(24_000, True), (25_000, False)])
+def test_sample_rate_override_other_than_the_table_s_is_warned(files, tmp_path, fs, warned):
+    # the recording's sidecar and the table both say 25 kHz
+    _, rec, table = files
+    (report,) = classify_reports(rec, table, tmp_path / "report.json", "--fs", fs)
+    warning = (f"sample rate {fs:g} Hz is not the table's sample rate 25000 Hz; "
+               "its SNRs and thresholds may not apply")
+    assert (warning in report["warnings"]) is warned
+
+
 def test_length_missing_from_the_table_is_a_usage_error_before_any_read(files, monkeypatch):
     # the table is calibrated at 0.5 s only
     root, rec, table = files

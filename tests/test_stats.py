@@ -20,7 +20,7 @@ from envdiag import (
     shape_distance,
     uniform_pdf,
 )
-from envdiag.stats import DECISION_FAIL_TO_REJECT, DECISION_REJECT
+from envdiag.stats import DECISION_FAIL_TO_REJECT, DECISION_REJECT, fitted_overlays
 
 # frozen independent oracles: mpmath inversion of the regularized lower
 # incomplete gamma (30 significant digits), see acceptance criterion 6
@@ -218,6 +218,18 @@ class TestShapeDistance:
         res = shape_distance(rng.normal(30.0, 0.33, size=1000))
         assert res.verdict == "normal"
         assert res.dist_normal < res.dist_uniform
+
+    def test_distances_are_to_the_fitted_overlays(self):
+        samples = np.random.default_rng(10).normal(30.0, 0.33, size=50)
+        curve = kde(samples)
+        uniform, normal = fitted_overlays(samples, curve.grid)
+        np.testing.assert_array_equal(uniform, uniform_pdf(curve.grid, samples.min(),
+                                                           samples.max()))
+        np.testing.assert_array_equal(normal, normal_pdf(curve.grid, samples.mean(),
+                                                         np.std(samples, ddof=1)))
+        res = shape_distance(samples)
+        for got, overlay in ((res.dist_uniform, uniform), (res.dist_normal, normal)):
+            assert got == float(np.sqrt(np.trapezoid((curve.density - overlay) ** 2, curve.grid)))
 
     def test_needs_ten_samples(self):
         with pytest.raises(ParameterError):
