@@ -4,9 +4,11 @@
 ``FAILING``, which exit 2, in this process, in ``outdir``, and leaves their
 files there.  ``RUNS`` logs each run's command, exit code, stdout and
 stderr.  The samples of the recording, written raw (1.2 MB) and as CSV,
-are then removed; their sidecars stay, and every report is made from
-them.  ``tests/test_golden.py`` runs ``make`` afresh and compares each
-file with the committed copy in ``tests/golden/``.
+are then removed; their sidecars stay, every report is made from them,
+and every ``SAMPLE_STEP``-th sample of each, as ``read_signal`` reads it,
+stays in the CSV that ``SAMPLES`` names.  ``tests/test_golden.py`` runs
+``make`` afresh and compares each file with the committed copy in
+``tests/golden/``.
 
 After a change meant to alter an output, regenerate the corpus from the
 root of a checkout, and record the regeneration in CHANGES.md:
@@ -25,11 +27,15 @@ from pathlib import Path
 from click.testing import CliRunner
 
 from envdiag.cli import main
+from envdiag.sigio import read_signal
 
 GOLDEN = Path(__file__).parent / "golden"
 RECORDING = "rec.f64"
 CSV_RECORDING = "rec.csv"
 RUNS = "runs.txt"
+SAMPLE_STEP = 1000
+# recording -> the CSV of every SAMPLE_STEP-th sample that stays in its place
+SAMPLES = {RECORDING: "samples_f64.csv", CSV_RECORDING: "samples_csv.csv"}
 
 _CLASSIFY = f"classify -i {RECORDING} --f-theoretical 30"
 # twelve 0.5 s segments whose frequencies vary: the test rejects and the
@@ -85,8 +91,13 @@ def make(outdir) -> None:
                        f"--- stdout\n{result.stdout}--- stderr\n{result.stderr}\n")
         with open(RUNS, "w", encoding="utf-8") as fh:
             fh.write("".join(log))
-        os.remove(RECORDING)
-        os.remove(CSV_RECORDING)
+        for recording, name in SAMPLES.items():
+            signal, _ = read_signal(recording)
+            samples = signal.read(0, len(signal)).samples[::SAMPLE_STEP]
+            with open(name, "w", encoding="ascii") as fh:
+                fh.write("index,sample\n")
+                fh.writelines(f"{i * SAMPLE_STEP},{x:.17g}\n" for i, x in enumerate(samples))
+            os.remove(recording)
     finally:
         os.chdir(here)
 

@@ -9,7 +9,7 @@ import json
 import math
 
 import pytest
-from golden_corpus import GOLDEN, make
+from golden_corpus import GOLDEN, SAMPLES, make
 
 REL_TOL = 1e-9
 
@@ -94,3 +94,9 @@ def test_csv_recording_gives_the_raw_recording_s_estimates(corpus):
         return [r["estimates_hz"] for r in json.loads((corpus / name).read_text(encoding="utf-8"))]
 
     assert estimates("report_csv.json") == estimates("report.json")
+
+
+def test_csv_recording_holds_the_raw_recording_s_samples(corpus):
+    raw, csv = ((corpus / name).read_text(encoding="ascii") for name in SAMPLES.values())
+    assert raw.count("\n") == 151
+    assert csv == raw
