@@ -16,7 +16,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from .envspec import SpectrumConfig
-from .errors import CalibrationError, ParameterError, TableMismatchError
+from .errors import CalibrationError, ParameterError, TableMismatchError, whole_number
 from .faultfreq import EstimatorConfig, estimate_batch, estimate_or_error
 from .sigmodel import (
     DEFAULT_FAULT_FREQ,
@@ -236,15 +236,14 @@ def analysis_settings(table: ThresholdTable, band: tuple[float, float] | None,
             replace(table.estimator, f_theoretical=f_theoretical))
 
 
-def simulate_and_estimate(index, seed, seg_len, fs, dist, pulse, noise_std, spec_cfg, est_cfg):
-    """Simulate signal ``index`` of a seeded batch and estimate it (worker-safe).
+def simulate_and_estimate(seq, seg_len, fs, dist, pulse, noise_std, spec_cfg, est_cfg):
+    """Simulate the signal the SeedSequence ``seq`` seeds and estimate it (worker-safe).
 
-    The signal comes from ``SeedSpec(seed).sequence(index)``; callers bind
-    every argument but ``index`` with ``functools.partial``.
+    Callers bind every argument but ``seq`` with ``functools.partial`` and
+    map it over their batch's seed list, ``[SeedSpec(seed).sequence(i) for
+    i in range(n)]``, built in the calling process before the map starts.
     """
-    signal, _ = simulate_signal(
-        seg_len, fs, dist, pulse, SeedSpec(seed).sequence(index), noise_std
-    )
+    signal, _ = simulate_signal(seg_len, fs, dist, pulse, seq, noise_std)
     return estimate_or_error(signal, spec_cfg, est_cfg)
 
 
@@ -267,16 +266,16 @@ def calibrate_entry(
     the batch; beyond that the calibration aborts, since silent exclusion
     at scale would bias the variance.
     """
-    if n < 2:
-        raise ParameterError("calibration needs at least 2 signals per cell")
+    n = whole_number(n, 2, "calibration needs at least 2 signals per cell")
     est_cfg = replace(est_cfg, f_theoretical=DEFAULT_FAULT_FREQ)
     simulate = functools.partial(
-        simulate_and_estimate, seed=master_seed, seg_len=seg_len, fs=fs,
+        simulate_and_estimate, seg_len=seg_len, fs=fs,
         dist=DistributionSpec.constant(DEFAULT_FAULT_FREQ),
         pulse=replace(pulse, aci=aci),
         noise_std=noise_std, spec_cfg=spec_cfg, est_cfg=est_cfg,
     )
-    f_hats, snrs, errors = estimate_batch(simulate, range(n))
+    seqs = [SeedSpec(master_seed).sequence(i) for i in range(n)]
+    f_hats, snrs, errors = estimate_batch(simulate, seqs)
     if len(errors) > MAX_FAILURE_FRAC * n:
         raise CalibrationError(
             f"{len(errors)}/{n} estimates failed at aci={aci}, seg_len={seg_len}"

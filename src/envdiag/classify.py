@@ -27,7 +27,7 @@ from .calibrate import (
     simulate_and_estimate,
 )
 from .envspec import SpectrumConfig
-from .errors import DegenerateSampleError, EstimationError, ParameterError
+from .errors import DegenerateSampleError, ParameterError, whole_number
 from .faultfreq import (
     EstimatorConfig,
     check_segment_failures,
@@ -35,7 +35,7 @@ from .faultfreq import (
     estimate_or_error,
     iter_segments,
 )
-from .sigmodel import DistributionSpec, Recording, check_segment_length
+from .sigmodel import DistributionSpec, Recording, SeedSpec, check_segment_length
 
 VERDICT_CONSTANT = "constant"
 # a shape comparison that names a family gives its verdict
@@ -178,8 +178,6 @@ def _decide(
     and ``table``, followed by ``provenance_extra``.
     """
     n = len(f_hats)
-    if n < 2:
-        raise EstimationError("need at least 2 segment estimates to test variance")
     if n < MIN_SEGMENTS_FOR_TEST:
         warnings.append(
             f"only {n} segments; the chi-squared test has low power below "
@@ -292,8 +290,7 @@ def simulate_and_classify(
     protocol used to grade the procedure's misclassification rates.  A
     failed estimate on any segment fails the whole call with its error.
     """
-    if n_segments < 2:
-        raise ParameterError("need at least 2 segments")
+    n_segments = whole_number(n_segments, 2, "need at least 2 segments")
     cfg = cfg or ClassifyConfig(table.f_simul, seg_len)
     if not same_length(cfg.seg_len, seg_len):
         raise ParameterError("cfg.seg_len disagrees with seg_len")
@@ -301,15 +298,12 @@ def simulate_and_classify(
     cfg = replace(cfg, seg_len=seg_len)
     spec_cfg, est_cfg = analysis_settings(table, cfg.band, cfg.f_theoretical)
     simulate = functools.partial(
-        simulate_and_estimate, seed=seed, seg_len=seg_len, fs=table.fs, dist=dist,
+        simulate_and_estimate, seg_len=seg_len, fs=table.fs, dist=dist,
         pulse=replace(table.pulse_base, aci=aci), noise_std=table.noise_std,
         spec_cfg=spec_cfg, est_cfg=est_cfg,
     )
-    # imported here, so that forked pool workers inherit it rather than each
-    # import it on its first segment; ``import envdiag`` leaves it out
-    import numpy.random  # noqa: F401
-
-    f_hats, snrs, errors = estimate_batch(simulate, range(n_segments))
+    seqs = [SeedSpec(seed).sequence(i) for i in range(n_segments)]
+    f_hats, snrs, errors = estimate_batch(simulate, seqs)
     if errors:
         raise errors[0]
     return _decide(f_hats, snrs, table, cfg, [],

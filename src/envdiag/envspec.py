@@ -17,7 +17,7 @@ import numpy as np
 # forks, spares every worker that import on its first segment
 import numpy.fft  # noqa: F401
 
-from .errors import ParameterError
+from .errors import ParameterError, whole_number
 from .sigmodel import Signal
 
 # Coefficients a_k of the cosine-sum tapers w[n] = sum_k a_k cos(k fac[n]),
@@ -63,8 +63,8 @@ class SpectrumConfig:
             if not 0 <= lo < hi:
                 raise ParameterError("bandpass needs 0 <= f_lo < f_hi")
             object.__setattr__(self, "bandpass", (float(lo), float(hi)))
-        if int(self.zero_pad_factor) != self.zero_pad_factor or self.zero_pad_factor < 1:
-            raise ParameterError("zero_pad_factor must be an integer >= 1")
+        object.__setattr__(self, "zero_pad_factor", whole_number(
+            self.zero_pad_factor, 1, "zero_pad_factor must be an integer >= 1"))
         if not 0 < self.piece_len_s < math.inf:
             raise ParameterError("piece_len_s must be positive and finite")
         if self.window not in WINDOWS:

@@ -9,6 +9,18 @@ class ParameterError(EnvDiagError, ValueError):
     """An argument or configuration value is invalid."""
 
 
+def whole_number(value, least: int, message: str) -> int:
+    """``value`` as an int when it is a whole number ``>= least``; otherwise,
+    NaN and infinities included, ParameterError with ``message``."""
+    try:
+        whole = int(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ParameterError(message) from None
+    if whole != value or whole < least:
+        raise ParameterError(message)
+    return whole
+
+
 class SimulationError(EnvDiagError):
     """Signal synthesis could not be carried out."""
 

@@ -25,7 +25,7 @@ import numpy as np
 
 from ._parallel import parallel_map
 from .envspec import EnvelopeSpectrum, SpectrumConfig, envelope_spectrum
-from .errors import EstimationError, ParameterError
+from .errors import EstimationError, ParameterError, whole_number
 from .sigmodel import Recording, Signal, check_segment_length
 
 MAX_SEGMENT_FAILURE_FRAC = 0.20
@@ -45,8 +45,8 @@ class EstimatorConfig:
     def __post_init__(self):
         if not 0 < self.f_theoretical < math.inf:
             raise ParameterError("f_theoretical must be positive and finite")
-        if int(self.n_harmonics) != self.n_harmonics or self.n_harmonics < 1:
-            raise ParameterError("n_harmonics must be an integer >= 1")
+        object.__setattr__(self, "n_harmonics", whole_number(
+            self.n_harmonics, 1, "n_harmonics must be an integer >= 1"))
         if not 0 < self.search_frac < 0.5:
             raise ParameterError("search_frac must lie in (0, 0.5)")
         # adjacent harmonic windows k and k+1 stay disjoint up to n_harmonics
@@ -56,8 +56,8 @@ class EstimatorConfig:
                 f"search_frac {self.search_frac} makes harmonic windows overlap; "
                 f"need < {limit:g} for {self.n_harmonics} harmonics"
             )
-        if int(self.peak_excl_bins) != self.peak_excl_bins or self.peak_excl_bins < 0:
-            raise ParameterError("peak_excl_bins must be a non-negative integer")
+        object.__setattr__(self, "peak_excl_bins", whole_number(
+            self.peak_excl_bins, 0, "peak_excl_bins must be a non-negative integer"))
 
     @property
     def max_freq(self) -> float:

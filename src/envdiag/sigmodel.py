@@ -15,7 +15,7 @@ from typing import Protocol
 
 import numpy as np
 
-from .errors import ParameterError, SimulationError
+from .errors import ParameterError, SimulationError, whole_number
 
 DEFAULT_FS = 25_000.0
 DEFAULT_NOISE_STD = 1.0
@@ -223,9 +223,10 @@ class SeedSpec:
     master_seed: int
 
     def __post_init__(self):
-        seed = int(self.master_seed)
-        if not 0 <= seed < 2**64:
-            raise ParameterError("master seed must fit in an unsigned 64-bit integer")
+        message = "master seed must fit in an unsigned 64-bit integer"
+        seed = whole_number(self.master_seed, 0, message)
+        if seed >= 2**64:
+            raise ParameterError(message)
         object.__setattr__(self, "master_seed", seed)
 
     def sequence(self, index: int) -> np.random.SeedSequence:
@@ -248,12 +249,6 @@ def gaussian_pulse(t, fc: float, bw: float, bwr: float = PulseParams.bwr) -> np.
 def _burst(t: np.ndarray, tv, fc: float) -> np.ndarray:
     """``exp(-t^2 / (2 tv)) * cos(2 pi fc t)``; ``tv`` broadcasts against ``t``."""
     return np.exp(-t * t / (2.0 * tv)) * np.cos(2.0 * math.pi * fc * t)
-
-
-def _as_rng(seed) -> np.random.Generator:
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(seed)
 
 
 def simulate_signal(
@@ -305,7 +300,7 @@ def simulate_signal(
     if not 0 <= noise_std < math.inf:
         raise ParameterError(f"noise_std must be non-negative and finite, got {noise_std!r}")
 
-    rng = _as_rng(seed)
+    rng = np.random.default_rng(seed)
     f_true = dist.sample(rng)
     if f_true <= 0:
         raise SimulationError(f"drawn fault frequency {f_true:g} Hz is not positive")

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateSampleError, ParameterError
+from .errors import DegenerateSampleError, ParameterError, whole_number
 
 # level of the chi-squared variance test unless a caller sets one
 DEFAULT_ALPHA = 0.05
@@ -213,8 +213,7 @@ def chi2_critical(p: float, dof: int) -> float:
     """
     if not 0 < p < 1:
         raise ParameterError("quantile probability must lie in (0, 1)")
-    if int(dof) != dof or dof < 1:
-        raise ParameterError("degrees of freedom must be a positive integer")
+    dof = whole_number(dof, 1, "degrees of freedom must be a positive integer")
     a = dof / 2.0
     h = 2.0 / (9.0 * dof)
     z = statistics.NormalDist().inv_cdf(p)
@@ -247,8 +246,7 @@ def chi_squared_variance_test(
     A ``sigma0_sq`` of 0 makes ``T`` infinite, a rejection, when
     ``sample_var`` is positive, and 0 when it is 0 too.
     """
-    if int(n) != n or n < 2:
-        raise ParameterError("need an integer sample size n >= 2")
+    n = whole_number(n, 2, "need an integer sample size n >= 2")
     if not sigma0_sq >= 0:
         raise ParameterError(f"tested variance must be non-negative, got {sigma0_sq!r}")
     if sample_var < 0:

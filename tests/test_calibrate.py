@@ -53,8 +53,12 @@ class TestCalibrateEntry:
         assert base == calibrate_entry(2.0, 0.5, 3, FS, 8)
 
     def test_needs_two_signals(self):
-        with pytest.raises(ParameterError):
-            calibrate_entry(2.0, 0.5, 1, FS, 0)
+        for n in (1, 2.5):
+            with pytest.raises(ParameterError, match="at least 2 signals per cell"):
+                calibrate_entry(2.0, 0.5, n, FS, 0)
+
+    def test_whole_float_count_calibrates_as_its_int(self):
+        assert calibrate_entry(2.0, 0.5, 3.0, FS, 8) == calibrate_entry(2.0, 0.5, 3, FS, 8)
 
     def test_failed_estimates_abort_the_cell(self):
         # a search window narrower than 3 bins fails every estimate

@@ -258,11 +258,12 @@ class TestSimulateAndClassify:
 
     def test_pool_workers_inherit_numpy_random(self, monkeypatch, run_python):
         # a fresh process that has drawn no random number yet; its pool workers
-        # are forked from it when the map starts
+        # are forked from it when the map starts, after the batch's seeds are made
         monkeypatch.setenv(ENV_THREADS, "2")
         code = """
 import sys
-from envdiag import DistributionSpec, ThresholdTable, faultfreq, simulate_and_classify
+from envdiag import (DistributionSpec, ThresholdTable, calibrate_entry, faultfreq,
+                     simulate_and_classify)
 table = ThresholdTable.load(sys.argv[1])
 seen = ["numpy.random" in sys.modules]
 real = faultfreq.parallel_map
@@ -270,15 +271,25 @@ def checking(fn, items):
     seen.append("numpy.random" in sys.modules)
     return real(fn, items)
 faultfreq.parallel_map = checking
-simulate_and_classify(DistributionSpec.constant(30.0), 2.0, 0.5, 2, table, 5)
+CALL
 print(seen)
 """
         table = Path(__file__).parent / "golden" / "table.json"
-        assert run_python(code, str(table)) == "[False, True]\n"
+        for call in ("simulate_and_classify(DistributionSpec.constant(30.0), 2.0, 0.5, 2, table, 5)",
+                     "calibrate_entry(2.0, 0.5, 2, table.fs, 5)"):
+            assert run_python(code.replace("CALL", call), str(table)) == "[False, True]\n", call
 
     def test_needs_two_segments(self, table):
-        with pytest.raises(ParameterError):
-            simulate_and_classify(DistributionSpec.constant(30.0), 2.0, SEG, 1, table, 5)
+        for n_segments in (1, 2.5):
+            with pytest.raises(ParameterError, match="need at least 2 segments"):
+                simulate_and_classify(DistributionSpec.constant(30.0), 2.0, SEG, n_segments,
+                                      table, 5)
+
+    def test_whole_float_count_classifies_as_its_int(self, table):
+        dist = DistributionSpec.normal(30.0, 0.33)
+        report = simulate_and_classify(dist, 2.0, SEG, 4.0, table, 5)
+        assert report == simulate_and_classify(dist, 2.0, SEG, 4, table, 5)
+        assert type(report.n_segments) is int
 
     def test_rejected_test_on_few_segments_leaves_the_shape_unknown(self, table):
         # the shape comparison needs 10 estimates; 6 spread over 25-35 Hz

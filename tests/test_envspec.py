@@ -207,6 +207,18 @@ class TestSpectrumConfig:
         with pytest.raises(ParameterError):
             SpectrumConfig(piece_len_s=piece_len_s)
 
+    @pytest.mark.parametrize("zero_pad_factor", [0, 2.5, math.inf, math.nan])
+    def test_zero_pad_factor_not_a_whole_number_from_1_rejected(self, zero_pad_factor):
+        with pytest.raises(ParameterError, match="zero_pad_factor must be an integer >= 1"):
+            SpectrumConfig(zero_pad_factor=zero_pad_factor)
+
+    def test_whole_float_zero_pad_factor_is_stored_as_an_int(self):
+        cfg = SpectrumConfig(zero_pad_factor=4.0)
+        assert type(cfg.zero_pad_factor) is int
+        x = Signal(np.random.default_rng(13).standard_normal(int(FS)), FS)
+        np.testing.assert_array_equal(envelope_spectrum(x, cfg).amps,
+                                      envelope_spectrum(x, SpectrumConfig()).amps)
+
 
 class TestWelchPsd:
     def test_flat_for_white_noise(self):

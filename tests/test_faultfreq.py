@@ -334,7 +334,18 @@ class TestEstimatorConfig:
         {"f_theoretical": 30.0, "search_frac": 0.25},  # windows would overlap
         {"f_theoretical": 30.0, "peak_excl_bins": -1},
         {"f_theoretical": math.inf},
+        {"f_theoretical": 30.0, "n_harmonics": math.inf},
+        {"f_theoretical": 30.0, "n_harmonics": math.nan},
+        {"f_theoretical": 30.0, "peak_excl_bins": math.inf},
+        {"f_theoretical": 30.0, "peak_excl_bins": math.nan},
     ])
     def test_invalid_config(self, kwargs):
         with pytest.raises(ParameterError):
             EstimatorConfig(**kwargs)
+
+    def test_whole_float_counts_are_stored_as_ints(self, make_spectrum):
+        cfg = EstimatorConfig(f_theoretical=30.0, n_harmonics=3.0, peak_excl_bins=2.0)
+        assert (type(cfg.n_harmonics), type(cfg.peak_excl_bins)) == (int, int)
+        spec = make_spectrum({30.0: 5.0, 60.5: 4.0, 90.0: 3.0}, floor=0.1)
+        want = estimate_fault_frequency(spec, EstimatorConfig(f_theoretical=30.0))
+        assert estimate_fault_frequency(spec, cfg) == want

@@ -264,6 +264,11 @@ class TestSeedSpec:
         with pytest.raises(ParameterError):
             SeedSpec(-1)
 
+    @pytest.mark.parametrize("seed", [1.5, 2**64, math.inf, math.nan])
+    def test_master_seed_not_a_64_bit_whole_number_rejected(self, seed):
+        with pytest.raises(ParameterError, match="unsigned 64-bit integer"):
+            SeedSpec(seed)
+
     def test_sequences_differ_by_index(self):
         spec = SeedSpec(42)
         a = spec.sequence(0).generate_state(2)

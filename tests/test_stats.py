@@ -146,7 +146,8 @@ class TestChi2Critical:
     def test_monotone_in_p(self, p, dof):
         assert chi2_critical(p + 0.01, dof) > chi2_critical(p, dof)
 
-    @pytest.mark.parametrize("p,dof", [(0.0, 5), (1.0, 5), (0.5, 0), (0.5, 2.5)])
+    @pytest.mark.parametrize("p,dof", [(0.0, 5), (1.0, 5), (0.5, 0), (0.5, 2.5),
+                                       (0.5, math.nan), (0.5, math.inf)])
     def test_invalid_arguments(self, p, dof):
         with pytest.raises(ParameterError):
             chi2_critical(p, dof)
@@ -200,10 +201,16 @@ class TestVarianceTest:
         for sigma0_sq in (-1.0, math.nan):
             with pytest.raises(ParameterError, match="tested variance must be non-negative"):
                 chi_squared_variance_test(1.0, sigma0_sq, 10)
-        with pytest.raises(ParameterError):
-            chi_squared_variance_test(1.0, 1.0, 1)
+        for n in (1, 9.5, math.inf, math.nan):
+            with pytest.raises(ParameterError, match="need an integer sample size n >= 2"):
+                chi_squared_variance_test(1.0, 1.0, n)
         with pytest.raises(ParameterError):
             chi_squared_variance_test(1.0, 1.0, 10, alpha=1.5)
+
+    def test_whole_float_sample_size_gives_integer_degrees_of_freedom(self):
+        result = chi_squared_variance_test(1.0, 1.0, 10.0)
+        assert type(result.dof) is int
+        assert result == chi_squared_variance_test(1.0, 1.0, 10)
 
 
 class TestShapeDistance:
