@@ -117,22 +117,22 @@ class ClassificationReport:
         out["estimates_hz"] = out.pop("estimates")
         return out
 
-    def summary_line(self) -> str:
-        """One row in the style of the final-decision tables."""
-        gate_ans = "Yes" if self.gate == GATE_BELOW else "No"
-        if self.test is None:
-            test_ans = "None"
-        elif self.test.rejected:
-            test_ans = "Rejected"
-        else:
-            test_ans = "Fail to reject"
-        if self.is_constant:
+
+def decision_table(reports) -> str:
+    """The reports as a final-decision table: its header, then one row per report."""
+    lines = ["segment length | below threshold -> constant | chi-squared | classification"]
+    for rep in reports:
+        gate_ans = "Yes" if rep.gate == GATE_BELOW else "No"
+        test_ans = ("None" if rep.test is None
+                    else "Rejected" if rep.test.rejected else "Fail to reject")
+        if rep.is_constant:
             final = "Constant value"
         else:
             final = "Different than a constant value"
-            if self.shape is not None and self.shape.verdict != stats.VERDICT_INCONCLUSIVE:
-                final += f" ({self.shape.verdict})"
-        return f"{self.seg_len:g} s | {gate_ans} | {test_ans} | {final}"
+            if rep.shape is not None and rep.shape.verdict != stats.VERDICT_INCONCLUSIVE:
+                final += f" ({rep.shape.verdict})"
+        lines.append(f"{rep.seg_len:g} s | {gate_ans} | {test_ans} | {final}")
+    return "\n".join(lines) + "\n"
 
 
 def match_aci(avg_snr_real: float, table: ThresholdTable, seg_len: float) -> tuple[float, ThresholdEntry]:
@@ -254,11 +254,13 @@ def classify_signal(
     table's settings.
 
     ``x`` is a segment source, such as a Signal or the recording
-    ``sigio.read_signal`` returns; its segments are read and estimated one
-    at a time at one worker.  A table without a cell at ``cfg.seg_len``
-    raises TableMismatchError before any segment is read.  A ``cfg.band``
-    other than the table's band is used, with a warning in the report, and
-    so is a recording whose sample rate is not the table's ``fs``.
+    ``sigio.read_signal`` returns.  At one worker its segments are read and
+    estimated one at a time; with ENVDIAG_THREADS > 1 all are read first,
+    and the worker pool holds their samples while it runs.  A table without
+    a cell at ``cfg.seg_len`` raises TableMismatchError before any segment
+    is read.  A ``cfg.band`` other than the table's band is used, with a
+    warning in the report, and so is a recording whose sample rate is not
+    the table's ``fs``.
     """
     table.entries_at(cfg.seg_len)  # raises before any segment is read
     spec_cfg, est_cfg = analysis_settings(table, cfg.band, cfg.f_theoretical)

@@ -45,7 +45,7 @@ from .calibrate import (
     build_table,
     same_length,
 )
-from .classify import ClassificationReport, ClassifyConfig, classify_signal
+from .classify import ClassifyConfig, classify_signal, decision_table
 from .envspec import WINDOWS, SpectrumConfig, envelope_spectrum
 from .errors import (
     EnvDiagError,
@@ -227,13 +227,6 @@ def cmd_calibrate(aci_grid, seg_grid, n, fs, fc, noise_std, seed, band, window, 
     click.echo(f"calibrated {len(table.entries)} cells (n={n} each) -> {out}")
 
 
-def _report_text(reports: list[ClassificationReport]) -> str:
-    lines = ["segment length | below threshold -> constant | chi-squared | classification"]
-    for rep in reports:
-        lines.append(rep.summary_line())
-    return "\n".join(lines) + "\n"
-
-
 @main.command("classify")
 @handle_errors
 @click.option("-i", "--input", "in_path", required=True, type=click.Path())
@@ -290,7 +283,7 @@ def cmd_classify(in_path, table_path, f_theoretical, seg_lens, alpha, fs, paper_
                    err=True)
     reports = [classify_signal(recording, cfg, table) for cfg in cfgs]
     write_json(out, [r.to_json_dict() for r in reports])
-    text = _report_text(reports)
+    text = decision_table(reports)
     if text_out:
         with open(text_out, "w", encoding="utf-8") as fh:
             fh.write(text)

@@ -59,8 +59,12 @@ class SpectrumConfig:
 
     def __post_init__(self):
         if self.bandpass is not None:
-            lo, hi = self.bandpass
-            if not 0 <= lo < hi:
+            try:
+                lo, hi = self.bandpass
+                ordered = 0 <= lo < hi
+            except (TypeError, ValueError):
+                raise ParameterError(f"bandpass must be two numbers, got {self.bandpass!r}") from None
+            if not ordered:
                 raise ParameterError("bandpass needs 0 <= f_lo < f_hi")
             object.__setattr__(self, "bandpass", (float(lo), float(hi)))
         object.__setattr__(self, "zero_pad_factor", whole_number(

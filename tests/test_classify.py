@@ -83,7 +83,7 @@ class TestClassifyConfig:
             ClassifyConfig(30.0, 0.0)
 
     @pytest.mark.parametrize("kwargs", [{"f_theoretical": 0.0}, {"f_theoretical": float("inf")},
-                                        {"band": (3500.0, 1500.0)}])
+                                        {"band": (3500.0, 1500.0)}, {"band": (1500.0,)}])
     def test_invalid_frequency_or_band(self, kwargs):
         with pytest.raises(ParameterError):
             config(**kwargs)

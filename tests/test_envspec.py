@@ -1,6 +1,7 @@
 """Envelope-spectrum pipeline tests: bandpass, Hilbert, tapers, Welch PSD."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -206,6 +207,11 @@ class TestSpectrumConfig:
     def test_nonpositive_piece_length_rejected(self, piece_len_s):
         with pytest.raises(ParameterError):
             SpectrumConfig(piece_len_s=piece_len_s)
+
+    @pytest.mark.parametrize("band", [(1.0, 2.0, 3.0), (1500.0,), 5, ("a", "b")])
+    def test_malformed_band_rejected_by_name(self, band):
+        with pytest.raises(ParameterError, match=f"got {re.escape(repr(band))}$"):
+            SpectrumConfig(bandpass=band)
 
     @pytest.mark.parametrize("zero_pad_factor", [0, 2.5, math.inf, math.nan])
     def test_zero_pad_factor_not_a_whole_number_from_1_rejected(self, zero_pad_factor):
