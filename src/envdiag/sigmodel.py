@@ -230,9 +230,8 @@ class SeedSpec:
         object.__setattr__(self, "master_seed", seed)
 
     def sequence(self, index: int) -> np.random.SeedSequence:
-        if index < 0:
-            raise ParameterError("signal index must be non-negative")
-        return np.random.SeedSequence([self.master_seed, int(index)])
+        index = whole_number(index, 0, "signal index must be a non-negative integer")
+        return np.random.SeedSequence([self.master_seed, index])
 
 
 def gaussian_pulse(t, fc: float, bw: float, bwr: float = PulseParams.bwr) -> np.ndarray:

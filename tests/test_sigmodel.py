@@ -269,6 +269,11 @@ class TestSeedSpec:
         with pytest.raises(ParameterError, match="unsigned 64-bit integer"):
             SeedSpec(seed)
 
+    @pytest.mark.parametrize("index", [-1, 1.5, math.inf, math.nan])
+    def test_signal_index_not_a_whole_number_rejected(self, index):
+        with pytest.raises(ParameterError, match="signal index must be a non-negative integer"):
+            SeedSpec(42).sequence(index)
+
     def test_sequences_differ_by_index(self):
         spec = SeedSpec(42)
         a = spec.sequence(0).generate_state(2)
