@@ -4,7 +4,9 @@ allocator setting of the processes envdiag owns."""
 from __future__ import annotations
 
 import itertools
+import multiprocessing
 import os
+import sys
 from concurrent.futures import ProcessPoolExecutor
 
 from .errors import ParameterError
@@ -15,6 +17,11 @@ ENV_THREADS = "ENVDIAG_THREADS"
 # tasks rather than one per item, enough that a worker held up by its CPU
 # leaves its remaining tasks to the others instead of delaying the whole map
 TASKS_PER_WORKER = 4
+
+# workers are forked on Linux, where Python 3.14 made forkserver the default:
+# they then start with the parent's imports, numpy.fft and numpy.random among
+# them, instead of importing them again in every fresh pool
+POOL_CONTEXT = multiprocessing.get_context("fork") if sys.platform == "linux" else None
 
 # glibc's mallopt parameters, and the largest mmap threshold it accepts:
 # 4 MiB * sizeof(long), 32 MiB on 64-bit
@@ -89,7 +96,8 @@ def parallel_map(fn, items):
     must be picklable when workers are used; results are independent of
     the worker count because every item carries its own seed.  The items go
     out in the runs of consecutive items that ``run_lengths`` gives, and
-    every worker starts with ``keep_heap``.
+    every worker, forked on Linux (``POOL_CONTEXT``), starts with
+    ``keep_heap``.
     """
     n = worker_count()
     if n > 1:
@@ -99,5 +107,6 @@ def parallel_map(fn, items):
     workers = min(n, len(items))
     ends = list(itertools.accumulate(run_lengths(len(items), workers)))
     runs = [items[a:b] for a, b in zip([0] + ends, ends)]
-    with ProcessPoolExecutor(max_workers=workers, initializer=keep_heap) as pool:
+    with ProcessPoolExecutor(max_workers=workers, initializer=keep_heap,
+                             mp_context=POOL_CONTEXT) as pool:
         return [y for ys in pool.map(_map_run, itertools.repeat(fn), runs) for y in ys]

@@ -37,8 +37,6 @@ MAX_FAILURE_FRAC = 0.01
 DEFAULT_SPECTRUM = SpectrumConfig()
 DEFAULT_ESTIMATOR = EstimatorConfig(f_theoretical=DEFAULT_FAULT_FREQ)
 SCHEMA_VERSION = 2
-# the ``config_digest`` of calibrate's defaults, the one v1 table that loads
-LEGACY_DEFAULTS_DIGEST = "2caa3ff4ce576fea"
 
 
 def same_length(a: float, b: float) -> bool:
@@ -125,26 +123,21 @@ class ThresholdTable:
     compared against it is analysed with the same ones, in its own band and
     around its own theoretical frequency (``analysis_settings``).
 
-    Saved as a JSON object with two members.  ``meta`` holds ``fs``,
-    ``f_simul``, ``n``, ``seed``, ``noise_std``, ``schema_version`` (2),
-    ``analysis`` (``analysis_json``), the settings' ``bandpass`` (null or
-    ``[lo, hi]``), ``window``, ``zero_pad_factor``, ``piece_len_s``,
-    ``n_harmonics``, ``search_frac`` and ``peak_excl_bins``, which also
-    name the table in a report's provenance, and ``pulse``, the base pulse's
-    ``fc``, ``bw_lo``, ``bw_hi`` and ``bwr``; its ACI is 1.0, as each entry
-    carries its own.  ``entries`` is a list of cells, each with ``aci``,
-    ``seg_len_s``, ``threshold``, ``mean_f_hat``, ``mean_snr``,
-    ``n_signals`` and ``master_seed``.  Tables saved without ``noise_std``
-    load with 1.0, and without ``bandpass`` with no band.  Ranges are checked
-    on construction, built or loaded: ``fs`` and ``f_simul`` above 0, ``n`` at
-    least 2, and records their own classes accept.  Lengths within 1e-9 s are
-    one column (``same_length``), holding one entry per ACI.
-
-    A table saved without ``schema_version`` has no ``analysis``, only a
-    ``config_digest`` hash of its settings.  It loads with calibrate's
-    default settings when that hash is ``LEGACY_DEFAULTS_DIGEST``, the
-    defaults' own; any other hash, or any other ``schema_version``, is an
-    error that asks for a recalibration.
+    Saved as a JSON object with two members, and loaded only in this one
+    layout, every key present.  ``meta`` holds ``fs``, ``f_simul``, ``n``,
+    ``seed``, ``noise_std``, ``schema_version`` (2), ``analysis``
+    (``analysis_json``), the settings' ``bandpass`` (null or ``[lo, hi]``),
+    ``window``, ``zero_pad_factor``, ``piece_len_s``, ``n_harmonics``,
+    ``search_frac`` and ``peak_excl_bins``, which also name the table in a
+    report's provenance, and ``pulse``, the base pulse's ``fc``, ``bw_lo``,
+    ``bw_hi`` and ``bwr``; its ACI is 1.0, as each entry carries its own.
+    ``entries`` is a list of cells, each with ``aci``, ``seg_len_s``,
+    ``threshold``, ``mean_f_hat``, ``mean_snr``, ``n_signals`` and
+    ``master_seed``.  Any other ``schema_version``, or none, is an error
+    that asks for a recalibration.  Ranges are checked on construction,
+    built or loaded: ``fs`` and ``f_simul`` above 0, ``n`` at least 2, and
+    records their own classes accept.  Lengths within 1e-9 s are one column
+    (``same_length``), holding one entry per ACI.
     """
 
     fs: float
@@ -179,20 +172,9 @@ class ThresholdTable:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "ThresholdTable":
-        meta = {"noise_std": 1.0, **data["meta"]}
-        version = meta.get("schema_version")
-        if version is None:
-            if meta["config_digest"] != LEGACY_DEFAULTS_DIGEST:
-                raise ParameterError(
-                    "a table from before schema_version 2 keeps only a digest of its "
-                    f"analysis settings, and {meta['config_digest']!r} is not the defaults'; "
-                    "recalibrate it with 'envdiag calibrate'"
-                )
-            analysis = analysis_json(DEFAULT_SPECTRUM, DEFAULT_ESTIMATOR)
-        elif version == SCHEMA_VERSION:
-            # v2 tables saved before the band was stored record none, and load with none
-            analysis = {"bandpass": None, **meta["analysis"]}
-        else:
+        meta = data["meta"]
+        version = meta["schema_version"] if "schema_version" in meta else None
+        if version != SCHEMA_VERSION:
             raise ParameterError(
                 f"schema_version {version!r} is not {SCHEMA_VERSION}; "
                 "recalibrate with this version of 'envdiag calibrate'"
@@ -200,8 +182,8 @@ class ThresholdTable:
         return _load(
             cls, meta, _META_KEYS,
             pulse_base=_load(PulseParams, meta["pulse"], _PULSE_KEYS, aci=1.0),
-            spectrum=_load(SpectrumConfig, analysis, _SPECTRUM_KEYS),
-            estimator=_load(EstimatorConfig, analysis, _ESTIMATOR_KEYS,
+            spectrum=_load(SpectrumConfig, meta["analysis"], _SPECTRUM_KEYS),
+            estimator=_load(EstimatorConfig, meta["analysis"], _ESTIMATOR_KEYS,
                             f_theoretical=meta["f_simul"]),
             entries=tuple(_load(ThresholdEntry, e, _ENTRY_KEYS) for e in data["entries"]),
         )

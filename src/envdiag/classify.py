@@ -304,9 +304,10 @@ def simulate_and_classify(
         pulse=replace(table.pulse_base, aci=aci), noise_std=table.noise_std,
         spec_cfg=spec_cfg, est_cfg=est_cfg,
     )
-    seqs = [SeedSpec(seed).sequence(i) for i in range(n_segments)]
-    f_hats, snrs, errors = estimate_batch(simulate, seqs)
+    seeds = SeedSpec(seed)
+    f_hats, snrs, errors = estimate_batch(
+        simulate, [seeds.sequence(i) for i in range(n_segments)])
     if errors:
         raise errors[0]
-    return _decide(f_hats, snrs, table, cfg, [],
-                   simulated={"dist": dist.spec_string(), "aci": aci, "seed": seed})
+    return _decide(f_hats, snrs, table, cfg, [], simulated={
+        "dist": dist.spec_string(), "aci": float(aci), "seed": seeds.master_seed})

@@ -291,22 +291,21 @@ def cmd_classify(in_path, table_path, f_theoretical, seg_lens, alpha, fs, paper_
 
     first_len = reports[0].seg_len
     spec_cfg, est_cfg = analysis_settings(table, band, f_theoretical)
-    if emit_estimates or emit_kde:
+    if emit_estimates:
         # the segments the first report kept: classify_signal applied the
         # skip policy to these same estimates
         results = enumerate(estimate_or_error(seg, spec_cfg, est_cfg)
                             for seg in iter_segments(recording, first_len))
         kept = {i: r for i, r in results if not isinstance(r, EstimationError)}
-        if emit_estimates:
-            write_estimates_csv(emit_estimates, list(kept.values()), first_len, list(kept))
-        if emit_kde:
-            f_hats = [e.f_hat for e in kept.values()]
-            try:
-                curve = stats.kde(f_hats)
-            except EnvDiagError:
-                click.echo("estimates are a point mass; writing no KDE curve", err=True)
-            else:
-                write_kde_csv(emit_kde, curve, f_hats)
+        write_estimates_csv(emit_estimates, list(kept.values()), first_len, list(kept))
+    if emit_kde:
+        f_hats = reports[0].estimates
+        try:
+            curve = stats.kde(f_hats)
+        except EnvDiagError:
+            click.echo("estimates are a point mass; writing no KDE curve", err=True)
+        else:
+            write_kde_csv(emit_kde, curve, f_hats)
     if emit_spectra:
         os.makedirs(emit_spectra, exist_ok=True)
         for idx, seg in enumerate(iter_segments(recording, first_len)):

@@ -236,14 +236,32 @@ HAND_TABLE_TEXT = """\
 """
 
 
+def table_records(data):
+    """The records of a saved table: itself, its ``meta``, the ``analysis`` and
+    ``pulse`` in that, and its first entry."""
+    return {"table": data, "meta": data["meta"], "analysis": data["meta"]["analysis"],
+            "pulse": data["meta"]["pulse"], "entries": data["entries"][0]}
+
+
 def hand_table_with(record, key, value):
     """The hand table's JSON text with one value of ``meta``, its ``analysis`` or the
     first entry replaced."""
     data = hand_table().to_json_dict()
-    records = {"meta": data["meta"], "analysis": data["meta"]["analysis"],
-               "entries": data["entries"][0]}
-    records[record][key] = value
+    table_records(data)[record][key] = value
     return json.dumps(data)
+
+
+def hand_table_without(record, key):
+    """The hand table's JSON text with one key of a ``table_records`` record removed."""
+    data = hand_table().to_json_dict()
+    del table_records(data)[record][key]
+    return json.dumps(data)
+
+
+# every key a saved table holds, as (record, key)
+WRITTEN_KEYS = [(record, key)
+                for record, keys in table_records(hand_table().to_json_dict()).items()
+                for key in keys]
 
 
 def legacy_table_json(digest):
@@ -270,25 +288,9 @@ class TestThresholdTableFile:
         assert path.read_text(encoding="utf-8") == HAND_TABLE_TEXT
         assert ThresholdTable.load(path) == hand_table()
 
-    def test_table_without_a_band_key_loads_without_a_band(self):
-        data = json.loads(HAND_TABLE_TEXT)
-        del data["meta"]["analysis"]["bandpass"]
-        table = ThresholdTable.from_json_dict(data)
-        assert table.spectrum.bandpass is None
-        assert table == hand_table()
-
-    def test_table_without_noise_std_loads_with_one(self, tmp_path):
-        data = json.loads(HAND_TABLE_TEXT)
-        del data["meta"]["noise_std"]
-        path = tmp_path / "old.json"
-        path.write_text(json.dumps(data), encoding="utf-8")
-        table = ThresholdTable.load(path)
-        assert table.noise_std == 1.0
-        assert table == hand_table()
-
     @pytest.mark.parametrize("content", [
         '{"meta": {}}', "not json", '[1, 2]',
-        '{"meta": {"config_digest": "x"}, "entries": [1]}',
+        '{"meta": {"config_digest": "x"}, "entries": [1]}', '{"meta": [1], "entries": []}',
         pytest.param(hand_table_with("entries", "threshold", None), id="threshold-null"),
         pytest.param(hand_table_with("entries", "mean_snr", "x"), id="mean_snr-text"),
         pytest.param(hand_table_with("entries", "aci", "2"), id="aci-text"),
@@ -315,6 +317,9 @@ class TestThresholdTableFile:
         pytest.param(hand_table_with("meta", "schema_version", 3), id="schema-3"),
         pytest.param(hand_table_with("meta", "schema_version", "2"), id="schema-text"),
         pytest.param(legacy_table_json("0123456789abcdef"), id="legacy-other-digest"),
+        # a table loads only as it is saved: every key it writes is required
+        *(pytest.param(hand_table_without(record, key), id=f"{key}-missing")
+          for record, key in WRITTEN_KEYS),
         # the first entry moved onto the second's ACI, 1e-13 s away: one cell
         pytest.param(hand_table_with("entries", "seg_len_s", 0.5 + 1e-13)
                      .replace('"aci": 1.5', '"aci": 2.5'), id="cells-within-1e-9"),
@@ -325,12 +330,13 @@ class TestThresholdTableFile:
         with pytest.raises(ParameterError, match="bad.json: not a valid threshold table"):
             ThresholdTable.load(path)
 
-    def test_legacy_table_with_the_default_digest_loads_with_the_defaults(self):
+    def test_legacy_table_with_the_default_digest_is_refused(self):
         legacy = json.loads(legacy_table_json("2caa3ff4ce576fea"))
-        assert ThresholdTable.from_json_dict(legacy) == hand_table()
+        with pytest.raises(ParameterError, match="schema_version None is not 2; recalibrate"):
+            ThresholdTable.from_json_dict(legacy)
 
     @pytest.mark.parametrize("content,message", [
-        (legacy_table_json("0123456789abcdef"), "recalibrate it"),
+        (legacy_table_json("0123456789abcdef"), "schema_version None is not 2; recalibrate"),
         (hand_table_with("meta", "schema_version", 1), "schema_version 1 is not 2; recalibrate"),
     ])
     def test_other_legacy_or_version_asks_for_a_recalibration(self, tmp_path, content,

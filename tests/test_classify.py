@@ -232,6 +232,13 @@ class TestSimulateAndClassify:
         assert report.provenance["simulated"] == {"dist": "constant:30", "aci": 2.0, "seed": 5}
         assert report.provenance["analysis"] == table.to_json_dict()["meta"]["analysis"]
 
+    def test_whole_float_seed_and_int_aci_report_as_int_seed_and_float_aci(self, table):
+        dist = DistributionSpec.normal(30.0, 0.33)
+        texts = [json.dumps(simulate_and_classify(dist, aci, SEG, 4, table, seed).to_json_dict())
+                 for seed, aci in ((5.0, 2), (5, 2.0))]
+        assert texts[0] == texts[1]
+        assert '"simulated": {"dist": "normal:30,0.33", "aci": 2.0, "seed": 5}' in texts[0]
+
     def test_reproducible(self, table):
         dist = DistributionSpec.normal(30.0, 0.33)
         first = simulate_and_classify(dist, 3.0, SEG, 4, table, 11)

@@ -20,7 +20,7 @@ from envdiag import (
     simulate_signal,
 )
 from envdiag import classify, cli, faultfreq
-from envdiag.calibrate import DEFAULT_ESTIMATOR, DEFAULT_SPECTRUM, analysis_json
+from envdiag.calibrate import DEFAULT_ESTIMATOR, DEFAULT_SPECTRUM, ThresholdTable, analysis_json
 from envdiag.faultfreq import estimate_or_error, iter_segments
 from envdiag.sigio import read_signal, write_signal_arrays, write_spectrum_csv
 from envdiag.cli import EXIT_ANALYSIS, EXIT_USAGE_IO, cmd_classify, main
@@ -301,27 +301,24 @@ def test_reports_against_tables_of_other_bands_name_them_apart(files, tmp_path):
     assert plain["bandpass"] == banded["bandpass"] == [1500.0, 3500.0]
 
 
-def test_version_1_table_gives_the_same_report_bytes(files, tmp_path, run_python):
+def test_version_1_table_is_refused_by_the_console_command(files, tmp_path, run_python):
+    # the version 1 table in a real process, as `python -m envdiag.cli` runs it, with
+    # stderr and then the exit code on stdout: it holds calibrate's defaults, and is
+    # refused all the same
     _, rec, _ = files
-    table_v2 = tmp_path / "table.json"
-    result = invoke("calibrate", "--aci-grid", 2, "--seg-grid", 0.5, "--n", 4, "--seed", 2,
-                    "-o", table_v2)
-    assert result.exit_code == 0, result.output
-    v1, v2 = (json.loads(p.read_text(encoding="utf-8")) for p in (TABLE_V1, table_v2))
-    assert v1["entries"] == v2["entries"]
-    assert {k: v for k, v in v1["meta"].items() if k != "config_digest"} == \
-        {k: v for k, v in v2["meta"].items() if k not in ("schema_version", "analysis")}
-    # the version 1 table in a real process, as `python -m envdiag.cli` runs it
-    code = "import runpy; runpy.run_module('envdiag.cli', run_name='__main__', alter_sys=True)"
-    args = ["classify", "-i", str(rec), "--f-theoretical", "30", "--seg-lens", "0.5"]
-    run_python(code, *args, "--table", str(TABLE_V1), "-o", str(tmp_path / "v1.json"),
-               "--text-out", str(tmp_path / "v1.txt"))
-    result = invoke(*args, "--table", table_v2, "-o", tmp_path / "v2.json",
-                    "--text-out", tmp_path / "v2.txt")
-    assert result.exit_code == 0, result.output
-    for name in ("v1.json", "v1.txt"):
-        other = tmp_path / name.replace("v1", "v2")
-        assert (tmp_path / name).read_bytes() == other.read_bytes(), name
+    code = ("import runpy, sys\nsys.stderr = sys.stdout\ntry:\n"
+            "    runpy.run_module('envdiag.cli', run_name='__main__', alter_sys=True)\n"
+            "except SystemExit as exc:\n    print(exc.code)")
+    out = tmp_path / "out"
+    out.mkdir()
+    *error, exit_code = run_python(
+        code, "classify", "-i", str(rec), "--table", str(TABLE_V1), "--f-theoretical", "30",
+        "--seg-lens", "0.5", "-o", str(out / "v1.json"), "--text-out", str(out / "v1.txt"),
+    ).splitlines()
+    assert int(exit_code) == EXIT_USAGE_IO
+    assert len(error) == 1 and error[0].startswith(f"error: {TABLE_V1}: not a valid")
+    assert "schema_version None is not 2; recalibrate" in error[0]
+    assert list(out.iterdir()) == []
 
 
 def test_version_1_table_of_other_settings_asks_for_a_recalibration(files, tmp_path):
@@ -379,16 +376,37 @@ def test_help_lists_the_windows():
 
 
 ONE_ENTRY_TABLE = (
-    '{"meta": {"config_digest": "2caa3ff4ce576fea", "f_simul": 30.0, "fs": 25000.0, "n": 3,'
-    ' "seed": 2, "pulse": {"bw_hi": 0.5, "bw_lo": 0.4, "bwr": -6.0, "fc": 2500.0}},'
+    '{"meta": {"schema_version": 2, "f_simul": 30.0, "fs": 25000.0, "n": 3, "seed": 2,'
+    ' "noise_std": 1.0, "analysis": {"bandpass": null, "n_harmonics": 3, "peak_excl_bins": 2,'
+    ' "piece_len_s": 0.5, "search_frac": 0.18, "window": "hann", "zero_pad_factor": 4},'
+    ' "pulse": {"bw_hi": 0.5, "bw_lo": 0.4, "bwr": -6.0, "fc": 2500.0}},'
     ' "entries": [{"aci": 2.0, "master_seed": 1, "mean_f_hat": 30.0, "mean_snr": 3.0,'
     ' "n_signals": 3, "seg_len_s": 0.5, "threshold": THRESHOLD}]}')
+
+
+def one_entry_table_without(record, key):
+    """The one-entry table, at a valid threshold, with one key of its ``meta``,
+    ``analysis``, ``pulse`` or entry removed."""
+    data = json.loads(ONE_ENTRY_TABLE.replace("THRESHOLD", "0.01"))
+    records = {"meta": data["meta"], "analysis": data["meta"]["analysis"],
+               "pulse": data["meta"]["pulse"], "entry": data["entries"][0]}
+    del records[record][key]
+    return json.dumps(data)
+
+
+def test_one_entry_table_loads_with_a_valid_threshold(tmp_path):
+    path = tmp_path / "table.json"
+    path.write_text(ONE_ENTRY_TABLE.replace("THRESHOLD", "0.01"), encoding="utf-8")
+    assert ThresholdTable.load(path).entries[0].threshold == 0.01
 
 
 @pytest.mark.parametrize("content", [
     '{"meta": {}}', "not json",
     pytest.param(ONE_ENTRY_TABLE.replace("THRESHOLD", '"0.01"'), id="threshold-text"),
     pytest.param(ONE_ENTRY_TABLE.replace("THRESHOLD", "-1.0"), id="threshold-negative"),
+    *(pytest.param(one_entry_table_without(record, key), id=f"no-{record}-{key}")
+      for record, key in [("meta", "schema_version"), ("meta", "noise_std"),
+                          ("analysis", "bandpass"), ("pulse", "fc"), ("entry", "threshold")]),
 ])
 def test_malformed_table_is_a_usage_error(files, content):
     root, rec, _ = files
@@ -399,6 +417,7 @@ def test_malformed_table_is_a_usage_error(files, content):
     assert_usage_error(result)
     assert "bad_table.json" in result.output
     assert "not a valid threshold table" in result.output
+    assert not (root / "r.json").exists()
 
 
 def csv_rows(path):
@@ -427,6 +446,22 @@ def test_classify_emits_estimates_kde_and_spectra(files):
     header, rows = csv_rows(spectra / names[0])
     assert header == "freq_hz,amplitude"
     assert rows[0][0] == "0" and rows[1][0] == "0.5"
+
+
+def test_emitted_kde_is_built_from_the_report_estimates(files, tmp_path, monkeypatch):
+    # --emit-kde alone estimates no segment again: its samples are the first
+    # report's estimates, and it writes what it writes beside --emit-estimates
+    _, rec, table = files
+    args = ["classify", "-i", rec, "--table", table, "--f-theoretical", 30,
+            "--seg-lens", 0.5, "-o", tmp_path / "r.json"]
+    result = invoke(*args, "--emit-estimates", tmp_path / "est.csv",
+                    "--emit-kde", tmp_path / "both.csv")
+    assert result.exit_code == 0, result.output
+    monkeypatch.setattr(cli, "estimate_or_error",
+                        lambda *a: pytest.fail("--emit-kde estimated a segment again"))
+    result = invoke(*args, "--emit-kde", tmp_path / "alone.csv")
+    assert result.exit_code == 0, result.output
+    assert (tmp_path / "alone.csv").read_bytes() == (tmp_path / "both.csv").read_bytes()
 
 
 def test_commands_run_with_scipy_unimportable(tmp_path, run_python):

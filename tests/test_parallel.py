@@ -2,6 +2,7 @@
 
 import operator
 import os
+import sys
 import textwrap
 
 import pytest
@@ -119,7 +120,7 @@ def test_a_few_tasks_per_worker_and_no_more_workers_than_items(monkeypatch, thre
     seen = []
 
     class FakePool:
-        def __init__(self, max_workers, initializer):
+        def __init__(self, max_workers, initializer, mp_context):
             assert initializer is _parallel.keep_heap
             self.max_workers = max_workers
 
@@ -137,6 +138,24 @@ def test_a_few_tasks_per_worker_and_no_more_workers_than_items(monkeypatch, thre
     monkeypatch.setenv(ENV_THREADS, threads)
     assert parallel_map(operator.neg, range(n_items)) == [-i for i in range(n_items)]
     assert seen == [pool_shape]
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="workers are forked on Linux only")
+def test_workers_are_forked_on_linux(monkeypatch):
+    # Python 3.14 made forkserver Linux's default start method; the pool asks
+    # for fork, whatever the default
+    contexts = []
+
+    class SpyPool(_parallel.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            contexts.append(kwargs.get("mp_context"))
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(_parallel, "ProcessPoolExecutor", SpyPool)
+    monkeypatch.setenv(ENV_THREADS, "2")
+    assert parallel_map(operator.neg, range(4)) == [0, -1, -2, -3]
+    (context,) = contexts
+    assert context is not None and context.get_start_method() == "fork"
 
 
 # minor page faults of each envelope call on a 10 s signal after the first,
