@@ -408,16 +408,16 @@ def test_one_entry_table_loads_with_a_valid_threshold(tmp_path):
       for record, key in [("meta", "schema_version"), ("meta", "noise_std"),
                           ("analysis", "bandpass"), ("pulse", "fc"), ("entry", "threshold")]),
 ])
-def test_malformed_table_is_a_usage_error(files, content):
+def test_malformed_table_is_a_usage_error(files, tmp_path, content):
     root, rec, _ = files
     bad = root / "bad_table.json"
     bad.write_text(content, encoding="utf-8")
     result = invoke("classify", "-i", rec, "--table", bad, "--f-theoretical", 30,
-                    "--seg-lens", 0.5, "-o", root / "r.json")
+                    "--seg-lens", 0.5, "-o", tmp_path / "r.json")
     assert_usage_error(result)
     assert "bad_table.json" in result.output
     assert "not a valid threshold table" in result.output
-    assert not (root / "r.json").exists()
+    assert list(tmp_path.iterdir()) == []
 
 
 def csv_rows(path):
