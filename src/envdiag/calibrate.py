@@ -26,6 +26,7 @@ from .sigmodel import (
     DistributionSpec,
     PulseParams,
     SeedSpec,
+    sample_count,
     simulate_signal,
 )
 from .sigio import write_json
@@ -296,8 +297,8 @@ def build_table(
     The grids are checked before any cell is simulated: each must be
     non-empty, no two cells may be one (``check_unique_cells``, lengths
     within 1e-9 s being one column), every ACI must make a ``PulseParams``,
-    and every length must be finite and at least two cycles of ``f_simul``,
-    the least span ``simulate_signal`` accepts.
+    and every length must be finite, at least two cycles of ``f_simul`` (the
+    least span ``simulate_signal`` accepts) and have a ``sample_count`` at ``fs``.
 
     Every cell is searched around ``f_simul``, the centre the table
     records, whatever ``est_cfg.f_theoretical`` is (``calibrate_entry``).
@@ -316,6 +317,7 @@ def build_table(
                 f"segment length must be finite and at least two cycles of "
                 f"{DEFAULT_FAULT_FREQ:g} Hz ({min_len:g} s), got {seg_len:g} s"
             )
+        sample_count(seg_len, fs)
     seeds = SeedSpec(master_seed)
 
     entries = []

@@ -26,7 +26,7 @@ import numpy as np
 from ._parallel import parallel_map
 from .envspec import EnvelopeSpectrum, SpectrumConfig, envelope_spectrum
 from .errors import EstimationError, ParameterError, whole_number
-from .sigmodel import Recording, Signal, check_segment_length
+from .sigmodel import Recording, Signal, check_segment_length, sample_count
 
 MAX_SEGMENT_FAILURE_FRAC = 0.20
 # the SNR's noise band, in multiples of f_hat
@@ -183,7 +183,7 @@ def iter_segments(x: Recording, seg_len: float):
     fewer than 2 samples or the recording less than one segment.
     """
     check_segment_length(seg_len)
-    n_seg = int(round(seg_len * x.fs))
+    n_seg = sample_count(seg_len, x.fs)
     if n_seg < 2:
         raise ParameterError(f"segment of {seg_len:g} s holds fewer than 2 samples")
     if n_seg > len(x):

@@ -10,6 +10,7 @@ normal law, which is what the rest of the package tries to detect.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Protocol
 
@@ -22,6 +23,7 @@ DEFAULT_NOISE_STD = 1.0
 DEFAULT_FAULT_FREQ = 30.0
 # the fewest cycles of its fault frequency ``simulate_signal`` accepts in a span
 MIN_FAULT_CYCLES = 2.0
+MAX_SAMPLES = np.iinfo(np.intp).max // 8  # a float64 array's bytes must fit in an intp
 
 # Pulses are evaluated on +-PULSE_SUPPORT_SIGMAS standard deviations of the
 # Gaussian envelope; beyond that the envelope is below exp(-8).
@@ -38,6 +40,15 @@ def check_sample_rate(fs: float) -> None:
     """Raise ParameterError unless ``fs`` is positive and finite."""
     if not 0 < fs < math.inf:
         raise ParameterError(f"sample rate must be positive and finite, got {fs}")
+
+
+def sample_count(seconds: float, fs: float) -> int:
+    """``int(round(seconds * fs))``; ParameterError unless ``fs`` is positive and
+    finite and the count can be the length of a float64 array."""
+    check_sample_rate(fs)
+    if not 0 <= seconds * fs <= MAX_SAMPLES:
+        raise ParameterError(f"{seconds:g} s at {fs:g} Hz is more samples than a float64 array holds")
+    return int(round(seconds * fs))
 
 
 def check_segment_length(seg_len: float) -> None:
@@ -270,7 +281,7 @@ def simulate_signal(
         Law the per-signal fault frequency is drawn from.
     pulse : PulseParams
         Impulse-train parameters.
-    seed : int, SeedSequence or Generator
+    seed : int >= 0, SeedSequence or Generator
         Source of randomness; fixed seeds give bit-identical signals.
     noise_std : float
         Standard deviation of the additive noise, finite and non-negative
@@ -289,7 +300,7 @@ def simulate_signal(
     +-4 envelope standard deviations.
     """
     check_segment_length(duration)
-    check_sample_rate(fs)
+    n = sample_count(duration, fs)
     nyquist_needed = 2.0 * pulse.fc * (1.0 + pulse.bw_hi / 2.0)
     if not fs > nyquist_needed:
         raise ParameterError(
@@ -299,6 +310,8 @@ def simulate_signal(
     if not 0 <= noise_std < math.inf:
         raise ParameterError(f"noise_std must be non-negative and finite, got {noise_std!r}")
 
+    if isinstance(seed, numbers.Real):
+        seed = whole_number(seed, 0, f"seed must be a non-negative integer, got {seed!r}")
     rng = np.random.default_rng(seed)
     f_true = dist.sample(rng)
     if f_true <= 0:
@@ -308,7 +321,6 @@ def simulate_signal(
             f"duration {duration:g} s holds fewer than two cycles of {f_true:g} Hz"
         )
 
-    n = int(round(duration * fs))
     if noise_std > 0:
         x = rng.standard_normal(n)
         x *= noise_std
