@@ -236,11 +236,11 @@ def _welch_bins(x: np.ndarray, piece: int, nfft: int, n_bins: int, window: str,
     # about 1.4 times as fast on one contiguous block as on the strided phases
     block = np.zeros((d, nfft // d))
     sub = np.empty((d, nfft // d // 2 + 1), dtype=np.complex128)
-    re2 = np.zeros(n_bins)
-    im2 = np.zeros(n_bins)
+    re2, im2 = np.zeros((2, n_bins))
     for start in range(0, x.size - piece + 1, piece):
         raw = x[start : start + piece]
-        np.multiply(raw - raw.mean(), taper, out=scratch[:piece])
+        np.subtract(raw, raw.mean(), out=scratch[:piece])
+        scratch[:piece] *= taper
         block[:, : phases.shape[1]] = phases
         np.fft.rfft(block, axis=1, out=sub)
         bins = sub[0, :n_bins] if table is None else np.einsum("qb,bq->b", sub[:, :n_bins], table)

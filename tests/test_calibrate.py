@@ -52,6 +52,12 @@ class TestCalibrateEntry:
         base = calibrate_entry(2.0, 0.5, 3, FS, 8, pulse=PulseParams(aci=1.0))
         assert base == calibrate_entry(2.0, 0.5, 3, FS, 8)
 
+    @pytest.mark.parametrize("seg_len,fs", [(1e300, FS), (0.5, 1e300)])
+    def test_length_of_more_samples_than_an_array_holds_rejected(self, monkeypatch, seg_len, fs):
+        monkeypatch.setenv("ENVDIAG_THREADS", "1")
+        with pytest.raises(ParameterError, match="more samples than a float64 array holds"):
+            calibrate_entry(2.0, seg_len, 2, fs, 0)
+
     def test_needs_two_signals(self):
         for n in (1, 2.5):
             with pytest.raises(ParameterError, match="at least 2 signals per cell"):
@@ -166,6 +172,13 @@ class TestBuildTable:
                                                                     seg_len):
         with pytest.raises(ParameterError, match="at least two cycles of 30 Hz"):
             build_table((2.0,), (0.5, seg_len), n=2)
+        assert simulations == []
+
+    @pytest.mark.parametrize("seg_len,fs", [(1e300, FS), (0.5, 1e300)])
+    def test_length_of_more_samples_than_an_array_holds_rejected_before_any_simulation(
+            self, simulations, seg_len, fs):
+        with pytest.raises(ParameterError, match="more samples than a float64 array holds"):
+            build_table((2.0,), (1.0, seg_len), n=2, fs=fs)
         assert simulations == []
 
     def test_two_cycles_is_the_shortest_length(self, simulations):

@@ -191,6 +191,21 @@ def test_segment_length_not_positive_and_finite_is_named(files, tmp_path, args):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("args", [
+    "simulate --dist constant:30 --aci 2 --seg-len 1e300",
+    "simulate --dist constant:30 --aci 2 --seg-len 0.5 --fs 1e300",
+    "calibrate --aci-grid 2 --seg-grid 1e300 --n 2",
+    "calibrate --aci-grid 2 --seg-grid 0.5 --n 2 --fs 1e300",
+])
+def test_span_of_more_samples_than_an_array_holds_is_a_usage_error(tmp_path, args):
+    result = invoke(*args.split(), "-o", tmp_path / "out")
+    assert_usage_error(result)
+    assert result.output.startswith("error: ")
+    assert result.output.endswith(" is more samples than a float64 array holds\n")
+    assert result.output.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
 # Each option default and its home: the field default of the type that owns it.
 OPTION_HOMES = [
     ("simulate", "--fs", DEFAULT_FS),

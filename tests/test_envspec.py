@@ -2,6 +2,7 @@
 
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,7 +23,8 @@ from envdiag import (
     simulate_signal,
     welch_psd,
 )
-from envdiag.envspec import BANDPASS_TRANSITION_BINS, WINDOWS, _hilbert, _taper
+from envdiag.envspec import (BANDPASS_TRANSITION_BINS, WINDOWS, _hilbert, _polyphase_split,
+                             _taper)
 
 FS = 25_000.0
 
@@ -264,6 +266,15 @@ class TestWelchPsd:
         with pytest.raises(ParameterError):
             welch_psd(np.ones(4), FS, SpectrumConfig())
 
+    @pytest.mark.parametrize("fs", [0.0, -FS, math.inf, math.nan])
+    def test_sample_rate_not_positive_and_finite_rejected(self, fs):
+        with pytest.raises(ParameterError, match="sample rate must be positive and finite"):
+            welch_psd(np.ones(12_500), fs, SpectrumConfig())
+
+    def test_piece_of_more_samples_than_an_array_holds_rejected(self):
+        with pytest.raises(ParameterError, match="more samples than a float64 array holds"):
+            welch_psd(np.ones(12_500), FS, SpectrumConfig(piece_len_s=1e300))
+
     @pytest.mark.parametrize("duration,cfg", [
         (0.5, SpectrumConfig()),  # one piece
         (10.0, SpectrumConfig()),  # 20 pieces
@@ -272,6 +283,8 @@ class TestWelchPsd:
         (0.5, SpectrumConfig(piece_len_s=2501 / FS, zero_pad_factor=1)),  # odd nfft
         (1.0, SpectrumConfig(window="hamming")),
         (1.0, SpectrumConfig(window="boxcar")),
+        (0.5, SpectrumConfig(zero_pad_factor=3)),
+        (0.5, SpectrumConfig(zero_pad_factor=7)),
     ])
     def test_matches_scipy_reference(self, duration, cfg):
         rng = np.random.default_rng(11)
@@ -311,6 +324,33 @@ class TestBandLimitedWelch:
         np.testing.assert_array_equal(part.freqs, full.freqs[: b + 1])
         assert np.max(np.abs(part.amps - full.amps[: b + 1])) <= 1e-12 * full.amps.max()
 
+    # zero_pad_factor 3 and 7 split 0.5 s pieces into D = 15 and 35 phases,
+    # and 12,500 = 5 mod D: each piece is zero padded to a multiple of D
+    @pytest.mark.parametrize("zero_pad_factor,d", [(3, 15), (4, 25), (7, 35)])
+    def test_split_matches_scipy_reference(self, zero_pad_factor, d):
+        rng = np.random.default_rng(zero_pad_factor)
+        t = np.arange(25_000) / FS
+        x = rng.standard_normal(25_000) + 0.7 + 2.0 * np.cos(2 * np.pi * 30.0 * t)
+        nfft = 12_500 * zero_pad_factor
+        freqs, psd = scipy_welch(x, fs=FS, window="hann", nperseg=12_500, noverlap=0,
+                                 nfft=nfft, detrend="constant", scaling="density")
+        spec = welch_psd(x, FS, SpectrumConfig(zero_pad_factor=zero_pad_factor), self.F_MAX)
+        assert _polyphase_split(nfft, len(spec))[0] == d
+        np.testing.assert_array_equal(spec.freqs, freqs[: len(spec)])
+        assert np.max(np.abs(spec.amps - psd[: len(spec)])) <= 1e-12 * psd.max()
+
+    def test_memory_stays_below_half_the_input(self):
+        # one piece at a time: no buffer grows with the input
+        x = np.random.default_rng(4).standard_normal(250_000)
+        welch_psd(x, FS, SpectrumConfig(), self.F_MAX)  # caches the taper and phase table
+        tracemalloc.start()
+        try:
+            welch_psd(x, FS, SpectrumConfig(), self.F_MAX)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < x.nbytes / 2
+
     def test_grid_is_rfftfreq_bit_for_bit(self):
         x = np.random.default_rng(1).standard_normal(12_500)
         for f_max in (None, self.F_MAX):
@@ -332,6 +372,16 @@ class TestBandLimitedWelch:
     def test_nonpositive_f_max_rejected(self):
         with pytest.raises(ParameterError, match="f_max"):
             welch_psd(np.ones(12_500), FS, SpectrumConfig(), f_max=0.0)
+
+    @pytest.mark.parametrize("f_max", [math.inf, math.nan, -math.inf])
+    def test_f_max_not_positive_and_finite_rejected(self, f_max):
+        with pytest.raises(ParameterError, match="f_max must be positive and finite"):
+            welch_psd(np.ones(12_500), FS, SpectrumConfig(), f_max=f_max)
+
+    def test_largest_finite_f_max_gives_every_bin(self):
+        x = np.random.default_rng(5).standard_normal(12_500)
+        np.testing.assert_array_equal(welch_psd(x, FS, SpectrumConfig(), f_max=1e308).amps,
+                                      welch_psd(x, FS, SpectrumConfig()).amps)
 
     @pytest.mark.parametrize("f_max", [None, F_MAX])
     def test_overflowing_squares_are_recomputed_exactly(self, f_max):

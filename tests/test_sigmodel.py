@@ -17,7 +17,7 @@ from envdiag import (
     gaussian_pulse,
     simulate_signal,
 )
-from envdiag.sigmodel import PULSE_SUPPORT_SIGMAS
+from envdiag.sigmodel import MAX_SAMPLES, PULSE_SUPPORT_SIGMAS, sample_count
 
 FS = 25_000.0
 
@@ -173,6 +173,23 @@ class TestSimulateSignal:
             simulate_signal(1.0, FS, DistributionSpec.constant(30), PulseParams(aci=1.0),
                             0, noise_std=-1.0)
 
+    @pytest.mark.parametrize("duration,fs", [(1e300, FS), (0.5, 1e300)])
+    def test_span_of_more_samples_than_an_array_holds_rejected(self, duration, fs):
+        with pytest.raises(ParameterError, match="more samples than a float64 array holds"):
+            simulate_signal(duration, fs, DistributionSpec.constant(30), PulseParams(aci=1.0), 0)
+
+    @pytest.mark.parametrize("seed", [-1, -2.0, 1.5, math.inf, math.nan])
+    def test_scalar_seed_not_a_whole_number_from_0_rejected(self, seed):
+        with pytest.raises(ParameterError, match="seed must be a non-negative integer"):
+            simulate_signal(0.5, FS, DistributionSpec.constant(30), PulseParams(aci=1.0), seed)
+
+    def test_whole_float_seed_draws_as_its_int(self):
+        args = (0.5, FS, DistributionSpec.uniform(29, 31), PulseParams(aci=2.0))
+        a, fa = simulate_signal(*args, seed=5.0)
+        b, fb = simulate_signal(*args, seed=5)
+        assert fa == fb
+        np.testing.assert_array_equal(a.samples, b.samples)
+
     @pytest.mark.parametrize("noise_std", [float("nan"), float("inf")])
     def test_non_finite_noise_std_rejected(self, noise_std):
         # NaN compares false both ways, so it passes a plain "< 0" check
@@ -234,6 +251,19 @@ class TestSimulateSignalMatchesPerPulseLoop:
         want, _ = simulate_by_pulse(*args, seed=np.random.default_rng(SeedSpec(8).sequence(3)))
         np.testing.assert_array_equal(sig.samples, want)
 
+    @pytest.mark.parametrize("make_seed", [
+        lambda: SeedSpec(8).sequence(3),
+        lambda: np.int64(7),
+        lambda: 2**70,
+        lambda: (47, 3),
+    ])
+    def test_other_seeds_draw_as_default_rng_does(self, make_seed):
+        args = (1.0, FS, DistributionSpec.uniform(29, 31), PulseParams(aci=2.0))
+        sig, f_true = simulate_signal(*args, seed=make_seed())
+        want, f_want = simulate_by_pulse(*args, seed=make_seed())
+        assert f_true == f_want
+        np.testing.assert_array_equal(sig.samples, want)
+
     def test_impulses_cut_at_both_record_edges(self):
         # at 900 Hz an impulse's half-support (>= 1.2 ms) exceeds the period
         # (1.1 ms), so impulses reach past both edges of the record
@@ -257,6 +287,29 @@ class TestSimulateSignalMatchesPerPulseLoop:
         want, _ = simulate_by_pulse(*args, seed=5, noise_std=0.0)
         np.testing.assert_array_equal(sig.samples, want)
         assert peak < 10 * sig.samples.nbytes
+
+
+class TestSampleCount:
+    def test_rounds_seconds_times_the_rate(self):
+        assert sample_count(0.5, FS) == 12_500
+        assert sample_count(0.49966, FS) == 12_492
+        assert type(sample_count(0.5, FS)) is int
+
+    @pytest.mark.parametrize("fs", [0.0, -FS, math.inf, math.nan])
+    def test_sample_rate_not_positive_and_finite_rejected(self, fs):
+        with pytest.raises(ParameterError, match="sample rate must be positive and finite"):
+            sample_count(0.5, fs)
+
+    @pytest.mark.parametrize("seconds,fs", [(1e300, FS), (0.5, 1e300), (2.0**60, 1.0)])
+    def test_count_no_float64_array_holds_rejected(self, seconds, fs):
+        with pytest.raises(ParameterError, match="more samples than a float64 array holds"):
+            sample_count(seconds, fs)
+
+    def test_bound_is_numpy_s_longest_float64_array(self):
+        assert sample_count(2.0**59, 1.0) == 2**59 <= MAX_SAMPLES
+        # numpy refuses the next length before it allocates anything
+        with pytest.raises(ValueError, match="too big"):
+            np.empty(MAX_SAMPLES + 1)
 
 
 class TestSeedSpec:
