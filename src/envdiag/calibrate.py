@@ -16,7 +16,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from .envspec import SpectrumConfig
-from .errors import CalibrationError, ParameterError, TableMismatchError, whole_number
+from .errors import CalibrationError, ParameterError, TableMismatchError, positive_finite, whole_number
 from .faultfreq import EstimatorConfig, estimate_batch, estimate_or_error
 from .sigmodel import (
     DEFAULT_FAULT_FREQ,
@@ -136,9 +136,9 @@ class ThresholdTable:
     ``threshold``, ``mean_f_hat``, ``mean_snr``, ``n_signals`` and
     ``master_seed``.  Any other ``schema_version``, or none, is an error
     that asks for a recalibration.  Ranges are checked on construction,
-    built or loaded: ``fs`` and ``f_simul`` above 0, ``n`` at least 2, and
-    records their own classes accept.  Lengths within 1e-9 s are one column
-    (``same_length``), holding one entry per ACI.
+    built or loaded: ``fs`` and ``f_simul`` positive and finite, ``n`` at
+    least 2, and records their own classes accept.  Lengths within 1e-9 s
+    are one column (``same_length``), holding one entry per ACI.
     """
 
     fs: float
@@ -152,9 +152,10 @@ class ThresholdTable:
     entries: tuple[ThresholdEntry, ...]
 
     def __post_init__(self):
-        if not (self.fs > 0 and self.f_simul > 0 and self.n_signals >= 2):
-            raise ParameterError("a table needs fs > 0, f_simul > 0 and n >= 2, got "
-                                 f"{self.fs!r}, {self.f_simul!r} and {self.n_signals!r}")
+        positive_finite(self.fs, "a table's fs", " Hz")
+        positive_finite(self.f_simul, "a table's f_simul", " Hz")
+        if not self.n_signals >= 2:
+            raise ParameterError(f"a table needs n >= 2, got {self.n_signals!r}")
         check_unique_cells((e.aci, e.seg_len) for e in self.entries)
 
     def entries_at(self, seg_len: float) -> list[ThresholdEntry]:
@@ -295,10 +296,11 @@ def build_table(
     scheduling.
 
     The grids are checked before any cell is simulated: each must be
-    non-empty, no two cells may be one (``check_unique_cells``, lengths
-    within 1e-9 s being one column), every ACI must make a ``PulseParams``,
-    and every length must be finite, at least two cycles of ``f_simul`` (the
-    least span ``simulate_signal`` accepts) and have a ``sample_count`` at ``fs``.
+    non-empty, every ACI must make a ``PulseParams``, every length must be
+    positive and finite, at least two cycles of ``f_simul`` (the least span
+    ``simulate_signal`` accepts) and have a ``sample_count`` at ``fs``, and
+    no two cells may be one (``check_unique_cells``, lengths within 1e-9 s
+    being one column).
 
     Every cell is searched around ``f_simul``, the centre the table
     records, whatever ``est_cfg.f_theoretical`` is (``calibrate_entry``).
@@ -307,17 +309,18 @@ def build_table(
     seg_len_list = list(seg_len_list)
     if not aci_list or not seg_len_list:
         raise ParameterError("calibration grids must be non-empty")
-    check_unique_cells((aci, seg_len) for seg_len in seg_len_list for aci in aci_list)
     for aci in aci_list:
         replace(pulse, aci=aci)
     min_len = MIN_FAULT_CYCLES / DEFAULT_FAULT_FREQ
     for seg_len in seg_len_list:
-        if not min_len <= seg_len < math.inf:
+        positive_finite(seg_len, "segment length", " s")
+        if seg_len < min_len:
             raise ParameterError(
-                f"segment length must be finite and at least two cycles of "
+                f"segment length must be at least two cycles of "
                 f"{DEFAULT_FAULT_FREQ:g} Hz ({min_len:g} s), got {seg_len:g} s"
             )
         sample_count(seg_len, fs)
+    check_unique_cells((aci, seg_len) for seg_len in seg_len_list for aci in aci_list)
     seeds = SeedSpec(master_seed)
 
     entries = []

@@ -27,7 +27,7 @@ from .calibrate import (
     simulate_and_estimate,
 )
 from .envspec import SpectrumConfig
-from .errors import DegenerateSampleError, ParameterError, whole_number
+from .errors import DegenerateSampleError, ParameterError, positive_finite, whole_number
 from .faultfreq import (
     EstimatorConfig,
     check_segment_failures,
@@ -35,7 +35,7 @@ from .faultfreq import (
     estimate_or_error,
     iter_segments,
 )
-from .sigmodel import DistributionSpec, Recording, SeedSpec, check_segment_length
+from .sigmodel import DistributionSpec, Recording, SeedSpec
 
 VERDICT_CONSTANT = "constant"
 # a shape comparison that names a family gives its verdict
@@ -67,7 +67,7 @@ class ClassifyConfig:
 
     def __post_init__(self):
         stats.check_alpha(self.alpha)
-        check_segment_length(self.seg_len)
+        positive_finite(self.seg_len, "segment length", " s")
         # the band and the search centre are checked by the configs they go into
         SpectrumConfig(bandpass=self.band)
         EstimatorConfig(f_theoretical=self.f_theoretical)

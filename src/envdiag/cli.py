@@ -53,6 +53,7 @@ from .errors import (
     ParameterError,
     SignalFormatError,
     TableMismatchError,
+    whole_number,
 )
 from .faultfreq import EstimatorConfig, estimate_or_error, iter_segments
 from .sigio import (
@@ -150,8 +151,7 @@ def cmd_simulate(dist_text, aci, seg_len, n_segments, fs, fc, noise_std, seed, o
     """
     dist = DistributionSpec.parse(dist_text)
     pulse = PulseParams(aci=aci, fc=fc)
-    if n_segments < 1:
-        raise ParameterError("--n-segments must be >= 1")
+    n_segments = whole_number(n_segments, 1, "--n-segments must be >= 1")
     seeds = SeedSpec(seed)
     truth = []
 

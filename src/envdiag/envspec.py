@@ -17,7 +17,7 @@ import numpy as np
 # forks, spares every worker that import on its first segment
 import numpy.fft  # noqa: F401
 
-from .errors import ParameterError, whole_number
+from .errors import ParameterError, positive_finite, whole_number
 from .sigmodel import Signal, sample_count
 
 # Coefficients a_k of the cosine-sum tapers w[n] = sum_k a_k cos(k fac[n]),
@@ -69,8 +69,7 @@ class SpectrumConfig:
             object.__setattr__(self, "bandpass", (float(lo), float(hi)))
         object.__setattr__(self, "zero_pad_factor", whole_number(
             self.zero_pad_factor, 1, "zero_pad_factor must be an integer >= 1"))
-        if not 0 < self.piece_len_s < math.inf:
-            raise ParameterError("piece_len_s must be positive and finite")
+        positive_finite(self.piece_len_s, "piece_len_s", " s")
         if self.window not in WINDOWS:
             raise ParameterError(
                 f"unknown window {self.window!r}; choose one of {', '.join(WINDOWS)}"
@@ -285,8 +284,7 @@ def welch_psd(x, fs: float, cfg: SpectrumConfig = SpectrumConfig(),
     nfft = piece * cfg.zero_pad_factor
     n_bins = nfft // 2 + 1
     if f_max is not None:
-        if not 0 < f_max < math.inf:
-            raise ParameterError(f"f_max must be positive and finite, got {f_max!r}")
+        positive_finite(f_max, "f_max", " Hz")
         n_bins = min(int(min(f_max, fs) * nfft / fs) + 3, n_bins)  # f_max > fs: every bin
     with np.errstate(over="ignore", invalid="ignore"):
         psd = _welch_bins(x, piece, nfft, n_bins, cfg.window, fs)

@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the checks that raise them."""
+
+import math
+import numbers
 
 
 class EnvDiagError(Exception):
@@ -19,6 +22,15 @@ def whole_number(value, least: int, message: str) -> int:
     if whole != value or whole < least:
         raise ParameterError(message)
     return whole
+
+
+def positive_finite(value, what: str, unit: str = "") -> None:
+    """Raise ParameterError unless ``value`` is a real number, not a bool, in
+    (0, inf); the message shows a number as ``{value:g}{unit}``, else its repr."""
+    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    if not (real and 0 < value < math.inf):
+        shown = f"{float(value):g}{unit}" if real else repr(value)
+        raise ParameterError(f"{what} must be positive and finite, got {shown}")
 
 
 class SimulationError(EnvDiagError):

@@ -25,8 +25,8 @@ import numpy as np
 
 from ._parallel import parallel_map
 from .envspec import EnvelopeSpectrum, SpectrumConfig, envelope_spectrum
-from .errors import EstimationError, ParameterError, whole_number
-from .sigmodel import Recording, Signal, check_segment_length, sample_count
+from .errors import EstimationError, ParameterError, positive_finite, whole_number
+from .sigmodel import Recording, Signal, sample_count
 
 MAX_SEGMENT_FAILURE_FRAC = 0.20
 # the SNR's noise band, in multiples of f_hat
@@ -43,8 +43,7 @@ class EstimatorConfig:
     peak_excl_bins: int = 2
 
     def __post_init__(self):
-        if not 0 < self.f_theoretical < math.inf:
-            raise ParameterError("f_theoretical must be positive and finite")
+        positive_finite(self.f_theoretical, "f_theoretical", " Hz")
         object.__setattr__(self, "n_harmonics", whole_number(
             self.n_harmonics, 1, "n_harmonics must be an integer >= 1"))
         if not 0 < self.search_frac < 0.5:
@@ -180,16 +179,13 @@ def iter_segments(x: Recording, seg_len: float):
     Each segment is read from ``x`` with ``x.read`` as it is drawn; a
     recording's samples were checked when it was opened or built, so they
     are not scanned again.  Raises, at the first draw, if a segment holds
-    fewer than 2 samples or the recording less than one segment.
+    fewer than 2 samples; a recording shorter than one segment yields none,
+    which ``check_segment_failures`` refuses.
     """
-    check_segment_length(seg_len)
+    positive_finite(seg_len, "segment length", " s")
     n_seg = sample_count(seg_len, x.fs)
     if n_seg < 2:
         raise ParameterError(f"segment of {seg_len:g} s holds fewer than 2 samples")
-    if n_seg > len(x):
-        raise EstimationError(
-            f"signal of {x.duration:g} s is shorter than one {seg_len:g} s segment"
-        )
     for start in range(0, len(x) - n_seg + 1, n_seg):
         yield x.read(start, n_seg)
 

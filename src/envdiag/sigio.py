@@ -31,13 +31,12 @@ import os
 import numpy as np
 
 from .envspec import EnvelopeSpectrum
-from .errors import SignalFormatError
+from .errors import SignalFormatError, positive_finite
 from .faultfreq import FaultFrequencyEstimate
 from .sigmodel import (
     Recording,
     Signal,
     check_finite_samples,
-    check_sample_rate,
     check_span,
 )
 from .stats import KdeCurve, fitted_overlays
@@ -144,7 +143,7 @@ class RawRecording:
     """
 
     def __init__(self, path, fs: float, n: int):
-        check_sample_rate(fs)
+        positive_finite(fs, "sample rate", " Hz")
         self.path = str(path)
         self.fs = fs
         self._n = n

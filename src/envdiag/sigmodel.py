@@ -16,7 +16,7 @@ from typing import Protocol
 
 import numpy as np
 
-from .errors import ParameterError, SimulationError, whole_number
+from .errors import ParameterError, SimulationError, positive_finite, whole_number
 
 DEFAULT_FS = 25_000.0
 DEFAULT_NOISE_STD = 1.0
@@ -36,25 +36,13 @@ def check_finite_samples(samples: np.ndarray) -> None:
         raise ParameterError("signal contains non-finite samples")
 
 
-def check_sample_rate(fs: float) -> None:
-    """Raise ParameterError unless ``fs`` is positive and finite."""
-    if not 0 < fs < math.inf:
-        raise ParameterError(f"sample rate must be positive and finite, got {fs}")
-
-
 def sample_count(seconds: float, fs: float) -> int:
     """``int(round(seconds * fs))``; ParameterError unless ``fs`` is positive and
     finite and the count can be the length of a float64 array."""
-    check_sample_rate(fs)
+    positive_finite(fs, "sample rate", " Hz")
     if not 0 <= seconds * fs <= MAX_SAMPLES:
         raise ParameterError(f"{seconds:g} s at {fs:g} Hz is more samples than a float64 array holds")
     return int(round(seconds * fs))
-
-
-def check_segment_length(seg_len: float) -> None:
-    """Raise ParameterError unless the segment length ``seg_len`` (s) is positive and finite."""
-    if not 0 < seg_len < math.inf:
-        raise ParameterError(f"segment length must be positive and finite, got {seg_len:g} s")
 
 
 def check_span(start: int, count: int, n: int) -> None:
@@ -96,7 +84,7 @@ class Signal:
         if samples.ndim != 1 or samples.size == 0:
             raise ParameterError("signal samples must form a non-empty 1-D array")
         check_finite_samples(samples)
-        check_sample_rate(self.fs)
+        positive_finite(self.fs, "sample rate", " Hz")
         object.__setattr__(self, "samples", samples)
         object.__setattr__(self, "fs", float(self.fs))
 
@@ -126,29 +114,34 @@ class Signal:
         return Signal._from_checked(self.samples[start : start + count], self.fs)
 
 
+# the parameters of each fault-frequency law, each a positive and finite frequency
+LAW_PARAMS = {"constant": ("f",), "uniform": ("a", "b"), "normal": ("mu", "sigma")}
+
+
 @dataclass(frozen=True)
 class DistributionSpec:
-    """Fault-frequency law: ``constant`` f, ``uniform`` (a, b) or ``normal`` (mu, sigma)."""
+    """Fault-frequency law: ``constant`` f, ``uniform`` (a < b) or ``normal`` (mu, sigma)."""
 
     kind: str
     params: tuple[float, ...]
 
     def __post_init__(self):
         kind = str(self.kind).lower()
-        params = tuple(float(p) for p in self.params)
+        if kind not in LAW_PARAMS:
+            raise ParameterError(f"unknown distribution kind {self.kind!r}")
+        try:
+            params = tuple(float(p) for p in self.params)
+        except (TypeError, ValueError):
+            raise ParameterError(f"{kind} law needs numbers, got {self.params!r}") from None
+        names = LAW_PARAMS[kind]
+        if len(params) != len(names):
+            raise ParameterError(f"{kind} law needs {len(names)} parameter(s): {', '.join(names)}")
+        for name, p in zip(names, params):
+            positive_finite(p, f"{kind} law's {name}", " Hz")
+        if kind == "uniform" and not params[0] < params[1]:
+            raise ParameterError(f"uniform law needs a < b, got {params[0]:g} and {params[1]:g} Hz")
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "params", params)
-        if kind == "constant":
-            if len(params) != 1 or not 0 < params[0] < math.inf:
-                raise ParameterError("constant law needs a single finite frequency f > 0")
-        elif kind == "uniform":
-            if len(params) != 2 or not 0 < params[0] < params[1] < math.inf:
-                raise ParameterError("uniform law needs 0 < a < b, both finite")
-        elif kind == "normal":
-            if len(params) != 2 or not (0 < params[0] < math.inf and 0 < params[1] < math.inf):
-                raise ParameterError("normal law needs finite mu > 0 and sigma > 0")
-        else:
-            raise ParameterError(f"unknown distribution kind {self.kind!r}")
 
     @classmethod
     def constant(cls, f: float) -> "DistributionSpec":
@@ -202,10 +195,8 @@ class PulseParams:
     bwr: float = -6.0
 
     def __post_init__(self):
-        if not 0 < self.aci < math.inf:
-            raise ParameterError(f"ACI must be positive and finite, got {self.aci:g}")
-        if not 0 < self.fc < math.inf:
-            raise ParameterError(f"fc must be positive and finite, got {self.fc:g} Hz")
+        positive_finite(self.aci, "ACI")
+        positive_finite(self.fc, "fc", " Hz")
         if not 0 < self.bw_lo <= self.bw_hi < 2:
             raise ParameterError("need 0 < bw_lo <= bw_hi < 2")
         if not self.bwr < 0:
@@ -299,7 +290,7 @@ def simulate_signal(
     order.  Impulse centres are ``t0 + k/f``; each pulse is added over
     +-4 envelope standard deviations.
     """
-    check_segment_length(duration)
+    positive_finite(duration, "segment length", " s")
     n = sample_count(duration, fs)
     nyquist_needed = 2.0 * pulse.fc * (1.0 + pulse.bw_hi / 2.0)
     if not fs > nyquist_needed:

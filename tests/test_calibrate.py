@@ -170,7 +170,10 @@ class TestBuildTable:
     @pytest.mark.parametrize("seg_len", [0.05, 0.0, -1.0, math.inf, math.nan])
     def test_length_under_two_cycles_rejected_before_any_simulation(self, simulations,
                                                                     seg_len):
-        with pytest.raises(ParameterError, match="at least two cycles of 30 Hz"):
+        # a length that is no positive, finite number is refused as such first
+        message = ("at least two cycles of 30 Hz" if 0 < seg_len < math.inf
+                   else "segment length must be positive and finite")
+        with pytest.raises(ParameterError, match=message):
             build_table((2.0,), (0.5, seg_len), n=2)
         assert simulations == []
 

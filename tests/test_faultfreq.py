@@ -275,10 +275,12 @@ class TestEstimatePerSegment:
         assert len({e.f_hat for e in ests}) == 1
 
     def test_signal_shorter_than_segment_rejected(self):
+        # it yields no segment, and the skip policy refuses fewer than 2
         sig = Signal(np.ones(int(0.25 * FS)), FS)
+        assert list(iter_segments(sig, 1.0)) == []
         with pytest.raises(EstimationError,
-                           match=r"^signal of 0.25 s is shorter than one 1 s segment$"):
-            next(iter_segments(sig, 1.0))
+                           match=r"^signal of 0.25 s yields fewer than 2 segments of 1 s$"):
+            check_segment_failures(sig, 1.0, 0, 0)
 
     def test_one_segment_rejected(self):
         sig = Signal(_impulse_train(1.5), FS)
