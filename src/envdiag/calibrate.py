@@ -15,7 +15,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .envspec import SpectrumConfig
+from .envspec import SpectrumConfig, welch_piece
 from .errors import CalibrationError, ParameterError, TableMismatchError, positive_finite, whole_number
 from .faultfreq import EstimatorConfig, estimate_batch, estimate_or_error
 from .sigmodel import (
@@ -26,6 +26,7 @@ from .sigmodel import (
     DistributionSpec,
     PulseParams,
     SeedSpec,
+    check_noise_std,
     sample_count,
     simulate_signal,
 )
@@ -66,6 +67,9 @@ class ThresholdEntry:
     master_seed: int
 
     def __post_init__(self):
+        positive_finite(self.aci, "a cell's aci")
+        positive_finite(self.seg_len, "a cell's seg_len", " s")
+        positive_finite(self.mean_f_hat, "a cell's mean_f_hat", " Hz")
         if not (self.threshold >= 0 and self.mean_snr >= 0 and self.n_signals >= 2):
             raise ParameterError(
                 "a cell needs threshold >= 0, mean_snr >= 0 and n_signals >= 2, got "
@@ -136,9 +140,10 @@ class ThresholdTable:
     ``threshold``, ``mean_f_hat``, ``mean_snr``, ``n_signals`` and
     ``master_seed``.  Any other ``schema_version``, or none, is an error
     that asks for a recalibration.  Ranges are checked on construction,
-    built or loaded: ``fs`` and ``f_simul`` positive and finite, ``n`` at
-    least 2, and records their own classes accept.  Lengths within 1e-9 s
-    are one column (``same_length``), holding one entry per ACI.
+    built or loaded: ``fs`` and ``f_simul`` positive and finite,
+    ``noise_std`` as ``simulate_signal`` takes it, ``n`` at least 2, and
+    records their own classes accept.  Lengths within 1e-9 s are one
+    column (``same_length``), holding one entry per ACI.
     """
 
     fs: float
@@ -154,6 +159,7 @@ class ThresholdTable:
     def __post_init__(self):
         positive_finite(self.fs, "a table's fs", " Hz")
         positive_finite(self.f_simul, "a table's f_simul", " Hz")
+        check_noise_std(self.noise_std)
         if not self.n_signals >= 2:
             raise ParameterError(f"a table needs n >= 2, got {self.n_signals!r}")
         check_unique_cells((e.aci, e.seg_len) for e in self.entries)
@@ -298,9 +304,9 @@ def build_table(
     The grids are checked before any cell is simulated: each must be
     non-empty, every ACI must make a ``PulseParams``, every length must be
     positive and finite, at least two cycles of ``f_simul`` (the least span
-    ``simulate_signal`` accepts) and have a ``sample_count`` at ``fs``, and
-    no two cells may be one (``check_unique_cells``, lengths within 1e-9 s
-    being one column).
+    ``simulate_signal`` accepts) and have a ``sample_count`` at ``fs`` that
+    holds a ``welch_piece``, and no two cells may be one (``check_unique_cells``,
+    lengths within 1e-9 s being one column).
 
     Every cell is searched around ``f_simul``, the centre the table
     records, whatever ``est_cfg.f_theoretical`` is (``calibrate_entry``).
@@ -319,7 +325,7 @@ def build_table(
                 f"segment length must be at least two cycles of "
                 f"{DEFAULT_FAULT_FREQ:g} Hz ({min_len:g} s), got {seg_len:g} s"
             )
-        sample_count(seg_len, fs)
+        welch_piece(spec_cfg.piece_len_s, fs, sample_count(seg_len, fs))
     check_unique_cells((aci, seg_len) for seg_len in seg_len_list for aci in aci_list)
     seeds = SeedSpec(master_seed)
 

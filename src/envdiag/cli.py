@@ -7,8 +7,9 @@ Exit codes:
 - 2 for usage or I/O problems, among them a threshold table without a
   cell at a segment length ``classify`` was asked for, a length asked for
   twice (within ``calibrate.same_length``), a recording with a non-finite
-  sample, a CSV recording that is not ASCII text, and an input too large
-  for memory (``MemoryError``, reported with the allocation that failed).
+  sample, a CSV recording that is not ASCII text, an output file in a
+  directory that does not exist (found before any work), and an input too
+  large for memory (``MemoryError``, reported with the allocation that failed).
 
 A recording is read in the format its sidecar's ``format`` records, else
 in the one its file name names: ``.csv`` and ``.txt`` are CSV text, one
@@ -117,6 +118,14 @@ def _parse_grid(text: str):
         raise ParameterError(f"malformed list {text!r}") from None
 
 
+def _check_output_dirs(*paths) -> None:
+    """Raise ParameterError naming the first of ``paths`` whose directory does
+    not exist; a None path, an output not asked for, is passed over."""
+    for path in filter(None, paths):
+        if not os.path.isdir(os.path.dirname(path) or "."):
+            raise ParameterError(f"{path}: directory {os.path.dirname(path)!r} does not exist")
+
+
 band_option = click.option("--band", default=None,
                            help="Bandpass LO,HI in Hz before demodulation, or 'none'.")
 
@@ -207,6 +216,7 @@ def cmd_simulate(dist_text, aci, seg_len, n_segments, fs, fc, noise_std, seed, o
 def cmd_calibrate(aci_grid, seg_grid, n, fs, fc, noise_std, seed, band, window, zero_pad,
                   piece_len, n_harmonics, search_frac, peak_excl_bins, out, csv_out):
     """Build the Monte-Carlo threshold table; it stores the analysis settings."""
+    _check_output_dirs(out, csv_out)
     table = build_table(
         aci_list=_parse_grid(aci_grid),
         seg_len_list=_parse_grid(seg_grid),
@@ -269,6 +279,7 @@ def cmd_classify(in_path, table_path, f_theoretical, seg_lens, alpha, fs, paper_
     parsed whole.  With ENVDIAG_THREADS > 1 the worker pool still holds the
     samples of one segment length while it runs.
     """
+    _check_output_dirs(out, text_out, emit_estimates, emit_kde)
     band = _parse_band(band)
     table = ThresholdTable.load(table_path)
     cfgs = [ClassifyConfig(f_theoretical, seg_len, alpha, band, paper_rescale)

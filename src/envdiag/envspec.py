@@ -33,6 +33,9 @@ WINDOWS = {
     "flattop": (0.21557895, 0.41663158, 0.277263158, 0.083578947, 0.006947368),
 }
 
+# the fewest samples of a Welch piece
+MIN_PIECE_SAMPLES = 8
+
 # Raised-cosine transition of the FFT bandpass mask, in units of the
 # signal's own bin width fs/len(x).
 BANDPASS_TRANSITION_BINS = 8
@@ -252,12 +255,24 @@ def _welch_bins(x: np.ndarray, piece: int, nfft: int, n_bins: int, window: str,
     return psd
 
 
+def welch_piece(piece_len_s: float, fs: float, n: int) -> int:
+    """Samples in a Welch piece of an ``n``-sample input: ``piece_len_s`` at
+    ``fs``, clipped to ``n``; ParameterError below ``MIN_PIECE_SAMPLES``."""
+    piece = min(sample_count(piece_len_s, fs), n)
+    if piece < MIN_PIECE_SAMPLES:
+        raise ParameterError(
+            f"a Welch piece of {piece_len_s:g} s at {fs:g} Hz on {n} samples holds {piece}, "
+            f"fewer than the {MIN_PIECE_SAMPLES} the PSD needs")
+    return piece
+
+
 def welch_psd(x, fs: float, cfg: SpectrumConfig = SpectrumConfig(),
               f_max: float | None = None) -> EnvelopeSpectrum:
     """One-sided Welch PSD with zero-padded pieces.
 
-    Non-overlapping pieces of ``piece_len_s`` (clipped to the input; a
-    remainder shorter than a piece is dropped) each have their mean removed,
+    Non-overlapping pieces of ``welch_piece`` samples (``piece_len_s``
+    clipped to the input, ``MIN_PIECE_SAMPLES`` at least; a remainder
+    shorter than a piece is dropped) each have their mean removed,
     are tapered and zero padded to ``piece * zero_pad_factor`` points; the
     density is the mean of their squared rfft magnitudes, as with
     ``scipy.signal.welch(noverlap=0, detrend="constant", scaling="density")``.
@@ -276,11 +291,7 @@ def welch_psd(x, fs: float, cfg: SpectrumConfig = SpectrumConfig(),
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 1:
         raise ParameterError("welch_psd expects a 1-D vector")
-    piece = min(sample_count(cfg.piece_len_s, fs), x.size)
-    if piece < 8:
-        raise ParameterError(
-            f"input of {x.size} samples is too short for the requested segmentation"
-        )
+    piece = welch_piece(cfg.piece_len_s, fs, x.size)
     nfft = piece * cfg.zero_pad_factor
     n_bins = nfft // 2 + 1
     if f_max is not None:

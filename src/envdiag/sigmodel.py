@@ -36,6 +36,13 @@ def check_finite_samples(samples: np.ndarray) -> None:
         raise ParameterError("signal contains non-finite samples")
 
 
+def check_noise_std(noise_std: float) -> None:
+    """Raise ParameterError unless the noise level ``noise_std`` is a finite number >= 0."""
+    # written so that NaN fails it too
+    if not (isinstance(noise_std, numbers.Real) and 0 <= noise_std < math.inf):
+        raise ParameterError(f"noise_std must be non-negative and finite, got {noise_std!r}")
+
+
 def sample_count(seconds: float, fs: float) -> int:
     """``int(round(seconds * fs))``; ParameterError unless ``fs`` is positive and
     finite and the count can be the length of a float64 array."""
@@ -297,9 +304,7 @@ def simulate_signal(
         raise ParameterError(
             f"fs={fs:g} Hz leaves no Nyquist margin; need fs > {nyquist_needed:g} Hz"
         )
-    # written so that NaN fails it too
-    if not 0 <= noise_std < math.inf:
-        raise ParameterError(f"noise_std must be non-negative and finite, got {noise_std!r}")
+    check_noise_std(noise_std)
 
     if isinstance(seed, numbers.Real):
         seed = whole_number(seed, 0, f"seed must be a non-negative integer, got {seed!r}")

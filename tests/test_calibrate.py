@@ -184,6 +184,14 @@ class TestBuildTable:
             build_table((2.0,), (1.0, seg_len), n=2, fs=fs)
         assert simulations == []
 
+    @pytest.mark.parametrize("piece_len_s", [0.0002, 0.00028])
+    def test_piece_under_eight_samples_rejected_before_any_simulation(self, simulations,
+                                                                      piece_len_s):
+        # 5 and 7 samples at 25 kHz; the PSD needs 8
+        with pytest.raises(ParameterError, match="fewer than the 8 the PSD needs"):
+            build_table((2.0,), (0.5,), n=2, spec_cfg=SpectrumConfig(piece_len_s=piece_len_s))
+        assert simulations == []
+
     def test_two_cycles_is_the_shortest_length(self, simulations):
         # 2/30 s is the least span simulate_signal accepts at 30 Hz
         table = build_table((2.0,), (2.0 / 30.0,), n=2)
@@ -318,6 +326,11 @@ class TestThresholdTableFile:
         pytest.param(hand_table_with("meta", "fs", 0.0), id="fs-zero"),
         pytest.param(hand_table_with("meta", "f_simul", -30.0), id="f_simul-negative"),
         pytest.param(hand_table_with("entries", "mean_snr", -0.5), id="mean_snr-negative"),
+        pytest.param(hand_table_with("entries", "aci", -1.0), id="aci-negative"),
+        pytest.param(hand_table_with("entries", "seg_len_s", -0.5), id="seg_len-negative"),
+        pytest.param(hand_table_with("entries", "mean_f_hat", -30.0), id="mean_f_hat-negative"),
+        pytest.param(hand_table_with("entries", "mean_f_hat", 0), id="mean_f_hat-zero"),
+        pytest.param(hand_table_with("meta", "noise_std", -1.0), id="noise_std-negative"),
         pytest.param(hand_table_with("analysis", "window", "hanning"), id="window-unknown"),
         pytest.param(hand_table_with("analysis", "bandpass", "1500,3500"), id="bandpass-text"),
         pytest.param(hand_table_with("analysis", "bandpass", [1500.0]), id="bandpass-one"),
@@ -375,6 +388,24 @@ class TestThresholdTableFile:
         # an entry built in code is held to the rules of a loaded one
         with pytest.raises(ParameterError, match="a cell needs threshold >= 0"):
             replace(hand_table().entries[0], **{field: value})
+
+    @pytest.mark.parametrize("field,value,message", [
+        ("aci", -1.0, "a cell's aci must be positive and finite, got -1"),
+        ("seg_len", 0.0, "a cell's seg_len must be positive and finite, got 0 s"),
+        ("mean_f_hat", math.nan, "a cell's mean_f_hat must be positive and finite, got nan Hz"),
+    ], ids=["aci", "seg_len", "mean_f_hat"])
+    def test_entry_not_positive_and_finite_is_refused_on_construction(self, field, value,
+                                                                       message):
+        with pytest.raises(ParameterError, match=f"^{message}$"):
+            replace(hand_table().entries[0], **{field: value})
+
+    @pytest.mark.parametrize("noise_std", [-1.0, math.nan, math.inf, "1"])
+    def test_table_noise_std_is_checked_as_simulate_signal_checks_it(self, noise_std):
+        with pytest.raises(ParameterError, match="noise_std must be non-negative and finite"):
+            replace(hand_table(), noise_std=noise_std)
+        with pytest.raises(ParameterError, match="noise_std must be non-negative and finite"):
+            simulate_signal(0.5, FS, DistributionSpec.constant(30.0), PulseParams(aci=2.0), 0,
+                            noise_std)
 
     def test_pulse_with_other_aci_round_trips(self):
         table = build_table((1.5,), (0.5,), n=2, master_seed=9, pulse=PulseParams(aci=2.0))

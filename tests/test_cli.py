@@ -19,7 +19,7 @@ from envdiag import (
     envelope_spectrum,
     simulate_signal,
 )
-from envdiag import classify, cli, faultfreq
+from envdiag import calibrate, classify, cli, faultfreq
 from envdiag.calibrate import DEFAULT_ESTIMATOR, DEFAULT_SPECTRUM, ThresholdTable, analysis_json
 from envdiag.faultfreq import estimate_or_error, iter_segments
 from envdiag.sigio import read_signal, write_signal_arrays, write_spectrum_csv
@@ -432,6 +432,79 @@ def test_malformed_table_is_a_usage_error(files, tmp_path, content):
     assert_usage_error(result)
     assert "bad_table.json" in result.output
     assert "not a valid threshold table" in result.output
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("record,key,value", [
+    ("entry", "aci", -1.0), ("entry", "mean_f_hat", -30.0), ("entry", "seg_len_s", -0.5),
+    ("meta", "noise_std", -1.0),
+])
+def test_table_cell_out_of_range_is_refused_before_the_recording_is_read(
+        files, tmp_path, monkeypatch, record, key, value):
+    _, rec, _ = files
+    data = json.loads(ONE_ENTRY_TABLE.replace("THRESHOLD", "0.01"))
+    {"meta": data["meta"], "entry": data["entries"][0]}[record][key] = value
+    bad = tmp_path / "bad_table.json"
+    bad.write_text(json.dumps(data), encoding="utf-8")
+    calls = []
+    monkeypatch.setattr(cli, "read_signal", lambda *a, **k: calls.append(a))
+    result = invoke("classify", "-i", rec, "--table", bad, "--f-theoretical", 30,
+                    "--seg-lens", 0.5, "-o", tmp_path / "r.json")
+    assert_usage_error(result)
+    assert "not a valid threshold table" in result.output
+    assert result.output.count("\n") == 1
+    assert calls == []
+    assert list(tmp_path.iterdir()) == [bad]
+
+
+@pytest.fixture
+def spied(monkeypatch):
+    """The names of the work functions the CLI reached: reading a recording,
+    building a table and simulating a signal."""
+    monkeypatch.setenv("ENVDIAG_THREADS", "1")
+    calls = []
+    for module, name in [(cli, "read_signal"), (cli, "build_table"),
+                         (calibrate, "simulate_signal"), (cli, "simulate_signal")]:
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name,
+                            lambda *a, _n=name, _f=real, **k: calls.append(_n) or _f(*a, **k))
+    return calls
+
+
+MISSING_OUTPUT_CASES = {
+    "calibrate-o": "calibrate --aci-grid 2 --seg-grid 0.5 --n 2 -o {missing}",
+    "calibrate-csv": "calibrate --aci-grid 2 --seg-grid 0.5 --n 2 -o {out} --csv {missing}",
+    "classify-o": "classify {classify} -o {missing}",
+    "classify-text-out": "classify {classify} -o {out} --text-out {missing}",
+    "classify-emit-estimates": "classify {classify} -o {out} --emit-estimates {missing}",
+    # --emit-spectra makes its own directory, but not before the others are checked
+    "classify-emit-kde": "classify {classify} -o {out} --emit-kde {missing} "
+                         "--emit-spectra {spectra}",
+}
+
+
+@pytest.mark.parametrize("args", MISSING_OUTPUT_CASES.values(), ids=MISSING_OUTPUT_CASES.keys())
+def test_output_in_a_missing_directory_is_refused_before_any_work(files, tmp_path, spied,
+                                                                  args):
+    _, rec, table = files
+    classify_args = f"-i {rec} --table {table} --f-theoretical 30 --seg-lens 0.5"
+    target = tmp_path / "missing" / "file.out"
+    result = invoke(*args.format(classify=classify_args, missing=target, out=tmp_path / "out",
+                                 spectra=tmp_path / "spectra").split())
+    assert_usage_error(result)
+    assert result.output == f"error: {target}: directory '{target.parent}' does not exist\n"
+    assert spied == []
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_calibrate_piece_under_eight_samples_is_refused_before_any_simulation(tmp_path,
+                                                                             spied):
+    result = invoke("calibrate", "--aci-grid", 2, "--seg-grid", 0.5, "--n", 2,
+                    "--piece-len", 0.0002, "-o", tmp_path / "t.json")
+    assert_usage_error(result)
+    assert result.output == ("error: a Welch piece of 0.0002 s at 25000 Hz on 12500 samples "
+                             "holds 5, fewer than the 8 the PSD needs\n")
+    assert spied == ["build_table"]
     assert list(tmp_path.iterdir()) == []
 
 

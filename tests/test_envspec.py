@@ -266,6 +266,21 @@ class TestWelchPsd:
         with pytest.raises(ParameterError):
             welch_psd(np.ones(4), FS, SpectrumConfig())
 
+    @pytest.mark.parametrize("n,piece_len_s,piece", [
+        (12_500, 0.0002, 5),  # a piece of 5 samples
+        (12_500, 0.00028, 7),
+        (7, 0.5, 7),  # the piece clipped to an input of 7
+    ])
+    def test_piece_under_eight_samples_is_named(self, n, piece_len_s, piece):
+        with pytest.raises(ParameterError,
+                           match=f"holds {piece}, fewer than the 8 the PSD needs$"):
+            welch_psd(np.ones(n), FS, SpectrumConfig(piece_len_s=piece_len_s))
+
+    def test_piece_of_eight_samples_is_enough(self):
+        spec = welch_psd(np.arange(16.0), FS, SpectrumConfig(piece_len_s=0.00032,
+                                                             zero_pad_factor=1))
+        assert len(spec) == 5
+
     @pytest.mark.parametrize("fs", [0.0, -FS, math.inf, math.nan])
     def test_sample_rate_not_positive_and_finite_rejected(self, fs):
         with pytest.raises(ParameterError, match="sample rate must be positive and finite"):
