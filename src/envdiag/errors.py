@@ -26,10 +26,15 @@ def whole_number(value, least: int, message: str) -> int:
 
 def positive_finite(value, what: str, unit: str = "") -> None:
     """Raise ParameterError unless ``value`` is a real number, not a bool, in
-    (0, inf); the message shows a number as ``{value:g}{unit}``, else its repr."""
+    (0, inf) as a float; the message shows a number as ``{value:g}{unit}``,
+    else its repr."""
     real = isinstance(value, numbers.Real) and not isinstance(value, bool)
-    if not (real and 0 < value < math.inf):
-        shown = f"{float(value):g}{unit}" if real else repr(value)
+    try:
+        number = float(value) if real else math.nan
+    except OverflowError:  # an int past the float range
+        number, real = math.nan, False
+    if not 0 < number < math.inf:
+        shown = f"{number:g}{unit}" if real else repr(value)
         raise ParameterError(f"{what} must be positive and finite, got {shown}")
 
 

@@ -14,20 +14,19 @@ from envdiag import (
     PulseParams,
     Signal,
     SpectrumConfig,
-    ThresholdEntry,
-    ThresholdTable,
     build_table,
     simulate_signal,
     welch_psd,
 )
 from envdiag.errors import positive_finite
+from test_calibrate import hand_table
 
 FS = 25_000.0
 X = np.ones(12_500)
 
 
 class TestPositiveFinite:
-    @pytest.mark.parametrize("value", [1, 0.5, 1e300, np.float64(2.5), np.int64(3),
+    @pytest.mark.parametrize("value", [1, 0.5, 1e300, 10**308, np.float64(2.5), np.int64(3),
                                        np.float32(0.25)])
     def test_positive_finite_numbers_pass(self, value):
         assert positive_finite(value, "x") is None
@@ -41,19 +40,12 @@ class TestPositiveFinite:
                            match=f"^length must be positive and finite, got {shown}$"):
             positive_finite(value, "length", " s")
 
-    @pytest.mark.parametrize("value", [True, False, "30", None, [1.0], 1j])
+    # an int past the float range is no float, so no sample rate or length either
+    @pytest.mark.parametrize("value", [True, False, "30", None, [1.0], 1j, 10**400, -10**400])
     def test_non_numbers_and_bools_are_shown_with_repr(self, value):
         with pytest.raises(ParameterError) as info:
             positive_finite(value, "length", " s")
         assert str(info.value) == f"length must be positive and finite, got {value!r}"
-
-
-def hand_table():
-    entry = ThresholdEntry(aci=2.0, seg_len=0.5, threshold=0.01, mean_f_hat=30.0, mean_snr=3.0,
-                           n_signals=3, master_seed=1)
-    return ThresholdTable(fs=FS, f_simul=30.0, n_signals=3, master_seed=2, noise_std=1.0,
-                          pulse_base=PulseParams(aci=1.0), spectrum=SpectrumConfig(),
-                          estimator=EstimatorConfig(f_theoretical=30.0), entries=(entry,))
 
 
 # each call gives a positive, finite quantity a value that is not one, most of
