@@ -16,7 +16,8 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from .envspec import SpectrumConfig, welch_piece
-from .errors import CalibrationError, ParameterError, TableMismatchError, positive_finite, whole_number
+from .errors import (CalibrationError, ParameterError, TableMismatchError, positive_finite, real,
+                     whole_number)
 from .faultfreq import EstimatorConfig, estimate_batch, estimate_or_error
 from .sigmodel import (
     DEFAULT_FAULT_FREQ,
@@ -70,10 +71,11 @@ class ThresholdEntry:
         positive_finite(self.aci, "a cell's aci")
         positive_finite(self.seg_len, "a cell's seg_len", " s")
         positive_finite(self.mean_f_hat, "a cell's mean_f_hat", " Hz")
-        if not (self.threshold >= 0 and self.mean_snr >= 0 and self.n_signals >= 2):
+        if not (0 <= real(self.threshold) < math.inf and 0 <= real(self.mean_snr) < math.inf
+                and self.n_signals >= 2):
             raise ParameterError(
-                "a cell needs threshold >= 0, mean_snr >= 0 and n_signals >= 2, got "
-                f"{self.threshold!r}, {self.mean_snr!r} and {self.n_signals!r}")
+                "a cell needs threshold >= 0 and mean_snr >= 0, both finite, and n_signals "
+                f">= 2, got {self.threshold!r}, {self.mean_snr!r} and {self.n_signals!r}")
 
 
 # Field -> JSON key of each saved record; one map drives both save and load.
@@ -88,17 +90,6 @@ _ENTRY_KEYS = {"aci": "aci", "seg_len": "seg_len_s", "threshold": "threshold",
                "mean_f_hat": "mean_f_hat", "mean_snr": "mean_snr", "n_signals": "n_signals",
                "master_seed": "master_seed"}
 
-# One check per annotated field type; both modules that define the records
-# keep their annotations as strings.
-_VALID = {
-    "float": lambda v: type(v) is int or type(v) is float and math.isfinite(v),
-    "int": lambda v: type(v) is int,
-    "str": lambda v: type(v) is str,
-    "tuple[float, float] | None": lambda v: v is None or (
-        type(v) in (list, tuple) and len(v) == 2 and all(_VALID["float"](b) for b in v)),
-}
-
-
 def _dump(record, keys: dict) -> dict:
     return {key: getattr(record, name) for name, key in keys.items()}
 
@@ -110,12 +101,12 @@ def analysis_json(spec_cfg: SpectrumConfig, est_cfg: EstimatorConfig) -> dict:
 
 
 def _load(cls, data: dict, keys: dict, **extra):
-    """Build ``cls`` from the JSON object ``data``; a value of the wrong kind raises ValueError."""
-    kinds = {f.name: f.type for f in fields(cls)}
+    """Build ``cls`` from the JSON object ``data``, which checks its values; an ``int``
+    field (annotations are strings) must hold a JSON int, not ``4.0``, else ValueError."""
+    ints = {f.name for f in fields(cls) if f.type == "int"}
     for name, key in keys.items():
-        value = data[key]
-        if not _VALID[kinds[name]](value):
-            raise ValueError(f"{key} is not a valid {kinds[name]}: {value!r}")
+        if name in ints and type(data[key]) is not int:
+            raise ValueError(f"{key} is not a valid int: {data[key]!r}")
     return cls(**{name: data[key] for name, key in keys.items()}, **extra)
 
 

@@ -13,6 +13,7 @@ estimates.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
@@ -27,7 +28,7 @@ from .calibrate import (
     simulate_and_estimate,
 )
 from .envspec import SpectrumConfig
-from .errors import DegenerateSampleError, ParameterError, positive_finite, whole_number
+from .errors import DegenerateSampleError, ParameterError, positive_finite, real, whole_number
 from .faultfreq import (
     EstimatorConfig,
     check_segment_failures,
@@ -158,8 +159,8 @@ def rescale_variance(
     at 30 Hz; ``paper_direction=True`` applies the reciprocal factor
     instead, as literally printed in the source procedure.
     """
-    if not (mean_f_hat_real > 0 and mean_f_hat_simul > 0):
-        raise ParameterError("mean estimates must be positive for rescaling")
+    if not (0 < real(mean_f_hat_real) < math.inf and 0 < real(mean_f_hat_simul) < math.inf):
+        raise ParameterError("mean estimates must be positive and finite for rescaling")
     ratio = mean_f_hat_real / mean_f_hat_simul if paper_direction else mean_f_hat_simul / mean_f_hat_real
     return var_real * ratio * ratio
 

@@ -17,7 +17,7 @@ import numpy as np
 # forks, spares every worker that import on its first segment
 import numpy.fft  # noqa: F401
 
-from .errors import ParameterError, positive_finite, whole_number
+from .errors import ParameterError, positive_finite, real, shown, whole_number
 from .sigmodel import Signal, sample_count
 
 # Coefficients a_k of the cosine-sum tapers w[n] = sum_k a_k cos(k fac[n]),
@@ -52,7 +52,7 @@ class SpectrumConfig:
     nuttall, blackmanharris or flattop.  A fixed piece duration keeps
     the frequency grid and the per-piece detectability identical across
     segment lengths, so calibrated thresholds remain comparable between
-    0.5 s and 10 s segments.
+    0.5 s and 10 s segments.  ``bandpass`` is (f_lo, f_hi) in Hz, 0 <= f_lo < f_hi < inf.
     """
 
     bandpass: tuple[float, float] | None = None
@@ -63,17 +63,18 @@ class SpectrumConfig:
     def __post_init__(self):
         if self.bandpass is not None:
             try:
-                lo, hi = self.bandpass
-                ordered = 0 <= lo < hi
+                lo, hi = map(real, self.bandpass)
             except (TypeError, ValueError):
-                raise ParameterError(f"bandpass must be two numbers, got {self.bandpass!r}") from None
-            if not ordered:
+                lo = hi = math.nan
+            if math.isnan(lo) or math.isnan(hi):
+                raise ParameterError(f"bandpass must be two numbers, got {self.bandpass!r}")
+            if not 0 <= lo < hi < math.inf:
                 raise ParameterError("bandpass needs 0 <= f_lo < f_hi")
-            object.__setattr__(self, "bandpass", (float(lo), float(hi)))
+            object.__setattr__(self, "bandpass", (lo, hi))
         object.__setattr__(self, "zero_pad_factor", whole_number(
             self.zero_pad_factor, 1, "zero_pad_factor must be an integer >= 1"))
         positive_finite(self.piece_len_s, "piece_len_s", " s")
-        if self.window not in WINDOWS:
+        if not isinstance(self.window, str) or self.window not in WINDOWS:
             raise ParameterError(
                 f"unknown window {self.window!r}; choose one of {', '.join(WINDOWS)}"
             )
@@ -112,9 +113,9 @@ def bandpass(x: Signal, f_lo: float, f_hi: float) -> Signal:
     0 or fs/2 are left open, so ``bandpass(x, 0, fs/2)`` is the identity.
     """
     fs = x.fs
-    if not 0 <= f_lo < f_hi <= fs / 2 + 1e-12:
+    if not 0 <= real(f_lo) < real(f_hi) <= fs / 2 + 1e-12:
         raise ParameterError(
-            f"band [{f_lo:g}, {f_hi:g}] Hz must satisfy 0 <= f_lo < f_hi <= fs/2"
+            f"band [{shown(f_lo)}, {shown(f_hi)}] Hz must satisfy 0 <= f_lo < f_hi <= fs/2"
         )
     n = len(x)
     spec = np.fft.rfft(x.samples)

@@ -13,29 +13,40 @@ class ParameterError(EnvDiagError, ValueError):
 
 
 def whole_number(value, least: int, message: str) -> int:
-    """``value`` as an int when it is a whole number ``>= least``; otherwise,
-    NaN and infinities included, ParameterError with ``message``."""
+    """``value`` as an int when it is a whole number ``>= least`` and not a bool;
+    otherwise, NaN and infinities included, ParameterError with ``message``."""
     try:
         whole = int(value)
     except (TypeError, ValueError, OverflowError):
         raise ParameterError(message) from None
-    if whole != value or whole < least:
+    if isinstance(value, bool) or whole != value or whole < least:
         raise ParameterError(message)
     return whole
 
 
+def real(value) -> float:
+    """``float(value)`` for a real number that is not a bool and fits a float;
+    NaN, which fails every range comparison, for anything else."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        try:
+            return float(value)
+        except OverflowError:  # an int past the float range
+            pass
+    return math.nan
+
+
+def shown(value, unit: str = "") -> str:
+    """``value`` in a message: ``{value:g}{unit}`` for a real number, NaN too, else its repr."""
+    number = real(value)
+    if number != number and not (isinstance(value, numbers.Real) and value != value):
+        return repr(value)
+    return f"{number:g}{unit}"
+
+
 def positive_finite(value, what: str, unit: str = "") -> None:
-    """Raise ParameterError unless ``value`` is a real number, not a bool, in
-    (0, inf) as a float; the message shows a number as ``{value:g}{unit}``,
-    else its repr."""
-    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
-    try:
-        number = float(value) if real else math.nan
-    except OverflowError:  # an int past the float range
-        number, real = math.nan, False
-    if not 0 < number < math.inf:
-        shown = f"{number:g}{unit}" if real else repr(value)
-        raise ParameterError(f"{what} must be positive and finite, got {shown}")
+    """Raise ParameterError, showing ``value``, unless it is a ``real`` number in (0, inf)."""
+    if not 0 < real(value) < math.inf:
+        raise ParameterError(f"{what} must be positive and finite, got {shown(value, unit)}")
 
 
 class SimulationError(EnvDiagError):

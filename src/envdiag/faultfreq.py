@@ -25,7 +25,7 @@ import numpy as np
 
 from ._parallel import parallel_map
 from .envspec import EnvelopeSpectrum, SpectrumConfig, envelope_spectrum
-from .errors import EstimationError, ParameterError, positive_finite, whole_number
+from .errors import EstimationError, ParameterError, positive_finite, real, whole_number
 from .sigmodel import Recording, Signal, sample_count
 
 MAX_SEGMENT_FAILURE_FRAC = 0.20
@@ -46,7 +46,7 @@ class EstimatorConfig:
         positive_finite(self.f_theoretical, "f_theoretical", " Hz")
         object.__setattr__(self, "n_harmonics", whole_number(
             self.n_harmonics, 1, "n_harmonics must be an integer >= 1"))
-        if not 0 < self.search_frac < 0.5:
+        if not 0 < real(self.search_frac) < 0.5:
             raise ParameterError("search_frac must lie in (0, 0.5)")
         # adjacent harmonic windows k and k+1 stay disjoint up to n_harmonics
         limit = 1.0 / (2.0 * max(self.n_harmonics - 1, 1) + 1.0)
@@ -103,8 +103,7 @@ def detect_harmonic_peak(
     amplitude ties resolve toward the bin closest to the expected harmonic
     location (and to the lower frequency if still tied).
     """
-    if k < 1:
-        raise ParameterError("harmonic order must be >= 1")
+    k = whole_number(k, 1, "harmonic order must be an integer >= 1")
     target = k * f_theoretical
     lo = target * (1.0 - search_frac)
     hi = target * (1.0 + search_frac)

@@ -16,7 +16,7 @@ from typing import Protocol
 
 import numpy as np
 
-from .errors import ParameterError, SimulationError, positive_finite, whole_number
+from .errors import ParameterError, SimulationError, positive_finite, real, whole_number
 
 DEFAULT_FS = 25_000.0
 DEFAULT_NOISE_STD = 1.0
@@ -38,8 +38,7 @@ def check_finite_samples(samples: np.ndarray) -> None:
 
 def check_noise_std(noise_std: float) -> None:
     """Raise ParameterError unless the noise level ``noise_std`` is a finite number >= 0."""
-    # written so that NaN fails it too
-    if not (isinstance(noise_std, numbers.Real) and 0 <= noise_std < math.inf):
+    if not 0 <= real(noise_std) < math.inf:
         raise ParameterError(f"noise_std must be non-negative and finite, got {noise_std!r}")
 
 
@@ -137,14 +136,15 @@ class DistributionSpec:
         if kind not in LAW_PARAMS:
             raise ParameterError(f"unknown distribution kind {self.kind!r}")
         try:
-            params = tuple(float(p) for p in self.params)
-        except (TypeError, ValueError):
+            params = tuple(self.params)
+        except TypeError:
             raise ParameterError(f"{kind} law needs numbers, got {self.params!r}") from None
         names = LAW_PARAMS[kind]
         if len(params) != len(names):
             raise ParameterError(f"{kind} law needs {len(names)} parameter(s): {', '.join(names)}")
         for name, p in zip(names, params):
             positive_finite(p, f"{kind} law's {name}", " Hz")
+        params = tuple(map(real, params))
         if kind == "uniform" and not params[0] < params[1]:
             raise ParameterError(f"uniform law needs a < b, got {params[0]:g} and {params[1]:g} Hz")
         object.__setattr__(self, "kind", kind)
@@ -204,10 +204,10 @@ class PulseParams:
     def __post_init__(self):
         positive_finite(self.aci, "ACI")
         positive_finite(self.fc, "fc", " Hz")
-        if not 0 < self.bw_lo <= self.bw_hi < 2:
+        if not 0 < real(self.bw_lo) <= real(self.bw_hi) < 2:
             raise ParameterError("need 0 < bw_lo <= bw_hi < 2")
-        if not self.bwr < 0:
-            raise ParameterError("bwr must be negative (dB below peak)")
+        if not -math.inf < real(self.bwr) < 0:
+            raise ParameterError("bwr must be negative and finite (dB below peak)")
 
     def time_variance(self, bw: float) -> float:
         """Gaussian-envelope variance tv for a given fractional bandwidth."""

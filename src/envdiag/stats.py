@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateSampleError, ParameterError, whole_number
+from .errors import DegenerateSampleError, ParameterError, real, shown, whole_number
 
 # level of the chi-squared variance test unless a caller sets one
 DEFAULT_ALPHA = 0.05
@@ -22,8 +22,8 @@ DEFAULT_ALPHA = 0.05
 
 def check_alpha(alpha: float) -> None:
     """Raise ParameterError unless the test level ``alpha`` lies in (0, 1)."""
-    if not 0 < alpha < 1:
-        raise ParameterError(f"alpha must lie in (0, 1), got {alpha:g}")
+    if not 0 < real(alpha) < 1:
+        raise ParameterError(f"alpha must lie in (0, 1), got {shown(alpha)}")
 
 
 DECISION_REJECT = "reject"
@@ -125,7 +125,7 @@ def kde(samples) -> KdeCurve:
 
 
 def uniform_pdf(f, a: float, b: float):
-    if not a < b:
+    if not real(a) < real(b):
         raise ParameterError("uniform law needs a < b")
     f = np.asarray(f, dtype=np.float64)
     out = np.where((f >= a) & (f <= b), 1.0 / (b - a), 0.0)
@@ -133,8 +133,8 @@ def uniform_pdf(f, a: float, b: float):
 
 
 def normal_pdf(f, mu: float, sigma: float):
-    if not sigma > 0:
-        raise ParameterError("sigma must be positive")
+    if not 0 < real(sigma) < math.inf:
+        raise ParameterError("sigma must be positive and finite")
     f = np.asarray(f, dtype=np.float64)
     z = (f - mu) / sigma
     out = np.exp(-0.5 * z * z) / (sigma * math.sqrt(2.0 * math.pi))
@@ -211,7 +211,7 @@ def chi2_critical(p: float, dof: int) -> float:
     by no less than the step before: then rounding in ``P`` sets the step.
     Returns ``2 x``.
     """
-    if not 0 < p < 1:
+    if not 0 < real(p) < 1:
         raise ParameterError("quantile probability must lie in (0, 1)")
     dof = whole_number(dof, 1, "degrees of freedom must be a positive integer")
     a = dof / 2.0
@@ -243,14 +243,15 @@ def chi_squared_variance_test(
 
     ``T = (n-1) sample_var / sigma0_sq`` is compared against the
     ``1 - alpha`` quantile of chi-squared with ``n - 1`` degrees of freedom.
-    A ``sigma0_sq`` of 0 makes ``T`` infinite, a rejection, when
-    ``sample_var`` is positive, and 0 when it is 0 too.
+    Both variances must be non-negative and finite.  A ``sigma0_sq`` of 0
+    makes ``T`` infinite, a rejection, when ``sample_var`` is positive, and 0
+    when it is 0 too.
     """
     n = whole_number(n, 2, "need an integer sample size n >= 2")
-    if not sigma0_sq >= 0:
-        raise ParameterError(f"tested variance must be non-negative, got {sigma0_sq!r}")
-    if sample_var < 0:
-        raise ParameterError("sample variance cannot be negative")
+    if not 0 <= real(sigma0_sq) < math.inf:
+        raise ParameterError(f"tested variance must be non-negative and finite, got {sigma0_sq!r}")
+    if not 0 <= real(sample_var) < math.inf:
+        raise ParameterError(f"sample variance must be non-negative and finite, got {sample_var!r}")
     check_alpha(alpha)
     if sigma0_sq == 0:
         statistic = math.inf if sample_var > 0 else 0.0

@@ -343,6 +343,18 @@ class TestThresholdTableFile:
         pytest.param(hand_table_with("analysis", "search_frac", 0.3), id="search_frac-overlap"),
         pytest.param(hand_table_with("analysis", "peak_excl_bins", -1), id="peak_excl-negative"),
         pytest.param(hand_table_with("meta", "analysis", {}), id="analysis-empty"),
+        # values of the wrong kind, which the records refuse themselves
+        pytest.param(hand_table_with("entries", "threshold", math.inf), id="threshold-inf"),
+        pytest.param(hand_table_with("entries", "mean_snr", math.nan), id="mean_snr-nan"),
+        pytest.param(hand_table_with("pulse", "bwr", -math.inf), id="bwr-minus-inf"),
+        pytest.param(hand_table_with("pulse", "bw_hi", True), id="bw_hi-bool"),
+        pytest.param(hand_table_with("meta", "noise_std", True), id="noise_std-bool"),
+        pytest.param(hand_table_with("analysis", "search_frac", "0.1"), id="search_frac-text"),
+        pytest.param(hand_table_with("analysis", "window", 1), id="window-number"),
+        pytest.param(hand_table_with("analysis", "bandpass", [True, 3500.0]), id="bandpass-bool"),
+        pytest.param(hand_table_with("analysis", "bandpass", [1500.0, math.inf]),
+                     id="bandpass-inf"),
+        pytest.param(hand_table_with("analysis", "n_harmonics", True), id="n_harmonics-bool"),
         pytest.param(hand_table_with("meta", "schema_version", 3), id="schema-3"),
         pytest.param(hand_table_with("meta", "schema_version", "2"), id="schema-text"),
         pytest.param(legacy_table_json("0123456789abcdef"), id="legacy-other-digest"),

@@ -9,20 +9,57 @@ import pytest
 from envdiag import (
     ClassifyConfig,
     DistributionSpec,
+    EnvelopeSpectrum,
     EstimatorConfig,
     ParameterError,
     PulseParams,
     Signal,
     SpectrumConfig,
+    bandpass,
     build_table,
+    chi2_critical,
+    chi_squared_variance_test,
+    detect_harmonic_peak,
+    normal_pdf,
+    rescale_variance,
     simulate_signal,
+    uniform_pdf,
     welch_psd,
 )
-from envdiag.errors import positive_finite
+from envdiag.errors import positive_finite, real, shown
 from test_calibrate import hand_table
 
 FS = 25_000.0
 X = np.ones(12_500)
+SPECTRUM = EnvelopeSpectrum(np.arange(200.0), np.ones(200), 1.0)
+
+
+class TestReal:
+    @pytest.mark.parametrize("value,number", [
+        (1, 1.0), (-2.5, -2.5), (math.inf, math.inf), (-math.inf, -math.inf),
+        (10**308, 1e308), (np.float64(2.5), 2.5), (np.int64(-3), -3.0),
+    ])
+    def test_real_numbers_are_their_float(self, value, number):
+        assert type(real(value)) is float and real(value) == number
+
+    # NaN itself, and everything that is no real number or does not fit a float
+    @pytest.mark.parametrize("value", [math.nan, np.float64(math.nan), True, False, "30", None,
+                                       [1.0], 1j, 10**400, -10**400])
+    def test_anything_else_is_nan(self, value):
+        number = real(value)
+        assert type(number) is float and math.isnan(number)
+        # which fails every range comparison
+        assert not (number < math.inf or number > -math.inf or number == number)
+
+    @pytest.mark.parametrize("value,unit,text", [
+        (0.5, " s", "0.5 s"), (25000, " Hz", "25000 Hz"), (np.float64(2.5), "", "2.5"),
+        (math.nan, " Hz", "nan Hz"), (np.float64(math.nan), "", "nan"), (math.inf, " s", "inf s"),
+        (-math.inf, "", "-inf"), (True, " s", "True"), ("30", " Hz", "'30'"),
+        (None, "", "None"), (10**400, " s", repr(10**400)),
+    ])
+    def test_shown_gives_a_number_with_its_unit_and_anything_else_as_repr(self, value, unit,
+                                                                          text):
+        assert shown(value, unit) == text
 
 
 class TestPositiveFinite:
@@ -74,5 +111,42 @@ NOT_POSITIVE_AND_FINITE = {
 @pytest.mark.parametrize("call", NOT_POSITIVE_AND_FINITE.values(),
                          ids=NOT_POSITIVE_AND_FINITE.keys())
 def test_value_not_positive_and_finite_raises_parameter_error(call):
+    with pytest.raises(ParameterError):
+        call()
+
+
+# each call gives a range check a value outside its range or no number at all;
+# at the parent each escaped as TypeError or ValueError, or passed
+NOT_IN_RANGE = {
+    "alpha-text": lambda: ClassifyConfig(30.0, 0.5, alpha="0.05"),
+    "bw_lo-text": lambda: PulseParams(aci=2.0, bw_lo="0.4"),
+    "bwr-none": lambda: PulseParams(aci=2.0, bwr=None),
+    "bwr-minus-inf": lambda: PulseParams(aci=2.0, bwr=-math.inf),
+    "bw_hi-bool": lambda: PulseParams(aci=2.0, bw_lo=0.5, bw_hi=True),
+    "search_frac-text": lambda: EstimatorConfig(30.0, search_frac="0.1"),
+    "n_harmonics-bool": lambda: EstimatorConfig(30.0, n_harmonics=True),
+    "sample_var-text": lambda: chi_squared_variance_test("1", 1.0, 10),
+    "sample_var-nan": lambda: chi_squared_variance_test(math.nan, 1.0, 10),
+    "sigma0_sq-inf": lambda: chi_squared_variance_test(1.0, math.inf, 10),
+    "quantile-text": lambda: chi2_critical("0.95", 5),
+    "uniform_pdf-a-text": lambda: uniform_pdf(1.0, "0", 2.0),
+    "normal_pdf-sigma-inf": lambda: normal_pdf(1.0, 0.0, math.inf),
+    "rescale-mean-text": lambda: rescale_variance(1.0, "30", 30.0),
+    "rescale-mean-inf": lambda: rescale_variance(1.0, math.inf, 30.0),
+    "bandpass-edge-text": lambda: bandpass(Signal(X, FS), "1500", 3500.0),
+    "band-upper-inf": lambda: SpectrumConfig(bandpass=(1500.0, math.inf)),
+    "band-bools": lambda: SpectrumConfig(bandpass=(False, True)),
+    "window-list": lambda: SpectrumConfig(window=["hann"]),
+    "law-param-bool": lambda: DistributionSpec("constant", (True,)),
+    "law-param-text": lambda: DistributionSpec("constant", ("30",)),
+    "harmonic-order-fraction": lambda: detect_harmonic_peak(SPECTRUM, 30.0, 1.5),
+    "entry-threshold-text": lambda: replace(hand_table().entries[0], threshold="0.1"),
+    "entry-threshold-inf": lambda: replace(hand_table().entries[0], threshold=math.inf),
+    "entry-mean_snr-inf": lambda: replace(hand_table().entries[0], mean_snr=math.inf),
+}
+
+
+@pytest.mark.parametrize("call", NOT_IN_RANGE.values(), ids=NOT_IN_RANGE.keys())
+def test_value_out_of_range_or_not_a_number_raises_parameter_error(call):
     with pytest.raises(ParameterError):
         call()
