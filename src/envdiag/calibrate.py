@@ -218,14 +218,20 @@ def analysis_settings(table: ThresholdTable, band: tuple[float, float] | None,
 
 
 def simulate_and_estimate(seq, seg_len, fs, dist, pulse, noise_std, spec_cfg, est_cfg):
-    """Simulate the signal the SeedSequence ``seq`` seeds and estimate it (worker-safe).
-
-    Callers bind every argument but ``seq`` with ``functools.partial`` and
-    map it over their batch's seed list, ``[SeedSpec(seed).sequence(i) for
-    i in range(n)]``, built in the calling process before the map starts.
-    """
+    """Simulate the signal the SeedSequence ``seq`` seeds and estimate it
+    (worker-safe); ``simulate_batch`` maps it over a batch."""
     signal, _ = simulate_signal(seg_len, fs, dist, pulse, seq, noise_std)
     return estimate_or_error(signal, spec_cfg, est_cfg)
+
+
+def simulate_batch(n, seed, seg_len, fs, dist, pulse, noise_std, spec_cfg, est_cfg):
+    """``estimate_batch``'s ``(f_hats, snrs, errors)`` for ``n`` simulated signals, signal
+    ``i`` seeded by ``SeedSpec(seed).sequence(i)``, made here before the one map starts."""
+    simulate = functools.partial(simulate_and_estimate, seg_len=seg_len, fs=fs, dist=dist,
+                                 pulse=pulse, noise_std=noise_std, spec_cfg=spec_cfg,
+                                 est_cfg=est_cfg)
+    seeds = SeedSpec(seed)
+    return estimate_batch(simulate, [seeds.sequence(i) for i in range(n)])
 
 
 def calibrate_entry(
@@ -248,15 +254,10 @@ def calibrate_entry(
     at scale would bias the variance.
     """
     n = whole_number(n, 2, "calibration needs at least 2 signals per cell")
-    est_cfg = replace(est_cfg, f_theoretical=DEFAULT_FAULT_FREQ)
-    simulate = functools.partial(
-        simulate_and_estimate, seg_len=seg_len, fs=fs,
-        dist=DistributionSpec.constant(DEFAULT_FAULT_FREQ),
-        pulse=replace(pulse, aci=aci),
-        noise_std=noise_std, spec_cfg=spec_cfg, est_cfg=est_cfg,
-    )
-    seqs = [SeedSpec(master_seed).sequence(i) for i in range(n)]
-    f_hats, snrs, errors = estimate_batch(simulate, seqs)
+    f_hats, snrs, errors = simulate_batch(
+        n, master_seed, seg_len, fs, DistributionSpec.constant(DEFAULT_FAULT_FREQ),
+        replace(pulse, aci=aci), noise_std, spec_cfg,
+        replace(est_cfg, f_theoretical=DEFAULT_FAULT_FREQ))
     if len(errors) > MAX_FAILURE_FRAC * n:
         raise CalibrationError(
             f"{len(errors)}/{n} estimates failed at aci={aci}, seg_len={seg_len}"

@@ -25,7 +25,7 @@ from .calibrate import (
     analysis_json,
     analysis_settings,
     same_length,
-    simulate_and_estimate,
+    simulate_batch,
 )
 from .envspec import SpectrumConfig
 from .errors import DegenerateSampleError, ParameterError, positive_finite, real, whole_number
@@ -300,15 +300,10 @@ def simulate_and_classify(
     # the report carries seg_len, not a cfg.seg_len that differs from it below 1e-9 s
     cfg = replace(cfg, seg_len=seg_len)
     spec_cfg, est_cfg = analysis_settings(table, cfg.band, cfg.f_theoretical)
-    simulate = functools.partial(
-        simulate_and_estimate, seg_len=seg_len, fs=table.fs, dist=dist,
-        pulse=replace(table.pulse_base, aci=aci), noise_std=table.noise_std,
-        spec_cfg=spec_cfg, est_cfg=est_cfg,
-    )
-    seeds = SeedSpec(seed)
-    f_hats, snrs, errors = estimate_batch(
-        simulate, [seeds.sequence(i) for i in range(n_segments)])
+    f_hats, snrs, errors = simulate_batch(
+        n_segments, seed, seg_len, table.fs, dist, replace(table.pulse_base, aci=aci),
+        table.noise_std, spec_cfg, est_cfg)
     if errors:
         raise errors[0]
     return _decide(f_hats, snrs, table, cfg, [], simulated={
-        "dist": dist.spec_string(), "aci": float(aci), "seed": seeds.master_seed})
+        "dist": dist.spec_string(), "aci": float(aci), "seed": SeedSpec(seed).master_seed})
