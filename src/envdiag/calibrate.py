@@ -71,11 +71,12 @@ class ThresholdEntry:
         positive_finite(self.aci, "a cell's aci")
         positive_finite(self.seg_len, "a cell's seg_len", " s")
         positive_finite(self.mean_f_hat, "a cell's mean_f_hat", " Hz")
-        if not (0 <= real(self.threshold) < math.inf and 0 <= real(self.mean_snr) < math.inf
-                and self.n_signals >= 2):
-            raise ParameterError(
-                "a cell needs threshold >= 0 and mean_snr >= 0, both finite, and n_signals "
-                f">= 2, got {self.threshold!r}, {self.mean_snr!r} and {self.n_signals!r}")
+        message = ("a cell needs threshold >= 0 and mean_snr >= 0, both finite, and n_signals "
+                   f">= 2, got {self.threshold!r}, {self.mean_snr!r} and {self.n_signals!r}")
+        if not (0 <= real(self.threshold) < math.inf and 0 <= real(self.mean_snr) < math.inf):
+            raise ParameterError(message)
+        object.__setattr__(self, "n_signals", whole_number(self.n_signals, 2, message))
+        object.__setattr__(self, "master_seed", SeedSpec(self.master_seed).master_seed)
 
 
 # Field -> JSON key of each saved record; one map drives both save and load.
@@ -132,9 +133,10 @@ class ThresholdTable:
     ``master_seed``.  Any other ``schema_version``, or none, is an error
     that asks for a recalibration.  Ranges are checked on construction,
     built or loaded: ``fs`` and ``f_simul`` positive and finite,
-    ``noise_std`` as ``simulate_signal`` takes it, ``n`` at least 2, and
-    records their own classes accept.  Lengths within 1e-9 s are one
-    column (``same_length``), holding one entry per ACI.
+    ``noise_std`` as ``simulate_signal`` takes it, ``n`` a whole number of
+    at least 2, ``seed`` as ``SeedSpec`` takes it, and records their own
+    classes accept.  Lengths within 1e-9 s are one column (``same_length``),
+    holding one entry per ACI.
     """
 
     fs: float
@@ -151,8 +153,9 @@ class ThresholdTable:
         positive_finite(self.fs, "a table's fs", " Hz")
         positive_finite(self.f_simul, "a table's f_simul", " Hz")
         check_noise_std(self.noise_std)
-        if not self.n_signals >= 2:
-            raise ParameterError(f"a table needs n >= 2, got {self.n_signals!r}")
+        object.__setattr__(self, "n_signals", whole_number(
+            self.n_signals, 2, f"a table needs n >= 2, got {self.n_signals!r}"))
+        object.__setattr__(self, "master_seed", SeedSpec(self.master_seed).master_seed)
         check_unique_cells((e.aci, e.seg_len) for e in self.entries)
 
     def entries_at(self, seg_len: float) -> list[ThresholdEntry]:
@@ -269,7 +272,7 @@ def calibrate_entry(
         mean_f_hat=float(f_hats.mean()),
         mean_snr=float(snrs.mean()),
         n_signals=len(f_hats),
-        master_seed=int(master_seed),
+        master_seed=master_seed,
     )
 
 
@@ -341,7 +344,7 @@ def build_table(
     return ThresholdTable(
         fs=float(fs),
         f_simul=DEFAULT_FAULT_FREQ,
-        n_signals=int(n),
+        n_signals=n,
         master_seed=seeds.master_seed,
         noise_std=float(noise_std),
         pulse_base=replace(pulse, aci=1.0),

@@ -343,6 +343,12 @@ class TestThresholdTableFile:
         pytest.param(hand_table_with("analysis", "search_frac", 0.3), id="search_frac-overlap"),
         pytest.param(hand_table_with("analysis", "peak_excl_bins", -1), id="peak_excl-negative"),
         pytest.param(hand_table_with("meta", "analysis", {}), id="analysis-empty"),
+        # seeds follow SeedSpec's rule: a whole number in [0, 2**64)
+        pytest.param(hand_table_with("meta", "seed", -1), id="meta-seed-negative"),
+        pytest.param(hand_table_with("meta", "seed", 2**64), id="meta-seed-past-64-bits"),
+        pytest.param(hand_table_with("entries", "master_seed", -7), id="master_seed-negative"),
+        pytest.param(hand_table_with("entries", "master_seed", 2**70),
+                     id="master_seed-past-64-bits"),
         # values of the wrong kind, which the records refuse themselves
         pytest.param(hand_table_with("entries", "threshold", math.inf), id="threshold-inf"),
         pytest.param(hand_table_with("entries", "mean_snr", math.nan), id="mean_snr-nan"),

@@ -437,7 +437,8 @@ def test_malformed_table_is_a_usage_error(files, tmp_path, content):
 
 @pytest.mark.parametrize("record,key,value", [
     ("entry", "aci", -1.0), ("entry", "mean_f_hat", -30.0), ("entry", "seg_len_s", -0.5),
-    ("meta", "noise_std", -1.0),
+    ("meta", "noise_std", -1.0), ("meta", "seed", -1), ("entry", "master_seed", -7),
+    ("entry", "master_seed", 2**70),
 ])
 def test_table_cell_out_of_range_is_refused_before_the_recording_is_read(
         files, tmp_path, monkeypatch, record, key, value):

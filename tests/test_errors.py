@@ -143,6 +143,8 @@ NOT_IN_RANGE = {
     "entry-threshold-text": lambda: replace(hand_table().entries[0], threshold="0.1"),
     "entry-threshold-inf": lambda: replace(hand_table().entries[0], threshold=math.inf),
     "entry-mean_snr-inf": lambda: replace(hand_table().entries[0], mean_snr=math.inf),
+    "entry-n_signals-fraction": lambda: replace(hand_table().entries[0], n_signals=2.5),
+    "entry-master_seed-negative": lambda: replace(hand_table().entries[0], master_seed=-1),
 }
 
 
