@@ -8,8 +8,9 @@ Exit codes:
   cell at a segment length ``classify`` was asked for, a length asked for
   twice (within ``calibrate.same_length``), a recording with a non-finite
   sample, a CSV recording that is not ASCII text, an output file in a
-  directory that does not exist (found before any work), and an input too
-  large for memory (``MemoryError``, reported with the allocation that failed).
+  directory that does not exist or an --emit-spectra path that is or lies
+  under a file (found before any work), and an input too large for memory
+  (``MemoryError``, reported with the allocation that failed).
 
 A recording is read in the format its sidecar's ``format`` records, else
 in the one its file name names: ``.csv`` and ``.txt`` are CSV text, one
@@ -126,6 +127,16 @@ def _check_output_dirs(*paths) -> None:
             raise ParameterError(f"{path}: directory {os.path.dirname(path)!r} does not exist")
 
 
+def _check_makeable_dir(path) -> None:
+    """Raise ParameterError unless the directory ``path`` exists or can be made:
+    the nearest of it and its parents that exists must be a directory."""
+    existing = path
+    while existing and not os.path.exists(existing):
+        existing = os.path.dirname(existing)
+    if existing and not os.path.isdir(existing):
+        raise ParameterError(f"{path}: {existing!r} is not a directory")
+
+
 band_option = click.option("--band", default=None,
                            help="Bandpass LO,HI in Hz before demodulation, or 'none'.")
 
@@ -158,6 +169,7 @@ def cmd_simulate(dist_text, aci, seg_len, n_segments, fs, fc, noise_std, seed, o
     its true frequency is kept, so memory holds one segment whatever
     --n-segments is.  A failed segment leaves no output behind.
     """
+    _check_output_dirs(out)
     dist = DistributionSpec.parse(dist_text)
     pulse = PulseParams(aci=aci, fc=fc)
     n_segments = whole_number(n_segments, 1, "--n-segments must be >= 1")
@@ -280,6 +292,7 @@ def cmd_classify(in_path, table_path, f_theoretical, seg_lens, alpha, fs, paper_
     samples of one segment length while it runs.
     """
     _check_output_dirs(out, text_out, emit_estimates, emit_kde)
+    _check_makeable_dir(emit_spectra)
     band = _parse_band(band)
     table = ThresholdTable.load(table_path)
     cfgs = [ClassifyConfig(f_theoretical, seg_len, alpha, band, paper_rescale)

@@ -473,6 +473,7 @@ def spied(monkeypatch):
 
 
 MISSING_OUTPUT_CASES = {
+    "simulate-o": "simulate --dist constant:30 --aci 2 --seg-len 0.5 -o {missing}",
     "calibrate-o": "calibrate --aci-grid 2 --seg-grid 0.5 --n 2 -o {missing}",
     "calibrate-csv": "calibrate --aci-grid 2 --seg-grid 0.5 --n 2 -o {out} --csv {missing}",
     "classify-o": "classify {classify} -o {missing}",
@@ -496,6 +497,22 @@ def test_output_in_a_missing_directory_is_refused_before_any_work(files, tmp_pat
     assert result.output == f"error: {target}: directory '{target.parent}' does not exist\n"
     assert spied == []
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("below", ["", "sub"], ids=["file", "under-a-file"])
+def test_emit_spectra_path_that_is_or_is_under_a_file_is_refused_before_any_work(
+        files, tmp_path, spied, monkeypatch, below):
+    _, rec, table = files
+    blocker = tmp_path / "spec"
+    blocker.write_text("", encoding="ascii")
+    spectra = blocker / below if below else blocker
+    monkeypatch.setattr(ThresholdTable, "load", lambda *a: spied.append("load"))
+    result = invoke("classify", "-i", rec, "--table", table, "--f-theoretical", 30,
+                    "--seg-lens", 0.5, "-o", tmp_path / "r.json", "--emit-spectra", spectra)
+    assert_usage_error(result)
+    assert result.output == f"error: {spectra}: '{blocker}' is not a directory\n"
+    assert spied == []
+    assert list(tmp_path.iterdir()) == [blocker]
 
 
 def test_calibrate_piece_under_eight_samples_is_refused_before_any_simulation(tmp_path,
