@@ -115,8 +115,8 @@ def test_value_not_positive_and_finite_raises_parameter_error(call):
         call()
 
 
-# each call gives a range check a value outside its range or no number at all;
-# at the parent each escaped as TypeError or ValueError, or passed
+# each call gives a range check a value outside its range or no number at all,
+# which must end in ParameterError, not in TypeError, a math error or a result
 NOT_IN_RANGE = {
     "alpha-text": lambda: ClassifyConfig(30.0, 0.5, alpha="0.05"),
     "bw_lo-text": lambda: PulseParams(aci=2.0, bw_lo="0.4"),
