@@ -80,8 +80,7 @@ class ThresholdEntry:
 
 
 # Field -> JSON key of each saved record; one map drives both save and load.
-_META_KEYS = {"fs": "fs", "f_simul": "f_simul", "n_signals": "n", "master_seed": "seed",
-              "noise_std": "noise_std"}
+_META_KEYS = {"fs": "fs", "n_signals": "n", "master_seed": "seed", "noise_std": "noise_std"}
 _SPECTRUM_KEYS = {"bandpass": "bandpass", "window": "window",
                   "zero_pad_factor": "zero_pad_factor", "piece_len_s": "piece_len_s"}
 _ESTIMATOR_KEYS = {"n_harmonics": "n_harmonics", "search_frac": "search_frac",
@@ -118,7 +117,9 @@ class ThresholdTable:
     ``spectrum`` and ``estimator`` are the envelope-spectrum and peak-search
     settings the table was calibrated under, its band included.  A recording
     compared against it is analysed with the same ones, in its own band and
-    around its own theoretical frequency (``analysis_settings``).
+    around its own theoretical frequency (``classify.analysis_settings``).
+    The table's search centre ``f_simul`` is ``estimator.f_theoretical``,
+    which ``meta.f_simul`` holds in the file.
 
     Saved as a JSON object with two members, and loaded only in this one
     layout, every key present.  ``meta`` holds ``fs``, ``f_simul``, ``n``,
@@ -132,15 +133,14 @@ class ThresholdTable:
     ``threshold``, ``mean_f_hat``, ``mean_snr``, ``n_signals`` and
     ``master_seed``.  Any other ``schema_version``, or none, is an error
     that asks for a recalibration.  Ranges are checked on construction,
-    built or loaded: ``fs`` and ``f_simul`` positive and finite,
-    ``noise_std`` as ``simulate_signal`` takes it, ``n`` a whole number of
-    at least 2, ``seed`` as ``SeedSpec`` takes it, and records their own
-    classes accept.  Lengths within 1e-9 s are one column (``same_length``),
-    holding one entry per ACI.
+    built or loaded: ``fs`` positive and finite, ``noise_std`` as
+    ``simulate_signal`` takes it, ``n`` a whole number of at least 2,
+    ``seed`` as ``SeedSpec`` takes it, and records, ``f_simul`` among them,
+    as their own classes accept.  Lengths within 1e-9 s are one column
+    (``same_length``), holding one entry per ACI.
     """
 
     fs: float
-    f_simul: float
     n_signals: int
     master_seed: int
     noise_std: float
@@ -151,12 +151,16 @@ class ThresholdTable:
 
     def __post_init__(self):
         positive_finite(self.fs, "a table's fs", " Hz")
-        positive_finite(self.f_simul, "a table's f_simul", " Hz")
         check_noise_std(self.noise_std)
         object.__setattr__(self, "n_signals", whole_number(
             self.n_signals, 2, f"a table needs n >= 2, got {self.n_signals!r}"))
         object.__setattr__(self, "master_seed", SeedSpec(self.master_seed).master_seed)
         check_unique_cells((e.aci, e.seg_len) for e in self.entries)
+
+    @property
+    def f_simul(self) -> float:
+        """The centre every cell was searched around, Hz."""
+        return self.estimator.f_theoretical
 
     def entries_at(self, seg_len: float) -> list[ThresholdEntry]:
         """The cells at ``seg_len``; TableMismatchError when there are none."""
@@ -167,6 +171,7 @@ class ThresholdTable:
 
     def to_json_dict(self) -> dict:
         meta = _dump(self, _META_KEYS)
+        meta["f_simul"] = self.f_simul
         meta["schema_version"] = SCHEMA_VERSION
         meta["analysis"] = analysis_json(self.spectrum, self.estimator)
         meta["pulse"] = _dump(self.pulse_base, _PULSE_KEYS)
@@ -202,22 +207,14 @@ class ThresholdTable:
                 raise ParameterError(f"{path}: not a valid threshold table ({exc!r})") from None
 
     def to_csv_matrix(self) -> str:
-        """Threshold matrix with ACI rows and segment-length columns."""
-        cells = {(e.aci, e.seg_len): e.threshold for e in self.entries}
+        """Threshold matrix with ACI rows and segment-length columns; a cell
+        the table lacks is an empty field."""
+        cells = {(e.aci, e.seg_len): f"{e.threshold:.6g}" for e in self.entries}
         segs = sorted({s for _, s in cells})
         lines = ["aci," + ",".join(f"{s:g}s" for s in segs)]
         for aci in sorted({a for a, _ in cells}):
-            lines.append(f"{aci:g}," + ",".join(f"{cells[aci, s]:.6g}" for s in segs))
+            lines.append(f"{aci:g}," + ",".join(cells.get((aci, s), "") for s in segs))
         return "\n".join(lines) + "\n"
-
-
-def analysis_settings(table: ThresholdTable, band: tuple[float, float] | None,
-                      f_theoretical: float):
-    """The envelope-spectrum and peak-search settings a recording is analysed
-    with: those ``table`` was calibrated under, with the recording's ``band``
-    and ``f_theoretical``."""
-    return (replace(table.spectrum, bandpass=band),
-            replace(table.estimator, f_theoretical=f_theoretical))
 
 
 def simulate_and_estimate(seq, seg_len, fs, dist, pulse, noise_std, spec_cfg, est_cfg):
@@ -343,7 +340,6 @@ def build_table(
             )
     return ThresholdTable(
         fs=float(fs),
-        f_simul=DEFAULT_FAULT_FREQ,
         n_signals=n,
         master_seed=seeds.master_seed,
         noise_std=float(noise_std),

@@ -23,7 +23,6 @@ from .calibrate import (
     ThresholdEntry,
     ThresholdTable,
     analysis_json,
-    analysis_settings,
     same_length,
     simulate_batch,
 )
@@ -72,6 +71,14 @@ class ClassifyConfig:
         # the band and the search centre are checked by the configs they go into
         SpectrumConfig(bandpass=self.band)
         EstimatorConfig(f_theoretical=self.f_theoretical)
+
+
+def analysis_settings(table: ThresholdTable, cfg: ClassifyConfig):
+    """The envelope-spectrum and peak-search settings a recording is analysed
+    with: those ``table`` was calibrated under, with the run's ``cfg.band``
+    and ``cfg.f_theoretical``."""
+    return (replace(table.spectrum, bandpass=cfg.band),
+            replace(table.estimator, f_theoretical=cfg.f_theoretical))
 
 
 @dataclass(frozen=True)
@@ -264,9 +271,10 @@ def classify_signal(
     the table's ``fs``.
     """
     table.entries_at(cfg.seg_len)  # raises before any segment is read
-    spec_cfg, est_cfg = analysis_settings(table, cfg.band, cfg.f_theoretical)
+    spec_cfg, est_cfg = analysis_settings(table, cfg)
     estimate = functools.partial(estimate_or_error, spec_cfg=spec_cfg, est_cfg=est_cfg)
-    f_hats, snrs, errors = estimate_batch(estimate, iter_segments(x, cfg.seg_len))
+    segments = (segment for _, segment in iter_segments(x, cfg.seg_len))
+    f_hats, snrs, errors = estimate_batch(estimate, segments)
     warnings = check_segment_failures(x, cfg.seg_len, len(errors), len(f_hats) + len(errors))
     if spec_cfg.bandpass != table.spectrum.bandpass:
         warnings.append(f"band {spec_cfg.bandpass} is not the table's band "
@@ -299,7 +307,7 @@ def simulate_and_classify(
         raise ParameterError("cfg.seg_len disagrees with seg_len")
     # the report carries seg_len, not a cfg.seg_len that differs from it below 1e-9 s
     cfg = replace(cfg, seg_len=seg_len)
-    spec_cfg, est_cfg = analysis_settings(table, cfg.band, cfg.f_theoretical)
+    spec_cfg, est_cfg = analysis_settings(table, cfg)
     f_hats, snrs, errors = simulate_batch(
         n_segments, seed, seg_len, table.fs, dist, replace(table.pulse_base, aci=aci),
         table.noise_std, spec_cfg, est_cfg)

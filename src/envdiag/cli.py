@@ -43,11 +43,10 @@ from .calibrate import (
     DEFAULT_SEG_GRID,
     DEFAULT_SPECTRUM,
     ThresholdTable,
-    analysis_settings,
     build_table,
     same_length,
 )
-from .classify import ClassifyConfig, classify_signal, decision_table
+from .classify import ClassifyConfig, analysis_settings, classify_signal, decision_table
 from .envspec import WINDOWS, SpectrumConfig, envelope_spectrum
 from .errors import (
     EnvDiagError,
@@ -314,14 +313,14 @@ def cmd_classify(in_path, table_path, f_theoretical, seg_lens, alpha, fs, paper_
     click.echo(text, nl=False)
 
     first_len = reports[0].seg_len
-    spec_cfg, est_cfg = analysis_settings(table, band, f_theoretical)
+    spec_cfg, est_cfg = analysis_settings(table, cfgs[0])
     if emit_estimates:
         # the segments the first report kept: classify_signal applied the
         # skip policy to these same estimates
-        results = enumerate(estimate_or_error(seg, spec_cfg, est_cfg)
-                            for seg in iter_segments(recording, first_len))
-        kept = {i: r for i, r in results if not isinstance(r, EstimationError)}
-        write_estimates_csv(emit_estimates, list(kept.values()), first_len, list(kept))
+        rows = ((i, start / recording.fs, estimate_or_error(seg, spec_cfg, est_cfg))
+                for i, (start, seg) in enumerate(iter_segments(recording, first_len)))
+        write_estimates_csv(emit_estimates,
+                            [r for r in rows if not isinstance(r[2], EstimationError)])
     if emit_kde:
         f_hats = reports[0].estimates
         try:
@@ -332,7 +331,7 @@ def cmd_classify(in_path, table_path, f_theoretical, seg_lens, alpha, fs, paper_
             write_kde_csv(emit_kde, curve, f_hats)
     if emit_spectra:
         os.makedirs(emit_spectra, exist_ok=True)
-        for idx, seg in enumerate(iter_segments(recording, first_len)):
+        for idx, (_, seg) in enumerate(iter_segments(recording, first_len)):
             write_spectrum_csv(os.path.join(emit_spectra, f"segment_{idx:04d}.csv"),
                                envelope_spectrum(seg, spec_cfg))
 

@@ -12,8 +12,8 @@ of a failed segment in place of its estimate.  ``estimate_batch`` maps it,
 or any function like it, over a batch of segments with one
 ``parallel_map``, and ``check_segment_failures`` is the skip policy for
 the segments of a recording.  A recording is a segment source
-(``sigmodel.Recording``): ``iter_segments`` reads its segments one at a
-time, so a file-backed recording is never held in memory whole.
+(``sigmodel.Recording``): ``iter_segments`` cuts it and reads its segments
+one at a time, so a file-backed recording is never held in memory whole.
 """
 
 from __future__ import annotations
@@ -91,22 +91,17 @@ class FaultFrequencyEstimate:
     snr: float
 
 
-def detect_harmonic_peak(
-    spec: EnvelopeSpectrum,
-    f_theoretical: float,
-    k: int = 1,
-    search_frac: float = EstimatorConfig.search_frac,
-) -> HarmonicPeak:
+def detect_harmonic_peak(spec: EnvelopeSpectrum, cfg: EstimatorConfig, k: int = 1) -> HarmonicPeak:
     """Find the amplitude maximum near the k-th harmonic.
 
-    The search window is ``k * f_theoretical * (1 +- search_frac)``.  Exact
-    amplitude ties resolve toward the bin closest to the expected harmonic
-    location (and to the lower frequency if still tied).
+    The search window is ``k * f_theoretical * (1 +- search_frac)``, read
+    from ``cfg``.  Exact amplitude ties resolve toward the bin closest to the
+    expected harmonic location (and to the lower frequency if still tied).
     """
     k = whole_number(k, 1, "harmonic order must be an integer >= 1")
-    target = k * f_theoretical
-    lo = target * (1.0 - search_frac)
-    hi = target * (1.0 + search_frac)
+    target = k * cfg.f_theoretical
+    lo = target * (1.0 - cfg.search_frac)
+    hi = target * (1.0 + cfg.search_frac)
     if hi > spec.freqs[-1]:
         raise EstimationError(
             f"harmonic {k}: window [{lo:g}, {hi:g}] Hz exceeds the spectrum range"
@@ -164,16 +159,15 @@ def estimate_fault_frequency(
     spec: EnvelopeSpectrum, cfg: EstimatorConfig
 ) -> FaultFrequencyEstimate:
     """Estimate the fault frequency from ``cfg.n_harmonics`` harmonic peaks."""
-    peaks = tuple(
-        detect_harmonic_peak(spec, cfg.f_theoretical, k, cfg.search_frac)
-        for k in range(1, cfg.n_harmonics + 1)
-    )
+    peaks = tuple(detect_harmonic_peak(spec, cfg, k) for k in range(1, cfg.n_harmonics + 1))
     f_hat = float(np.mean([p.freq / p.order for p in peaks]))
     return FaultFrequencyEstimate(f_hat=f_hat, peaks=peaks, snr=snr(spec, peaks, cfg))
 
 
 def iter_segments(x: Recording, seg_len: float):
-    """Yield consecutive non-overlapping segments; the remainder is dropped.
+    """Yield ``(start, segment)`` for consecutive non-overlapping segments,
+    ``start`` being the segment's first sample in ``x``; the remainder is
+    dropped.
 
     Each segment is read from ``x`` with ``x.read`` as it is drawn; a
     recording's samples were checked when it was opened or built, so they
@@ -186,7 +180,7 @@ def iter_segments(x: Recording, seg_len: float):
     if n_seg < 2:
         raise ParameterError(f"segment of {seg_len:g} s holds fewer than 2 samples")
     for start in range(0, len(x) - n_seg + 1, n_seg):
-        yield x.read(start, n_seg)
+        yield start, x.read(start, n_seg)
 
 
 def estimate_or_error(

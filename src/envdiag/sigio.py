@@ -241,19 +241,21 @@ def write_spectrum_csv(path, spec: EnvelopeSpectrum) -> None:
     _write_columns(path, "freq_hz,amplitude", (spec.freqs, spec.amps))
 
 
-def write_estimates_csv(path, estimates: list[FaultFrequencyEstimate], seg_len: float,
-                        indices: list[int]) -> None:
-    """One row per estimate; ``indices`` are their segment numbers.  There is a
-    ``peakK_hz`` column for every harmonic order K up to the estimates' highest."""
-    orders = range(1, max((p.order for est in estimates for p in est.peaks), default=0) + 1)
+def write_estimates_csv(path, rows: list[tuple[int, float, FaultFrequencyEstimate]]) -> None:
+    """One line per ``(index, t_start, estimate)`` row: the segment's number,
+    its start time in seconds and its estimate.  The caller gives the start
+    as the recording was cut, the segment's first sample over the sample
+    rate (``faultfreq.iter_segments``).  There is a ``peakK_hz`` column for
+    every harmonic order K up to the estimates' highest."""
+    orders = range(1, max((p.order for *_, est in rows for p in est.peaks), default=0) + 1)
     with open(path, "w", encoding="ascii") as fh:
         fh.write(",".join(["segment_index,t_start_s,f_hat_hz,snr"]
                           + [f"peak{k}_hz" for k in orders]) + "\n")
-        for i, est in zip(indices, estimates, strict=True):
+        for i, t_start, est in rows:
             peaks = {p.order: p.freq for p in est.peaks}
             cols = [
                 str(i),
-                f"{i * seg_len:.10g}",
+                f"{t_start:.10g}",
                 f"{est.f_hat:.10g}",
                 f"{est.snr:.10g}",
             ] + [f"{peaks[k]:.10g}" if k in peaks else "" for k in orders]

@@ -205,7 +205,7 @@ def hand_table():
                        n_signals=1000, master_seed=12345678901234567890)
         for aci, thr, f, snr in ((1.5, 0.0125, 30.0625, 2.5), (2.5, 0.00390625, 30.03125, 4.75))
     )
-    return ThresholdTable(fs=25000.0, f_simul=30.0, n_signals=1000, master_seed=3,
+    return ThresholdTable(fs=25000.0, n_signals=1000, master_seed=3,
                           noise_std=1.0, pulse_base=PulseParams(aci=1.0),
                           spectrum=SpectrumConfig(),
                           estimator=EstimatorConfig(f_theoretical=30.0), entries=entries)
@@ -432,6 +432,20 @@ class TestThresholdTableFile:
 
     def test_csv_matrix(self):
         assert hand_table().to_csv_matrix() == "aci,0.5s\n1.5,0.0125\n2.5,0.00390625\n"
+
+    def test_csv_matrix_leaves_a_cell_the_table_lacks_empty(self):
+        # a 2 x 2 grid without its (2.5, 1 s) cell
+        table = hand_table()
+        table = replace(table, entries=table.entries + (replace(table.entries[0], seg_len=1.0),))
+        assert table.to_csv_matrix() == "aci,0.5s,1s\n1.5,0.0125,0.0125\n2.5,0.00390625,\n"
+
+    def test_search_centre_is_the_estimator_s_and_round_trips(self, tmp_path):
+        table = replace(hand_table(), estimator=EstimatorConfig(f_theoretical=34.0))
+        assert table.f_simul == 34.0
+        path = tmp_path / "table.json"
+        table.save(path)
+        assert json.loads(path.read_text(encoding="utf-8"))["meta"]["f_simul"] == 34.0
+        assert ThresholdTable.load(path) == table
 
     def test_cells_at_a_length_or_a_mismatch(self):
         table = hand_table()

@@ -33,9 +33,9 @@ from envdiag import (
     simulate_signal,
 )
 from envdiag import classify
-from envdiag.calibrate import analysis_settings
 from envdiag._parallel import ENV_THREADS
-from envdiag.classify import VERDICT_CONSTANT, VERDICT_INCONCLUSIVE, VERDICT_NORMAL, VERDICT_UNIFORM
+from envdiag.classify import (VERDICT_CONSTANT, VERDICT_INCONCLUSIVE, VERDICT_NORMAL,
+                              VERDICT_UNIFORM, analysis_settings)
 from envdiag.faultfreq import estimate_or_error, iter_segments
 from envdiag.sigio import read_signal, write_signal_arrays
 
@@ -69,7 +69,7 @@ def config(f_theoretical=30.0, **kwargs):
 
 def plain_estimates(x, spec_cfg, est_cfg=EstimatorConfig(f_theoretical=30.0)):
     """Each segment's estimate, one segment at a time, in time order."""
-    return [estimate_or_error(seg, spec_cfg, est_cfg) for seg in iter_segments(x, SEG)]
+    return [estimate_or_error(seg, spec_cfg, est_cfg) for _, seg in iter_segments(x, SEG)]
 
 
 class TestClassifyConfig:
@@ -93,7 +93,7 @@ class TestClassifyConfig:
                             spec_cfg=SpectrumConfig(window="hamming", piece_len_s=0.25),
                             est_cfg=EstimatorConfig(f_theoretical=30.0, n_harmonics=2))
         cfg = ClassifyConfig(97.0, SEG, band=(1000, 4000))
-        spec_cfg, est_cfg = analysis_settings(table, cfg.band, cfg.f_theoretical)
+        spec_cfg, est_cfg = analysis_settings(table, cfg)
         assert spec_cfg == SpectrumConfig(bandpass=(1000.0, 4000.0), window="hamming",
                                           piece_len_s=0.25)
         assert est_cfg == EstimatorConfig(f_theoretical=97.0, n_harmonics=2)
@@ -373,7 +373,7 @@ def _table_at(cells):
                        n_signals=2, master_seed=0)
         for aci, snr in cells
     )
-    return ThresholdTable(fs=FS, f_simul=30.0, n_signals=2, master_seed=0, noise_std=1.0,
+    return ThresholdTable(fs=FS, n_signals=2, master_seed=0, noise_std=1.0,
                           pulse_base=PulseParams(aci=1.0), spectrum=SpectrumConfig(),
                           estimator=EstimatorConfig(f_theoretical=30.0), entries=entries)
 

@@ -291,7 +291,7 @@ def test_classify_analyses_as_the_table_was_calibrated(files, table_h2):
     assert rep["provenance"]["analysis"] == \
         json.loads(table_h2.read_text(encoding="utf-8"))["meta"]["analysis"]
     signal, _ = read_signal(rec)
-    estimates = [estimate_or_error(seg, spec_cfg, est_cfg) for seg in iter_segments(signal, 0.5)]
+    estimates = [estimate_or_error(seg, spec_cfg, est_cfg) for _, seg in iter_segments(signal, 0.5)]
     assert rep["estimates_hz"] == [e.f_hat for e in estimates]
 
 
@@ -677,6 +677,23 @@ def test_emitted_estimates_have_a_peak_column_per_harmonic(files, tmp_path, n_ha
                                               rel=1e-9)
 
 
+def test_emitted_start_times_are_the_first_sample_of_each_cut_segment(tmp_path):
+    # 0.33333 s is 8333 samples at 25 kHz, so segment 15 starts at sample 124995,
+    # 4.9998 s, not at 15 * 0.33333 = 4.99995 s
+    rec, table, est = tmp_path / "rec.f64", tmp_path / "table.json", tmp_path / "est.csv"
+    for args in (("simulate", "--dist", "constant:30", "--aci", 2, "--seg-len", 6, "--seed", 1,
+                  "-o", rec),
+                 ("calibrate", "--aci-grid", 2, "--seg-grid", 0.33333, "--n", 2, "--seed", 2,
+                  "-o", table),
+                 ("classify", "-i", rec, "--table", table, "--f-theoretical", 30, "--seg-lens",
+                  0.33333, "-o", tmp_path / "rep.json", "--emit-estimates", est)):
+        result = invoke(*args)
+        assert result.exit_code == 0, result.output
+    _, rows = csv_rows(est)
+    assert rows[15][:2] == ["15", "4.9998"]
+    assert [row[1] for row in rows] == [f"{int(row[0]) * 8333 / 25000:.10g}" for row in rows]
+
+
 def test_input_too_large_for_memory_is_a_usage_error(monkeypatch, tmp_path):
     def too_large(*args, **kwargs):
         raise MemoryError("Unable to allocate 3.64 TiB for an array with shape "
@@ -776,7 +793,7 @@ def test_emitted_estimates_skip_the_segments_classify_skips(tmp_path, files, gap
     names = sorted(p.name for p in spectra.iterdir())
     assert names == [f"segment_{i:04d}.csv" for i in range(11)]
     signal, _ = read_signal(rec)
-    for name, seg in zip(names, iter_segments(signal, 0.5)):
+    for name, (_, seg) in zip(names, iter_segments(signal, 0.5)):
         want = tmp_path / "want.csv"
         write_spectrum_csv(want, envelope_spectrum(seg, SpectrumConfig()))
         assert (spectra / name).read_bytes() == want.read_bytes(), name

@@ -104,7 +104,7 @@ NOT_POSITIVE_AND_FINITE = {
     "law-params-not-a-list": lambda: DistributionSpec("constant", 30),
     "law-params-text": lambda: DistributionSpec("normal", ("a", 1)),
     "table-fs-inf": lambda: replace(hand_table(), fs=math.inf),
-    "table-f_simul-inf": lambda: replace(hand_table(), f_simul=math.inf),
+    "table-f_simul-inf": lambda: replace(hand_table().estimator, f_theoretical=math.inf),
 }
 
 
@@ -139,7 +139,8 @@ NOT_IN_RANGE = {
     "window-list": lambda: SpectrumConfig(window=["hann"]),
     "law-param-bool": lambda: DistributionSpec("constant", (True,)),
     "law-param-text": lambda: DistributionSpec("constant", ("30",)),
-    "harmonic-order-fraction": lambda: detect_harmonic_peak(SPECTRUM, 30.0, 1.5),
+    "harmonic-order-fraction": lambda: detect_harmonic_peak(SPECTRUM, EstimatorConfig(30.0),
+                                                            1.5),
     "entry-threshold-text": lambda: replace(hand_table().entries[0], threshold="0.1"),
     "entry-threshold-inf": lambda: replace(hand_table().entries[0], threshold=math.inf),
     "entry-mean_snr-inf": lambda: replace(hand_table().entries[0], mean_snr=math.inf),

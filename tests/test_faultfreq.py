@@ -37,32 +37,32 @@ FS = 25_000.0
 class TestDetectHarmonicPeak:
     def test_recovers_single_spike(self, make_spectrum):
         spec = make_spectrum({30.0: 5.0})
-        peak = detect_harmonic_peak(spec, 30.0, k=1)
+        peak = detect_harmonic_peak(spec, EstimatorConfig(30.0), k=1)
         assert peak.freq == 30.0
         assert peak.amp == 5.0
         assert peak.order == 1
 
     def test_flat_spectrum_ties_toward_theoretical(self, make_spectrum):
         spec = make_spectrum({}, floor=1.0)
-        peak = detect_harmonic_peak(spec, 30.0, k=1)
+        peak = detect_harmonic_peak(spec, EstimatorConfig(30.0), k=1)
         assert peak.freq == 30.0
 
     def test_tie_break_is_symmetric(self, make_spectrum):
         # theoretical frequency off the grid: closest bin wins
         spec = make_spectrum({}, df=0.5, floor=1.0)
-        peak = detect_harmonic_peak(spec, 30.2, k=1)
+        peak = detect_harmonic_peak(spec, EstimatorConfig(30.2), k=1)
         assert peak.freq == 30.0
 
     def test_second_harmonic_window(self, make_spectrum):
         spec = make_spectrum({60.5: 3.0, 30.0: 1.0})
-        peak = detect_harmonic_peak(spec, 30.0, k=2)
+        peak = detect_harmonic_peak(spec, EstimatorConfig(30.0), k=2)
         assert peak.freq == 60.5
         assert peak.order == 2
 
     def test_window_outside_spectrum_rejected(self, make_spectrum):
         spec = make_spectrum({}, f_max=50.0, floor=1.0)
         with pytest.raises(EstimationError, match="harmonic 3"):
-            detect_harmonic_peak(spec, 30.0, k=3)
+            detect_harmonic_peak(spec, EstimatorConfig(30.0), k=3)
 
     def test_window_crossing_nyquist_rejected(self):
         # harmonic 3 of 5 kHz searches [12300, 17700] Hz; fs/2 is 12500 Hz
@@ -77,7 +77,7 @@ class TestDetectHarmonicPeak:
         sig, _ = simulate_signal(10.0, FS, DistributionSpec.constant(30),
                                  PulseParams(aci=3.0), seed=31)
         spec = envelope_spectrum(sig)
-        peak = detect_harmonic_peak(spec, 30.0, k=2)
+        peak = detect_harmonic_peak(spec, EstimatorConfig(30.0), k=2)
         assert abs(peak.freq - 60.0) <= spec.df
 
 
@@ -163,13 +163,13 @@ class TestSnr:
     def test_flat_noise_with_equal_peaks(self, make_spectrum):
         spec = make_spectrum({30.0: 2.0, 60.0: 2.0, 90.0: 2.0}, floor=1.0)
         cfg = EstimatorConfig(f_theoretical=30.0)
-        peaks = [detect_harmonic_peak(spec, 30.0, k) for k in (1, 2, 3)]
+        peaks = [detect_harmonic_peak(spec, cfg, k) for k in (1, 2, 3)]
         assert snr(spec, peaks, cfg) == pytest.approx(4.0)
 
     def test_all_equal_amplitudes_give_unity(self, make_spectrum):
         spec = make_spectrum({}, floor=1.0)
         cfg = EstimatorConfig(f_theoretical=30.0)
-        peaks = [detect_harmonic_peak(spec, 30.0, k) for k in (1, 2, 3)]
+        peaks = [detect_harmonic_peak(spec, cfg, k) for k in (1, 2, 3)]
         assert snr(spec, peaks, cfg) == pytest.approx(1.0)
 
     def test_snr_grows_with_impulse_amplitude(self):
@@ -248,7 +248,8 @@ def test_estimate_batch_of_only_errors_gives_empty_arrays():
 def estimates(x, seg_len):
     """The estimate, or the error, of each segment of ``x`` in time order."""
     est_cfg = EstimatorConfig(f_theoretical=30.0)
-    return [estimate_or_error(seg, SpectrumConfig(), est_cfg) for seg in iter_segments(x, seg_len)]
+    return [estimate_or_error(seg, SpectrumConfig(), est_cfg)
+            for _, seg in iter_segments(x, seg_len)]
 
 
 class TestEstimatePerSegment:
@@ -259,15 +260,15 @@ class TestEstimatePerSegment:
     def test_segment_count(self):
         sig = Signal(np.random.default_rng(0).standard_normal(int(6 * FS)), FS)
         sig = Signal(sig.samples + _impulse_train(6.0), FS)
-        assert [len(seg) for seg in iter_segments(sig, 0.5)] == [12_500] * 12
+        assert [len(seg) for _, seg in iter_segments(sig, 0.5)] == [12_500] * 12
         ests = estimates(sig, 0.5)
         assert not any(isinstance(e, EstimationError) for e in ests)
         assert check_segment_failures(sig, 0.5, 0, len(ests)) == []
 
     def test_trailing_remainder_dropped(self):
         sig = Signal(_impulse_train(2.3), FS)
-        assert [seg.samples.tolist() for seg in iter_segments(sig, 1.0)] == \
-            [sig.samples[:25_000].tolist(), sig.samples[25_000:50_000].tolist()]
+        assert [(start, seg.samples.tolist()) for start, seg in iter_segments(sig, 1.0)] == \
+            [(0, sig.samples[:25_000].tolist()), (25_000, sig.samples[25_000:50_000].tolist())]
 
     def test_constant_signal_gives_identical_estimates(self):
         ests = estimates(Signal(_impulse_train(4.0), FS), 1.0)
@@ -292,13 +293,14 @@ class TestEstimatePerSegment:
     def test_two_segments_cut_by_rounding_are_kept(self):
         # 0.50001 s rounds to 12,500 samples, so 1 s holds 2 segments
         sig = Signal(_impulse_train(1.0), FS)
-        assert [len(seg) for seg in iter_segments(sig, 0.50001)] == [12_500, 12_500]
+        assert [(start, len(seg)) for start, seg in iter_segments(sig, 0.50001)] == \
+            [(0, 12_500), (12_500, 12_500)]
         assert check_segment_failures(sig, 0.50001, 0, 2) == []
 
     def test_one_segment_cut_by_rounding_rejected(self):
         # 0.49966 s rounds to 12,492 samples, so 24,983 samples hold only 1 segment
         sig = Signal(_impulse_train(1.0)[:24_983], FS)
-        assert [len(seg) for seg in iter_segments(sig, 0.49966)] == [12_492]
+        assert [len(seg) for _, seg in iter_segments(sig, 0.49966)] == [12_492]
         with pytest.raises(EstimationError, match="yields fewer than 2 segments of 0.49966 s"):
             check_segment_failures(sig, 0.49966, 0, 1)
 

@@ -201,7 +201,7 @@ def test_estimates_csv_columns(tmp_path):
     peaks = (HarmonicPeak(1, 30.5, 2.0, 61), HarmonicPeak(3, 90.123456789012, 1.0, 180))
     est = FaultFrequencyEstimate(f_hat=30.1234567891234, peaks=peaks, snr=12.0 / 7.0)
     path = tmp_path / "est.csv"
-    write_estimates_csv(path, [est, est], 0.5, [0, 1])
+    write_estimates_csv(path, [(0, 0.0, est), (1, 0.5, est)])
     assert path.read_text().splitlines() == [
         "segment_index,t_start_s,f_hat_hz,snr,peak1_hz,peak2_hz,peak3_hz",
         "0,0,30.12345679,1.714285714,30.5,,90.12345679",
