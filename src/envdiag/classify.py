@@ -27,7 +27,8 @@ from .calibrate import (
     simulate_batch,
 )
 from .envspec import SpectrumConfig
-from .errors import DegenerateSampleError, ParameterError, positive_finite, real, whole_number
+from .errors import (DegenerateSampleError, ParameterError, positive_finite, real, shown,
+                     whole_number)
 from .faultfreq import (
     EstimatorConfig,
     check_segment_failures,
@@ -168,6 +169,8 @@ def rescale_variance(
     """
     if not (0 < real(mean_f_hat_real) < math.inf and 0 < real(mean_f_hat_simul) < math.inf):
         raise ParameterError("mean estimates must be positive and finite for rescaling")
+    if not 0 <= real(var_real) < math.inf:
+        raise ParameterError(f"variance must be non-negative and finite, got {shown(var_real)}")
     ratio = mean_f_hat_real / mean_f_hat_simul if paper_direction else mean_f_hat_simul / mean_f_hat_real
     return var_real * ratio * ratio
 

@@ -95,8 +95,7 @@ class EnvelopeSpectrum:
             raise ParameterError("freqs and amps must be matching 1-D vectors")
         if not np.all(np.isfinite(amps)) or np.any(amps < 0):
             raise ParameterError("spectrum amplitudes must be finite and non-negative")
-        if not self.df > 0:
-            raise ParameterError("df must be positive")
+        positive_finite(self.df, "df", " Hz")
         object.__setattr__(self, "freqs", freqs)
         object.__setattr__(self, "amps", amps)
         object.__setattr__(self, "df", float(self.df))

@@ -43,9 +43,10 @@ def check_noise_std(noise_std: float) -> None:
 
 
 def sample_count(seconds: float, fs: float) -> int:
-    """``int(round(seconds * fs))``; ParameterError unless ``fs`` is positive and
-    finite and the count can be the length of a float64 array."""
+    """``int(round(seconds * fs))``; ParameterError unless ``seconds`` and ``fs``
+    are positive and finite and the count can be the length of a float64 array."""
     positive_finite(fs, "sample rate", " Hz")
+    positive_finite(seconds, "a span", " s")
     if not 0 <= seconds * fs <= MAX_SAMPLES:
         raise ParameterError(f"{seconds:g} s at {fs:g} Hz is more samples than a float64 array holds")
     return int(round(seconds * fs))

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateSampleError, ParameterError, real, shown, whole_number
+from .errors import (DegenerateSampleError, ParameterError, positive_finite, real, shown,
+                     whole_number)
 
 # level of the chi-squared variance test unless a caller sets one
 DEFAULT_ALPHA = 0.05
@@ -59,8 +60,7 @@ class KdeCurve:
             raise ParameterError("grid must be strictly increasing")
         if np.any(density < 0):
             raise ParameterError("density must be non-negative")
-        if not self.bandwidth > 0:
-            raise ParameterError("bandwidth must be positive")
+        positive_finite(self.bandwidth, "bandwidth")
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "density", density)
 
@@ -93,15 +93,20 @@ def scott_bandwidth(samples) -> float:
     """Kernel bandwidth ``h = 1.06 * std(samples) * n^(-1/5)``.
 
     Uses the sample (ddof=1) standard deviation; constant samples are
-    rejected so callers can fall back to a point-mass report.
+    rejected so callers can fall back to a point-mass report; samples whose
+    bandwidth comes out NaN or infinite, such as ones holding an infinity,
+    raise ParameterError.
     """
     samples = np.asarray(samples, dtype=np.float64)
     if samples.size < 2:
         raise ParameterError("bandwidth needs at least 2 samples")
-    sd = float(np.std(samples, ddof=1))
+    with np.errstate(invalid="ignore", over="ignore"):  # a non-finite sd is refused below
+        sd = float(np.std(samples, ddof=1))
     if sd == 0.0:
         raise DegenerateSampleError("sample standard deviation is zero")
-    return 1.06 * sd * samples.size ** (-0.2)
+    h = 1.06 * sd * samples.size ** (-0.2)
+    positive_finite(h, "bandwidth")
+    return h
 
 
 def kde(samples) -> KdeCurve:
@@ -125,16 +130,17 @@ def kde(samples) -> KdeCurve:
 
 
 def uniform_pdf(f, a: float, b: float):
-    if not real(a) < real(b):
-        raise ParameterError("uniform law needs a < b")
+    if not -math.inf < real(a) < real(b) < math.inf:
+        raise ParameterError("uniform law needs finite a < b")
     f = np.asarray(f, dtype=np.float64)
     out = np.where((f >= a) & (f <= b), 1.0 / (b - a), 0.0)
     return out if out.ndim else float(out)
 
 
 def normal_pdf(f, mu: float, sigma: float):
-    if not 0 < real(sigma) < math.inf:
-        raise ParameterError("sigma must be positive and finite")
+    if not -math.inf < real(mu) < math.inf:
+        raise ParameterError(f"mu must be finite, got {shown(mu)}")
+    positive_finite(sigma, "sigma")
     f = np.asarray(f, dtype=np.float64)
     z = (f - mu) / sigma
     out = np.exp(-0.5 * z * z) / (sigma * math.sqrt(2.0 * math.pi))

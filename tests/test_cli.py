@@ -166,6 +166,19 @@ def test_out_of_range_value_is_a_usage_error(files, args):
         assert result.output == f"error: alpha must lie in (0, 1), got {argv[2]}\n"
 
 
+@pytest.mark.parametrize("args,message", [
+    ("calibrate --band 1500 --aci-grid 2 --seg-grid 0.5 --n 2",
+     "malformed band '1500'; expected LO,HI or 'none'"),
+    ("calibrate --aci-grid 2,x --seg-grid 0.5 --n 2", "malformed list '2,x'"),
+    ("simulate --dist uniform:29 --aci 2 --seg-len 0.5", "uniform law needs 2 parameter(s): a, b"),
+])
+def test_malformed_value_is_named_before_any_work(tmp_path, args, message):
+    result = invoke(*args.split(), "-o", tmp_path / "out")
+    assert_usage_error(result)
+    assert result.output == f"error: {message}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("option,message", [
     ("--aci", "ACI must be positive and finite, got inf"),
     ("--fc", "fc must be positive and finite, got inf Hz"),

@@ -23,8 +23,8 @@ from envdiag import (
     simulate_signal,
     welch_psd,
 )
-from envdiag.envspec import (BANDPASS_TRANSITION_BINS, WINDOWS, _hilbert, _polyphase_split,
-                             _taper)
+from envdiag.envspec import (BANDPASS_TRANSITION_BINS, WINDOWS, EnvelopeSpectrum, _hilbert,
+                             _polyphase_split, _taper)
 
 FS = 25_000.0
 
@@ -229,6 +229,10 @@ class TestSpectrumConfig:
 
 
 class TestWelchPsd:
+    def test_input_of_two_dimensions_is_refused(self):
+        with pytest.raises(ParameterError, match="^welch_psd expects a 1-D vector$"):
+            welch_psd(np.ones((2, 12_500)), FS)
+
     def test_flat_for_white_noise(self):
         rng = np.random.default_rng(9)
         x = rng.standard_normal(int(2 * FS))
@@ -411,6 +415,19 @@ class TestBandLimitedWelch:
         with pytest.raises(ParameterError,
                            match=r"^PSD overflows the float range on samples up to "):
             welch_psd(x, FS, SpectrumConfig())
+
+
+class TestEnvelopeSpectrumChecks:
+    @pytest.mark.parametrize("freqs,amps,df,message", [
+        ([0.0, 1.0, 2.0], [1.0, 1.0], 1.0, "freqs and amps must be matching 1-D vectors"),
+        ([0.0], [1.0], 1.0, "freqs and amps must be matching 1-D vectors"),
+        ([0.0, 1.0], [1.0, math.nan], 1.0, "spectrum amplitudes must be finite and non-negative"),
+        ([0.0, 1.0], [1.0, -1.0], 1.0, "spectrum amplitudes must be finite and non-negative"),
+        ([0.0, 1.0], [1.0, 1.0], 0.0, "df must be positive and finite"),
+    ])
+    def test_checks(self, freqs, amps, df, message):
+        with pytest.raises(ParameterError, match=f"^{message}"):
+            EnvelopeSpectrum(freqs, amps, df)
 
 
 class TestEnvelopeSpectrum:

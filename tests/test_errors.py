@@ -27,11 +27,14 @@ from envdiag import (
     welch_psd,
 )
 from envdiag.errors import positive_finite, real, shown
+from envdiag.sigmodel import sample_count
+from envdiag.stats import KdeCurve, scott_bandwidth
 from test_calibrate import hand_table
 
 FS = 25_000.0
 X = np.ones(12_500)
 SPECTRUM = EnvelopeSpectrum(np.arange(200.0), np.ones(200), 1.0)
+GRID = np.linspace(29.0, 31.0, 5)
 
 
 class TestReal:
@@ -146,6 +149,17 @@ NOT_IN_RANGE = {
     "entry-mean_snr-inf": lambda: replace(hand_table().entries[0], mean_snr=math.inf),
     "entry-n_signals-fraction": lambda: replace(hand_table().entries[0], n_signals=2.5),
     "entry-master_seed-negative": lambda: replace(hand_table().entries[0], master_seed=-1),
+    "sample_count-seconds-text": lambda: sample_count("0.5", FS),
+    "normal_pdf-mu-text": lambda: normal_pdf(1.0, "0", 1.0),
+    "uniform_pdf-both-infinite": lambda: uniform_pdf(1.0, -math.inf, math.inf),
+    "uniform_pdf-b-inf": lambda: uniform_pdf(1.0, 0, math.inf),
+    "rescale-variance-text": lambda: rescale_variance("1", 30.0, 30.0),
+    "rescale-variance-negative": lambda: rescale_variance(-1.0, 30.0, 30.0),
+    "kde-bandwidth-text": lambda: KdeCurve(GRID, np.ones(5), "1"),
+    "kde-bandwidth-inf": lambda: KdeCurve(GRID, np.ones(5), math.inf),
+    "spectrum-df-text": lambda: EnvelopeSpectrum(GRID, np.ones(5), "1"),
+    "spectrum-df-inf": lambda: EnvelopeSpectrum(GRID, np.ones(5), math.inf),
+    "scott-sample-inf": lambda: scott_bandwidth([1.0, math.inf]),
 }
 
 

@@ -186,6 +186,16 @@ class TestSnr:
             means.append(np.mean(vals))
         assert means[1] > means[0]
 
+    def test_no_noise_bin_left_after_the_peak_exclusion_is_an_estimation_error(
+            self, make_spectrum):
+        # the band [15, 105] Hz is bins 30..210; 30 bins either side of the
+        # peaks at bins 60, 120 and 180 cover all of it
+        spec = make_spectrum({30.0: 2.0, 60.0: 2.0, 90.0: 2.0}, floor=1.0)
+        cfg = EstimatorConfig(f_theoretical=30.0, peak_excl_bins=30)
+        peaks = [detect_harmonic_peak(spec, cfg, k) for k in (1, 2, 3)]
+        with pytest.raises(EstimationError, match="^no noise bins remain after excluding"):
+            snr(spec, peaks, cfg)
+
     def test_needs_at_least_one_peak(self, make_spectrum):
         spec = make_spectrum({}, floor=1.0)
         with pytest.raises(ParameterError):
@@ -264,6 +274,11 @@ class TestEstimatePerSegment:
         ests = estimates(sig, 0.5)
         assert not any(isinstance(e, EstimationError) for e in ests)
         assert check_segment_failures(sig, 0.5, 0, len(ests)) == []
+
+    def test_segment_of_under_two_samples_is_refused(self):
+        sig = Signal(np.ones(10), 1000.0)
+        with pytest.raises(ParameterError, match="^segment of 0.001 s holds fewer than 2 samples$"):
+            next(iter_segments(sig, 0.001))
 
     def test_trailing_remainder_dropped(self):
         sig = Signal(_impulse_train(2.3), FS)

@@ -141,6 +141,13 @@ def test_csv_read_holds_little_more_than_the_samples(tmp_path):
     assert peak < 1.5 * samples.nbytes
 
 
+def test_empty_csv_file_rejected(tmp_path):
+    path = tmp_path / "x.csv"
+    path.write_text("\n\n")
+    with pytest.raises(SignalFormatError, match="no samples found"):
+        read_signal(path, fs=FS)
+
+
 def test_empty_raw_file_rejected(tmp_path):
     path = tmp_path / "x.f64"
     path.write_bytes(b"")

@@ -123,6 +123,12 @@ class TestSignalType:
 
 
 class TestSimulateSignal:
+    def test_draw_at_or_below_zero_hz_is_refused(self):
+        # seed 4 draws 1 + 5 z = -2.26 Hz from normal:1,5
+        with pytest.raises(SimulationError,
+                           match=r"^drawn fault frequency -2\.25896 Hz is not positive$"):
+            simulate_signal(0.5, FS, DistributionSpec.normal(1.0, 5.0), PulseParams(aci=2.0), 4)
+
     def test_impulse_spacing_matches_fault_frequency(self):
         # noiseless signal: envelope maxima sit 1/f apart to within one sample
         pulse = PulseParams(aci=3.0)

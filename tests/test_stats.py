@@ -20,7 +20,7 @@ from envdiag import (
     shape_distance,
     uniform_pdf,
 )
-from envdiag.stats import DECISION_FAIL_TO_REJECT, DECISION_REJECT, fitted_overlays
+from envdiag.stats import DECISION_FAIL_TO_REJECT, DECISION_REJECT, KdeCurve, fitted_overlays
 
 # frozen independent oracles: mpmath inversion of the regularized lower
 # incomplete gamma (30 significant digits), see acceptance criterion 6
@@ -54,6 +54,19 @@ class TestScottBandwidth:
     def test_needs_two_samples(self):
         with pytest.raises(ParameterError):
             scott_bandwidth([1.0])
+
+
+class TestKdeCurve:
+    @pytest.mark.parametrize("grid,density,bandwidth,message", [
+        ([1.0, 2.0, 3.0], [0.1, 0.2], 1.0, "grid and density must be matching 1-D vectors"),
+        ([1.0], [0.1], 1.0, "grid and density must be matching 1-D vectors"),
+        ([1.0, 3.0, 2.0], [0.1, 0.2, 0.1], 1.0, "grid must be strictly increasing"),
+        ([1.0, 2.0, 3.0], [0.1, -0.2, 0.1], 1.0, "density must be non-negative"),
+        ([1.0, 2.0, 3.0], [0.1, 0.2, 0.1], 0.0, "bandwidth must be positive and finite"),
+    ])
+    def test_checks(self, grid, density, bandwidth, message):
+        with pytest.raises(ParameterError, match=f"^{message}"):
+            KdeCurve(grid, density, bandwidth)
 
 
 class TestKde:
@@ -225,6 +238,13 @@ class TestShapeDistance:
         res = shape_distance(rng.normal(30.0, 0.33, size=1000))
         assert res.verdict == "normal"
         assert res.dist_normal < res.dist_uniform
+
+    def test_distances_within_ten_percent_are_inconclusive(self):
+        samples = 30.0 + np.random.default_rng(84).triangular(-1.0, 0.0, 1.0, size=30)
+        res = shape_distance(samples)
+        assert abs(res.dist_uniform - res.dist_normal) < 0.1 * max(res.dist_uniform,
+                                                                   res.dist_normal)
+        assert res.verdict == "inconclusive"
 
     def test_distances_are_to_the_fitted_overlays(self):
         samples = np.random.default_rng(10).normal(30.0, 0.33, size=50)
