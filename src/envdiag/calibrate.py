@@ -15,7 +15,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .envspec import SpectrumConfig, welch_piece
+from .envspec import WINDOW, SpectrumConfig, welch_piece
 from .errors import (CalibrationError, ParameterError, TableMismatchError, positive_finite, real,
                      whole_number)
 from .faultfreq import EstimatorConfig, estimate_batch, estimate_or_error
@@ -81,8 +81,8 @@ class ThresholdEntry:
 
 # Field -> JSON key of each saved record; one map drives both save and load.
 _META_KEYS = {"fs": "fs", "n_signals": "n", "master_seed": "seed", "noise_std": "noise_std"}
-_SPECTRUM_KEYS = {"bandpass": "bandpass", "window": "window",
-                  "zero_pad_factor": "zero_pad_factor", "piece_len_s": "piece_len_s"}
+_SPECTRUM_KEYS = {"bandpass": "bandpass", "zero_pad_factor": "zero_pad_factor",
+                  "piece_len_s": "piece_len_s"}
 _ESTIMATOR_KEYS = {"n_harmonics": "n_harmonics", "search_frac": "search_frac",
                    "peak_excl_bins": "peak_excl_bins"}
 _PULSE_KEYS = {"fc": "fc", "bw_lo": "bw_lo", "bw_hi": "bw_hi", "bwr": "bwr"}
@@ -96,8 +96,10 @@ def _dump(record, keys: dict) -> dict:
 
 def analysis_json(spec_cfg: SpectrumConfig, est_cfg: EstimatorConfig) -> dict:
     """The ``meta.analysis`` map a table calibrated under these settings saves:
-    every envelope-spectrum and peak-search setting, its band included."""
-    return {**_dump(spec_cfg, _SPECTRUM_KEYS), **_dump(est_cfg, _ESTIMATOR_KEYS)}
+    every envelope-spectrum and peak-search setting, its band and the taper's
+    name (``envspec.WINDOW``) included."""
+    return {**_dump(spec_cfg, _SPECTRUM_KEYS), "window": WINDOW,
+            **_dump(est_cfg, _ESTIMATOR_KEYS)}
 
 
 def _load(cls, data: dict, keys: dict, **extra):
@@ -121,23 +123,23 @@ class ThresholdTable:
     The table's search centre ``f_simul`` is ``estimator.f_theoretical``,
     which ``meta.f_simul`` holds in the file.
 
-    Saved as a JSON object with two members, and loaded only in this one
-    layout, every key present.  ``meta`` holds ``fs``, ``f_simul``, ``n``,
-    ``seed``, ``noise_std``, ``schema_version`` (2), ``analysis``
-    (``analysis_json``), the settings' ``bandpass`` (null or ``[lo, hi]``),
-    ``window``, ``zero_pad_factor``, ``piece_len_s``, ``n_harmonics``,
-    ``search_frac`` and ``peak_excl_bins``, which also name the table in a
-    report's provenance, and ``pulse``, the base pulse's ``fc``, ``bw_lo``,
-    ``bw_hi`` and ``bwr``; its ACI is 1.0, as each entry carries its own.
-    ``entries`` is a list of cells, each with ``aci``, ``seg_len_s``,
+    Saved as a JSON object with two members, and loaded only in this one layout,
+    every key present.  ``meta`` holds ``fs``, ``f_simul``, ``n``, ``seed``,
+    ``noise_std``, ``schema_version`` (2), ``analysis`` (``analysis_json``), the
+    settings' ``bandpass`` (null or ``[lo, hi]``), ``window`` (``"hann"``, the
+    one taper; any other is refused), ``zero_pad_factor``, ``piece_len_s``,
+    ``n_harmonics``, ``search_frac`` and ``peak_excl_bins``, which also name the
+    table in a report's provenance, and ``pulse``, the base pulse's ``fc``,
+    ``bw_lo``, ``bw_hi`` and ``bwr``; its ACI is 1.0, as each entry carries its
+    own.  ``entries`` is a list of cells, each with ``aci``, ``seg_len_s``,
     ``threshold``, ``mean_f_hat``, ``mean_snr``, ``n_signals`` and
-    ``master_seed``.  Any other ``schema_version``, or none, is an error
-    that asks for a recalibration.  Ranges are checked on construction,
-    built or loaded: ``fs`` positive and finite, ``noise_std`` as
-    ``simulate_signal`` takes it, ``n`` a whole number of at least 2,
-    ``seed`` as ``SeedSpec`` takes it, and records, ``f_simul`` among them,
-    as their own classes accept.  Lengths within 1e-9 s are one column
-    (``same_length``), holding one entry per ACI.
+    ``master_seed``.  Any other ``schema_version``, or none, is an error that
+    asks for a recalibration.  Ranges are checked on construction, built or
+    loaded: ``fs`` positive and finite, ``noise_std`` as ``simulate_signal``
+    takes it, ``n`` a whole number of at least 2, ``seed`` as ``SeedSpec`` takes
+    it, and records, ``f_simul`` among them, as their own classes accept.
+    Lengths within 1e-9 s are one column (``same_length``), holding one entry
+    per ACI.
     """
 
     fs: float
@@ -186,6 +188,8 @@ class ThresholdTable:
                 f"schema_version {version!r} is not {SCHEMA_VERSION}; "
                 "recalibrate with this version of 'envdiag calibrate'"
             )
+        if meta["analysis"]["window"] != WINDOW:
+            raise ValueError(f"window {meta['analysis']['window']!r} is not {WINDOW!r}")
         return _load(
             cls, meta, _META_KEYS,
             pulse_base=_load(PulseParams, meta["pulse"], _PULSE_KEYS, aci=1.0),

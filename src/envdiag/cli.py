@@ -47,7 +47,7 @@ from .calibrate import (
     same_length,
 )
 from .classify import ClassifyConfig, analysis_settings, classify_signal, decision_table
-from .envspec import WINDOWS, SpectrumConfig, envelope_spectrum
+from .envspec import SpectrumConfig, envelope_spectrum
 from .errors import (
     EnvDiagError,
     EstimationError,
@@ -208,10 +208,8 @@ def cmd_simulate(dist_text, aci, seg_len, n_segments, fs, fc, noise_std, seed, o
 @click.option("--noise-std", default=DEFAULT_NOISE_STD, show_default=True, type=float)
 @click.option("--seed", default=0, show_default=True, type=int)
 @band_option
-@click.option("--window", default=DEFAULT_SPECTRUM.window, show_default=True,
-              type=click.Choice(tuple(WINDOWS)), help="Taper for the Welch pieces.")
 @click.option("--zero-pad", default=DEFAULT_SPECTRUM.zero_pad_factor, show_default=True, type=int,
-              help="Zero-padding factor of the PSD pieces.")
+              help="Zero-padding factor of the Hann-tapered PSD pieces.")
 @click.option("--piece-len", default=DEFAULT_SPECTRUM.piece_len_s, show_default=True, type=float,
               help="Welch piece duration in seconds; fixed across segment lengths so that "
                    "calibrated thresholds stay comparable.")
@@ -224,8 +222,8 @@ def cmd_simulate(dist_text, aci, seg_len, n_segments, fs, fc, noise_std, seed, o
               help="Threshold table JSON output.")
 @click.option("--csv", "csv_out", default=None, type=click.Path(),
               help="Also write the threshold matrix as CSV.")
-def cmd_calibrate(aci_grid, seg_grid, n, fs, fc, noise_std, seed, band, window, zero_pad,
-                  piece_len, n_harmonics, search_frac, peak_excl_bins, out, csv_out):
+def cmd_calibrate(aci_grid, seg_grid, n, fs, fc, noise_std, seed, band, zero_pad, piece_len,
+                  n_harmonics, search_frac, peak_excl_bins, out, csv_out):
     """Build the Monte-Carlo threshold table; it stores the analysis settings."""
     _check_output_dirs(out, csv_out)
     table = build_table(
@@ -234,8 +232,8 @@ def cmd_calibrate(aci_grid, seg_grid, n, fs, fc, noise_std, seed, band, window, 
         n=n,
         fs=fs,
         master_seed=seed,
-        spec_cfg=SpectrumConfig(bandpass=_parse_band(band), window=window,
-                                zero_pad_factor=zero_pad, piece_len_s=piece_len),
+        spec_cfg=SpectrumConfig(bandpass=_parse_band(band), zero_pad_factor=zero_pad,
+                                piece_len_s=piece_len),
         est_cfg=EstimatorConfig(f_theoretical=DEFAULT_FAULT_FREQ, n_harmonics=n_harmonics,
                                 search_frac=search_frac, peak_excl_bins=peak_excl_bins),
         pulse=PulseParams(aci=1.0, fc=fc),
@@ -276,8 +274,8 @@ def cmd_classify(in_path, table_path, f_theoretical, seg_lens, alpha, fs, paper_
                  out, text_out, emit_spectra, emit_kde, emit_estimates):
     """Classify the fault-frequency behaviour of a recorded signal.
 
-    The envelope-spectrum and peak-search settings (window, zero padding,
-    piece length, harmonics, search width and peak exclusion) are read from
+    The envelope-spectrum and peak-search settings (zero padding, piece
+    length, harmonics, search width and peak exclusion) are read from
     the threshold table, so the recording is analysed as the table was
     calibrated; set them with 'envdiag calibrate'.  --band and
     --f-theoretical belong to the recording and are given here; a --band

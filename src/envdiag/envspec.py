@@ -1,7 +1,7 @@
 """Envelope spectrum pipeline: bandpass, Hilbert demodulation, Welch PSD.
 
 Every transform is a real FFT from ``numpy.fft``, and the Welch PSD and its
-tapers are computed here, so no envdiag process imports scipy: its
+Hann taper are computed here, so no envdiag process imports scipy: its
 ``scipy.fft`` and ``scipy.signal`` imports alone would double a process's
 resident memory.
 """
@@ -20,18 +20,8 @@ import numpy.fft  # noqa: F401
 from .errors import ParameterError, positive_finite, real, shown, whole_number
 from .sigmodel import Signal, sample_count
 
-# Coefficients a_k of the cosine-sum tapers w[n] = sum_k a_k cos(k fac[n]),
-# as scipy.signal.windows writes them; hann and hamming are its
-# general_hamming(alpha), whose second term is computed as 1 - alpha
-WINDOWS = {
-    "boxcar": (1.0,),
-    "hann": (0.5, 1.0 - 0.5),
-    "hamming": (0.54, 1.0 - 0.54),
-    "blackman": (0.42, 0.50, 0.08),
-    "nuttall": (0.3635819, 0.4891775, 0.1365995, 0.0106411),
-    "blackmanharris": (0.35875, 0.48829, 0.14128, 0.01168),
-    "flattop": (0.21557895, 0.41663158, 0.277263158, 0.083578947, 0.006947368),
-}
+# the Welch taper, as a table's meta.analysis records it
+WINDOW = "hann"
 
 # the fewest samples of a Welch piece
 MIN_PIECE_SAMPLES = 8
@@ -46,17 +36,14 @@ class SpectrumConfig:
     """Envelope-spectrum settings.
 
     The PSD is averaged over non-overlapping pieces of fixed duration
-    ``piece_len_s`` (clipped to the segment length), tapered by ``window``
-    and zero padded by ``zero_pad_factor``.  ``window`` is one of the
-    parameter-free cosine-sum tapers: boxcar, hann, hamming, blackman,
-    nuttall, blackmanharris or flattop.  A fixed piece duration keeps
-    the frequency grid and the per-piece detectability identical across
-    segment lengths, so calibrated thresholds remain comparable between
-    0.5 s and 10 s segments.  ``bandpass`` is (f_lo, f_hi) in Hz, 0 <= f_lo < f_hi < inf.
+    ``piece_len_s`` (clipped to the segment length), each tapered by the
+    periodic Hann window (``WINDOW``) and zero padded by ``zero_pad_factor``.
+    A fixed piece duration keeps the frequency grid and the per-piece
+    detectability identical across segment lengths, so calibrated
+    thresholds remain comparable between 0.5 s and 10 s segments.  ``bandpass`` is (f_lo, f_hi) in Hz, 0 <= f_lo < f_hi < inf.
     """
 
     bandpass: tuple[float, float] | None = None
-    window: str = "hann"
     zero_pad_factor: int = 4
     piece_len_s: float = 0.5
 
@@ -74,10 +61,6 @@ class SpectrumConfig:
         object.__setattr__(self, "zero_pad_factor", whole_number(
             self.zero_pad_factor, 1, "zero_pad_factor must be an integer >= 1"))
         positive_finite(self.piece_len_s, "piece_len_s", " s")
-        if not isinstance(self.window, str) or self.window not in WINDOWS:
-            raise ParameterError(
-                f"unknown window {self.window!r}; choose one of {', '.join(WINDOWS)}"
-            )
 
 
 @dataclass(frozen=True)
@@ -172,11 +155,11 @@ def envelope(x) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=32)
-def _taper(window: str, piece: int) -> tuple[np.ndarray, float]:
-    """Periodic window of ``piece`` samples and its energy ``sum(w**2)``.
+def _taper(piece: int) -> tuple[np.ndarray, float]:
+    """Periodic Hann window of ``piece`` samples and its energy ``sum(w**2)``.
 
-    The cosine sum of ``WINDOWS[window]`` over ``piece + 1`` points from -pi
-    to pi, last point dropped, evaluated as ``scipy.signal.get_window`` does,
+    ``0.5 + 0.5 cos`` over ``piece + 1`` points from -pi to pi, last point
+    dropped, evaluated as ``scipy.signal.get_window("hann", piece)`` does,
     so the two agree bit for bit.  The array is cached and shared, so it is
     made read-only.  The energy is an elementwise sum, not ``np.dot``: a BLAS
     call would initialise BLAS in every freshly forked pool worker.
@@ -184,11 +167,7 @@ def _taper(window: str, piece: int) -> tuple[np.ndarray, float]:
     if piece <= 1:
         w = np.ones(piece)
     else:
-        fac = np.linspace(-np.pi, np.pi, piece + 1)
-        w = np.zeros(piece + 1)
-        for k, a in enumerate(WINDOWS[window]):
-            w += a * np.cos(k * fac)
-        w = w[:-1]
+        w = 0.5 + 0.5 * np.cos(np.linspace(-np.pi, np.pi, piece + 1)[:-1])
     w.setflags(write=False)
     return w, float((w * w).sum())
 
@@ -221,8 +200,7 @@ def _polyphase_split(nfft: int, n_bins: int) -> tuple[int, np.ndarray | None]:
     return d, table
 
 
-def _welch_bins(x: np.ndarray, piece: int, nfft: int, n_bins: int, window: str,
-                fs: float) -> np.ndarray:
+def _welch_bins(x: np.ndarray, piece: int, nfft: int, n_bins: int, fs: float) -> np.ndarray:
     """First ``n_bins`` bins of the one-sided Welch PSD of ``x`` (see ``welch_psd``).
 
     One loop over the pieces: each, mean removed and tapered, is zero padded
@@ -230,7 +208,7 @@ def _welch_bins(x: np.ndarray, piece: int, nfft: int, n_bins: int, window: str,
     ``(D, nfft/D)`` block, and ``_polyphase_split``'s table sums the rows'
     rffts to the bins (for ``D = 1``, the row's rfft is the bins).
     """
-    taper, energy = _taper(window, piece)
+    taper, energy = _taper(piece)
     d, table = _polyphase_split(nfft, n_bins)
     scratch = np.zeros(-(-piece // d) * d)
     phases = scratch.reshape(-1, d).T
@@ -298,13 +276,12 @@ def welch_psd(x, fs: float, cfg: SpectrumConfig = SpectrumConfig(),
         positive_finite(f_max, "f_max", " Hz")
         n_bins = min(int(min(f_max, fs) * nfft / fs) + 3, n_bins)  # f_max > fs: every bin
     with np.errstate(over="ignore", invalid="ignore"):
-        psd = _welch_bins(x, piece, nfft, n_bins, cfg.window, fs)
+        psd = _welch_bins(x, piece, nfft, n_bins, fs)
         if not np.isfinite(psd).all():
             # the squares overflowed: recompute on x / 2**e, with 2**e just above
             # the largest sample, and scale back; both scalings are exact
             e = math.frexp(float(np.abs(x).max()))[1]
-            psd = np.ldexp(_welch_bins(np.ldexp(x, -e), piece, nfft, n_bins, cfg.window, fs),
-                           2 * e)
+            psd = np.ldexp(_welch_bins(np.ldexp(x, -e), piece, nfft, n_bins, fs), 2 * e)
     if not np.isfinite(psd).all():
         raise _overflow_error("PSD", x)
     # the grid as np.fft.rfftfreq(nfft, 1/fs) computes it, bit for bit

@@ -107,8 +107,8 @@ class TestBuildTable:
         assert tables[0] == tables[1]
 
     def test_table_keeps_the_analysis_settings_and_the_band(self, tmp_path):
-        spec_cfg = SpectrumConfig(bandpass=(1000.0, 4000.0), window="hamming",
-                                  zero_pad_factor=2, piece_len_s=0.25)
+        spec_cfg = SpectrumConfig(bandpass=(1000.0, 4000.0), zero_pad_factor=2,
+                                  piece_len_s=0.25)
         est_cfg = EstimatorConfig(f_theoretical=30.0, n_harmonics=2, search_frac=0.2,
                                   peak_excl_bins=1)
         table = build_table((2.0,), (0.5,), n=2, master_seed=3, spec_cfg=spec_cfg,
@@ -332,6 +332,8 @@ class TestThresholdTableFile:
         pytest.param(hand_table_with("entries", "mean_f_hat", 0), id="mean_f_hat-zero"),
         pytest.param(hand_table_with("meta", "noise_std", -1.0), id="noise_std-negative"),
         pytest.param(hand_table_with("analysis", "window", "hanning"), id="window-unknown"),
+        # thresholds calibrated under another taper do not apply to the Hann one
+        pytest.param(hand_table_with("analysis", "window", "hamming"), id="window-hamming"),
         pytest.param(hand_table_with("analysis", "bandpass", "1500,3500"), id="bandpass-text"),
         pytest.param(hand_table_with("analysis", "bandpass", [1500.0]), id="bandpass-one"),
         pytest.param(hand_table_with("analysis", "bandpass", [3500.0, 1500.0]),

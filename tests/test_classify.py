@@ -90,11 +90,11 @@ class TestClassifyConfig:
 
     def test_analysis_takes_the_table_settings_and_the_run_values(self):
         table = build_table((2.0,), (SEG,), n=2, master_seed=1,
-                            spec_cfg=SpectrumConfig(window="hamming", piece_len_s=0.25),
+                            spec_cfg=SpectrumConfig(zero_pad_factor=2, piece_len_s=0.25),
                             est_cfg=EstimatorConfig(f_theoretical=30.0, n_harmonics=2))
         cfg = ClassifyConfig(97.0, SEG, band=(1000, 4000))
         spec_cfg, est_cfg = analysis_settings(table, cfg)
-        assert spec_cfg == SpectrumConfig(bandpass=(1000.0, 4000.0), window="hamming",
+        assert spec_cfg == SpectrumConfig(bandpass=(1000.0, 4000.0), zero_pad_factor=2,
                                           piece_len_s=0.25)
         assert est_cfg == EstimatorConfig(f_theoretical=97.0, n_harmonics=2)
 

@@ -227,7 +227,6 @@ OPTION_HOMES = [
     ("calibrate", "--fs", DEFAULT_FS),
     ("calibrate", "--fc", PulseParams(aci=1.0).fc),
     ("calibrate", "--noise-std", DEFAULT_NOISE_STD),
-    ("calibrate", "--window", DEFAULT_SPECTRUM.window),
     ("calibrate", "--zero-pad", DEFAULT_SPECTRUM.zero_pad_factor),
     ("calibrate", "--piece-len", DEFAULT_SPECTRUM.piece_len_s),
     ("calibrate", "--n-harmonics", DEFAULT_ESTIMATOR.n_harmonics),
@@ -272,9 +271,9 @@ def test_classify_has_thirteen_options():
     assert "--band" in names and "--f-theoretical" in names
 
 
-def test_envdiag_has_three_commands_and_38_options(files, tmp_path):
+def test_envdiag_has_three_commands_and_37_options(files, tmp_path):
     assert set(main.commands) == {"simulate", "calibrate", "classify"}
-    assert sum(len(cmd.params) for cmd in main.commands.values()) == 38
+    assert sum(len(cmd.params) for cmd in main.commands.values()) == 37
     # kde and spectrum are gone: classify --emit-kde and --emit-spectra write their curves
     _, rec, table = files
     for command in ("kde", "spectrum"):
@@ -381,26 +380,13 @@ def test_removed_welch_split_option_is_a_usage_error(files):
                               "--welch-segments", 2, "-o", root / "t.json"))
 
 
-def test_unknown_window_is_a_usage_error(tmp_path):
+def test_removed_window_option_is_a_usage_error(tmp_path):
+    # every Welch piece is Hann-tapered; the taper is no option
     result = invoke("calibrate", "--aci-grid", 2, "--seg-grid", 0.5, "--n", 2,
-                    "--window", "nosuch", "-o", tmp_path / "t.json")
+                    "--window", "hann", "-o", tmp_path / "t.json")
     assert_usage_error(result)
-    assert "nosuch" in result.output
+    assert "No such option" in result.output and "--window" in result.output
     assert list(tmp_path.iterdir()) == []
-
-
-@pytest.mark.parametrize("window", ["bartlett", "hanning"])
-def test_scipy_window_outside_the_seven_is_a_usage_error(tmp_path, window):
-    result = invoke("calibrate", "--aci-grid", 2, "--seg-grid", 0.5, "--n", 2,
-                    "--window", window, "-o", tmp_path / "t.json")
-    assert_usage_error(result)
-    assert "blackmanharris" in result.output
-
-
-def test_help_lists_the_windows():
-    result = invoke("calibrate", "--help")
-    assert result.exit_code == 0
-    assert "boxcar|hann|hamming|blackman|nuttall|blackmanharris|flattop" in result.output
 
 
 ONE_ENTRY_TABLE = (
@@ -537,6 +523,23 @@ def test_calibrate_piece_under_eight_samples_is_refused_before_any_simulation(tm
                              "holds 5, fewer than the 8 the PSD needs\n")
     assert spied == ["build_table"]
     assert list(tmp_path.iterdir()) == []
+
+
+def test_table_of_another_taper_is_refused_before_the_recording_is_read(files, tmp_path,
+                                                                        spied):
+    # its thresholds were calibrated on pieces tapered otherwise than Hann
+    _, rec, table = files
+    text = table.read_text(encoding="utf-8")
+    assert text.count('"window": "hann"') == 1
+    bad = tmp_path / "hamming.json"
+    bad.write_text(text.replace('"window": "hann"', '"window": "hamming"'), encoding="utf-8")
+    result = invoke("classify", "-i", rec, "--table", bad, "--f-theoretical", 30,
+                    "--seg-lens", 0.5, "-o", tmp_path / "r.json")
+    assert_usage_error(result)
+    assert result.output == (f"error: {bad}: not a valid threshold table "
+                             f"(ValueError(\"window 'hamming' is not 'hann'\"))\n")
+    assert spied == []
+    assert list(tmp_path.iterdir()) == [bad]
 
 
 def csv_rows(path):

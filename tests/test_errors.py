@@ -139,7 +139,6 @@ NOT_IN_RANGE = {
     "bandpass-edge-text": lambda: bandpass(Signal(X, FS), "1500", 3500.0),
     "band-upper-inf": lambda: SpectrumConfig(bandpass=(1500.0, math.inf)),
     "band-bools": lambda: SpectrumConfig(bandpass=(False, True)),
-    "window-list": lambda: SpectrumConfig(window=["hann"]),
     "law-param-bool": lambda: DistributionSpec("constant", (True,)),
     "law-param-text": lambda: DistributionSpec("constant", ("30",)),
     "harmonic-order-fraction": lambda: detect_harmonic_peak(SPECTRUM, EstimatorConfig(30.0),
