@@ -15,7 +15,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .envspec import WINDOW, SpectrumConfig, welch_piece
+from .envspec import WINDOW, SpectrumConfig, check_band, welch_piece
 from .errors import (CalibrationError, ParameterError, TableMismatchError, positive_finite, real,
                      whole_number)
 from .faultfreq import EstimatorConfig, estimate_batch, estimate_or_error
@@ -212,9 +212,12 @@ class ThresholdTable:
 
     def to_csv_matrix(self) -> str:
         """Threshold matrix with ACI rows and segment-length columns; a cell
-        the table lacks is an empty field."""
-        cells = {(e.aci, e.seg_len): f"{e.threshold:.6g}" for e in self.entries}
-        segs = sorted({s for _, s in cells})
+        the table lacks is an empty field.  Lengths within 1e-9 s are one
+        column (``same_length``), headed by the smallest of them."""
+        lens = {e.seg_len for e in self.entries}
+        head = {s: min(t for t in lens if same_length(s, t)) for s in lens}
+        cells = {(e.aci, head[e.seg_len]): f"{e.threshold:.6g}" for e in self.entries}
+        segs = sorted(set(head.values()))
         lines = ["aci," + ",".join(f"{s:g}s" for s in segs)]
         for aci in sorted({a for a, _ in cells}):
             lines.append(f"{aci:g}," + ",".join(cells.get((aci, s), "") for s in segs))
@@ -297,12 +300,13 @@ def build_table(
     Monte-Carlo noise.  Results are reproducible and independent of worker
     scheduling.
 
-    The grids are checked before any cell is simulated: each must be
-    non-empty, every ACI must make a ``PulseParams``, every length must be
-    positive and finite, at least two cycles of ``f_simul`` (the least span
+    The grids are checked before any cell is simulated: each must be non-empty,
+    every ACI must make a ``PulseParams``, every length must be positive and
+    finite, at least two cycles of ``f_simul`` (the least span
     ``simulate_signal`` accepts) and have a ``sample_count`` at ``fs`` that
-    holds a ``welch_piece``, and no two cells may be one (``check_unique_cells``,
-    lengths within 1e-9 s being one column).
+    holds a ``welch_piece``, the band must pass at ``fs`` (``check_band``), and
+    no two cells may be one (``check_unique_cells``, lengths within 1e-9 s being
+    one column).
 
     Every cell is searched around ``f_simul``, the centre the table
     records, whatever ``est_cfg.f_theoretical`` is (``calibrate_entry``).
@@ -321,7 +325,8 @@ def build_table(
                 f"segment length must be at least two cycles of "
                 f"{DEFAULT_FAULT_FREQ:g} Hz ({min_len:g} s), got {seg_len:g} s"
             )
-        welch_piece(spec_cfg.piece_len_s, fs, sample_count(seg_len, fs))
+        welch_piece(spec_cfg, fs, sample_count(seg_len, fs))
+    check_band(spec_cfg.bandpass, fs)
     check_unique_cells((aci, seg_len) for seg_len in seg_len_list for aci in aci_list)
     seeds = SeedSpec(master_seed)
 

@@ -26,7 +26,7 @@ from .calibrate import (
     same_length,
     simulate_batch,
 )
-from .envspec import SpectrumConfig
+from .envspec import SpectrumConfig, check_band
 from .errors import (DegenerateSampleError, ParameterError, positive_finite, real, shown,
                      whole_number)
 from .faultfreq import (
@@ -266,14 +266,15 @@ def classify_signal(
 
     ``x`` is a segment source, such as a Signal or the recording
     ``sigio.read_signal`` returns.  At one worker its segments are read and
-    estimated one at a time; with ENVDIAG_THREADS > 1 all are read first,
-    and the worker pool holds their samples while it runs.  A table without
-    a cell at ``cfg.seg_len`` raises TableMismatchError before any segment
-    is read.  A ``cfg.band`` other than the table's band is used, with a
-    warning in the report, and so is a recording whose sample rate is not
-    the table's ``fs``.
+    estimated one at a time; with ENVDIAG_THREADS > 1 all are read first, and
+    the worker pool holds their samples while it runs.  A table without a cell
+    at ``cfg.seg_len`` raises TableMismatchError, and a band above ``x``'s
+    Nyquist frequency ParameterError, before any segment is read.  A
+    ``cfg.band`` other than the table's band is used, with a warning in the
+    report, and so is a recording whose sample rate is not the table's ``fs``.
     """
     table.entries_at(cfg.seg_len)  # raises before any segment is read
+    check_band(cfg.band, x.fs)
     spec_cfg, est_cfg = analysis_settings(table, cfg)
     estimate = functools.partial(estimate_or_error, spec_cfg=spec_cfg, est_cfg=est_cfg)
     segments = (segment for _, segment in iter_segments(x, cfg.seg_len))

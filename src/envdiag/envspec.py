@@ -18,7 +18,7 @@ import numpy as np
 import numpy.fft  # noqa: F401
 
 from .errors import ParameterError, positive_finite, real, shown, whole_number
-from .sigmodel import Signal, sample_count
+from .sigmodel import MAX_SAMPLES, Signal, sample_count
 
 # the Welch taper, as a table's meta.analysis records it
 WINDOW = "hann"
@@ -87,6 +87,14 @@ class EnvelopeSpectrum:
         return self.freqs.size
 
 
+def check_band(band: tuple[float, float] | None, fs: float) -> None:
+    """Raise ParameterError unless ``band`` is None or an ``(f_lo, f_hi)`` that
+    ``bandpass`` can pass at the sample rate ``fs``: 0 <= f_lo < f_hi <= fs/2."""
+    if band is not None and not 0 <= real(band[0]) < real(band[1]) <= fs / 2 + 1e-12:
+        raise ParameterError(f"band [{shown(band[0])}, {shown(band[1])}] Hz must satisfy "
+                             "0 <= f_lo < f_hi <= fs/2")
+
+
 def bandpass(x: Signal, f_lo: float, f_hi: float) -> Signal:
     """Zero-phase FFT bandpass with a raised-cosine transition.
 
@@ -95,10 +103,7 @@ def bandpass(x: Signal, f_lo: float, f_hi: float) -> Signal:
     0 or fs/2 are left open, so ``bandpass(x, 0, fs/2)`` is the identity.
     """
     fs = x.fs
-    if not 0 <= real(f_lo) < real(f_hi) <= fs / 2 + 1e-12:
-        raise ParameterError(
-            f"band [{shown(f_lo)}, {shown(f_hi)}] Hz must satisfy 0 <= f_lo < f_hi <= fs/2"
-        )
+    check_band((f_lo, f_hi), fs)
     n = len(x)
     spec = np.fft.rfft(x.samples)
     freqs = np.fft.rfftfreq(n, 1.0 / fs)
@@ -233,14 +238,19 @@ def _welch_bins(x: np.ndarray, piece: int, nfft: int, n_bins: int, fs: float) ->
     return psd
 
 
-def welch_piece(piece_len_s: float, fs: float, n: int) -> int:
-    """Samples in a Welch piece of an ``n``-sample input: ``piece_len_s`` at
-    ``fs``, clipped to ``n``; ParameterError below ``MIN_PIECE_SAMPLES``."""
-    piece = min(sample_count(piece_len_s, fs), n)
+def welch_piece(cfg: SpectrumConfig, fs: float, n: int) -> int:
+    """Samples in a Welch piece of an ``n``-sample input: ``cfg.piece_len_s`` at
+    ``fs``, clipped to ``n``.  ParameterError below ``MIN_PIECE_SAMPLES``, or
+    when the piece zero padded by ``cfg.zero_pad_factor`` is more samples than
+    a float64 array holds."""
+    piece = min(sample_count(cfg.piece_len_s, fs), n)
     if piece < MIN_PIECE_SAMPLES:
         raise ParameterError(
-            f"a Welch piece of {piece_len_s:g} s at {fs:g} Hz on {n} samples holds {piece}, "
+            f"a Welch piece of {cfg.piece_len_s:g} s at {fs:g} Hz on {n} samples holds {piece}, "
             f"fewer than the {MIN_PIECE_SAMPLES} the PSD needs")
+    if piece * cfg.zero_pad_factor > MAX_SAMPLES:
+        raise ParameterError(f"a Welch piece of {piece} samples zero padded by zero_pad_factor "
+                             "is more samples than a float64 array holds")
     return piece
 
 
@@ -269,7 +279,7 @@ def welch_psd(x, fs: float, cfg: SpectrumConfig = SpectrumConfig(),
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 1:
         raise ParameterError("welch_psd expects a 1-D vector")
-    piece = welch_piece(cfg.piece_len_s, fs, x.size)
+    piece = welch_piece(cfg, fs, x.size)
     nfft = piece * cfg.zero_pad_factor
     n_bins = nfft // 2 + 1
     if f_max is not None:

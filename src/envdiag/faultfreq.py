@@ -48,6 +48,9 @@ class EstimatorConfig:
             self.n_harmonics, 1, "n_harmonics must be an integer >= 1"))
         if not 0 < real(self.search_frac) < 0.5:
             raise ParameterError("search_frac must lie in (0, 0.5)")
+        if not self.max_freq < math.inf:  # NaN for an n_harmonics past the float range
+            raise ParameterError(f"the harmonic search passes the float range; lower "
+                                 f"f_theoretical ({self.f_theoretical:g} Hz) or n_harmonics")
         # adjacent harmonic windows k and k+1 stay disjoint up to n_harmonics
         limit = 1.0 / (2.0 * max(self.n_harmonics - 1, 1) + 1.0)
         if self.n_harmonics > 1 and self.search_frac >= limit:
@@ -68,7 +71,7 @@ class EstimatorConfig:
         envelope spectrum cut just above this frequency gives the same
         estimate as the full one.
         """
-        reach = max(self.n_harmonics, SNR_NOISE_BAND[1])
+        reach = max(real(self.n_harmonics), SNR_NOISE_BAND[1])
         return reach * self.f_theoretical * (1.0 + self.search_frac)
 
 

@@ -184,6 +184,21 @@ class TestBuildTable:
             build_table((2.0,), (1.0, seg_len), n=2, fs=fs)
         assert simulations == []
 
+    def test_zero_padded_piece_past_an_array_rejected_before_any_simulation(self,
+                                                                             simulations):
+        with pytest.raises(ParameterError, match="zero padded by zero_pad_factor is more samples"):
+            build_table((2.0,), (0.5, 1.0), n=2,
+                        spec_cfg=SpectrumConfig(zero_pad_factor=10**400))
+        assert simulations == []
+
+    @pytest.mark.parametrize("band,fs", [((1500.0, 20_000.0), FS), ((1500.0, 3500.0), 5000.0)])
+    def test_band_above_nyquist_rejected_before_any_simulation(self, simulations, band, fs):
+        message = (rf"^band \[{band[0]:g}, {band[1]:g}\] Hz must satisfy "
+                   r"0 <= f_lo < f_hi <= fs/2$")
+        with pytest.raises(ParameterError, match=message):
+            build_table((2.0,), (0.5, 1.0), n=2, fs=fs, spec_cfg=SpectrumConfig(bandpass=band))
+        assert simulations == []
+
     @pytest.mark.parametrize("piece_len_s", [0.0002, 0.00028])
     def test_piece_under_eight_samples_rejected_before_any_simulation(self, simulations,
                                                                       piece_len_s):
@@ -440,6 +455,15 @@ class TestThresholdTableFile:
         table = hand_table()
         table = replace(table, entries=table.entries + (replace(table.entries[0], seg_len=1.0),))
         assert table.to_csv_matrix() == "aci,0.5s,1s\n1.5,0.0125,0.0125\n2.5,0.00390625,\n"
+
+    def test_csv_matrix_writes_lengths_within_1e_9_s_as_one_column(self):
+        # as entries_at reads them (same_length); the column is headed by the smaller
+        e = hand_table().entries
+        for moved in (0, 1):
+            table = replace(hand_table(), entries=tuple(
+                replace(c, seg_len=0.5 + 1e-10) if i == moved else c for i, c in enumerate(e)))
+            assert len(table.entries_at(0.5)) == 2
+            assert table.to_csv_matrix() == "aci,0.5s\n1.5,0.0125\n2.5,0.00390625\n"
 
     def test_search_centre_is_the_estimator_s_and_round_trips(self, tmp_path):
         table = replace(hand_table(), estimator=EstimatorConfig(f_theoretical=34.0))

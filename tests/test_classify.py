@@ -201,6 +201,15 @@ class TestClassifySignal:
             classify_signal(recording, ClassifyConfig(30.0, 1.0), table)
         assert calls == []
 
+    @pytest.mark.parametrize("band", [(1500.0, 20_000.0), (12_500.0, 12_501.0)])
+    def test_band_above_nyquist_fails_before_any_segment(self, recording, table, monkeypatch,
+                                                         band):
+        monkeypatch.setattr(classify, "iter_segments", lambda *a: pytest.fail("segment read"))
+        message = (rf"^band \[{band[0]:g}, {band[1]:g}\] Hz must satisfy "
+                   r"0 <= f_lo < f_hi <= fs/2$")
+        with pytest.raises(ParameterError, match=message):
+            classify_signal(recording, config(band=band), table)
+
     def test_raw_recording_is_classified_in_little_more_than_a_segment(self, tmp_path,
                                                                         monkeypatch):
         # 40 s of raw samples are 8 MB on disk; one 1 s segment is 200 kB

@@ -525,6 +525,51 @@ def test_calibrate_piece_under_eight_samples_is_refused_before_any_simulation(tm
     assert list(tmp_path.iterdir()) == []
 
 
+BAND_ABOVE_NYQUIST = "error: band [1500, 20000] Hz must satisfy 0 <= f_lo < f_hi <= fs/2\n"
+TOO_MANY_DIGITS = "1" + "0" * 400  # 401 digits, past the float range
+
+
+@pytest.mark.parametrize("args,message,reached", [
+    ("--band 1500,20000", BAND_ABOVE_NYQUIST, ["build_table"]),
+    (f"--n-harmonics {TOO_MANY_DIGITS}", "error: the harmonic search passes the float range; "
+     "lower f_theoretical (30 Hz) or n_harmonics\n", []),
+    (f"--zero-pad {TOO_MANY_DIGITS}", "error: a Welch piece of 12500 samples zero padded by "
+     "zero_pad_factor is more samples than a float64 array holds\n", ["build_table"]),
+], ids=["band-above-nyquist", "n_harmonics-401-digits", "zero_pad-401-digits"])
+def test_calibrate_setting_out_of_range_is_refused_before_any_simulation(tmp_path, spied,
+                                                                         args, message, reached):
+    result = invoke("calibrate", "--aci-grid", 2, "--seg-grid", 0.5, "--n", 2, *args.split(),
+                    "-o", tmp_path / "t.json")
+    assert_usage_error(result)
+    assert result.output == message
+    assert spied == reached
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_classify_band_above_nyquist_is_refused_before_any_segment(files, tmp_path,
+                                                                   monkeypatch):
+    _, rec, table = files
+    monkeypatch.setattr(classify, "iter_segments", lambda *a: pytest.fail("segment read"))
+    result = invoke("classify", "-i", rec, "--table", table, "--f-theoretical", 30,
+                    "--seg-lens", 0.5, "--band", "1500,20000", "-o", tmp_path / "r.json")
+    assert_usage_error(result)
+    assert result.output == BAND_ABOVE_NYQUIST
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_classify_search_past_the_float_range_is_refused_before_the_recording_is_read(
+        files, tmp_path, spied):
+    # 3.5 harmonics of 1e308 Hz, the SNR's reach, are no float
+    _, rec, table = files
+    result = invoke("classify", "-i", rec, "--table", table, "--f-theoretical", 1e308,
+                    "--seg-lens", 0.5, "-o", tmp_path / "r.json")
+    assert_usage_error(result)
+    assert result.output == ("error: the harmonic search passes the float range; "
+                             "lower f_theoretical (1e+308 Hz) or n_harmonics\n")
+    assert spied == []
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_table_of_another_taper_is_refused_before_the_recording_is_read(files, tmp_path,
                                                                         spied):
     # its thresholds were calibrated on pieces tapered otherwise than Hann

@@ -292,6 +292,14 @@ class TestWelchPsd:
         with pytest.raises(ParameterError, match="more samples than a float64 array holds"):
             welch_psd(np.ones(12_500), FS, SpectrumConfig(piece_len_s=1e300))
 
+    @pytest.mark.parametrize("zero_pad_factor", [10**400, 10**15], ids=["401-digits", "1e15"])
+    def test_zero_padded_piece_of_more_samples_than_an_array_holds_rejected(
+            self, zero_pad_factor):
+        # 12,500 samples padded 1e15-fold are 1.25e19, past the 1.15e18 an array holds
+        with pytest.raises(ParameterError, match="^a Welch piece of 12500 samples zero padded "
+                           "by zero_pad_factor is more samples than a float64 array holds$"):
+            welch_psd(np.ones(12_500), FS, SpectrumConfig(zero_pad_factor=zero_pad_factor))
+
     @pytest.mark.parametrize("duration,cfg", [
         (0.5, SpectrumConfig()),  # one piece
         (10.0, SpectrumConfig()),  # 20 pieces

@@ -159,6 +159,12 @@ NOT_IN_RANGE = {
     "spectrum-df-text": lambda: EnvelopeSpectrum(GRID, np.ones(5), "1"),
     "spectrum-df-inf": lambda: EnvelopeSpectrum(GRID, np.ones(5), math.inf),
     "scott-sample-inf": lambda: scott_bandwidth([1.0, math.inf]),
+    # analysis settings that pass the float range: the search reach, the window-overlap
+    # limit and the zero-padded Welch piece
+    "f_theoretical-reach-inf": lambda: EstimatorConfig(1e308),
+    "n_harmonics-past-float": lambda: EstimatorConfig(30.0, n_harmonics=10**400),
+    "zero_pad-past-array": lambda: build_table(
+        (2.0,), (0.5,), n=2, spec_cfg=SpectrumConfig(zero_pad_factor=10**400)),
 }
 
 
