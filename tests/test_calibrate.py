@@ -191,7 +191,8 @@ class TestBuildTable:
                         spec_cfg=SpectrumConfig(zero_pad_factor=10**400))
         assert simulations == []
 
-    @pytest.mark.parametrize("band,fs", [((1500.0, 20_000.0), FS), ((1500.0, 3500.0), 5000.0)])
+    @pytest.mark.parametrize("band,fs", [((1500.0, 20_000.0), FS), ((1500.0, 3500.0), 5000.0),
+                                         ((12_500.0, 12_501.0), FS)])
     def test_band_above_nyquist_rejected_before_any_simulation(self, simulations, band, fs):
         message = (rf"^band \[{band[0]:g}, {band[1]:g}\] Hz must satisfy "
                    r"0 <= f_lo < f_hi <= fs/2$")
@@ -349,6 +350,13 @@ class TestThresholdTableFile:
         pytest.param(hand_table_with("analysis", "window", "hanning"), id="window-unknown"),
         # thresholds calibrated under another taper do not apply to the Hann one
         pytest.param(hand_table_with("analysis", "window", "hamming"), id="window-hamming"),
+        pytest.param(hand_table_with("analysis", "window", "blackman"), id="window-blackman"),
+        pytest.param(hand_table_with("analysis", "window", "blackmanharris"),
+                     id="window-blackmanharris"),
+        pytest.param(hand_table_with("analysis", "window", "boxcar"), id="window-boxcar"),
+        pytest.param(hand_table_with("analysis", "window", "flattop"), id="window-flattop"),
+        pytest.param(hand_table_with("analysis", "window", "nuttall"), id="window-nuttall"),
+        pytest.param(hand_table_with("analysis", "window", "Hann"), id="window-capitalised"),
         pytest.param(hand_table_with("analysis", "bandpass", "1500,3500"), id="bandpass-text"),
         pytest.param(hand_table_with("analysis", "bandpass", [1500.0]), id="bandpass-one"),
         pytest.param(hand_table_with("analysis", "bandpass", [3500.0, 1500.0]),
@@ -464,6 +472,21 @@ class TestThresholdTableFile:
                 replace(c, seg_len=0.5 + 1e-10) if i == moved else c for i, c in enumerate(e)))
             assert len(table.entries_at(0.5)) == 2
             assert table.to_csv_matrix() == "aci,0.5s\n1.5,0.0125\n2.5,0.00390625\n"
+
+    @pytest.mark.parametrize("lengths,want", [
+        ((0.5, 0.5 - 1e-10), "aci,0.5s\n1.5,0.0125\n2.5,0.00390625\n"),
+        ((0.5, 0.5 + 1e-10, 1.0 - 1e-10, 1.0),
+         "aci,0.5s,1s\n1.5,0.0125,0.0125\n2.5,0.00390625,0.00390625\n"),
+        # 2e-9 s apart are two lengths, so two columns
+        ((0.5, 0.5 + 2e-9), "aci,0.5s,0.5s\n1.5,0.0125,\n2.5,,0.00390625\n"),
+    ], ids=["shorter-second", "two-columns-each-split", "two-columns-2e-9-apart"])
+    def test_csv_matrix_columns_are_the_lengths_entries_at_reads(self, lengths, want):
+        e = hand_table().entries
+        table = replace(hand_table(), entries=tuple(
+            replace(e[i % 2], seg_len=seg_len) for i, seg_len in enumerate(lengths)))
+        assert table.to_csv_matrix() == want
+        heads = {min(t for t in lengths if calibrate.same_length(s, t)) for s in lengths}
+        assert sum(len(table.entries_at(head)) for head in heads) == len(lengths)
 
     def test_search_centre_is_the_estimator_s_and_round_trips(self, tmp_path):
         table = replace(hand_table(), estimator=EstimatorConfig(f_theoretical=34.0))

@@ -380,10 +380,16 @@ def test_removed_welch_split_option_is_a_usage_error(files):
                               "--welch-segments", 2, "-o", root / "t.json"))
 
 
-def test_removed_window_option_is_a_usage_error(tmp_path):
-    # every Welch piece is Hann-tapered; the taper is no option
+# the seven tapers calibrate --window once offered
+FORMER_WINDOWS = ["boxcar", "hann", "hamming", "blackman", "nuttall", "blackmanharris",
+                  "flattop"]
+
+
+@pytest.mark.parametrize("window", FORMER_WINDOWS)
+def test_removed_window_option_is_a_usage_error(tmp_path, window):
+    # every Welch piece is Hann-tapered; the taper is no option, whatever its value
     result = invoke("calibrate", "--aci-grid", 2, "--seg-grid", 0.5, "--n", 2,
-                    "--window", "hann", "-o", tmp_path / "t.json")
+                    "--window", window, "-o", tmp_path / "t.json")
     assert_usage_error(result)
     assert "No such option" in result.output and "--window" in result.output
     assert list(tmp_path.iterdir()) == []
@@ -546,14 +552,16 @@ def test_calibrate_setting_out_of_range_is_refused_before_any_simulation(tmp_pat
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("band", ["1500,20000", "12500,12501"])
 def test_classify_band_above_nyquist_is_refused_before_any_segment(files, tmp_path,
-                                                                   monkeypatch):
+                                                                   monkeypatch, band):
     _, rec, table = files
     monkeypatch.setattr(classify, "iter_segments", lambda *a: pytest.fail("segment read"))
     result = invoke("classify", "-i", rec, "--table", table, "--f-theoretical", 30,
-                    "--seg-lens", 0.5, "--band", "1500,20000", "-o", tmp_path / "r.json")
+                    "--seg-lens", 0.5, "--band", band, "-o", tmp_path / "r.json")
     assert_usage_error(result)
-    assert result.output == BAND_ABOVE_NYQUIST
+    lo, hi = band.split(",")
+    assert result.output == f"error: band [{lo}, {hi}] Hz must satisfy 0 <= f_lo < f_hi <= fs/2\n"
     assert list(tmp_path.iterdir()) == []
 
 
@@ -570,19 +578,20 @@ def test_classify_search_past_the_float_range_is_refused_before_the_recording_is
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("window", [w for w in FORMER_WINDOWS if w != "hann"])
 def test_table_of_another_taper_is_refused_before_the_recording_is_read(files, tmp_path,
-                                                                        spied):
+                                                                        spied, window):
     # its thresholds were calibrated on pieces tapered otherwise than Hann
     _, rec, table = files
     text = table.read_text(encoding="utf-8")
     assert text.count('"window": "hann"') == 1
-    bad = tmp_path / "hamming.json"
-    bad.write_text(text.replace('"window": "hann"', '"window": "hamming"'), encoding="utf-8")
+    bad = tmp_path / f"{window}.json"
+    bad.write_text(text.replace('"window": "hann"', f'"window": "{window}"'), encoding="utf-8")
     result = invoke("classify", "-i", rec, "--table", bad, "--f-theoretical", 30,
                     "--seg-lens", 0.5, "-o", tmp_path / "r.json")
     assert_usage_error(result)
     assert result.output == (f"error: {bad}: not a valid threshold table "
-                             f"(ValueError(\"window 'hamming' is not 'hann'\"))\n")
+                             f"(ValueError(\"window '{window}' is not 'hann'\"))\n")
     assert spied == []
     assert list(tmp_path.iterdir()) == [bad]
 

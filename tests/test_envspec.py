@@ -25,7 +25,7 @@ from envdiag import (
     welch_psd,
 )
 from envdiag.envspec import (BANDPASS_TRANSITION_BINS, WINDOW, EnvelopeSpectrum, _hilbert,
-                             _polyphase_split, _taper)
+                             _polyphase_split, _taper, check_band)
 
 FS = 25_000.0
 
@@ -94,6 +94,29 @@ class TestBandpass:
     def test_band_outside_nyquist_rejected(self, lo, hi):
         with pytest.raises(ParameterError):
             bandpass(tone(2500.0), lo, hi)
+
+
+class TestCheckBand:
+    """``check_band``: the one rule for a band, which bandpass, build_table and
+    classify_signal apply before any work."""
+
+    @pytest.mark.parametrize("band,fs", [
+        (None, FS), ((0.0, FS / 2), FS), ((1500.0, FS / 2), FS), ((0.0, 1.0), FS),
+        ((1500.0, 3500.0), 7000.0),  # the upper edge at exactly fs/2
+    ])
+    def test_band_up_to_nyquist_passes(self, band, fs):
+        check_band(band, fs)
+
+    @pytest.mark.parametrize("band,fs", [
+        ((1500.0, 20_000.0), FS), ((12_500.0, 12_501.0), FS), ((1500.0, 12_500.001), FS),
+        ((2000.0, 2000.0), FS), ((3000.0, 2000.0), FS), ((-1.0, 2000.0), FS),
+        ((1500.0, 3500.0), 5000.0),  # the default band at a 5 kHz sample rate
+    ])
+    def test_band_past_nyquist_or_empty_is_refused_by_its_edges(self, band, fs):
+        message = (rf"^band \[{band[0]:g}, {band[1]:g}\] Hz must satisfy "
+                   r"0 <= f_lo < f_hi <= fs/2$")
+        with pytest.raises(ParameterError, match=message):
+            check_band(band, fs)
 
 
 class TestAnalyticSignal:
@@ -182,6 +205,19 @@ class TestTaper:
         assert energy == float((want * want).sum())
         assert not w.flags.writeable
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 8, 1000, 12_497, 12_500, 25_000, 250_000])
+    def test_periodic_hann_by_its_closed_form(self, n):
+        # w[k] = 0.5 - 0.5 cos(2 pi k / n), known without scipy: its mean is 1/2 and
+        # its energy 3n/8 from n = 3 on; a single sample is 1
+        w, energy = _taper.__wrapped__(n)
+        k = np.arange(n)
+        want = np.ones(1) if n == 1 else 0.5 - 0.5 * np.cos(2 * np.pi * k / n)
+        np.testing.assert_allclose(w, want, rtol=0, atol=1e-14)
+        if n >= 2:
+            assert w[0] == 0.0
+            assert w.sum() == pytest.approx(n / 2, rel=1e-12)
+        assert energy == pytest.approx(3 * n / 8 if n >= 3 else 1.0, rel=1e-12)
+
     def test_envdiag_leaves_scipy_signal_unimported(self, run_python):
         # scipy.signal pulls in scipy.stats, linalg and sparse: ~50 MB per
         # process; scipy.fft and scipy.special alone load another ~29 MB
@@ -244,6 +280,23 @@ class TestWelchPsd:
         spec = welch_psd(x.samples, FS, SpectrumConfig(piece_len_s=0.5))
         peak_freq = spec.freqs[np.argmax(spec.amps)]
         assert abs(peak_freq - 30.0) <= spec.df / 2
+
+    @pytest.mark.parametrize("piece,zero_pad_factor,k", [
+        (12_500, 1, 15), (12_500, 4, 15), (12_500, 4, 3000), (6250, 1, 600),
+        (2501, 1, 100), (2501, 3, 1000), (25_000, 2, 30),
+    ])
+    def test_bin_centred_tone_fills_three_bins_as_hann_does(self, piece, zero_pad_factor, k):
+        # the periodic Hann taper turns a unit tone on bin k into -1/4, 1/2, -1/4 of the
+        # piece on bins k-1, k, k+1 and nothing on the other whole bins: a peak of
+        # piece / (3 fs), neighbours a quarter of it
+        t = np.arange(2 * piece) / FS
+        x = np.cos(2 * np.pi * (k * FS / piece) * t)
+        spec = welch_psd(x, FS, SpectrumConfig(piece_len_s=piece / FS,
+                                               zero_pad_factor=zero_pad_factor))
+        whole = spec.amps[(k + np.arange(-3, 4)) * zero_pad_factor]
+        peak = piece / (3 * FS)
+        np.testing.assert_allclose(whole[2:5], [peak / 4, peak, peak / 4], rtol=1e-9)
+        assert np.all(whole[[0, 1, 5, 6]] < 1e-20 * peak)
 
     def test_zero_input_gives_zero_spectrum(self):
         spec = welch_psd(np.zeros(int(FS)), FS, SpectrumConfig())

@@ -1,6 +1,7 @@
 """The shared input checks of ``envdiag.errors`` and the library calls that use them."""
 
 import math
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -26,6 +27,7 @@ from envdiag import (
     uniform_pdf,
     welch_psd,
 )
+from envdiag.envspec import check_band, welch_piece
 from envdiag.errors import positive_finite, real, shown
 from envdiag.sigmodel import sample_count
 from envdiag.stats import KdeCurve, scott_bandwidth
@@ -165,6 +167,12 @@ NOT_IN_RANGE = {
     "n_harmonics-past-float": lambda: EstimatorConfig(30.0, n_harmonics=10**400),
     "zero_pad-past-array": lambda: build_table(
         (2.0,), (0.5,), n=2, spec_cfg=SpectrumConfig(zero_pad_factor=10**400)),
+    "n_harmonics-float-1e308": lambda: EstimatorConfig(30.0, n_harmonics=1e308),
+    "f_theoretical-float-max": lambda: EstimatorConfig(sys.float_info.max, n_harmonics=1),
+    "welch_piece-padded-1e15": lambda: welch_piece(SpectrumConfig(zero_pad_factor=10**15),
+                                                   FS, 12_500),
+    "band-above-nyquist": lambda: check_band((1500.0, 20_000.0), FS),
+    "bandpass-above-nyquist": lambda: bandpass(Signal(X, FS), 1500.0, 20_000.0),
 }
 
 
