@@ -51,7 +51,6 @@ from .sigmodel import (
     PulseParams,
     SeedSpec,
     Signal,
-    gaussian_pulse,
     simulate_signal,
 )
 from .stats import (
@@ -104,7 +103,6 @@ __all__ = [
     "envelope",
     "envelope_spectrum",
     "estimate_fault_frequency",
-    "gaussian_pulse",
     "kde",
     "match_aci",
     "normal_pdf",

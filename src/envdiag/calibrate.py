@@ -24,6 +24,7 @@ from .sigmodel import (
     DEFAULT_FS,
     DEFAULT_NOISE_STD,
     MIN_FAULT_CYCLES,
+    PULSE_LAW,
     DistributionSpec,
     PulseParams,
     SeedSpec,
@@ -85,7 +86,7 @@ _SPECTRUM_KEYS = {"bandpass": "bandpass", "zero_pad_factor": "zero_pad_factor",
                   "piece_len_s": "piece_len_s"}
 _ESTIMATOR_KEYS = {"n_harmonics": "n_harmonics", "search_frac": "search_frac",
                    "peak_excl_bins": "peak_excl_bins"}
-_PULSE_KEYS = {"fc": "fc", "bw_lo": "bw_lo", "bw_hi": "bw_hi", "bwr": "bwr"}
+_PULSE_KEYS = {"fc": "fc"}
 _ENTRY_KEYS = {"aci": "aci", "seg_len": "seg_len_s", "threshold": "threshold",
                "mean_f_hat": "mean_f_hat", "mean_snr": "mean_snr", "n_signals": "n_signals",
                "master_seed": "master_seed"}
@@ -129,11 +130,12 @@ class ThresholdTable:
     settings' ``bandpass`` (null or ``[lo, hi]``), ``window`` (``"hann"``, the
     one taper; any other is refused), ``zero_pad_factor``, ``piece_len_s``,
     ``n_harmonics``, ``search_frac`` and ``peak_excl_bins``, which also name the
-    table in a report's provenance, and ``pulse``, the base pulse's ``fc``,
-    ``bw_lo``, ``bw_hi`` and ``bwr``; its ACI is 1.0, as each entry carries its
-    own.  ``entries`` is a list of cells, each with ``aci``, ``seg_len_s``,
-    ``threshold``, ``mean_f_hat``, ``mean_snr``, ``n_signals`` and
-    ``master_seed``.  Any other ``schema_version``, or none, is an error that
+    table in a report's provenance, and ``pulse``, the base pulse's ``fc`` and
+    the bandwidth law, ``PULSE_LAW``'s ``bw_lo``, ``bw_hi`` and ``bwr`` (any
+    other law is refused, its thresholds coming from other pulses); its ACI is
+    1.0, as each entry carries its own.  ``entries`` is a list of cells, each
+    with ``aci``, ``seg_len_s``, ``threshold``, ``mean_f_hat``, ``mean_snr``,
+    ``n_signals`` and ``master_seed``.  Any other ``schema_version``, or none, is an error that
     asks for a recalibration.  Ranges are checked on construction, built or
     loaded: ``fs`` positive and finite, ``noise_std`` as ``simulate_signal``
     takes it, ``n`` a whole number of at least 2, ``seed`` as ``SeedSpec`` takes
@@ -176,7 +178,7 @@ class ThresholdTable:
         meta["f_simul"] = self.f_simul
         meta["schema_version"] = SCHEMA_VERSION
         meta["analysis"] = analysis_json(self.spectrum, self.estimator)
-        meta["pulse"] = _dump(self.pulse_base, _PULSE_KEYS)
+        meta["pulse"] = {**_dump(self.pulse_base, _PULSE_KEYS), **PULSE_LAW}
         return {"meta": meta, "entries": [_dump(e, _ENTRY_KEYS) for e in self.entries]}
 
     @classmethod
@@ -190,6 +192,9 @@ class ThresholdTable:
             )
         if meta["analysis"]["window"] != WINDOW:
             raise ValueError(f"window {meta['analysis']['window']!r} is not {WINDOW!r}")
+        for key, value in PULSE_LAW.items():
+            if meta["pulse"][key] != value:
+                raise ValueError(f"pulse {key} {meta['pulse'][key]!r} is not {value!r}")
         return _load(
             cls, meta, _META_KEYS,
             pulse_base=_load(PulseParams, meta["pulse"], _PULSE_KEYS, aci=1.0),

@@ -69,6 +69,7 @@ from .sigmodel import (
     DEFAULT_FAULT_FREQ,
     DEFAULT_FS,
     DEFAULT_NOISE_STD,
+    PULSE_LAW,
     DistributionSpec,
     PulseParams,
     SeedSpec,
@@ -184,7 +185,7 @@ def cmd_simulate(dist_text, aci, seg_len, n_segments, fs, fc, noise_std, seed, o
     sidecar = {
         "seed": seed,
         "dist": dist.spec_string(),
-        "pulse": dataclasses.asdict(pulse),
+        "pulse": {**dataclasses.asdict(pulse), **PULSE_LAW},
         "noise_std": noise_std,
         "seg_len_s": seg_len,
         "n_segments": n_segments,

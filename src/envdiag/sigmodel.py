@@ -28,6 +28,9 @@ MAX_SAMPLES = np.iinfo(np.intp).max // 8  # a float64 array's bytes must fit in 
 # Pulses are evaluated on +-PULSE_SUPPORT_SIGMAS standard deviations of the
 # Gaussian envelope; beyond that the envelope is below exp(-8).
 PULSE_SUPPORT_SIGMAS = 4.0
+# The impulses' bandwidth law: each impulse's fractional bandwidth is drawn
+# from U[bw_lo, bw_hi], referenced at bwr dB below the spectral peak.
+PULSE_LAW = {"bw_lo": 0.4, "bw_hi": 0.5, "bwr": -6.0}
 
 
 def check_finite_samples(samples: np.ndarray) -> None:
@@ -190,34 +193,26 @@ class DistributionSpec:
 class PulseParams:
     """Cyclic-impulse component parameters.
 
-    ``aci`` scales the unit-peak Gaussian pulse; the carrier sits at ``fc``
-    with a fractional bandwidth drawn per impulse from [bw_lo, bw_hi],
-    referenced at ``bwr`` dB below the spectral peak.  ``aci`` and ``fc``
-    must be positive and finite; ``gaussian_pulse`` is checked by one of these.
+    ``aci`` scales the unit-peak Gaussian pulse and its carrier sits at
+    ``fc``; both must be positive and finite.  Each impulse's fractional
+    bandwidth is drawn from the one law, ``PULSE_LAW``.
     """
 
     aci: float
     fc: float = 2500.0
-    bw_lo: float = 0.4
-    bw_hi: float = 0.5
-    bwr: float = -6.0
 
     def __post_init__(self):
         positive_finite(self.aci, "ACI")
         positive_finite(self.fc, "fc", " Hz")
-        if not 0 < real(self.bw_lo) <= real(self.bw_hi) < 2:
-            raise ParameterError("need 0 < bw_lo <= bw_hi < 2")
-        if not -math.inf < real(self.bwr) < 0:
-            raise ParameterError("bwr must be negative and finite (dB below peak)")
 
     def time_variance(self, bw: float) -> float:
         """Gaussian-envelope variance tv for a given fractional bandwidth."""
-        ref = 10.0 ** (self.bwr / 20.0)
+        ref = 10.0 ** (PULSE_LAW["bwr"] / 20.0)
         return -2.0 * math.log(ref) / (math.pi * bw * self.fc) ** 2
 
     def max_half_support(self) -> float:
         # widest pulse comes from the smallest bandwidth
-        return PULSE_SUPPORT_SIGMAS * math.sqrt(self.time_variance(self.bw_lo))
+        return PULSE_SUPPORT_SIGMAS * math.sqrt(self.time_variance(PULSE_LAW["bw_lo"]))
 
 
 @dataclass(frozen=True)
@@ -244,17 +239,6 @@ class SeedSpec:
         return np.random.SeedSequence([self.master_seed, index])
 
 
-def gaussian_pulse(t, fc: float, bw: float, bwr: float = PulseParams.bwr) -> np.ndarray:
-    """Unit-peak Gaussian-modulated cosine burst.
-
-    ``g(t) = exp(-t^2 / (2 tv)) * cos(2 pi fc t)`` with ``tv`` chosen so the
-    spectral envelope at ``fc * (1 +- bw/2)`` sits ``bwr`` dB below its peak:
-    ``tv = -2 ln(10^(bwr/20)) / (pi bw fc)^2``, from ``PulseParams``, which checks them.
-    """
-    tv = PulseParams(aci=1.0, fc=fc, bw_lo=bw, bw_hi=bw, bwr=bwr).time_variance(bw)
-    return _burst(np.asarray(t, dtype=np.float64), tv, fc)
-
-
 def _burst(t: np.ndarray, tv, fc: float) -> np.ndarray:
     """``exp(-t^2 / (2 tv)) * cos(2 pi fc t)``; ``tv`` broadcasts against ``t``."""
     return np.exp(-t * t / (2.0 * tv)) * np.cos(2.0 * math.pi * fc * t)
@@ -275,7 +259,7 @@ def simulate_signal(
     duration : float
         Record length in seconds, ``MIN_FAULT_CYCLES`` of the drawn frequency at least.
     fs : float
-        Sample rate in Hz, finite; must clear ``2 * fc * (1 + bw_hi / 2)``.
+        Sample rate in Hz, finite; must clear ``2 * fc * (1 + PULSE_LAW["bw_hi"] / 2)``.
     dist : DistributionSpec
         Law the per-signal fault frequency is drawn from.
     pulse : PulseParams
@@ -295,12 +279,12 @@ def simulate_signal(
     -----
     Draw order is fixed: fault frequency, noise vector, first-impulse
     offset ``t0 ~ U[0, 1/f)``, then one bandwidth per impulse in time
-    order.  Impulse centres are ``t0 + k/f``; each pulse is added over
-    +-4 envelope standard deviations.
+    order, from ``PULSE_LAW``.  Impulse centres are ``t0 + k/f``; each
+    pulse is added over +-4 envelope standard deviations.
     """
     positive_finite(duration, "segment length", " s")
     n = sample_count(duration, fs)
-    nyquist_needed = 2.0 * pulse.fc * (1.0 + pulse.bw_hi / 2.0)
+    nyquist_needed = 2.0 * pulse.fc * (1.0 + PULSE_LAW["bw_hi"] / 2.0)
     if not fs > nyquist_needed:
         raise ParameterError(
             f"fs={fs:g} Hz leaves no Nyquist margin; need fs > {nyquist_needed:g} Hz"
@@ -333,7 +317,7 @@ def simulate_signal(
     # bandwidth is drawn for every impulse, even off-grid ones, so the stream
     # layout does not depend on rounding; one vector draw is the same stream
     # as one scalar draw per impulse
-    bw = rng.uniform(pulse.bw_lo, pulse.bw_hi, size=centre.size)
+    bw = rng.uniform(PULSE_LAW["bw_lo"], PULSE_LAW["bw_hi"], size=centre.size)
     # scalar tv: numpy squares with a multiply where Python's ** calls pow,
     # and the two can differ in the last bit
     tv = np.array([pulse.time_variance(b) for b in bw.tolist()])

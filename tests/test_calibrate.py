@@ -379,6 +379,10 @@ class TestThresholdTableFile:
         pytest.param(hand_table_with("entries", "mean_snr", math.nan), id="mean_snr-nan"),
         pytest.param(hand_table_with("pulse", "bwr", -math.inf), id="bwr-minus-inf"),
         pytest.param(hand_table_with("pulse", "bw_hi", True), id="bw_hi-bool"),
+        # thresholds calibrated on pulses of another bandwidth law do not apply
+        pytest.param(hand_table_with("pulse", "bw_lo", 0.3), id="bw_lo-other"),
+        pytest.param(hand_table_with("pulse", "bw_hi", 0.6), id="bw_hi-other"),
+        pytest.param(hand_table_with("pulse", "bwr", -3.0), id="bwr-other"),
         pytest.param(hand_table_with("meta", "noise_std", True), id="noise_std-bool"),
         pytest.param(hand_table_with("analysis", "search_frac", "0.1"), id="search_frac-text"),
         pytest.param(hand_table_with("analysis", "window", 1), id="window-number"),
@@ -408,8 +412,10 @@ class TestThresholdTableFile:
             ThresholdTable.from_json_dict(legacy)
 
     @pytest.mark.parametrize("content,message", [
-        (legacy_table_json("0123456789abcdef"), "schema_version None is not 2; recalibrate"),
-        (hand_table_with("meta", "schema_version", 1), "schema_version 1 is not 2; recalibrate"),
+        pytest.param(legacy_table_json("0123456789abcdef"),
+                     "schema_version None is not 2; recalibrate", id="legacy-other-digest"),
+        pytest.param(hand_table_with("meta", "schema_version", 1),
+                     "schema_version 1 is not 2; recalibrate", id="schema-1"),
     ])
     def test_other_legacy_or_version_asks_for_a_recalibration(self, tmp_path, content,
                                                               message):

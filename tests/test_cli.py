@@ -24,7 +24,7 @@ from envdiag.calibrate import DEFAULT_ESTIMATOR, DEFAULT_SPECTRUM, ThresholdTabl
 from envdiag.faultfreq import estimate_or_error, iter_segments
 from envdiag.sigio import read_signal, write_signal_arrays, write_spectrum_csv
 from envdiag.cli import EXIT_ANALYSIS, EXIT_USAGE_IO, cmd_classify, main
-from envdiag.sigmodel import DEFAULT_FS, DEFAULT_NOISE_STD
+from envdiag.sigmodel import DEFAULT_FS, DEFAULT_NOISE_STD, PULSE_LAW
 from envdiag.stats import DEFAULT_ALPHA, KDE_GRID_POINTS
 
 # made by `envdiag calibrate --aci-grid 2 --seg-grid 0.5 --n 4 --seed 2` before
@@ -247,7 +247,7 @@ def test_calibrate_without_settings_records_the_defaults(files):
     _, _, table = files  # made without a settings option
     meta = json.loads(table.read_text(encoding="utf-8"))["meta"]
     assert meta["analysis"] == analysis_json(DEFAULT_SPECTRUM, DEFAULT_ESTIMATOR)
-    assert {"aci": 1.0, **meta["pulse"]} == asdict(PulseParams(aci=1.0))
+    assert {"aci": 1.0, **meta["pulse"]} == {**asdict(PulseParams(aci=1.0)), **PULSE_LAW}
     assert (meta["fs"], meta["noise_std"]) == (DEFAULT_FS, DEFAULT_NOISE_STD)
 
 
@@ -592,6 +592,24 @@ def test_table_of_another_taper_is_refused_before_the_recording_is_read(files, t
     assert_usage_error(result)
     assert result.output == (f"error: {bad}: not a valid threshold table "
                              f"(ValueError(\"window '{window}' is not 'hann'\"))\n")
+    assert spied == []
+    assert list(tmp_path.iterdir()) == [bad]
+
+
+@pytest.mark.parametrize("key,value", [("bw_lo", 0.3), ("bw_hi", 0.6), ("bwr", -3.0)])
+def test_table_of_another_pulse_law_is_refused_before_the_recording_is_read(files, tmp_path,
+                                                                            spied, key, value):
+    # its thresholds were calibrated on pulses of other bandwidths
+    _, rec, table = files
+    data = json.loads(table.read_text(encoding="utf-8"))
+    data["meta"]["pulse"][key] = value
+    bad = tmp_path / f"{key}.json"
+    bad.write_text(json.dumps(data), encoding="utf-8")
+    result = invoke("classify", "-i", rec, "--table", bad, "--f-theoretical", 30,
+                    "--seg-lens", 0.5, "-o", tmp_path / "r.json")
+    assert_usage_error(result)
+    assert result.output == (f"error: {bad}: not a valid threshold table (ValueError("
+                             f"'pulse {key} {value!r} is not {PULSE_LAW[key]!r}'))\n")
     assert spied == []
     assert list(tmp_path.iterdir()) == [bad]
 
@@ -1020,8 +1038,7 @@ def test_simulate_writes_the_concatenated_segments(tmp_path, fmt, name):
     segments = [simulate_signal(0.5, 25_000.0, dist, pulse, seeds.sequence(i))
                 for i in range(3)]
     sidecar = {"seed": 5, "dist": dist.spec_string(),
-               "pulse": {"aci": 2.5, "fc": 2500.0, "bw_lo": pulse.bw_lo, "bw_hi": pulse.bw_hi,
-                         "bwr": pulse.bwr},
+               "pulse": {"aci": 2.5, "fc": 2500.0, **PULSE_LAW},
                "noise_std": 1.0, "seg_len_s": 0.5, "n_segments": 3,
                "f_true_hz": [f for _, f in segments]}
     write_signal_arrays(ref, [s.samples for s, _ in segments], 25_000.0, sidecar)

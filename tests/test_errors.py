@@ -124,10 +124,6 @@ def test_value_not_positive_and_finite_raises_parameter_error(call):
 # which must end in ParameterError, not in TypeError, a math error or a result
 NOT_IN_RANGE = {
     "alpha-text": lambda: ClassifyConfig(30.0, 0.5, alpha="0.05"),
-    "bw_lo-text": lambda: PulseParams(aci=2.0, bw_lo="0.4"),
-    "bwr-none": lambda: PulseParams(aci=2.0, bwr=None),
-    "bwr-minus-inf": lambda: PulseParams(aci=2.0, bwr=-math.inf),
-    "bw_hi-bool": lambda: PulseParams(aci=2.0, bw_lo=0.5, bw_hi=True),
     "search_frac-text": lambda: EstimatorConfig(30.0, search_frac="0.1"),
     "n_harmonics-bool": lambda: EstimatorConfig(30.0, n_harmonics=True),
     "sample_var-text": lambda: chi_squared_variance_test("1", 1.0, 10),
