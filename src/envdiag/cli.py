@@ -8,9 +8,10 @@ Exit codes:
   cell at a segment length ``classify`` was asked for, a length asked for
   twice (within ``calibrate.same_length``), a recording with a non-finite
   sample, a CSV recording that is not ASCII text, an output file in a
-  directory that does not exist or an --emit-spectra path that is or lies
-  under a file (found before any work), and an input too large for memory
-  (``MemoryError``, reported with the allocation that failed).
+  directory that does not exist, an output path that is a directory or an
+  --emit-spectra path that is or lies under a file (found before any work),
+  and an input too large for memory (``MemoryError``, reported with the
+  allocation that failed).
 
 A recording is read in the format its sidecar's ``format`` records, else
 in the one its file name names: ``.csv`` and ``.txt`` are CSV text, one
@@ -59,6 +60,7 @@ from .errors import (
 from .faultfreq import EstimatorConfig, estimate_or_error, iter_segments
 from .sigio import (
     read_signal,
+    sidecar_path,
     write_estimates_csv,
     write_json,
     write_kde_csv,
@@ -121,10 +123,13 @@ def _parse_grid(text: str):
 
 def _check_output_dirs(*paths) -> None:
     """Raise ParameterError naming the first of ``paths`` whose directory does
-    not exist; a None path, an output not asked for, is passed over."""
+    not exist or that is a directory; a None path, an output not asked for, is
+    passed over."""
     for path in filter(None, paths):
         if not os.path.isdir(os.path.dirname(path) or "."):
             raise ParameterError(f"{path}: directory {os.path.dirname(path)!r} does not exist")
+        if os.path.isdir(path):
+            raise ParameterError(f"{path}: is a directory")
 
 
 def _check_makeable_dir(path) -> None:
@@ -169,7 +174,7 @@ def cmd_simulate(dist_text, aci, seg_len, n_segments, fs, fc, noise_std, seed, o
     its true frequency is kept, so memory holds one segment whatever
     --n-segments is.  A failed segment leaves no output behind.
     """
-    _check_output_dirs(out)
+    _check_output_dirs(out, sidecar_path(out))
     dist = DistributionSpec.parse(dist_text)
     pulse = PulseParams(aci=aci, fc=fc)
     n_segments = whole_number(n_segments, 1, "--n-segments must be >= 1")

@@ -161,7 +161,8 @@ def envelope(x) -> np.ndarray:
 
 @functools.lru_cache(maxsize=32)
 def _taper(piece: int) -> tuple[np.ndarray, float]:
-    """Periodic Hann window of ``piece`` samples and its energy ``sum(w**2)``.
+    """Periodic Hann window of ``piece`` samples and its energy ``sum(w**2)``;
+    a piece holds ``MIN_PIECE_SAMPLES`` or more (``welch_piece``).
 
     ``0.5 + 0.5 cos`` over ``piece + 1`` points from -pi to pi, last point
     dropped, evaluated as ``scipy.signal.get_window("hann", piece)`` does,
@@ -169,10 +170,7 @@ def _taper(piece: int) -> tuple[np.ndarray, float]:
     made read-only.  The energy is an elementwise sum, not ``np.dot``: a BLAS
     call would initialise BLAS in every freshly forked pool worker.
     """
-    if piece <= 1:
-        w = np.ones(piece)
-    else:
-        w = 0.5 + 0.5 * np.cos(np.linspace(-np.pi, np.pi, piece + 1)[:-1])
+    w = 0.5 + 0.5 * np.cos(np.linspace(-np.pi, np.pi, piece + 1)[:-1])
     w.setflags(write=False)
     return w, float((w * w).sum())
 

@@ -490,18 +490,42 @@ MISSING_OUTPUT_CASES = {
 }
 
 
-@pytest.mark.parametrize("args", MISSING_OUTPUT_CASES.values(), ids=MISSING_OUTPUT_CASES.keys())
+@pytest.mark.parametrize("args,is_dir", [
+    *(pytest.param(args, False, id=name) for name, args in MISSING_OUTPUT_CASES.items()),
+    # the same output paths, each an existing directory
+    *(pytest.param(args, True, id=f"{name}-a-directory")
+      for name, args in MISSING_OUTPUT_CASES.items()),
+])
 def test_output_in_a_missing_directory_is_refused_before_any_work(files, tmp_path, spied,
-                                                                  args):
+                                                                  args, is_dir):
     _, rec, table = files
     classify_args = f"-i {rec} --table {table} --f-theoretical 30 --seg-lens 0.5"
-    target = tmp_path / "missing" / "file.out"
+    if is_dir:
+        target = tmp_path / "outdir"
+        target.mkdir()
+        message = f"error: {target}: is a directory\n"
+    else:
+        target = tmp_path / "missing" / "file.out"
+        message = f"error: {target}: directory '{target.parent}' does not exist\n"
     result = invoke(*args.format(classify=classify_args, missing=target, out=tmp_path / "out",
                                  spectra=tmp_path / "spectra").split())
     assert_usage_error(result)
-    assert result.output == f"error: {target}: directory '{target.parent}' does not exist\n"
+    assert result.output == message
     assert spied == []
-    assert list(tmp_path.iterdir()) == []
+    assert list(tmp_path.iterdir()) == ([target] if is_dir else [])
+    assert not is_dir or list(target.iterdir()) == []
+
+
+def test_simulate_sidecar_that_is_a_directory_is_refused_before_any_work(tmp_path, spied):
+    # the samples would replace their file before the sidecar failed to
+    sidecar = tmp_path / "rec.f64.json"
+    sidecar.mkdir()
+    result = invoke("simulate", "--dist", "constant:30", "--aci", 2, "--seg-len", 0.5,
+                    "-o", tmp_path / "rec.f64")
+    assert_usage_error(result)
+    assert result.output == f"error: {sidecar}: is a directory\n"
+    assert spied == []
+    assert list(tmp_path.iterdir()) == [sidecar]
 
 
 @pytest.mark.parametrize("below", ["", "sub"], ids=["file", "under-a-file"])
