@@ -135,13 +135,13 @@ class ThresholdTable:
     other law is refused, its thresholds coming from other pulses); its ACI is
     1.0, as each entry carries its own.  ``entries`` is a list of cells, each
     with ``aci``, ``seg_len_s``, ``threshold``, ``mean_f_hat``, ``mean_snr``,
-    ``n_signals`` and ``master_seed``.  Any other ``schema_version``, or none, is an error that
-    asks for a recalibration.  Ranges are checked on construction, built or
-    loaded: ``fs`` positive and finite, ``noise_std`` as ``simulate_signal``
-    takes it, ``n`` a whole number of at least 2, ``seed`` as ``SeedSpec`` takes
-    it, and records, ``f_simul`` among them, as their own classes accept.
-    Lengths within 1e-9 s are one column (``same_length``), holding one entry
-    per ACI.
+    ``n_signals`` and ``master_seed``.  Any other ``schema_version``, or none,
+    is an error that asks for a recalibration.  Ranges are checked on
+    construction, built or loaded: ``fs`` positive and finite, ``noise_std`` as
+    ``simulate_signal`` takes it, ``n`` a whole number of at least 2, ``seed``
+    as ``SeedSpec`` takes it, and records, ``f_simul`` among them, as their own
+    classes accept.  Lengths within 1e-9 s are one column (``same_length``),
+    holding one entry per ACI.
     """
 
     fs: float
