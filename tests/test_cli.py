@@ -517,7 +517,7 @@ def test_output_in_a_missing_directory_is_refused_before_any_work(files, tmp_pat
 
 
 def test_simulate_sidecar_that_is_a_directory_is_refused_before_any_work(tmp_path, spied):
-    # the samples would replace their file before the sidecar failed to
+    # else the samples would replace their file and only then the sidecar fail
     sidecar = tmp_path / "rec.f64.json"
     sidecar.mkdir()
     result = invoke("simulate", "--dist", "constant:30", "--aci", 2, "--seg-len", 0.5,

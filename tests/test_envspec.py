@@ -199,7 +199,7 @@ class TestTaper:
     @pytest.mark.parametrize("n", [2, 3, 7, 8, 1000, 12_497, 12_500, 25_000, 250_000])
     @pytest.mark.parametrize("window", [WINDOW])
     def test_bit_identical_to_scipy_get_window(self, window, n):
-        w, energy = _taper.__wrapped__(n)  # uncached: 10 arrays up to 2 MB
+        w, energy = _taper.__wrapped__(n)  # uncached: 9 arrays up to 2 MB
         want = get_window(window, n)
         assert w.dtype == want.dtype and np.array_equal(w, want)
         assert energy == float((want * want).sum())
